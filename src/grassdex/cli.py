@@ -147,8 +147,7 @@ def cmd_clifford(args) -> int:
                        "d": rat_str(chk.expected), "passes": chk.passes}
     res["iso_design"] = iso
     if args.w == args.k and args.sigma == "all":
-        fam0, fam1 = binquad.generator_families(args.k)
-        res["family_split"] = _family_split_report(args.k, fam0, fam1)
+        res["family_split"] = _family_split_report(build)
         rep["caveats"].append(
             "family_split is experimental: the correspondence between the "
             "two orbit families and particular lattice line sets is "
@@ -163,17 +162,20 @@ def cmd_clifford(args) -> int:
     return 0
 
 
-def _family_split_report(k: int, fam0, fam1) -> dict:
+def _family_split_report(build: clifford.BuildResult) -> dict:
+    """Minimal-line matches of the eigenspaces of each generator family,
+    read off the full build (its members are exactly the two families)."""
+    k = build.sigma.k
+    fam0, fam1 = binquad.generator_families(k)
     out = {"sizes": [len(fam0), len(fam1)]}
     if 2 <= k <= 4:
         raw = lattice.barnes_wall(k)
-        min_lines = {s for s in
-                     lattice.minimal_sections(raw, 1).sections}
-        counts = []
-        for fam in (fam0, fam1):
-            cfg = clifford.build_design(
-                binquad.SigmaSet(k, k, tuple(fam))).config
-            counts.append(sum(1 for p in cfg.points if p in min_lines))
+        min_lines = set(lattice.minimal_sections(raw, 1).sections)
+        family = {s: i for i, fam in enumerate((fam0, fam1)) for s in fam}
+        counts = [0, 0]
+        for (idx, _), p in zip(build.labels, build.config.points):
+            if p in min_lines:
+                counts[family[build.sigma.members[idx]]] += 1
         out["minimal_line_matches"] = counts
         out["lattice_minimal_lines"] = len(min_lines)
     return out

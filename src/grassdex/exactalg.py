@@ -398,25 +398,23 @@ def null_space(m: RatMatrix) -> RatMatrix:
     return RatMatrix(basis) if basis else RatMatrix.zeros(0, m.cols)
 
 
-def adjugate(m: RatMatrix) -> RatMatrix:
-    """Adjugate matrix: adj(M) = det(M) * M^-1, valid also for singular M."""
-    if not m.is_square:
-        raise ValueError("adjugate of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m
-    if n == 1:
-        return RatMatrix([[Fraction(1)]])
-    cof = []
-    for i in range(n):
+def adjugate(mat) -> tuple:
+    """Adjugate of a square integer matrix, adj(M) M = det(M) I, as row tuples."""
+    m = len(mat)
+    if m == 1:
+        return ((1,),)
+    if m == 2:
+        return ((mat[1][1], -mat[0][1]), (-mat[1][0], mat[0][0]))
+    adj = []
+    for i in range(m):
         row = []
-        for j in range(n):
-            minor = RatMatrix([[m[r, c] for c in range(n) if c != j]
-                               for r in range(n) if r != i])
-            s = det(minor)
-            row.append(s if (i + j) % 2 == 0 else -s)
-        cof.append(row)
-    return RatMatrix(cof).transpose()
+        for j in range(m):
+            minor = [[mat[r][c] for c in range(m) if c != i]
+                     for r in range(m) if r != j]
+            v = _det_bareiss_int(minor)
+            row.append(v if (i + j) % 2 == 0 else -v)
+        adj.append(tuple(row))
+    return tuple(adj)
 
 
 # -- integer matrices (lattice plumbing) -----------------------------------

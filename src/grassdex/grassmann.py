@@ -14,11 +14,13 @@ which the pair engine below evaluates in pure integer arithmetic.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .exactalg import (RatMatrix, Rational, _det_bareiss_int, primitive_int_row,
+from .exactalg import (RatMatrix, Rational, adjugate, primitive_int_row,
                        rat_str, rref)
 from .zonal import (Partition, ZonalPolynomial, constant_c, jacobi_p,
                     supported_partitions)
@@ -62,8 +64,8 @@ class Subspace:
         ambient subspaces both factors are the primitive integer basis.
         """
         if self._intdata is None:
-            rows = [primitive_int_row(self.basis.row(i)) for i in range(self.m)]
-            self._intdata = _intdata_from_rows(rows)
+            rows = tuple(primitive_int_row(r) for r in self.basis.entries)
+            self._intdata = _intdata(rows, rows)
         return self._intdata
 
     def projector(self) -> RatMatrix:
@@ -108,12 +110,12 @@ class Subspace:
         return self.basis.to_json()
 
 
-def _intdata_from_rows(rows: Sequence[Tuple[int, ...]]):
-    m = len(rows)
-    rows = tuple(tuple(r) for r in rows)
-    gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(m)]
-            for i in range(m)]
-    return rows, rows, _int_adjugate(gram), _int_det(gram)
+def _intdata(left, right):
+    """(left, right, adj G, det G) for the integer Gram G = left @ right^T."""
+    m = len(left)
+    g = [[sum(map(mul, left[i], right[j])) for j in range(m)] for i in range(m)]
+    adj = adjugate(g)
+    return left, right, adj, sum(g[0][j] * adj[j][0] for j in range(m))
 
 
 def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
@@ -123,61 +125,32 @@ def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     Gram matrix of the ambient basis; sigma values are scale invariant, so
     any positive integer multiple of the true Gram works.
     """
-    m = len(coords)
     n = len(gram_int)
     coords = tuple(tuple(r) for r in coords)
-    gy = tuple(tuple(sum(coords[i][a] * gram_int[a][b] for a in range(n)
-                         if coords[i][a]) for b in range(n)) for i in range(m))
-    g = [[sum(gy[i][b] * coords[j][b] for b in range(n) if coords[j][b])
-          for j in range(m)] for i in range(m)]
-    return gy, coords, _int_adjugate(g), _int_det(g)
-
-
-def _int_det(mat) -> int:
-    return _det_bareiss_int([list(r) for r in mat])
-
-
-def _int_adjugate(mat) -> tuple:
-    m = len(mat)
-    if m == 1:
-        return ((1,),)
-    if m == 2:
-        return ((mat[1][1], -mat[0][1]), (-mat[1][0], mat[0][0]))
-    adj = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            minor = [[mat[r][c] for c in range(m) if c != i]
-                     for r in range(m) if r != j]
-            v = _int_det(minor)
-            row.append(v if (i + j) % 2 == 0 else -v)
-        adj.append(tuple(row))
-    return tuple(adj)
+    gy = tuple(tuple(sum(r[a] * gram_int[a][b] for a in range(n) if r[a])
+                     for b in range(n)) for r in coords)
+    return _intdata(gy, coords)
 
 
 def _mul_int(a, b):
     """Product of small integer matrices given as tuples of row tuples."""
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def _pair_w(data_i, data_j):
-    """(tr W, tr W^2, denominator) for an unordered pair of subspaces."""
+    """(W, det G_p * det G_q) for a pair of subspaces p, q.
+
+    W = adj(G_p) C adj(G_q) C^T with C = L_p R_q^T, so that
+    tr((pi_p pi_q)^t) = tr(W^t) / den^t.
+    """
     li, _, adji, di = data_i
     _, rj, adjj, dj = data_j
-    m = len(li)
-    if m == 1:
-        c = sum(a * b for a, b in zip(li[0], rj[0]))
-        w = c * c
-        return w, w * w, di * dj
-    c = tuple(tuple(sum(a * b for a, b in zip(ra, rb)) for rb in rj) for ra in li)
-    t = _mul_int(_mul_int(adji, c), adjj)
-    # W = t @ C^T
-    w = tuple(tuple(sum(t[a][k] * c[b][k] for k in range(m)) for b in range(m))
-              for a in range(m))
-    trw = sum(w[a][a] for a in range(m))
-    trw2 = sum(w[a][b] * w[b][a] for a in range(m) for b in range(m))
-    return trw, trw2, di * dj
+    if len(li) == 1:
+        c = sum(map(mul, li[0], rj[0]))
+        return ((c * c,),), di * dj
+    c = tuple(tuple(sum(map(mul, ra, rb)) for rb in rj) for ra in li)
+    return _mul_int(_mul_int(_mul_int(adji, c), adjj), tuple(zip(*c))), di * dj
 
 
 @dataclass
@@ -186,41 +159,48 @@ class PairStats:
 
     size: int
     m: int
-    sigma_pow: Dict[int, Rational]   # t -> sum of sigma^t, t = 1..3
+    sigma_pow: Dict[int, Rational]   # t -> sum of sigma^t, t = 1..max(tmax, 3)
     power2: Rational                 # sum of second power sums sum(y_i^2)
+    # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included
+    distribution: Dict[Tuple[Rational, Rational], int]
 
 
-def _accumulate_chunk(data, start, stride):
-    buckets: Dict[int, list] = {}
+def _count_chunk(data, start, stride):
+    """Counts of the exact (tr W, tr W^2, den) triples over pairs i < j."""
+    counts = Counter()
     n = len(data)
+    m = len(data[0][0])
+    rng = range(m)
     for i in range(start, n, stride):
         di = data[i]
         for j in range(i + 1, n):
-            trw, trw2, den = _pair_w(di, data[j])
-            acc = buckets.get(den)
-            if acc is None:
-                acc = [0, 0, 0, 0]
-                buckets[den] = acc
-            acc[0] += trw
-            acc[1] += trw * trw
-            acc[2] += trw * trw * trw
-            acc[3] += trw2
-    return buckets
+            w, den = _pair_w(di, data[j])
+            if m == 1:
+                # Lines carry most pairs; skip the generic trace sums.
+                x = w[0][0]
+                key = (x, x * x, den)
+            else:
+                key = (sum(w[a][a] for a in rng),
+                       sum(w[a][b] * w[b][a] for a in rng for b in rng), den)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
-def _merge_buckets(dst, src):
-    for k, v in src.items():
-        if k in dst:
-            d = dst[k]
-            for i in range(4):
-                d[i] += v[i]
-        else:
-            dst[k] = list(v)
-    return dst
+def _cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _clamp_workers(workers: int, npoints: int) -> int:
+    """Worker count within [1, min(available CPUs, npoints)]."""
+    return max(1, min(workers, _cpus(), npoints))
 
 
 def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
-    """Sigma-power and power-sum totals over all ordered pairs.
+    """The exact pair distribution and its sigma-power and power-sum totals
+    over all ordered pairs.
 
     `points` may be Subspace instances or raw int-data tuples.  Exact; the
     reduction order is irrelevant, so worker count never changes the result.
@@ -228,29 +208,27 @@ def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
     data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
     n = len(data)
     m = len(data[0][0])
+    workers = _clamp_workers(workers, n)
     if workers > 1 and n >= 64:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_accumulate_chunk, data, s, workers)
+            futs = [ex.submit(_count_chunk, data, s, workers)
                     for s in range(workers)]
-            buckets: Dict[int, list] = {}
+            triples = Counter()
             for f in futs:
-                _merge_buckets(buckets, f.result())
+                triples.update(f.result())
     else:
-        buckets = _accumulate_chunk(data, 0, 1)
-    sums = {t: Fraction(0) for t in (1, 2, 3)}
-    p2 = Fraction(0)
-    for den, acc in buckets.items():
-        sums[1] += Fraction(2 * acc[0], den)
-        sums[2] += Fraction(2 * acc[1], den * den)
-        sums[3] += Fraction(2 * acc[2], den * den * den)
-        p2 += Fraction(2 * acc[3], den * den)
+        triples = _count_chunk(data, 0, 1)
     # Diagonal pairs: every principal cosine is 1.
-    for t in (1, 2, 3):
-        sums[t] += n * Fraction(m) ** t
-    p2 += n * Fraction(m)
-    return PairStats(size=n, m=m, sigma_pow=sums, power2=p2)
+    dist = Counter({(Fraction(m), Fraction(m)): n})
+    for (trw, trw2, den), count in triples.items():
+        dist[Fraction(trw, den), Fraction(trw2, den * den)] += 2 * count
+    sums = {t: sum(c * s ** t for (s, _), c in dist.items())
+            for t in range(1, max(tmax, 3) + 1)}
+    p2 = sum(c * q for (_, q), c in dist.items())
+    return PairStats(size=n, m=m, sigma_pow=sums, power2=p2,
+                     distribution=dict(dist))
 
 
 class Configuration:
@@ -312,19 +290,11 @@ def principal_power_sums(p: Subspace, q: Subspace, tmax: int) -> List[Rational]:
         raise ValueError("subspaces must share (m, n)")
     if tmax < 1:
         raise ValueError("tmax must be >= 1")
-    li, _, adji, di = p.int_data()
-    _, rj, adjj, dj = q.int_data()
-    m = p.m
-    c = tuple(tuple(sum(a * b for a, b in zip(ra, rb)) for rb in rj) for ra in li)
-    t_ = _mul_int(_mul_int(adji, c), adjj)
-    w = tuple(tuple(sum(t_[a][k] * c[b][k] for k in range(m)) for b in range(m))
-              for a in range(m))
-    den = di * dj
+    w, den = _pair_w(p.int_data(), q.int_data())
     out = []
     wp = w
     for t in range(1, tmax + 1):
-        tr = sum(wp[a][a] for a in range(m))
-        out.append(Fraction(tr, den ** t))
+        out.append(Fraction(sum(wp[a][a] for a in range(p.m)), den ** t))
         if t < tmax:
             wp = _mul_int(wp, w)
     return out
@@ -401,7 +371,14 @@ def _zonal_sum_from_stats(poly: ZonalPolynomial, stats: PairStats) -> Rational:
 
 
 def verify_design(config: Configuration, tmax: int = 3, workers: int = 1) -> DesignReport:
-    """Certify 2t-design status for each t <= tmax by exact pair averages.
+    """Certify 2t-design status for each t <= tmax by exact pair averages."""
+    return design_report([p.int_data() for p in config.points], config.m,
+                         config.n, tmax, workers)
+
+
+def design_report(data: Sequence, m: int, n: int, tmax: int,
+                  workers: int) -> DesignReport:
+    """Design verdicts for the points with pair-engine data `data` in G(m, n).
 
     Equality at t forces equality at every t' < t (the sigma^t expansions
     have positive coefficients); this monotonicity is asserted as a
@@ -409,11 +386,10 @@ def verify_design(config: Configuration, tmax: int = 3, workers: int = 1) -> Des
     """
     if not 1 <= tmax <= 3:
         raise ValueError("tmax must be between 1 and 3")
-    n, m = config.n, config.m
     if 2 * m > n:
         raise ValueError("design criteria require m <= n/2")
-    stats = pair_stats(config.points, tmax=tmax, workers=workers)
-    size2 = Fraction(len(config)) ** 2
+    stats = pair_stats(data, tmax=tmax, workers=workers)
+    size2 = Fraction(len(data)) ** 2
     t_stats = {}
     for t in range(1, tmax + 1):
         avg = stats.sigma_pow[t] / size2
@@ -431,7 +407,7 @@ def verify_design(config: Configuration, tmax: int = 3, workers: int = 1) -> Des
         t = Partition(*mu.parts).degree
         if t <= tmax and t_stats[t].is_design:
             assert zsums[str(mu)] == 0, "zonal sum must vanish at certified strength"
-    return DesignReport(n=n, m=m, size=len(config), tmax=tmax,
+    return DesignReport(n=n, m=m, size=len(data), tmax=tmax,
                         t_stats=t_stats, zonal_sums=zsums)
 
 
@@ -446,23 +422,9 @@ def zonal_positivity(config: Configuration, mu: Partition) -> Rational:
 
 
 def average_sigma_power(config: Configuration, t: int, workers: int = 1) -> Rational:
-    """Exact pair average of sigma^t for arbitrary t >= 1.
-
-    For t > 3 this walks pairs individually (used for refutations beyond the
-    supported certificate range, e.g. the spherical m = 1 case).
-    """
-    if t <= 3:
-        stats = pair_stats(config.points, tmax=t, workers=workers)
-        return stats.sigma_pow[t] / Fraction(len(config)) ** 2
-    data = [p.int_data() for p in config.points]
-    total = Fraction(0)
-    npts = len(data)
-    for i in range(npts):
-        total += Fraction(config.m) ** t
-        for j in range(i + 1, npts):
-            trw, _, den = _pair_w(data[i], data[j])
-            total += 2 * Fraction(trw ** t, den ** t)
-    return total / Fraction(npts) ** 2
+    """Exact pair average of sigma^t for arbitrary t >= 1."""
+    stats = pair_stats(config.points, tmax=t, workers=workers)
+    return stats.sigma_pow[t] / len(config) ** 2
 
 
 def default_workers() -> int:
@@ -472,4 +434,4 @@ def default_workers() -> int:
             return max(1, int(env))
         except ValueError:
             pass
-    return max(1, os.cpu_count() or 1)
+    return _cpus()

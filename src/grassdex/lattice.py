@@ -16,11 +16,10 @@ from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (RatMatrix, Rational, bit_rref, det, exact_nth_root, hnf,
-                       int_left_kernel, rat, rat_str,
-                       solve_nonneg_combination, verify_combination)
-from .grassmann import (Configuration, DesignReport, Subspace,
-                        intdata_from_coords, pair_stats)
-from .zonal import constant_c
+                       rat, rat_str, saturate_rows, solve_nonneg_combination,
+                       verify_combination)
+from .grassmann import (Configuration, DesignReport, Subspace, design_report,
+                        intdata_from_coords)
 
 # gamma_m^m for the classical Hermite constants, m <= 8 (exact rationals).
 _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
@@ -178,25 +177,6 @@ class SectionSet:
         return len(self.sections)
 
 
-def _saturate(coords_rows: List[Tuple[int, ...]], rank: int) -> List[Tuple[int, ...]]:
-    """Saturated basis of the coordinate span inside Z^rank."""
-    mat = RatMatrix([list(r) for r in coords_rows])
-    from .exactalg import null_space
-    comp = null_space(mat)
-    if comp.rows == 0:
-        return [tuple(r) for r in hnf([[1 if i == j else 0 for j in range(rank)]
-                                       for i in range(rank)])]
-    zint = []
-    for i in range(comp.rows):
-        row = comp.row(i)
-        lcm = 1
-        for v in row:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        zint.append([int(v * lcm) for v in row])
-    zt = [list(r) for r in zip(*zint)]
-    return int_left_kernel(zt, ncols=len(zint))
-
-
 def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     """Exhaustive minimal m-section search over enumerated short vectors.
 
@@ -218,28 +198,16 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
 
     if m == 1:
         # delta_1 = min(L) by definition; the minimum-norm enumeration is
-        # complete regardless of the requested bound.
-        vecs = [(c, nrm) for c, nrm in
-                short_vectors_with_norms(lattice, lam, half=True) if nrm == lam]
-        sections, grams, coords = [], [], []
-        seen = set()
-        for c, nrm in vecs:
-            gg = 0
-            for v in c:
-                gg = gcd(gg, v)
-            cc = tuple(v // gg for v in c)
-            sub = Subspace.span(lattice.n, [lattice.ambient_vector(cc)])
-            if sub in seen:
-                continue
-            seen.add(sub)
-            sections.append(sub)
-            grams.append(RatMatrix([[lattice.coord_norm(cc)]]))
-            coords.append((cc,))
-        delta = min(gr[0, 0] for gr in grams)
-        keep = [i for i, gr in enumerate(grams) if gr[0, 0] == delta]
-        return SectionSet(1, delta, [sections[i] for i in keep],
-                          [grams[i] for i in keep], [coords[i] for i in keep],
-                          lam, complete=True, norm_cap=delta)
+        # complete regardless of the requested bound.  Every minimal vector
+        # is primitive (c = g c' would give |c'|^2 = lam / g^2 < lam), and
+        # half=True keeps one vector per line.
+        vecs = short_vectors_with_norms(lattice, lam, half=True)
+        coords = [(c,) for c, _ in vecs]
+        sections = [Subspace.span(lattice.n, [lattice.ambient_vector(c)])
+                    for (c,) in coords]
+        grams = [RatMatrix([[lam]])] * len(coords)
+        return SectionSet(1, lam, sections, grams, coords, lam, complete=True,
+                          norm_cap=lam)
 
     vecs = sorted(short_vectors_with_norms(lattice, bound, half=True),
                   key=lambda cn: cn[1])
@@ -277,7 +245,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
             if rr * rr * delta < raw:
                 return
         rows = [cvecs[i] for i in idxs]
-        sat = _saturate(list(rows), r)
+        sat = saturate_rows(rows, r)
         sg = RatMatrix([[sum(a[p] * b[q] * g[p, q] for p in range(r) if a[p]
                              for q in range(r) if b[q]) for b in sat] for a in sat])
         d2 = det(sg)
@@ -347,15 +315,9 @@ def _metric_projector_int(lattice: Lattice, coords) -> List[List[int]]:
     positive scalar multiple spans the same line in End, which is all the
     perfection rank computation needs.
     """
-    gi = lattice._gram_int
     r = lattice.rank
     m = len(coords)
-    gy = [[sum(coords[i][a] * gi[a][b] for a in range(r) if coords[i][a])
-           for b in range(r)] for i in range(m)]
-    gsec = [[sum(gy[i][b] * coords[j][b] for b in range(r)) for j in range(m)]
-            for i in range(m)]
-    from .grassmann import _int_adjugate
-    adj = _int_adjugate(gsec)
+    gy, _, adj, _ = intdata_from_coords(coords, lattice._gram_int)
     # G Y^T adj(Gsec) Y, integer.
     left = [[sum(gy[a][i] * adj[a][b] for a in range(m)) for b in range(m)]
             for i in range(r)]
@@ -436,28 +398,9 @@ def section_design_report(lattice: Lattice, sections: SectionSet, tmax: int = 2,
     Subspace pair data is computed in lattice coordinates with the Gram
     metric, so rank-deficient embeddings are judged in dimension rank.
     """
-    r = lattice.rank
-    m = sections.m
-    if 2 * m > r:
-        raise ValueError("design criteria require m <= rank/2")
     gi = lattice._gram_int
     data = [intdata_from_coords(c, gi) for c in sections.coords]
-    stats = pair_stats(data, tmax=tmax, workers=workers)
-    from .grassmann import TDesignStat, _zonal_sum_from_stats
-    from .zonal import jacobi_p, supported_partitions
-    size2 = Fraction(len(data)) ** 2
-    t_stats = {}
-    for t in range(1, tmax + 1):
-        avg = stats.sigma_pow[t] / size2
-        exp = constant_c(m, r, t)
-        t_stats[t] = TDesignStat(avg, exp, avg == exp)
-    zsums = {}
-    for mu in supported_partitions(m, tmax=min(tmax, 2)):
-        val = _zonal_sum_from_stats(jacobi_p(mu, m, r), stats)
-        assert val >= 0
-        zsums[str(mu)] = val
-    return DesignReport(n=r, m=m, size=len(data), tmax=tmax,
-                        t_stats=t_stats, zonal_sums=zsums)
+    return design_report(data, sections.m, lattice.rank, tmax, workers)
 
 
 # -- constructions -----------------------------------------------------------

@@ -109,6 +109,28 @@ def test_sigma_pair_matches_trace_path():
                 assert fast == trace
 
 
+def brute_force_agreeing_characters(s, t):
+    """Character pairs (chi, chi') that agree on S meet T, counted one by one."""
+    from grassdex.clifford import _agreement_data
+    _, constraints = _agreement_data(s, t)
+    agree = 0
+    for chi in range(1 << s.w):
+        for chi2 in range(1 << t.w):
+            agree += all(((chi & cs).bit_count() + (chi2 & ct).bit_count()) & 1
+                         == beta for cs, ct, beta in constraints)
+    return agree
+
+
+@pytest.mark.parametrize("k,w", [(k, w) for k in (1, 2, 3) for w in range(1, k + 1)])
+def test_agreeing_characters_closed_form(k, w):
+    # The fast path's closed form: 4^w / |S meet T| agreeing pairs.
+    members = enumerate_isotropic(k, w).members
+    for s in members:
+        for t in members:
+            meet = (s.span_mask() & t.span_mask()).bit_count()
+            assert brute_force_agreeing_characters(s, t) * meet == 4 ** w
+
+
 def test_build_design_counts():
     bd = build_design(enumerate_isotropic(2, 1))
     assert len(bd.config) == 18 and bd.collisions == 0

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassdex.exactalg import (BitMatrix, QuadExt, RatMatrix, bit_rank,
-                               bit_rref, bit_solve, bit_span, det, hnf,
+from grassdex.exactalg import (BitMatrix, QuadExt, RatMatrix, adjugate,
+                               bit_rank, bit_rref, bit_solve, bit_span, det, hnf,
                                int_left_kernel, inverse, null_space, rat,
                                rat_str, rref, saturate_rows,
                                solve_nonneg_combination, trace_pow,
@@ -229,3 +229,17 @@ def test_saturate_rows():
     assert hnf([list(r) for r in sat]) == [(1, 0)]
     sat2 = saturate_rows([(1, 1, 0), (1, -1, 0)], 3)
     assert hnf([list(r) for r in sat2]) == [(1, 0, 0), (0, 1, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_integer_adjugate(mat):
+    # adj(M) M = det(M) I, singular M included.
+    n = len(mat)
+    adj = adjugate(mat)
+    d = det(RatMatrix(mat))
+    for i in range(n):
+        for j in range(n):
+            assert sum(adj[i][k] * mat[k][j] for k in range(n)) == (d if i == j else 0)

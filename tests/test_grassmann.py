@@ -2,10 +2,15 @@ import json
 import random
 from fractions import Fraction as F
 
+import os
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from grassdex.exactalg import RatMatrix, inverse, trace_pow
-from grassdex.grassmann import (Configuration, Subspace, average_sigma_power,
+from grassdex.grassmann import (Configuration, Subspace, _clamp_workers, _cpus,
+                                average_sigma_power, default_workers,
                                 eval_zonal, pair_stats, principal_power_sums,
                                 sigma, verify_design, zonal_positivity)
 from grassdex.zonal import P0, P1
@@ -224,8 +229,80 @@ def test_configuration_json_rejects_mismatched_m():
 
 
 def test_default_workers_env_override(monkeypatch):
-    from grassdex.grassmann import default_workers
     monkeypatch.setenv("GRASSDEX_WORKERS", "3")
     assert default_workers() == 3
     monkeypatch.setenv("GRASSDEX_WORKERS", "junk")
     assert default_workers() >= 1
+
+
+def test_default_workers_follow_affinity(monkeypatch):
+    monkeypatch.delenv("GRASSDEX_WORKERS", raising=False)
+    assert default_workers() == _cpus()
+    if hasattr(os, "sched_getaffinity"):
+        assert _cpus() == len(os.sched_getaffinity(0))
+
+
+def test_worker_clamp():
+    # Exercised on the helper alone: no pool is ever started with these.
+    cpus = _cpus()
+    assert _clamp_workers(100000, 10 ** 6) == cpus
+    assert _clamp_workers(100000, 3) == min(cpus, 3)
+    assert _clamp_workers(0, 50) == 1 and _clamp_workers(-4, 50) == 1
+    assert _clamp_workers(2, 1) == 1
+
+
+def projector_reference(points, tmax):
+    """Sums of sigma^t (t <= tmax) and of tr((P_p P_q)^2) over ordered
+    pairs, from explicit projector matrices."""
+    projs = [p.projector() for p in points]
+    sums = {t: F(0) for t in range(1, tmax + 1)}
+    power2 = F(0)
+    for a in projs:
+        for b in projs:
+            prod = a @ b
+            s = prod.trace()
+            for t in sums:
+                sums[t] += s ** t
+            power2 += trace_pow(prod, 2)
+    return sums, power2
+
+
+# Small entries give repeated angles; entries near 2^40 give canonical
+# integer bases whose Gram adjugates exceed 2^63.
+entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+
+
+@st.composite
+def configurations(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(max(m, 2), 6))
+    count = draw(st.integers(1, 4))
+    return m, n, [draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                min_size=m, max_size=m)) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@example((2, 4, [[[2 ** 40 + 1, 3, 0, 7], [5, -2 ** 41, 1, 0]],
+                 [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 1, 0, 0], [0, 0, 1, 3]]]))
+@given(configurations())
+def test_pair_engine_matches_projector_reference(data):
+    m, n, bases = data
+    try:
+        cfg = Configuration(n, [Subspace(n, rows) for rows in bases])
+    except ValueError:
+        assume(False)
+    sums, power2 = projector_reference(cfg.points, 5)
+    for workers in (1, 2):
+        stats = pair_stats(cfg.points, tmax=5, workers=workers)
+        assert {t: stats.sigma_pow[t] for t in sums} == sums
+        assert stats.power2 == power2
+        assert sum(stats.distribution.values()) == len(cfg) ** 2
+    assert average_sigma_power(cfg, 4) == sums[4] / len(cfg) ** 2
+    assert average_sigma_power(cfg, 5) == sums[5] / len(cfg) ** 2
+
+
+def test_pair_engine_reference_reaches_large_adjugates():
+    # The explicit example above does leave the int64 range.
+    p = Subspace(4, [[2 ** 40 + 1, 3, 0, 7], [5, -2 ** 41, 1, 0]])
+    _, _, adj, _ = p.int_data()
+    assert max(abs(x) for row in adj for x in row) > 2 ** 63

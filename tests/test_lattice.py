@@ -204,12 +204,14 @@ def test_strong_perfection_chain(d4):
 
 
 def test_section_design_matches_ambient_path(d4):
-    # Intrinsic (coordinate) sigma stats equal the ambient-subspace stats
-    # for a full-rank lattice.
-    secs = minimal_sections(d4, 1)
-    rep_coord = section_design_report(d4, secs, tmax=2)
-    rep_amb = verify_design(Configuration(4, secs.sections), tmax=2)
-    assert rep_coord.t_stats == rep_amb.t_stats
+    # Intrinsic (coordinate) design reports equal the ambient-subspace
+    # reports for a full-rank lattice.
+    for m in (1, 2):
+        secs = minimal_sections(d4, m)
+        rep_coord = section_design_report(d4, secs, tmax=2)
+        rep_amb = verify_design(Configuration(4, secs.sections), tmax=2)
+        assert rep_coord.t_stats == rep_amb.t_stats
+        assert rep_coord.to_json_dict() == rep_amb.to_json_dict()
 
 
 def test_barnes_wall_k2_similar_to_d4(d4):
