@@ -307,11 +307,12 @@ def det(m: RatMatrix):
         return Fraction(1)
     rows = m.row_lists()
     if all(isinstance(x, Fraction) and x.denominator == 1 for r in rows for x in r):
-        return Fraction(_det_bareiss_int([[int(x) for x in r] for r in rows]))
+        return Fraction(int_det([[int(x) for x in r] for r in rows]))
     return _det_bareiss_field(rows)
 
 
-def _det_bareiss_int(a) -> int:
+def int_det(a) -> int:
+    """Determinant of a square integer matrix (Bareiss); overwrites `a`."""
     n = len(a)
     sign = 1
     prev = 1
@@ -411,7 +412,7 @@ def adjugate(mat) -> tuple:
         for j in range(m):
             minor = [[mat[r][c] for c in range(m) if c != i]
                      for r in range(m) if r != j]
-            v = _det_bareiss_int(minor)
+            v = int_det(minor)
             row.append(v if (i + j) % 2 == 0 else -v)
         adj.append(tuple(row))
     return tuple(adj)
@@ -485,21 +486,12 @@ def int_left_kernel(rows, ncols=None):
 
 def saturate_rows(rows, ncols):
     """Basis of Z^n intersected with the Q-span of the given integer rows."""
-    mat = RatMatrix(rows)
-    comp = null_space(mat)
-    if comp.rows == 0:
-        return [tuple(r) for r in hnf([[1 if i == j else 0 for j in range(ncols)]
-                                       for i in range(ncols)])]
-    zint = []
-    for i in range(comp.rows):
-        row = comp.row(i)
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        zint.append([int(x * lcm) for x in row])
-    # kernel of the transposed complement: rows y with y . Z^T = 0
-    zt = list(zip(*zint))
-    return int_left_kernel([list(r) for r in zt], ncols=len(zint))
+    # Integer basis of the orthogonal complement {z : Y z = 0}, then the
+    # lattice of integer vectors orthogonal to it.
+    comp = int_left_kernel(list(zip(*rows)), ncols=len(rows))
+    if not comp:
+        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
+    return int_left_kernel(list(zip(*comp)), ncols=len(comp))
 
 
 def primitive_int_row(row):

@@ -3,21 +3,25 @@ Rankin data, perfection and eutaxy checks, and the iterated tensor-code
 lattice family.
 
 A lattice is held as a rational basis (rows) of rank r inside R^n together
-with its Gram matrix.  Full-rank constructions use r = n; rank-deficient
-embeddings (E6, E7 inside the 8-dimensional coordinates) are supported, with
-section design verdicts taken intrinsically in dimension r.
+with its Gram matrix, and as their integer multiples.  Full-rank
+constructions use r = n; rank-deficient embeddings (E6, E7 inside the
+8-dimensional coordinates) are supported, with section design verdicts taken
+intrinsically in dimension r.  Fincke-Pohst enumeration runs on a
+fraction-free (Bareiss) table of the integer Gram matrix, so its recursion
+compares integers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (RatMatrix, Rational, bit_rref, det, exact_nth_root, hnf,
-                       rat, rat_str, saturate_rows, solve_nonneg_combination,
-                       verify_combination)
+from .exactalg import (RatMatrix, Rational, bit_rref, exact_nth_root, hnf,
+                       int_det, rat, rat_str, saturate_rows,
+                       solve_nonneg_combination, verify_combination)
 from .grassmann import (Configuration, DesignReport, Subspace, design_report,
                         intdata_from_coords)
 
@@ -28,7 +32,13 @@ _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
 
 
 class Lattice:
-    """A positive definite lattice with a rational basis."""
+    """A positive definite lattice with a rational basis.
+
+    Norms, dot products, ambient vectors and determinants are taken from the
+    integer basis `_basis_int / _basis_den` and Gram `_gram_int / _gram_scale`.
+    `minimum()` keeps the minimal vectors its enumeration finds, and
+    `minimal_sections(m=1)` reuses them.
+    """
 
     def __init__(self, basis, name: Optional[str] = None):
         mat = basis if isinstance(basis, RatMatrix) else RatMatrix(basis)
@@ -39,124 +49,129 @@ class Lattice:
             raise ValueError("basis must have 1 <= rank <= ambient dimension")
         self.gram = mat @ mat.transpose()
         self.name = name
-        self._ldl = _ldl(self.gram)          # also certifies positive definiteness
-        self._gram_int, self._gram_scale = _int_gram(self.gram)
+        self._table = _ldl(self.gram)        # also certifies positive definiteness
+        self._gram_int, self._gram_scale = _int_scaled(self.gram)
+        self._basis_int, self._basis_den = _int_scaled(mat)
         self._min: Optional[Rational] = None
+        self._min_vectors: List[Tuple[int, ...]] = []
 
     def det(self) -> Rational:
-        return det(self.gram)
+        # det(s G) is the last leading minor of the table.
+        return Fraction(self._table[1][-1], self._gram_scale ** self.rank)
 
     def minimum(self) -> Rational:
         if self._min is None:
-            bound = min(self.gram[i, i] for i in range(self.rank))
-            vecs = _enumerate(self._ldl, bound, half=True)
-            self._min = min(norm for _, norm in vecs)
+            g = self._gram_int
+            vecs = _enumerate(self._table, min(g[i][i] for i in range(self.rank)),
+                              half=True)
+            q = min(nq for _, nq in vecs)
+            self._min_vectors = [c for c, nq in vecs if nq == q]
+            self._min = Fraction(q, self._gram_scale)
         return self._min
 
     def ambient_vector(self, coords: Sequence[int]) -> Tuple[Rational, ...]:
-        return tuple(sum(rat(c) * self.basis[i, j] for i, c in enumerate(coords))
-                     for j in range(self.n))
+        den = self._basis_den
+        return tuple(Fraction(sum(map(mul, coords, col)), den)
+                     for col in zip(*self._basis_int))
 
     def coord_norm(self, coords: Sequence[int]) -> Rational:
-        g = self.gram
-        r = range(self.rank)
-        return sum(coords[i] * coords[j] * g[i, j] for i in r for j in r)
+        g = self._gram_int
+        q = sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, g) if c)
+        return Fraction(q, self._gram_scale)
 
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
         return f"Lattice(rank={self.rank}, n={self.n}{nm})"
 
 
+def _int_scaled(mat: RatMatrix) -> Tuple[List[List[int]], int]:
+    """(integer rows, s) with mat = rows / s, s the lcm of the denominators."""
+    scale = lcm(*(x.denominator for row in mat.entries for x in row))
+    return [[int(x * scale) for x in row] for row in mat.entries], scale
+
+
 def _ldl(gram: RatMatrix):
-    """Fincke-Pohst table: Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2.
+    """Fraction-free Fincke-Pohst table of the integer Gram s*G.
 
-    Raises on non positive definite input.
+    Bareiss elimination without pivots gives rows M with M[i][i] = D_i, the
+    leading minors (D_{-1} = 1), and with U_i = sum_{j>i} M[i][j] x_j
+
+        x^T (s G) x = sum_i (D_i x_i + U_i)^2 / (D_i D_{i-1}).
+
+    Returns (M, D, weights, L) with L = lcm(D_i D_{i-1}) and weights[i] =
+    L / (D_i D_{i-1}), so L times every term is an integer.  Raises
+    ValueError unless every D_i > 0, which certifies positive definiteness
+    (Sylvester).
     """
-    n = gram.rows
-    q = [[Fraction(gram[i, j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
+    a, _ = _int_scaled(gram)
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p, rk = a[k][k], a[k]
+        if p <= 0:
             raise ValueError("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for l in range(i + 1, n):
-            for m2 in range(l, n):
-                q[l][m2] -= q[l][i] * q[i][m2]
-    return q
+        for ri in a[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    minors = [a[i][i] for i in range(n)]
+    dens = [d * e for d, e in zip(minors, [1] + minors)]
+    big = lcm(*dens)
+    return a, minors, [big // d for d in dens], big
 
 
-def _int_gram(gram: RatMatrix) -> Tuple[List[List[int]], int]:
-    scale = 1
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            d = gram[i, j].denominator
-            scale = scale * d // gcd(scale, d)
-    out = [[int(gram[i, j] * scale) for j in range(gram.cols)]
-           for i in range(gram.rows)]
-    return out, scale
+def _enumerate(table, limit: int, half: bool = False):
+    """All nonzero integer x with x^T (s G) x <= limit, with that form's value.
 
-
-def _coeff_range(d: Fraction, u: Fraction, t: Fraction):
-    """Integers x with d (x + u)^2 <= t; exact via integer square roots."""
-    if t < 0:
-        return range(0)
-    s = t / d
-    qd, pn = u.denominator, u.numerator
-    bnd = (qd * qd * s.numerator) // s.denominator
-    r = isqrt(bnd)
-    lo = -((r + pn) // qd)
-    hi = (r - pn) // qd
-    return range(lo, hi + 1)
-
-
-def _enumerate(q, bound, half=False):
-    """All nonzero coordinate vectors with Q(x) <= bound (exact).
-
-    With half=True, one representative per +-pair: the outermost nonzero
-    coordinate is positive.
+    Fincke-Pohst in exact integers: level i fixes x_i from low to high for
+    i = n-1 down to 0.  With half=True, one representative per +-pair: the
+    outermost nonzero coordinate is positive.
     """
-    n = len(q)
-    bound = Fraction(bound)
+    rows, d, w, big = table
+    n = len(d)
+    top = big * limit
     out = []
     x = [0] * n
 
-    def rec(i: int, rem: Fraction, zero_prefix: bool):
-        if i < 0:
-            if not zero_prefix:
-                out.append((tuple(x), bound - rem))
-            return
-        u = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                u += q[i][j] * x[j]
-        rng = _coeff_range(q[i][i], u, rem)
-        for xi in rng:
-            if half and zero_prefix and xi < 0:
-                continue
+    def rec(i: int, rem: int, zero_prefix: bool):
+        u = sum(map(mul, rows[i][i + 1:], x[i + 1:]))
+        di, wi = d[i], w[i]
+        r = isqrt(rem // wi)
+        lo = -((r + u) // di)
+        if half and zero_prefix and lo < 0:
+            lo = 0
+        for xi in range(lo, (r - u) // di + 1):
+            t = di * xi + u
+            left = rem - wi * t * t
             x[i] = xi
-            step = q[i][i] * (xi + u) ** 2
-            rec(i - 1, rem - step, zero_prefix and xi == 0)
+            if i:
+                rec(i - 1, left, zero_prefix and not xi)
+            elif xi or not zero_prefix:
+                out.append((tuple(x), (top - left) // big))
         x[i] = 0
 
-    rec(n - 1, bound, True)
+    rec(n - 1, top, True)
     return out
+
+
+def _limit(lattice: Lattice, bound) -> int:
+    """floor(s * bound): the integer form's cap for norms up to bound."""
+    bound = rat(bound)
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return bound.numerator * lattice._gram_scale // bound.denominator
 
 
 def short_vectors(lattice: Lattice, bound, half: bool = False) -> List[Tuple[int, ...]]:
     """All v in L - {0} with v.v <= bound, as integer coordinate vectors."""
-    bound = rat(bound)
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    vecs = _enumerate(lattice._ldl, bound, half=half)
-    return [c for c, _ in vecs]
+    return [c for c, _ in _enumerate(lattice._table, _limit(lattice, bound), half)]
 
 
 def short_vectors_with_norms(lattice: Lattice, bound, half: bool = False):
-    bound = rat(bound)
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return _enumerate(lattice._ldl, bound, half=half)
+    s = lattice._gram_scale
+    return [(c, Fraction(q, s))
+            for c, q in _enumerate(lattice._table, _limit(lattice, bound), half)]
 
 
 @dataclass
@@ -194,66 +209,63 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         raise ValueError("need 1 <= m <= rank/2")
     lam = lattice.minimum()
     bound = rat(search_bound) if search_bound is not None else m * lam
-    g = lattice.gram
+
+    def subspace(rows) -> Subspace:
+        return Subspace.span(lattice.n, [lattice.ambient_vector(c) for c in rows])
 
     if m == 1:
         # delta_1 = min(L) by definition; the minimum-norm enumeration is
         # complete regardless of the requested bound.  Every minimal vector
         # is primitive (c = g c' would give |c'|^2 = lam / g^2 < lam), and
         # half=True keeps one vector per line.
-        vecs = short_vectors_with_norms(lattice, lam, half=True)
-        coords = [(c,) for c, _ in vecs]
-        sections = [Subspace.span(lattice.n, [lattice.ambient_vector(c)])
-                    for (c,) in coords]
+        coords = [(c,) for c in lattice._min_vectors]
         grams = [RatMatrix([[lam]])] * len(coords)
-        return SectionSet(1, lam, sections, grams, coords, lam, complete=True,
-                          norm_cap=lam)
+        return SectionSet(1, lam, [subspace(c) for c in coords], grams, coords,
+                          lam, complete=True, norm_cap=lam)
 
     vecs = sorted(short_vectors_with_norms(lattice, bound, half=True),
                   key=lambda cn: cn[1])
-    norms = [nrm for _, nrm in vecs]
+    s = lattice._gram_scale
+    norms = [int(nrm * s) for _, nrm in vecs]
     cvecs = [c for c, _ in vecs]
     nv = len(cvecs)
-    dots: Dict[Tuple[int, int], Rational] = {}
+    gi = lattice._gram_int
+    lam_q = int(lam * s)
 
-    def dot(i: int, j: int) -> Rational:
-        key = (i, j) if i <= j else (j, i)
-        got = dots.get(key)
-        if got is None:
-            a, b = cvecs[key[0]], cvecs[key[1]]
-            got = sum(a[p] * b[q] * g[p, q] for p in range(r) if a[p]
-                      for q in range(r) if b[q])
-            dots[key] = got
-        return got
+    def gvec(c) -> List[int]:
+        return [sum(map(mul, row, c)) for row in gi]
 
+    gvecs = [gvec(c) for c in cvecs]
+
+    # Determinants below are of integer Grams, s^m times the true ones; the
+    # norm cap is floor(s * cap), compared with the integer norms.
     hermite = _HERMITE_POW.get(m)
     state = {"delta": None, "cap": None}
-    found: Dict[Rational, Dict[Subspace, Tuple]] = {}
+    found: Dict[int, Dict[Subspace, Tuple]] = {}
 
     def consider(idxs: Tuple[int, ...]):
-        gram = [[dot(a, b) for b in idxs] for a in idxs]
-        raw = det(RatMatrix(gram))
+        raw = int_det([[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs]
+                       for a in idxs])
         if raw == 0:
             return
         delta = state["delta"]
         if delta is not None and hermite is not None:
             # Saturation divides by a square index; skip when no index can
             # bring raw down to delta while staying above the Hermite floor.
-            floor_det = lam ** m / hermite
-            max_idx_sq = raw / floor_det
-            rr = isqrt(max_idx_sq.numerator // max_idx_sq.denominator)
+            rr = isqrt(raw * hermite.numerator // (lam_q ** m * hermite.denominator))
             if rr * rr * delta < raw:
                 return
-        rows = [cvecs[i] for i in idxs]
-        sat = saturate_rows(rows, r)
-        sg = RatMatrix([[sum(a[p] * b[q] * g[p, q] for p in range(r) if a[p]
-                             for q in range(r) if b[q]) for b in sat] for a in sat])
-        d2 = det(sg)
-        sub = Subspace.span(lattice.n, [lattice.ambient_vector(c) for c in sat])
-        found.setdefault(d2, {})[sub] = (sg, tuple(tuple(c) for c in sat))
-        if state["delta"] is None or d2 < state["delta"]:
+        sat = saturate_rows([cvecs[i] for i in idxs], r)
+        sg = [[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)]
+        d2 = int_det([row[:] for row in sg])
+        if delta is not None and d2 > delta:
+            return
+        found.setdefault(d2, {})[subspace(sat)] = (sg, tuple(tuple(c) for c in sat))
+        if delta is None or d2 < delta:
             state["delta"] = d2
-            state["cap"] = (hermite * d2 / lam ** (m - 1)) if hermite else None
+            if hermite:
+                cap = hermite * d2 / lam_q ** (m - 1)
+                state["cap"] = cap.numerator // cap.denominator
 
     def choose(start: int, chosen: List[int]):
         if len(chosen) == m:
@@ -268,12 +280,13 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
             chosen.pop()
 
     choose(0, [])
-    delta = min(found)
-    best = found[delta]
-    sections = sorted(best, key=lambda s: s.basis.to_json())
-    grams = [best[s][0] for s in sections]
-    coords = [best[s][1] for s in sections]
-    cap = _HERMITE_POW[m] * delta / lam ** (m - 1) if m in _HERMITE_POW else None
+    best = found[min(found)]
+    delta = Fraction(min(found), s ** m)
+    sections = sorted(best, key=lambda sub: sub.basis.to_json())
+    grams = [RatMatrix([[Fraction(x, s) for x in row] for row in best[sub][0]])
+             for sub in sections]
+    coords = [best[sub][1] for sub in sections]
+    cap = hermite * delta / lam ** (m - 1) if hermite else None
     complete = cap is not None and bound >= cap
     return SectionSet(m, delta, sections, grams, coords, bound, complete, cap)
 
@@ -308,49 +321,45 @@ def rankin(lattice: Lattice, m: int, sections: Optional[SectionSet] = None) -> R
     return RankinValue(delta, dl, m, lattice.rank, gamma_exact, gamma_dec)
 
 
-def _metric_projector_int(lattice: Lattice, coords) -> List[List[int]]:
-    """Integer multiple of the coordinate-space projector onto a section.
-
-    P = G Y^T (Y G Y^T)^-1 Y is self-adjoint for the Gram inner product; any
-    positive scalar multiple spans the same line in End, which is all the
-    perfection rank computation needs.
+def _section_sym_int(lattice: Lattice, coords) -> List[List[int]]:
+    """S = Y^T adj(Y G Y^T) Y, integer and symmetric, for a section with
+    coordinate rows Y.  G S is a positive multiple of the section's
+    coordinate-space projector, which is self-adjoint for the Gram metric.
     """
-    r = lattice.rank
-    m = len(coords)
-    gy, _, adj, _ = intdata_from_coords(coords, lattice._gram_int)
-    # G Y^T adj(Gsec) Y, integer.
-    left = [[sum(gy[a][i] * adj[a][b] for a in range(m)) for b in range(m)]
-            for i in range(r)]
-    return [[sum(left[i][b] * coords[b][j] for b in range(m)) for j in range(r)]
-            for i in range(r)]
+    r = range(lattice.rank)
+    _, _, adj, _ = intdata_from_coords(coords, lattice._gram_int)
+    ay = [[sum(a * c[j] for a, c in zip(arow, coords)) for j in r] for arow in adj]
+    return [[sum(y[i] * z[j] for y, z in zip(coords, ay)) for j in r] for i in r]
 
 
 def check_perfection(lattice: Lattice, m: int,
                      sections: Optional[SectionSet] = None) -> Tuple[int, bool]:
     """Rank of the span of the section projectors inside the symmetric
-    endomorphisms; perfect when it reaches r(r+1)/2."""
+    endomorphisms; perfect when it reaches r(r+1)/2.
+
+    The projectors are G S with G fixed and S symmetric, so the rank is that
+    of the upper triangles of the integer S, found by fraction-free
+    elimination with each pivot row divided by its content.
+    """
     if sections is None:
         sections = minimal_sections(lattice, m)
     r = lattice.rank
     target = r * (r + 1) // 2
-    pivots: Dict[int, List[Fraction]] = {}
-    rank_span = 0
+    pivots: Dict[int, List[int]] = {}
     for coords in sections.coords:
-        mat = _metric_projector_int(lattice, coords)
-        row = [Fraction(mat[i][j]) for i in range(r) for j in range(r)]
+        sym = _section_sym_int(lattice, coords)
+        row = [sym[i][j] for i in range(r) for j in range(i, r)]
         for p in sorted(pivots):
-            if row[p]:
-                f = row[p]
+            f = row[p]
+            if f:
                 prow = pivots[p]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((i for i, v in enumerate(row) if v), None)
-        if lead is not None:
-            inv = row[lead]
-            pivots[lead] = [v / inv for v in row]
-            rank_span += 1
-            if rank_span == target:
+                row = [prow[p] * a - f * b for a, b in zip(row, prow)]
+        if any(row):
+            g = gcd(*row)
+            pivots[next(i for i, v in enumerate(row) if v)] = [v // g for v in row]
+            if len(pivots) == target:
                 break
-    return rank_span, rank_span == target
+    return len(pivots), len(pivots) == target
 
 
 @dataclass
@@ -372,9 +381,9 @@ def check_eutaxy(lattice: Lattice, m: int,
         sections = minimal_sections(lattice, m)
     r = lattice.rank
     nsec = len(sections.sections)
-    projs = [RatMatrix([[Fraction(x) for x in row]
-                        for row in _metric_projector_int(lattice, coords)])
-             for coords in sections.coords]
+    gi = lattice._gram_int
+    projs = [RatMatrix([[sum(map(mul, grow, col)) for col in zip(*sym)] for grow in gi])
+             for sym in (_section_sym_int(lattice, c) for c in sections.coords)]
     # Normalize each to the true projector (trace m).
     projs = [p.scale(Fraction(m) / p.trace()) for p in projs]
     total = RatMatrix.zeros(r, r)
@@ -387,7 +396,8 @@ def check_eutaxy(lattice: Lattice, m: int,
     weights = solve_nonneg_combination(projs, ident, strict=True)
     if weights is None:
         return EutaxyResult(False, None, uniform=False)
-    assert verify_combination(projs, ident, weights)
+    if not verify_combination(projs, ident, weights):
+        raise AssertionError("eutaxy weights fail the exact re-check")
     return EutaxyResult(True, weights, uniform=False)
 
 
@@ -456,7 +466,8 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
                 row[cos ^ s] = scale
             gens.append(row)
     basis_rows = hnf(gens)
-    assert len(basis_rows) == n, "generators must span a full-rank lattice"
+    if len(basis_rows) != n:
+        raise AssertionError("generators must span a full-rank lattice")
     # Prefer the triangular family (supports nested by coordinate subsets)
     # when it spans the same lattice; it is better conditioned for
     # enumeration than the HNF rows.
@@ -520,10 +531,7 @@ def catalog(name: str) -> Lattice:
 
 def minimal_line_configuration(lattice: Lattice) -> Configuration:
     """The lines supporting the minimal vectors, as ambient subspaces."""
-    secs = minimal_sections(lattice, 1) if lattice.rank >= 2 else None
-    if secs is None:
-        raise ValueError("rank must be >= 2")
-    return Configuration(lattice.n, secs.sections)
+    return Configuration(lattice.n, minimal_sections(lattice, 1).sections)
 
 
 def theta_shells(lattice: Lattice, max_norm) -> Dict[Rational, int]:

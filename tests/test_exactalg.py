@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grassdex.exactalg import (BitMatrix, QuadExt, RatMatrix, adjugate,
@@ -229,6 +230,28 @@ def test_saturate_rows():
     assert hnf([list(r) for r in sat]) == [(1, 0)]
     sat2 = saturate_rows([(1, 1, 0), (1, -1, 0)], 3)
     assert hnf([list(r) for r in sat2]) == [(1, 0, 0), (0, 1, 0)]
+
+
+def _saturate_reference(rows, ncols):
+    """Saturation through the Fraction null space (the earlier route)."""
+    comp = null_space(RatMatrix(rows))
+    if comp.rows == 0:
+        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
+    zint = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+            for row in comp.entries]
+    return int_left_kernel([list(r) for r in zip(*zint)], ncols=len(zint))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
+    lambda mn: st.lists(st.lists(st.integers(-6, 6), min_size=mn[1],
+                                 max_size=mn[1]), min_size=mn[0], max_size=mn[0])))
+def test_integer_saturation_matches_fraction_reference(rows):
+    ncols = len(rows[0])
+    assume(rref(RatMatrix(rows))[2] == len(rows))
+    got = saturate_rows(rows, ncols)
+    assert hnf(got) == hnf(_saturate_reference(rows, ncols))
+    assert hnf(got + [tuple(r) for r in rows]) == hnf(got)
 
 
 @settings(max_examples=60, deadline=None)

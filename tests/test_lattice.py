@@ -1,14 +1,23 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from math import isqrt, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from grassdex.exactalg import RatMatrix, det
+from grassdex import lattice as lattice_mod
+from grassdex.exactalg import RatMatrix, det, inverse
 from grassdex.grassmann import Configuration, Subspace, verify_design
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
                               minimal_sections, rankin, section_design_report,
-                              short_vectors, similar_to, theta_shells)
+                              short_vectors, short_vectors_with_norms,
+                              similar_to, theta_shells)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +108,116 @@ def test_short_vectors_random_bases_against_certified_box():
         box = [c for c in itertools.product(range(-radius, radius + 1), repeat=3)
                if any(c) and lat.coord_norm(c) <= bound]
         assert sorted(short_vectors(lat, bound)) == sorted(box)
+
+
+@st.composite
+def skewed_bases(draw):
+    """Rational bases (rank 1-4, denominators up to 6), possibly dependent,
+    then skewed by a few elementary unimodular row operations."""
+    rank = draw(st.integers(1, 4))
+    n = draw(st.integers(rank, rank + 1))
+    entry = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=rank, max_size=rank))
+    ops = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1),
+                    st.integers(-2, 2))
+    for i, j, c in draw(st.lists(ops, max_size=4)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=skewed_bases(), factor=st.fractions(1, 3, max_denominator=5),
+       half=st.booleans(), off_grid=st.booleans())
+def test_enumerator_matches_certified_box(rows, factor, half, off_grid):
+    basis = RatMatrix(rows)
+    gram = basis @ basis.transpose()
+    if det(gram) == 0:
+        with pytest.raises(ValueError):
+            Lattice(rows)
+        return
+    lat = Lattice(rows)
+    s = lat._gram_scale
+    bound = lat.minimum() * factor
+    if off_grid:
+        # s * bound = k + 1/2, so the integer cap floor(s * bound) is strict.
+        bound = F(2 * (bound.numerator * s // bound.denominator) + 1, 2 * s)
+    # Certified box: x_i^2 <= (x^T G x) (G^-1)_ii (Cauchy-Schwarz).
+    ginv = inverse(gram)
+    radii = [isqrt(int(bound * ginv[i, i])) for i in range(lat.rank)]
+    assume(prod(2 * r + 1 for r in radii) <= 3000)
+
+    def norm(c):
+        # Independent of the integer Gram: the ambient vector in Fractions.
+        v = [sum(ci * basis[i, j] for i, ci in enumerate(c)) for j in range(lat.n)]
+        return sum(x * x for x in v)
+
+    box = []
+    for c in itertools.product(*(range(-r, r + 1) for r in radii)):
+        nz = [x for x in c if x]
+        if nz and (not half or nz[-1] > 0) and norm(c) <= bound:
+            box.append((c, norm(c)))
+    got = short_vectors_with_norms(lat, bound, half=half)
+    assert sorted(got) == sorted(box)
+    assert [c for c, _ in got] == short_vectors(lat, bound, half=half)
+    assert all(nrm == lat.coord_norm(c) for c, nrm in got)
+
+
+def test_one_enumeration_per_lattice(monkeypatch):
+    calls = []
+    real = lattice_mod._enumerate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "_enumerate", counting)
+    bw16 = catalog("BW16")
+    assert bw16.minimum() == 4
+    lines = minimal_sections(bw16, 1)
+    assert len(lines) == 2160 and len(calls) <= 2
+    calls.clear()
+    raw = minimal_sections(barnes_wall(4), 1)
+    assert len(calls) == 1
+    assert raw.sections == lines.sections and raw.coords == lines.coords
+
+
+_NONUNIFORM_EUTAXY = [[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, 1]]
+
+
+def test_certificate_rechecks_raise(monkeypatch):
+    # A2 plus an orthogonal root: eutactic with weights 2/3, 2/3, 2/3, 1.
+    lat = Lattice(_NONUNIFORM_EUTAXY)
+    eu = check_eutaxy(lat, 1)
+    assert eu.is_eutactic and not eu.uniform
+    monkeypatch.setattr(lattice_mod, "verify_combination", lambda *a: False)
+    with pytest.raises(AssertionError):
+        check_eutaxy(lat, 1)
+    monkeypatch.setattr(lattice_mod, "hnf", lambda rows: [])
+    with pytest.raises(AssertionError):
+        barnes_wall(3)
+
+
+def test_eutaxy_recheck_raises_under_optimize():
+    import grassdex
+    code = (
+        "import sys\n"
+        "from grassdex import lattice\n"
+        "if __debug__: sys.exit(4)\n"
+        "lattice.verify_combination = lambda *a: False\n"
+        f"lat = lattice.Lattice({_NONUNIFORM_EUTAXY!r})\n"
+        "try:\n"
+        "    lattice.check_eutaxy(lat, 1)\n"
+        "except AssertionError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(3)\n")
+    src = os.path.dirname(os.path.dirname(grassdex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_minimal_sections_lines(e8):
