@@ -2,13 +2,11 @@
 Rankin data, perfection and eutaxy checks, and the iterated tensor-code
 lattice family.
 
-A lattice is held as a rational basis (rows) of rank r inside R^n together
-with its Gram matrix, and as their integer multiples.  Full-rank
-constructions use r = n; rank-deficient embeddings (E6, E7 inside the
-8-dimensional coordinates) are supported, with section design verdicts taken
-intrinsically in dimension r.  Fincke-Pohst enumeration runs on a
-fraction-free (Bareiss) table of the integer Gram matrix, so its recursion
-compares integers only.
+A lattice is held as a rational basis (rows) of rank r inside R^n, its Gram
+matrix, and their integer multiples; Fincke-Pohst enumeration runs in
+integers on a fraction-free (Bareiss) table of the Gram.  Full-rank
+constructions use r = n; rank-deficient embeddings (E6, E7 inside R^8) are
+supported, with section design verdicts taken intrinsically in dimension r.
 """
 
 from __future__ import annotations
@@ -32,13 +30,10 @@ _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
 
 
 class Lattice:
-    """A positive definite lattice with a rational basis.
-
-    Norms, dot products, ambient vectors and determinants are taken from the
-    integer basis `_basis_int / _basis_den` and Gram `_gram_int / _gram_scale`.
-    `minimum()` keeps the minimal vectors its enumeration finds, and
-    `minimal_sections(m=1)` reuses them.
-    """
+    """A positive definite lattice with a rational basis, also held as the
+    integers `_basis_int / _basis_den` and `_gram_int / _gram_scale`, from
+    which norms, ambient vectors and determinants are taken.  `minimum()`
+    keeps the minimal vectors it enumerates, for `minimal_sections(m=1)`."""
 
     def __init__(self, basis, name: Optional[str] = None):
         mat = basis if isinstance(basis, RatMatrix) else RatMatrix(basis)
@@ -61,9 +56,8 @@ class Lattice:
 
     def minimum(self) -> Rational:
         if self._min is None:
-            g = self._gram_int
-            vecs = _enumerate(self._table, min(g[i][i] for i in range(self.rank)),
-                              half=True)
+            diag = min(row[i] for i, row in enumerate(self._gram_int))
+            vecs = _enumerate(self._table, diag, half=True)
             q = min(nq for _, nq in vecs)
             self._min_vectors = [c for c, nq in vecs if nq == q]
             self._min = Fraction(q, self._gram_scale)
@@ -169,6 +163,10 @@ def short_vectors(lattice: Lattice, bound, half: bool = False) -> List[Tuple[int
 
 
 def short_vectors_with_norms(lattice: Lattice, bound, half: bool = False):
+    """`short_vectors` with each norm; a half=True query at the minimum
+    returns the vectors `Lattice.minimum` kept, without enumerating again."""
+    if half and rat(bound) == lattice._min:
+        return [(c, lattice._min) for c in lattice._min_vectors]
     s = lattice._gram_scale
     return [(c, Fraction(q, s))
             for c, q in _enumerate(lattice._table, _limit(lattice, bound), half)]
@@ -218,7 +216,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         # complete regardless of the requested bound.  Every minimal vector
         # is primitive (c = g c' would give |c'|^2 = lam / g^2 < lam), and
         # half=True keeps one vector per line.
-        coords = [(c,) for c in lattice._min_vectors]
+        coords = [(c,) for c, _ in short_vectors_with_norms(lattice, lam, half=True)]
         grams = [RatMatrix([[lam]])] * len(coords)
         return SectionSet(1, lam, [subspace(c) for c in coords], grams, coords,
                           lam, complete=True, norm_cap=lam)
@@ -321,34 +319,35 @@ def rankin(lattice: Lattice, m: int, sections: Optional[SectionSet] = None) -> R
     return RankinValue(delta, dl, m, lattice.rank, gamma_exact, gamma_dec)
 
 
-def _section_sym_int(lattice: Lattice, coords) -> List[List[int]]:
-    """S = Y^T adj(Y G Y^T) Y, integer and symmetric, for a section with
-    coordinate rows Y.  G S is a positive multiple of the section's
-    coordinate-space projector, which is self-adjoint for the Gram metric.
+def _metric_projector_int(lattice: Lattice, coords) -> List[List[int]]:
+    """Integer multiple of the coordinate-space projector onto a section.
+
+    P = G Y^T (Y G Y^T)^-1 Y is self-adjoint for the Gram inner product; any
+    positive scalar multiple spans the same line in End, which is all the
+    perfection rank computation needs.
     """
-    r = range(lattice.rank)
-    _, _, adj, _ = intdata_from_coords(coords, lattice._gram_int)
-    ay = [[sum(a * c[j] for a, c in zip(arow, coords)) for j in r] for arow in adj]
-    return [[sum(y[i] * z[j] for y, z in zip(coords, ay)) for j in r] for i in r]
+    r = lattice.rank
+    m = len(coords)
+    gy, _, adj, _ = intdata_from_coords(coords, lattice._gram_int)
+    # G Y^T adj(Gsec) Y, integer.
+    left = [[sum(gy[a][i] * adj[a][b] for a in range(m)) for b in range(m)]
+            for i in range(r)]
+    return [[sum(left[i][b] * coords[b][j] for b in range(m)) for j in range(r)]
+            for i in range(r)]
 
 
 def check_perfection(lattice: Lattice, m: int,
                      sections: Optional[SectionSet] = None) -> Tuple[int, bool]:
     """Rank of the span of the section projectors inside the symmetric
-    endomorphisms; perfect when it reaches r(r+1)/2.
-
-    The projectors are G S with G fixed and S symmetric, so the rank is that
-    of the upper triangles of the integer S, found by fraction-free
-    elimination with each pivot row divided by its content.
-    """
+    endomorphisms; perfect when it reaches r(r+1)/2.  Fraction-free
+    elimination on the integer projector multiples, one gcd per pivot row."""
     if sections is None:
         sections = minimal_sections(lattice, m)
     r = lattice.rank
     target = r * (r + 1) // 2
     pivots: Dict[int, List[int]] = {}
     for coords in sections.coords:
-        sym = _section_sym_int(lattice, coords)
-        row = [sym[i][j] for i in range(r) for j in range(i, r)]
+        row = [x for prow in _metric_projector_int(lattice, coords) for x in prow]
         for p in sorted(pivots):
             f = row[p]
             if f:
@@ -381,9 +380,9 @@ def check_eutaxy(lattice: Lattice, m: int,
         sections = minimal_sections(lattice, m)
     r = lattice.rank
     nsec = len(sections.sections)
-    gi = lattice._gram_int
-    projs = [RatMatrix([[sum(map(mul, grow, col)) for col in zip(*sym)] for grow in gi])
-             for sym in (_section_sym_int(lattice, c) for c in sections.coords)]
+    projs = [RatMatrix([[Fraction(x) for x in row]
+                        for row in _metric_projector_int(lattice, coords)])
+             for coords in sections.coords]
     # Normalize each to the true projector (trace m).
     projs = [p.scale(Fraction(m) / p.trace()) for p in projs]
     total = RatMatrix.zeros(r, r)

@@ -183,6 +183,16 @@ def test_one_enumeration_per_lattice(monkeypatch):
     assert raw.sections == lines.sections and raw.coords == lines.coords
 
 
+@pytest.mark.parametrize("name", ["D4", "E6", "E8", "Z3"])
+def test_minimum_query_matches_fresh_enumeration(name):
+    lat = catalog(name)
+    lam = lat.minimum()
+    kept = short_vectors_with_norms(lat, lam, half=True)
+    assert kept == short_vectors_with_norms(catalog(name), lam, half=True)
+    assert short_vectors_with_norms(lat, lam) == short_vectors_with_norms(
+        catalog(name), lam)
+
+
 _NONUNIFORM_EUTAXY = [[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, 1]]
 
 
