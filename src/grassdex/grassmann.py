@@ -9,15 +9,40 @@ For subspaces p, q with integer bases B_p, B_q and Gram matrices G_p, G_q:
     W = adj(G_p) * (B_p B_q^T) * adj(G_q) * (B_q B_p^T)
 
 which the pair engine below evaluates in pure integer arithmetic.
+
+For m <= 2 the engine needs no per-pair loop.  With C = L_p R_q^T (the
+cross matrix of the engine's left and right factors) two identities give
+both traces from inner products of per-point integer vectors:
+
+    tr W = <X_p, Y_q>,  X = L^T adj(G) L,  Y = R^T adj(G) R   (Frobenius)
+    tr W^2 = (tr W)^2 - 2 det W,  det W = det G_p det G_q (det C)^2  (m = 2)
+
+with det C = <wedge^2 L_p, wedge^2 R_q> by Cauchy-Binet on Pluecker
+vectors; for lines tr W = c^2 and tr W^2 = c^4 with c = L_p . R_q.  Each
+lifted vector is divided by its content, and the per-point scales re-enter
+through the count keys.
+
+The inner products are taken a block at a time by packing (Kronecker
+substitution): for a block of column points and each coordinate k, one
+Python integer holds y_j[k] in slot j of s bits, so one multiply-add per
+coordinate, sum_k x[k] * col_k + 2^(s-1) * ones, yields x . y_j + 2^(s-1)
+in every slot.  The slot width comes from the exact Hoelder (Cauchy-Schwarz)
+bound |x . y| <= isqrt(max|x|^2 max|y|^2) < 2^(s-1), so no slot carries into
+the next and every count is exact.  Planes pack tr W and det C, and every
+slot also holds its column point's class (scales and det), so one integer
+per pair is counted.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from operator import mul
+from struct import calcsize
 from typing import Dict, List, Sequence, Tuple
 
 from .exactalg import (RatMatrix, Rational, adjugate, primitive_int_row,
@@ -169,21 +194,174 @@ def _count_chunk(data, start, stride):
     """Counts of the exact (tr W, tr W^2, den) triples over pairs i < j."""
     counts = Counter()
     n = len(data)
-    m = len(data[0][0])
-    rng = range(m)
+    rng = range(len(data[0][0]))
     for i in range(start, n, stride):
         di = data[i]
         for j in range(i + 1, n):
             w, den = _pair_w(di, data[j])
-            if m == 1:
-                # Lines carry most pairs; skip the generic trace sums.
-                x = w[0][0]
-                key = (x, x * x, den)
-            else:
-                key = (sum(w[a][a] for a in rng),
-                       sum(w[a][b] * w[b][a] for a in rng for b in rng), den)
+            key = (sum(w[a][a] for a in rng),
+                   sum(w[a][b] * w[b][a] for a in rng for b in rng), den)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+# Column points per packed integer.  One multiply-add then covers hundreds
+# of pairs, while the block a row starts in, computed whole but read only
+# to the right of the row, wastes little.
+_BLOCK = 512
+# memoryview formats by native item width in bits.
+_SLOT_FORMATS = {8 * calcsize(c): c for c in "BHIQ"}
+
+
+def _pack(values, nbytes: int) -> int:
+    """sum_j values[j] * 2^(8 * nbytes * j) for 0 <= values[j] < 2^(8 * nbytes)."""
+    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values),
+                          "little")
+
+
+class _PackedColumns:
+    """Column points packed so that one multiply-add per coordinate gives a
+    row's inner products with a whole block of them.
+
+    Each point carries one integer vector per field and a class index.  Slot
+    j of sum_k x[k] * col_k + base holds, for each field f, x_f . y_f(j) +
+    2^(bits_f - 1) in bits [shift_f, shift_f + bits_f), and class j above
+    the fields.  Over the rows the engine will use, |x_f . y_f| <=
+    max|x_f| max|y_f| < 2^(bits_f - 1) (Euclidean norms), so each field
+    stays in its bits.
+    """
+
+    def __init__(self, fields, classes: Sequence[int]):
+        self.fields = []                 # (shift, bits) per field
+        shift = 0
+        for xs, ys in fields:
+            # Hoelder with p = q = 2: |x . y|^2 <= |x|^2 |y|^2, in integers.
+            bound = isqrt(max(sum(v * v for v in x) for x in xs) *
+                          max(sum(v * v for v in y) for y in ys))
+            self.fields.append((shift, bound.bit_length() + 1))
+            shift += bound.bit_length() + 1
+        self.class_shift = shift
+        need = shift + max(classes).bit_length()
+        fits = [w for w in sorted(_SLOT_FORMATS) if w >= need]
+        width = fits[0] if fits else -(-need // 8) * 8
+        self.nbytes = nb = width // 8
+        # Slots read in place as native integers on little-endian hosts.
+        self.fmt = _SLOT_FORMATS.get(width) if sys.byteorder == "little" else None
+        # Some x is nonzero, so |y[k]| <= bound_f: y << shift_f + half packs
+        # without a sign.
+        half = 1 << (width - 1)
+        offsets = sum(1 << (sh + bits - 1) for sh, bits in self.fields)
+        self.blocks = []
+        for j0 in range(0, len(classes), _BLOCK):
+            block = classes[j0:j0 + _BLOCK]
+            halves = _pack([half] * len(block), nb)
+            cols = [_pack([(v << sh) + half for v in col], nb) - halves
+                    for (_, ys), (sh, _) in zip(fields, self.fields)
+                    for col in zip(*ys[j0:j0 + _BLOCK])]
+            base = _pack([offsets + (c << shift) for c in block], nb)
+            self.blocks.append((j0, cols, base, len(block)))
+
+    def row(self, x, start: int):
+        """The slots of columns j >= start, one sequence per block; x is the
+        row's field vectors concatenated."""
+        nb = self.nbytes
+        for j0, cols, base, size in self.blocks[start // _BLOCK:]:
+            raw = sum(map(mul, x, cols), base).to_bytes(size * nb, "little")
+            lo = max(start - j0, 0)
+            if self.fmt:
+                yield memoryview(raw).cast(self.fmt)[lo:]
+            else:
+                yield [int.from_bytes(raw[o:o + nb], "little")
+                       for o in range(lo * nb, size * nb, nb)]
+
+    def decode(self, slot: int) -> Tuple[int, List[int]]:
+        """(class, field values) of a slot."""
+        return slot >> self.class_shift, [
+            ((slot >> sh) & ((1 << bits) - 1)) - (1 << (bits - 1))
+            for sh, bits in self.fields]
+
+
+def _packed_pairs(fields, row_keys, col_keys):
+    """(row_keys[i], col_keys[j], values, count) over pairs i < j, values
+    the inner products x_f(i) . y_f(j) of every field f = (xs, ys)."""
+    classes: Dict = {}
+    packed = _PackedColumns(fields, [classes.setdefault(k, len(classes))
+                                     for k in col_keys])
+    by_row = defaultdict(Counter)
+    for i in range(len(row_keys) - 1):
+        x = [v for xs, _ in fields for v in xs[i]]
+        counter = by_row[row_keys[i]]
+        for slots in packed.row(x, i + 1):
+            counter.update(slots)
+    kinds = list(classes)
+    for key, counter in by_row.items():
+        for slot, k in counter.items():
+            cls, values = packed.decode(slot)
+            yield key, kinds[cls], values, k
+
+
+def _packed_counts(data) -> Counter:
+    """`_count_chunk(data, 0, 1)` for m <= 2, from packed inner products.
+
+    Needs the cross matrices symmetric in the pair (L_p R_q^T = (L_q R_p^T)^T),
+    as for all data from `Subspace.int_data` and `intdata_from_coords`.
+    """
+    counts = Counter()
+    if len(data) < 2:
+        return counts
+    if len(data[0][0]) == 1:
+        # Lines: tr W = c^2, tr W^2 = c^4 with c = L_p . R_q.
+        dets = [d[3] for d in data]
+        for dp, dq, (c,), k in _packed_pairs(
+                [([d[0][0] for d in data], [d[1][0] for d in data])], dets, dets):
+            counts[c * c, c ** 4, dp * dq] += k
+        return counts
+    # Planes: tr W = <X_p, Y_q>, det C = <wedge^2 L_p, wedge^2 R_q>, each
+    # lifted vector divided by its content, which re-enters through the keys.
+    xs, ys, px, py, row_keys, col_keys = [], [], [], [], [], []
+    for left, right, adj, d in data:
+        x, g = _plane_lift(left, adj, 2)
+        lp, a = _pluecker(left)
+        y, h = _plane_lift(right, adj, 1)
+        rp, b = _pluecker(right)
+        xs.append(x)
+        px.append(lp)
+        ys.append(y)
+        py.append(rp)
+        row_keys.append((g, a, d))
+        col_keys.append((h, b, d))
+    for (g, a, dp), (h, b, dq), (tr, minor), k in _packed_pairs(
+            [(xs, ys), (px, py)], row_keys, col_keys):
+        trw = g * h * tr
+        det_c = a * b * minor
+        den = dp * dq
+        counts[trw, trw * trw - 2 * den * det_c * det_c, den] += k
+    return counts
+
+
+def _content(vec) -> Tuple[List[int], int]:
+    """(vec / g, g) with g the gcd of the entries (1 for a zero vector)."""
+    g = gcd(*vec) or 1
+    return [v // g for v in vec], g
+
+
+def _plane_lift(rows, adj, off_diagonal: int) -> Tuple[List[int], int]:
+    """Upper half of rows^T adj rows, off-diagonal entries times
+    `off_diagonal`, divided by its content."""
+    (p, q), ((a, b), (c, d)) = rows, adj
+    u = [a * x + b * y for x, y in zip(p, q)]
+    v = [c * x + d * y for x, y in zip(p, q)]
+    n = len(p)
+    return _content([(p[k] * u[l] + q[k] * v[l]) * (off_diagonal if k < l else 1)
+                     for k in range(n) for l in range(k, n)])
+
+
+def _pluecker(rows) -> Tuple[List[int], int]:
+    """The 2x2 minors of two rows, divided by their content."""
+    p, q = rows
+    n = len(p)
+    return _content([p[k] * q[l] - p[l] * q[k]
+                     for k in range(n) for l in range(k + 1, n)])
 
 
 def _cpus() -> int:
@@ -202,14 +380,18 @@ def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
     """The exact pair distribution and its sigma-power and power-sum totals
     over all ordered pairs.
 
-    `points` may be Subspace instances or raw int-data tuples.  Exact; the
-    reduction order is irrelevant, so worker count never changes the result.
+    `points` may be Subspace instances or raw int-data tuples.  Lines and
+    planes take the packed engine, serially; for m >= 3 the pair loop may
+    run in `workers` processes.  Exact; the reduction order is irrelevant,
+    so worker count never changes the result.
     """
     data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
     n = len(data)
     m = len(data[0][0])
     workers = _clamp_workers(workers, n)
-    if workers > 1 and n >= 64:
+    if m <= 2:
+        triples = _packed_counts(data)
+    elif workers > 1 and n >= 64:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -381,8 +563,9 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
     """Design verdicts for the points with pair-engine data `data` in G(m, n).
 
     Equality at t forces equality at every t' < t (the sigma^t expansions
-    have positive coefficients); this monotonicity is asserted as a
-    consistency check, as is nonnegativity of every zonal sum.
+    have positive coefficients); this monotonicity, nonnegativity of every
+    zonal sum and its vanishing at certified strengths are re-checked, and
+    a failure raises AssertionError, also under `python -O`.
     """
     if not 1 <= tmax <= 3:
         raise ValueError("tmax must be between 1 and 3")
@@ -398,15 +581,16 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
     zsums = {}
     for mu in supported_partitions(m, tmax=min(tmax, 2)):
         val = _zonal_sum_from_stats(jacobi_p(mu, m, n), stats)
-        assert val >= 0, f"zonal positivity violated for {mu}"
+        if val < 0:
+            raise AssertionError(f"zonal positivity violated for {mu}")
         zsums[str(mu)] = val
     for t in range(2, tmax + 1):
-        if t_stats[t].is_design:
-            assert t_stats[t - 1].is_design, "design strengths must be monotone"
+        if t_stats[t].is_design and not t_stats[t - 1].is_design:
+            raise AssertionError("design strengths must be monotone")
     for mu in supported_partitions(m, tmax=min(tmax, 2)):
         t = Partition(*mu.parts).degree
-        if t <= tmax and t_stats[t].is_design:
-            assert zsums[str(mu)] == 0, "zonal sum must vanish at certified strength"
+        if t <= tmax and t_stats[t].is_design and zsums[str(mu)] != 0:
+            raise AssertionError("zonal sum must vanish at certified strength")
     return DesignReport(n=n, m=m, size=len(data), tmax=tmax,
                         t_stats=t_stats, zonal_sums=zsums)
 

@@ -239,7 +239,9 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     # norm cap is floor(s * cap), compared with the integer norms.
     hermite = _HERMITE_POW.get(m)
     state = {"delta": None, "cap": None}
-    found: Dict[int, Dict[Subspace, Tuple]] = {}
+    # det -> {HNF of the saturated coordinates: (coordinates, Gram)}; the
+    # HNF names the section, and the last candidate spanning it is kept.
+    found: Dict[int, Dict[Tuple, Tuple]] = {}
 
     def consider(idxs: Tuple[int, ...]):
         raw = int_det([[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs]
@@ -258,7 +260,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         d2 = int_det([row[:] for row in sg])
         if delta is not None and d2 > delta:
             return
-        found.setdefault(d2, {})[subspace(sat)] = (sg, tuple(tuple(c) for c in sat))
+        found.setdefault(d2, {})[tuple(map(tuple, hnf(sat)))] = (sat, sg)
         if delta is None or d2 < delta:
             state["delta"] = d2
             if hermite:
@@ -278,12 +280,18 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
             chosen.pop()
 
     choose(0, [])
-    best = found[min(found)]
+    if not found:
+        raise ValueError(f"no {m}-section: the vectors of norm at most "
+                         f"{rat_str(bound)} span fewer than {m} dimensions; "
+                         "pass a larger search_bound")
+    best = sorted(((subspace(sat), sg, tuple(map(tuple, sat)))
+                   for sat, sg in found[min(found)].values()),
+                  key=lambda sec: sec[0].basis.to_json())
     delta = Fraction(min(found), s ** m)
-    sections = sorted(best, key=lambda sub: sub.basis.to_json())
-    grams = [RatMatrix([[Fraction(x, s) for x in row] for row in best[sub][0]])
-             for sub in sections]
-    coords = [best[sub][1] for sub in sections]
+    sections = [sub for sub, _, _ in best]
+    grams = [RatMatrix([[Fraction(x, s) for x in row] for row in sg])
+             for _, sg, _ in best]
+    coords = [c for _, _, c in best]
     cap = hermite * delta / lam ** (m - 1) if hermite else None
     complete = cap is not None and bound >= cap
     return SectionSet(m, delta, sections, grams, coords, bound, complete, cap)

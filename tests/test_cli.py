@@ -91,6 +91,19 @@ def test_lattice_from_basis_file(tmp_path, capsys):
     assert rep["results"]["det"] == "4"
 
 
+def test_lattice_section_search_too_short(tmp_path, capsys):
+    from test_lattice import SPARSE_SHELL_BASIS
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"basis": SPARSE_SHELL_BASIS}), encoding="utf-8")
+    code, rep = run_cli(capsys, "lattice", str(f), "--m", "2", "--sections",
+                        "--workers", "1")
+    assert code == 2
+    assert "2-section" in rep["error"] and "search_bound" in rep["error"]
+    code, rep = run_cli(capsys, "lattice", str(f), "--m", "2", "--sections",
+                        "--bound", "123/200", "--workers", "1")
+    assert code == 0 and rep["results"]["section_count"] == 1
+
+
 def test_lattice_unknown_name(capsys):
     code, rep = run_cli(capsys, "lattice", "LEECH")
     assert code == 2 and "error" in rep

@@ -1,18 +1,22 @@
 import json
-import random
-from fractions import Fraction as F
-
 import os
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grassdex.exactalg import RatMatrix, inverse, trace_pow
-from grassdex.grassmann import (Configuration, Subspace, _clamp_workers, _cpus,
+from grassdex import grassmann
+from grassdex.grassmann import (Configuration, Subspace, _clamp_workers,
+                                _count_chunk, _cpus, _packed_counts,
                                 average_sigma_power, default_workers,
-                                eval_zonal, pair_stats, principal_power_sums,
-                                sigma, verify_design, zonal_positivity)
+                                eval_zonal, intdata_from_coords, pair_stats,
+                                principal_power_sums, sigma, verify_design,
+                                zonal_positivity)
 from grassdex.zonal import P0, P1
 
 
@@ -191,8 +195,10 @@ def test_zonal_positivity():
 
 
 def test_pair_stats_worker_independence():
+    # m = 3: lines and planes take the serial packed engine, whatever the
+    # worker count.
     rng = random.Random(9)
-    pts = [random_subspace(rng, 4, 2) for _ in range(70)]
+    pts = [random_subspace(rng, 6, 3) for _ in range(70)]
     s1 = pair_stats(pts, tmax=3, workers=1)
     s2 = pair_stats(pts, tmax=3, workers=3)
     assert s1.sigma_pow == s2.sigma_pow and s1.power2 == s2.power2
@@ -268,22 +274,31 @@ def projector_reference(points, tmax):
 
 
 # Small entries give repeated angles; entries near 2^40 give canonical
-# integer bases whose Gram adjugates exceed 2^63.
+# integer bases whose Gram adjugates exceed 2^63, and packed slots wider
+# than 64 bits.
 entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
 
 
 @st.composite
 def configurations(draw):
     m = draw(st.integers(1, 3))
     n = draw(st.integers(max(m, 2), 6))
-    count = draw(st.integers(1, 4))
-    return m, n, [draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                min_size=m, max_size=m)) for _ in range(count)]
+    bases = [draw(matrices(m, n)) for _ in range(draw(st.integers(1, 4)))]
+    # Repeated points: their pairs count like any other.
+    bases += draw(st.lists(st.sampled_from(bases), max_size=2))
+    return m, n, bases
 
 
 @settings(max_examples=60, deadline=None)
 @example((2, 4, [[[2 ** 40 + 1, 3, 0, 7], [5, -2 ** 41, 1, 0]],
                  [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 1, 0, 0], [0, 0, 1, 3]]]))
+@example((1, 2, [[[1, 2]], [[-3, 1]]]))
+@example((2, 4, [[[1, 0, 2, 0], [0, 1, 0, -1]], [[1, 0, 2, 0], [0, 1, 0, -1]]]))
 @given(configurations())
 def test_pair_engine_matches_projector_reference(data):
     m, n, bases = data
@@ -291,6 +306,10 @@ def test_pair_engine_matches_projector_reference(data):
         cfg = Configuration(n, [Subspace(n, rows) for rows in bases])
     except ValueError:
         assume(False)
+    if m <= 2:
+        # The packed engine against the per-pair loop.
+        points = [p.int_data() for p in cfg.points]
+        assert _packed_counts(points) == _count_chunk(points, 0, 1)
     sums, power2 = projector_reference(cfg.points, 5)
     for workers in (1, 2):
         stats = pair_stats(cfg.points, tmax=5, workers=workers)
@@ -306,3 +325,121 @@ def test_pair_engine_reference_reaches_large_adjugates():
     p = Subspace(4, [[2 ** 40 + 1, 3, 0, 7], [5, -2 ** 41, 1, 0]])
     _, _, adj, _ = p.int_data()
     assert max(abs(x) for row in adj for x in row) > 2 ** 63
+
+
+@st.composite
+def metric_configurations(draw):
+    """Lattice-coordinate data: coordinate rows and the integer Gram
+    A A^T + I of a random basis A, which is positive definite."""
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(max(m, 2), 5))
+    a = draw(matrices(n, n))
+    gram = [[sum(x * y for x, y in zip(r, c)) + (i == j) for j, c in enumerate(a)]
+            for i, r in enumerate(a)]
+    coords = [draw(matrices(m, n)) for _ in range(draw(st.integers(2, 5)))]
+    coords += draw(st.lists(st.sampled_from(coords), max_size=2))
+    return gram, coords
+
+
+@settings(max_examples=60, deadline=None)
+@example(([[2, 1], [1, 2]], [[[1, 0]], [[1, -1]]]))
+@example(([[3, 1, 0, 0], [1, 3, 1, 0], [0, 1, 3, 1], [0, 0, 1, 3]],
+          [[[2 ** 40, -1, 3, 0], [0, 1, -2 ** 39, 5]],
+           [[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 1, 1, 1], [0, 1, -1, 0]]]))
+@given(metric_configurations())
+def test_packed_engine_matches_pair_loop_on_metric_data(data):
+    gram, coords = data
+    points = [intdata_from_coords(c, gram) for c in coords]
+    assume(all(d for _, _, _, d in points))
+    assert _packed_counts(points) == _count_chunk(points, 0, 1)
+
+
+def test_packed_slots_pass_64_bits(monkeypatch):
+    # The explicit examples above do reach the byte-by-byte slot reader.
+    widths = []
+
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, fields, classes):
+            super().__init__(fields, classes)
+            widths.append(8 * self.nbytes)
+
+    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+    big = [[2 ** 40 + 1, 3, 0, 7], [5, -2 ** 41, 1, 0]]
+    small = [[1, 0, 0, 1], [0, 1, 1, 0]]
+    for m in (1, 2):
+        pair_stats([Subspace(4, big[:m]), Subspace(4, small[:m])])
+    assert len(widths) == 2 and min(widths) > 64
+
+
+# Pair statistics of the 12 D4 lines changed so that one consistency check
+# of `design_report` fails: (message, change of sum sigma, of power2).
+_INCONSISTENT_STATS = [("zonal positivity", -36, 0),
+                       ("monotone", 1, 5),
+                       ("must vanish", 0, 1)]
+
+
+def _raise_on_inconsistent_stats(d_sigma, d_power2):
+    """Runs verify_design on the D4 lines with altered pair statistics and
+    returns the AssertionError it raises (None if none)."""
+    from dataclasses import replace
+    cfg = Configuration.from_lines(4, d4_line_vectors())
+    real = grassmann.pair_stats(cfg.points, tmax=2)
+    fake = replace(real, power2=real.power2 + d_power2,
+                   sigma_pow={**real.sigma_pow, 1: real.sigma_pow[1] + d_sigma})
+    saved = grassmann.pair_stats
+    grassmann.pair_stats = lambda *args, **kwargs: fake
+    try:
+        verify_design(cfg, tmax=2)
+    except AssertionError as exc:
+        return exc
+    finally:
+        grassmann.pair_stats = saved
+    return None
+
+
+@pytest.mark.parametrize("message, d_sigma, d_power2", _INCONSISTENT_STATS)
+def test_design_checks_raise_on_inconsistent_stats(message, d_sigma, d_power2):
+    exc = _raise_on_inconsistent_stats(d_sigma, d_power2)
+    assert exc is not None and message in str(exc)
+
+
+def _run_python(code, *flags, path=None):
+    """Runs code in a fresh interpreter that imports grassdex from this
+    checkout (and modules from `path`)."""
+    import grassdex
+    src = os.path.dirname(os.path.dirname(grassdex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [p for p in [src, path, os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_design_checks_raise_under_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit(4)\n"
+        "from test_grassmann import _INCONSISTENT_STATS, "
+        "_raise_on_inconsistent_stats\n"
+        "for message, d_sigma, d_power2 in _INCONSISTENT_STATS:\n"
+        "    exc = _raise_on_inconsistent_stats(d_sigma, d_power2)\n"
+        "    if exc is None or message not in str(exc):\n"
+        "        sys.exit(3)\n")
+    proc = _run_python(code, "-O", path=here)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_and_pair_engine_leave_numpy_unimported():
+    # numpy alone adds about 11 MB of resident memory to a CLI run.
+    code = (
+        "import sys\n"
+        "import grassdex.cli\n"
+        "from grassdex.grassmann import Configuration, Subspace, pair_stats\n"
+        "lines = Configuration.from_lines(3, [[1, 0, 0], [1, 1, 0], [1, 1, 1]])\n"
+        "planes = [Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),\n"
+        "          Subspace(4, [[1, 0, 1, 0], [0, 1, 0, 1]])]\n"
+        "pair_stats(lines.points)\n"
+        "pair_stats(planes)\n"
+        "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr

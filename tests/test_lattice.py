@@ -382,6 +382,26 @@ def test_e7_sections_intrinsic_design():
     assert rep.is_design(2)
 
 
+# A rank-4 basis whose shortest vectors up to 4 * min all lie on one line.
+SPARSE_SHELL_BASIS = [["0", "1/2", "-2", "1/2"], ["2/5", "4/3", "1/4", "0"],
+                      ["2/3", "-1", "-1", "-4/5"], ["0", "-1/4", "1/5", "0"]]
+
+
+def test_minimal_sections_bound_without_m_independent_vectors():
+    lat = Lattice(RatMatrix.from_json(SPARSE_SHELL_BASIS))
+    lam = lat.minimum()
+    assert lam == F(41, 400)
+    assert short_vectors(lat, 4 * lam, half=True) == [(0, 0, 0, 1), (0, 0, 0, 2)]
+    for bound in (None, 4 * lam):
+        with pytest.raises(ValueError) as exc:
+            minimal_sections(lat, 2, search_bound=bound)
+        msg = str(exc.value)
+        assert "2-section" in msg and "search_bound" in msg
+        assert str(bound or 2 * lam) in msg
+    s = minimal_sections(lat, 2, search_bound=6 * lam)
+    assert s.delta == F(67741, 1440000) and len(s) == 1 and s.complete
+
+
 def test_search_bound_reported():
     s = minimal_sections(catalog("Z4"), 2, search_bound=3)
     assert s.search_bound == 3
