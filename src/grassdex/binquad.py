@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import BitMatrix, Rational, bit_rref, bit_solve, bit_span
+from .exactalg import (BitMatrix, Rational, bit_rref, bit_solve, bit_span,
+                       bit_subspaces)
 
 
 class QuadSpace:
@@ -136,40 +138,24 @@ class SigmaSet:
         return cls(k, int(data["w"]), members)
 
 
-_XW_CACHE: Dict[Tuple[int, int], SigmaSet] = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_isotropic(k: int, w: int) -> SigmaSet:
-    """All totally isotropic w-subspaces, canonical and deduplicated.
+    """All totally isotropic w-subspaces, canonical, each generated once.
 
-    Enumeration extends isotropic flags level by level rather than filtering
-    all subspaces; desk scale is k <= 5.
+    A basis row v may follow the rows before it when q(v) = 0 and
+    B(v, row) = 0 for each of them; desk scale is k <= 5.
     """
     if not 1 <= w <= k:
         raise ValueError("need 1 <= w <= k")
     if k > 5:
         raise ValueError("desk scale is k <= 5")
-    key = (k, w)
-    if key in _XW_CACHE:
-        return _XW_CACHE[key]
     space = QuadSpace(k)
-    iso = space.isotropic_points()
-    level = {IsoSubspace(k, [v]) for v in iso}
-    depth = 1
-    while depth < w:
-        nxt = set()
-        for s in level:
-            for v in iso:
-                if s.contains(v):
-                    continue
-                if any(space.bform(v, wd) for wd in s.words):
-                    continue
-                nxt.add(IsoSubspace(k, list(s.words) + [v]))
-        level = nxt
-        depth += 1
-    result = SigmaSet(k, w, tuple(sorted(level, key=lambda s: s.words)))
-    _XW_CACHE[key] = result
-    return result
+
+    def isotropic(rows, v):
+        return space.q(v) == 0 and not any(space.bform(v, r) for r in rows)
+
+    return SigmaSet(k, w, tuple(IsoSubspace(k, words) for words in
+                                bit_subspaces(2 * k, w, isotropic)))
 
 
 def orbital(s: IsoSubspace, t: IsoSubspace) -> Tuple[int, int]:
@@ -205,7 +191,9 @@ def _intersection_histogram(sigma: SigmaSet) -> Dict[int, int]:
     return hist
 
 
-_D_CACHE: Dict[Tuple[int, int], Dict[int, int]] = {}
+@lru_cache(maxsize=None)
+def _full_histogram(k: int, w: int) -> Dict[int, int]:
+    return _intersection_histogram(enumerate_isotropic(k, w))
 
 
 def d_constant(k: int, w: int, t: int) -> Rational:
@@ -216,10 +204,7 @@ def d_constant(k: int, w: int, t: int) -> Rational:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    key = (k, w)
-    if key not in _D_CACHE:
-        _D_CACHE[key] = _intersection_histogram(enumerate_isotropic(k, w))
-    hist = _D_CACHE[key]
+    hist = _full_histogram(k, w)
     total = sum(hist.values())
     num = sum(count * size ** t for size, count in hist.items())
     return Fraction(num, total)
@@ -235,9 +220,10 @@ class IsoDesignCheck:
 def check_iso_design(sigma: SigmaSet, t: int) -> IsoDesignCheck:
     """Compare the set's |S meet S'|^t average with the full-space constant.
 
-    The average is always >= the constant (asserted); equality is the design
-    condition driving the eigenspace construction.  For w < k the equality is
-    reported as data without naming a design notion.
+    The average is always >= the constant (checked, also under `python -O`);
+    equality is the design condition driving the eigenspace construction.
+    For w < k the equality is reported as data without naming a design
+    notion.
     """
     if len(sigma) < 1:
         raise ValueError("empty set")
@@ -245,7 +231,8 @@ def check_iso_design(sigma: SigmaSet, t: int) -> IsoDesignCheck:
     hist = _intersection_histogram(sigma)
     total = sum(hist.values())
     avg = Fraction(sum(count * size ** t for size, count in hist.items()), total)
-    assert avg >= expected, "lower bound violated"
+    if avg < expected:
+        raise AssertionError("lower bound violated")
     return IsoDesignCheck(avg, expected, avg == expected)
 
 
@@ -284,7 +271,8 @@ def _linear_spread(k: int, w: int) -> List[List[int]]:
     Uses the GF(2^w) structure on F_2^k (requires w | k): each class is a
     field line, returned as a w-element GF(2)-basis.
     """
-    assert k % w == 0
+    if k % w:
+        raise ValueError("field lines need w | k")
     chunks = k // w
     covered = set()
     lines = []
@@ -350,52 +338,36 @@ def spread(k: int, w: int, budget: int = 2_000_000) -> SigmaSet:
             f"no spread: required size {size} is not an integer", exhausted=True)
     if w == 1:
         return enumerate_isotropic(k, 1)
-    if k % 2 == 0 and k % w == 0:
-        gens = _generator_spread(k, budget)
-        if w == k:
-            members = gens
-        else:
-            members = []
-            for g in gens:
-                for basis in _linear_spread(k, w):
-                    words = []
-                    for coeff in basis:
-                        v = 0
-                        for i in range(k):
-                            if (coeff >> i) & 1:
-                                v ^= g.words[i]
-                        words.append(v)
-                    members.append(IsoSubspace(k, words))
-        result = SigmaSet(k, w, tuple(members))
-    else:
-        xw = enumerate_isotropic(k, w)
-        masks = [s.span_mask() for s in xw.members]
-        full = 1
-        for v in QuadSpace(k).isotropic_points():
-            full |= 1 << v
-        chosen = _cover_backtrack(masks, full, budget)
-        if chosen is None:
-            raise SpreadNotFound(
-                f"no maximal spread exists in X_{w} for k={k} "
-                "(exhaustive search)", exhausted=True)
-        result = SigmaSet(k, w, tuple(xw.members[i] for i in chosen))
-    assert len(result) == size
+    # For even k with w | k, cover by maximal isotropics and split those.
+    field = k % 2 == 0 and k % w == 0
+    cover_w = k if field else w
+    xw = enumerate_isotropic(k, cover_w)
+    chosen = _cover_backtrack([s.span_mask() for s in xw.members],
+                              _isotropic_mask(k), budget)
+    if chosen is None:
+        raise SpreadNotFound(
+            f"no maximal spread exists in X_{cover_w} for k={k} "
+            "(exhaustive search)", exhausted=True)
+    members = [xw.members[i] for i in chosen]
+    if cover_w != w:
+        # bit_span lists a span by coefficient bits: index c is sum c_i g_i.
+        lines = _linear_spread(k, w)
+        members = [IsoSubspace(k, [span[coeff] for coeff in basis])
+                   for span in (bit_span(g.words) for g in members)
+                   for basis in lines]
+    result = SigmaSet(k, w, tuple(members))
+    if len(result) != size:
+        raise AssertionError("spread has the wrong size")
     _validate_spread(result)
     return result
 
 
-def _generator_spread(k: int, budget: int) -> List[IsoSubspace]:
-    xk = enumerate_isotropic(k, k)
-    masks = [s.span_mask() for s in xk.members]
+def _isotropic_mask(k: int) -> int:
+    """Bitmask over F_2^{2k} marking zero and every isotropic vector."""
     full = 1
     for v in QuadSpace(k).isotropic_points():
         full |= 1 << v
-    chosen = _cover_backtrack(masks, full, budget)
-    if chosen is None:
-        raise SpreadNotFound(
-            f"no spread of maximal isotropics for k={k} (exhaustive search)",
-            exhausted=True)
-    return [xk.members[i] for i in chosen]
+    return full
 
 
 def _validate_spread(sigma: SigmaSet):
@@ -403,12 +375,11 @@ def _validate_spread(sigma: SigmaSet):
     union = 1
     for i, mi in enumerate(masks):
         for mj in masks[i + 1:]:
-            assert (mi & mj) == 1, "spread members must meet only in 0"
+            if (mi & mj) != 1:
+                raise AssertionError("spread members must meet only in 0")
         union |= mi
-    full = 1
-    for v in QuadSpace(sigma.k).isotropic_points():
-        full |= 1 << v
-    assert union == full, "maximal spread must cover every isotropic vector"
+    if union != _isotropic_mask(sigma.k):
+        raise AssertionError("maximal spread must cover every isotropic vector")
 
 
 def generator_families(k: int) -> Tuple[List[IsoSubspace], List[IsoSubspace]]:

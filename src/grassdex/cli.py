@@ -266,11 +266,7 @@ def main(argv=None) -> int:
         args.workers = default_workers()
     try:
         return args.func(args)
-    except InputError as exc:
-        _note(f"error: {exc}")
-        _emit({"v": SCHEMA_VERSION, "command": args.cmd, "error": str(exc)})
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         _note(f"error: {exc}")
         _emit({"v": SCHEMA_VERSION, "command": args.cmd, "error": str(exc)})
         return 2

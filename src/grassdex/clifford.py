@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .binquad import IsoSubspace, SigmaSet, _intersection_histogram
-from .exactalg import QuadExt, RatMatrix, Rational, bit_rref, rat_str
+from .exactalg import (QuadExt, RatMatrix, Rational, bit_rref, bit_span,
+                       bit_subspaces, rat_str)
 from .grassmann import Configuration, Subspace, pair_stats
 from .zonal import constant_c
 
@@ -108,15 +110,10 @@ class StabilizerLift:
         return self.lift(coeffs)
 
 
-_LIFT_CACHE: Dict[IsoSubspace, StabilizerLift] = {}
-
-
+# Room for every member of one k <= 4 Sigma set (X_3 at k = 4 has 2025).
+@lru_cache(maxsize=2048)
 def stabilizer_lift(s: IsoSubspace) -> StabilizerLift:
-    got = _LIFT_CACHE.get(s)
-    if got is None:
-        got = StabilizerLift(s)
-        _LIFT_CACHE[s] = got
-    return got
+    return StabilizerLift(s)
 
 
 def eigenspaces(s: IsoSubspace) -> Configuration:
@@ -181,7 +178,8 @@ def _agreement_data(s: IsoSubspace, t: IsoSubspace):
     triples (cs, ct, beta): characters chi, chi' agree on the intersection
     iff for every triple, parity(chi & cs) + parity(chi' & ct) == beta.
     """
-    inter = [v for v in _span_cached(s) if t.contains(v)]
+    meet = s.span_mask() & t.span_mask()
+    inter = [v for v in range(1, meet.bit_length()) if (meet >> v) & 1]
     basis, _ = bit_rref(inter, 2 * s.k)
     u = s.k - len(basis)
     ls, lt = stabilizer_lift(s), stabilizer_lift(t)
@@ -194,18 +192,6 @@ def _agreement_data(s: IsoSubspace, t: IsoSubspace):
         beta = 0 if sign_s == sign_t else 1
         constraints.append((cs, ct, beta))
     return u, constraints
-
-
-_SPAN_CACHE: Dict[IsoSubspace, List[int]] = {}
-
-
-def _span_cached(s: IsoSubspace) -> List[int]:
-    got = _SPAN_CACHE.get(s)
-    if got is None:
-        from .exactalg import bit_span
-        got = [v for v in bit_span(s.words) if v]
-        _SPAN_CACHE[s] = got
-    return got
 
 
 def sigma_pair(s: IsoSubspace, chi: int, t: IsoSubspace, chi2: int) -> Rational:
@@ -525,35 +511,20 @@ class CodeInfo:
 
 
 def _enumerate_codes(d: int, max_dim: int) -> List[CodeInfo]:
-    """All codes 1 <= C <= C-perp of length d with dim <= max_dim, by
-    exhaustive RREF extension, ordered by increasing dimension."""
+    """All codes 1 <= C <= C-perp of length d with dim <= max_dim, ordered
+    by increasing dimension, then by canonical generators."""
     ones = (1 << d) - 1
-    base = CodeInfo(d, 1, (ones,), frozenset((0, ones)))
-    by_dim: List[List[CodeInfo]] = [[base]]
-    seen = {base.generators}
-    for dim in range(2, max_dim + 1):
-        level: List[CodeInfo] = []
-        for code in by_dim[-1]:
-            for v in range(1, ones):
-                if v in code.words:
-                    continue
-                if v.bit_count() & 1:
-                    continue
-                if any((v & w).bit_count() & 1 for w in code.generators):
-                    continue
-                words, _ = bit_rref(list(code.generators) + [v], d)
-                key = tuple(words)
-                if key in seen:
-                    continue
-                seen.add(key)
-                full = frozenset(x ^ y for x in code.words for y in (0, v))
-                level.append(CodeInfo(d, dim, key, full))
-        if not level:
-            break
-        by_dim.append(sorted(level, key=lambda c: c.generators))
+
+    def self_orthogonal(rows, v):
+        return not (v.bit_count() & 1
+                    or any((v & r).bit_count() & 1 for r in rows))
+
     out: List[CodeInfo] = []
-    for level in by_dim:
-        out.extend(sorted(level, key=lambda c: c.generators))
+    for dim in range(1, max_dim + 1):
+        for gens in bit_subspaces(d, dim, self_orthogonal):
+            words = frozenset(bit_span(gens))
+            if ones in words:
+                out.append(CodeInfo(d, dim, gens, words))
     return out
 
 

@@ -587,6 +587,37 @@ def bit_span(words):
     return span
 
 
+def bit_subspaces(cols, dim, admissible=None):
+    """Canonical `bit_rref` word tuples of the dim-dimensional subspaces of
+    F_2^cols, sorted; `admissible(rows, v)` may veto appending row v.
+
+    Canonical augmentation (McKay 1998): a canonical basis minus its last
+    row is its parent's canonical basis, so each subspace is generated once,
+    from its parent plus a row v whose lowest set bit lies above the parent's
+    last pivot in a column where every parent row is zero (v is then zero on
+    the parent's pivots).  A veto prunes the whole subtree: a subspace is
+    listed only when each row of its canonical basis is admissible after
+    the rows before it.
+    """
+    level = [()]
+    for _ in range(dim):
+        nxt = []
+        for rows in level:
+            used = 0
+            for r in rows:
+                used |= r
+            start = (rows[-1] & -rows[-1]).bit_length() if rows else 0
+            for p in range(start, cols):
+                if (used >> p) & 1:
+                    continue
+                for high in range(1 << (cols - p - 1)):
+                    v = (1 | (high << 1)) << p
+                    if admissible is None or admissible(rows, v):
+                        nxt.append(rows + (v,))
+        level = nxt
+    return sorted(level)
+
+
 def bit_solve(basis_words, pivots, target):
     """Coefficients of `target` over an RREF basis, or None if outside."""
     coeffs = 0

@@ -47,8 +47,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exactalg import (RatMatrix, Rational, adjugate, primitive_int_row,
                        rat_str, rref)
-from .zonal import (Partition, ZonalPolynomial, constant_c, jacobi_p,
-                    supported_partitions)
+from .zonal import Partition, constant_c, jacobi_p, supported_partitions
 
 
 class Subspace:
@@ -540,18 +539,6 @@ class DesignReport:
         }
 
 
-def _zonal_sum_from_stats(poly: ZonalPolynomial, stats: PairStats) -> Rational:
-    n2 = Fraction(stats.size) ** 2
-    s1 = stats.sigma_pow[1]
-    s1sq = stats.sigma_pow[2]
-    q2 = stats.power2
-    e2 = (s1sq - q2) / 2
-    t = dict(poly.coeffs)
-    val = t.get("const", Fraction(0)) * n2 + t.get("p1", Fraction(0)) * s1 \
-        + t.get("p2", Fraction(0)) * q2 + t.get("e2", Fraction(0)) * e2
-    return val / poly.beta
-
-
 def verify_design(config: Configuration, tmax: int = 3, workers: int = 1) -> DesignReport:
     """Certify 2t-design status for each t <= tmax by exact pair averages."""
     return design_report([p.int_data() for p in config.points], config.m,
@@ -580,7 +567,9 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         t_stats[t] = TDesignStat(avg, exp, avg == exp)
     zsums = {}
     for mu in supported_partitions(m, tmax=min(tmax, 2)):
-        val = _zonal_sum_from_stats(jacobi_p(mu, m, n), stats)
+        poly = jacobi_p(mu, m, n)
+        val = sum(c * poly.evaluate_power_sums(s, q)
+                  for (s, q), c in stats.distribution.items())
         if val < 0:
             raise AssertionError(f"zonal positivity violated for {mu}")
         zsums[str(mu)] = val
@@ -602,7 +591,9 @@ def zonal_positivity(config: Configuration, mu: Partition) -> Rational:
     if mu.degree == 0:
         return Fraction(len(config)) ** 2
     stats = pair_stats(config.points, tmax=2)
-    return _zonal_sum_from_stats(jacobi_p(mu, config.m, config.n), stats)
+    poly = jacobi_p(mu, config.m, config.n)
+    return sum(c * poly.evaluate_power_sums(s, q)
+               for (s, q), c in stats.distribution.items())
 
 
 def average_sigma_power(config: Configuration, t: int, workers: int = 1) -> Rational:

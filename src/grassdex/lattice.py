@@ -17,8 +17,8 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (RatMatrix, Rational, bit_rref, exact_nth_root, hnf,
-                       int_det, rat, rat_str, saturate_rows,
+from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
+                       exact_nth_root, hnf, int_det, rat, rat_str, saturate_rows,
                        solve_nonneg_combination, verify_combination)
 from .grassmann import (Configuration, DesignReport, Subspace, design_report,
                         intdata_from_coords)
@@ -388,18 +388,22 @@ def check_eutaxy(lattice: Lattice, m: int,
         sections = minimal_sections(lattice, m)
     r = lattice.rank
     nsec = len(sections.sections)
-    projs = [RatMatrix([[Fraction(x) for x in row]
-                        for row in _metric_projector_int(lattice, coords)])
-             for coords in sections.coords]
-    # Normalize each to the true projector (trace m).
-    projs = [p.scale(Fraction(m) / p.trace()) for p in projs]
-    total = RatMatrix.zeros(r, r)
-    for p in projs:
-        total = total + p
-    ident = RatMatrix.identity(r)
-    if total == ident.scale(Fraction(m * nsec, r)):
+    ints = [_metric_projector_int(lattice, coords) for coords in sections.coords]
+    # Each multiple is det(Gram of the section) times the projector, so equal
+    # minimal determinants give one trace tr = m * det; the uniform sum is
+    # then sum P = (m * nsec / r) I, i.e. r * sum P_int = nsec * tr * I.
+    traces = {sum(p[i][i] for i in range(r)) for p in ints}
+    if len(traces) != 1:
+        raise ValueError("minimal sections must share one Gram determinant")
+    tr = traces.pop()
+    if all(r * sum(p[i][j] for p in ints) == (nsec * tr if i == j else 0)
+           for i in range(r) for j in range(r)):
         w = Fraction(r, m * nsec)
         return EutaxyResult(True, [w] * nsec, uniform=True)
+    # Normalize each to the true projector (trace m) for the exact solver.
+    projs = [RatMatrix([[Fraction(m * x, tr) for x in row] for row in p])
+             for p in ints]
+    ident = RatMatrix.identity(r)
     weights = solve_nonneg_combination(projs, ident, strict=True)
     if weights is None:
         return EutaxyResult(False, None, uniform=False)
@@ -423,26 +427,6 @@ def section_design_report(lattice: Lattice, sections: SectionSet, tmax: int = 2,
 # -- constructions -----------------------------------------------------------
 
 
-def _linear_subspaces(k: int) -> List[Tuple[int, ...]]:
-    """Canonical bases of all linear subspaces of F_2^k (including {0})."""
-    out = [()]
-    current = [()]
-    for _ in range(k):
-        nxt = set()
-        for words in current:
-            span = {0}
-            for w in words:
-                span |= {s ^ w for s in span}
-            for v in range(1, 1 << k):
-                if v in span:
-                    continue
-                canon, _p = bit_rref(list(words) + [v], k)
-                nxt.add(tuple(canon))
-        current = sorted(nxt)
-        out.extend(current)
-    return out
-
-
 def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     """The Z-span of the scaled characteristic vectors of all affine
     subspaces of F_2^k, reduced to a basis by integer row reduction.
@@ -455,23 +439,21 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
         raise ValueError("desk scale is 2 <= k <= 4")
     n = 1 << k
     gens: List[List[int]] = []
-    for words in _linear_subspaces(k):
-        d = len(words)
+    for d in range(k + 1):
         scale = 1 << ((k - d + 1) // 2)
-        span = {0}
-        for w in words:
-            span |= {s ^ w for s in span}
-        # one generator per coset of the linear part
-        seen = set()
-        for u in range(n):
-            cos = min(u ^ s for s in span)
-            if cos in seen:
-                continue
-            seen.add(cos)
-            row = [0] * n
-            for s in span:
-                row[cos ^ s] = scale
-            gens.append(row)
+        for words in bit_subspaces(k, d):
+            span = bit_span(words)
+            # one generator per coset of the linear part
+            seen = set()
+            for u in range(n):
+                cos = min(u ^ s for s in span)
+                if cos in seen:
+                    continue
+                seen.add(cos)
+                row = [0] * n
+                for s in span:
+                    row[cos ^ s] = scale
+                gens.append(row)
     basis_rows = hnf(gens)
     if len(basis_rows) != n:
         raise AssertionError("generators must span a full-rank lattice")

@@ -136,7 +136,8 @@ def jacobi_p(mu: Partition, m: int, n: int) -> ZonalPolynomial:
         poly = ZonalPolynomial(mu, m, n, beta, coeffs)
     else:
         raise ValueError(f"unsupported partition {mu}")
-    assert poly.evaluate([F(1)] * m) == 1, "normalization at y = (1,..,1)"
+    if poly.evaluate([F(1)] * m) != 1:
+        raise AssertionError("normalization at y = (1,..,1)")
     return poly
 
 

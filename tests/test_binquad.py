@@ -1,15 +1,21 @@
+import hashlib
 import itertools
+import json
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from grassdex import binquad
 from grassdex.binquad import (IsoSubspace, QuadSpace, SigmaSet, SpreadNotFound,
                               check_iso_design, d_constant, enumerate_isotropic,
                               generator_families, num_isotropic_points, orbital,
                               spread, spread_size)
-from grassdex.exactalg import bit_rref, bit_span
-from grassdex.zonal import constant_c
+from grassdex.clifford import _enumerate_codes
+from grassdex.exactalg import bit_rref, bit_span, bit_subspaces
+from grassdex.zonal import P1, ZonalPolynomial, constant_c, jacobi_p
+from test_grassmann import _run_python
 
 
 def brute_force_isotropic_subspaces(k, w):
@@ -49,8 +55,46 @@ def test_enumeration_against_brute_force():
     got = {s.words for s in enumerate_isotropic(2, 2).members}
     assert got == brute_force_isotropic_subspaces(2, 2)
     assert len(got) == 6
+    got32 = {s.words for s in enumerate_isotropic(3, 2).members}
+    assert got32 == brute_force_isotropic_subspaces(3, 2)
     got33 = {s.words for s in enumerate_isotropic(3, 3).members}
     assert len(got33) == 30  # prod (2^i + 1), i = 0..2
+
+
+def test_isotropic_counts_closed_form():
+    for k in range(1, 5):
+        for w in range(1, k + 1):
+            num = den = 1
+            for i in range(w):
+                num *= (2 ** (k - i) - 1) * (2 ** (k - i - 1) + 1)
+                den *= 2 ** (i + 1) - 1
+            words = [s.words for s in enumerate_isotropic(k, w).members]
+            assert len(words) == num // den
+            assert words == sorted(set(words))
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_enumeration_order_pinned():
+    # Digests of the ordered outputs as the earlier per-module enumerators
+    # produced them; every downstream result digest depends on this order.
+    got = {f"iso4_{w}": _digest([list(s.words)
+                                 for s in enumerate_isotropic(4, w).members])
+           for w in range(1, 5)}
+    got["codes8_4"] = _digest([[c.dim, list(c.generators)]
+                               for c in _enumerate_codes(8, 4)])
+    got["lin4"] = _digest([list(words) for d in range(5)
+                           for words in bit_subspaces(4, d)])
+    assert got == {
+        "iso4_1": "41138516e4007c2b1a6a63e2e95facc1f784e646e300095a4cfd84aed8ecfd5f",
+        "iso4_2": "ea74f4a04fb81302e917305865e6d3cfa8c9753eb400f6433c7fb7cfc397ff64",
+        "iso4_3": "49d7a8f5f7e84e8786794e3e0f2b814bd1599815c1a581a39a7a58bc256ba307",
+        "iso4_4": "88aa8c5f29d2d90a11b1fd3d2a04dee8b1d87c0a75c5323ab7e772f7757d8518",
+        "codes8_4": "64d0131101144fc8a0cb5d2bf906695bea18f380ec2fb70d63a9437478132cfd",
+        "lin4": "8fe6402cb7ee06b1ffc8b7d32bfe656df7193957c713d677f9311c47ae8949b3",
+    }
 
 
 def test_iso_subspace_rejects_anisotropic():
@@ -184,3 +228,54 @@ def test_sigma_set_json_round_trip():
     sp = spread(2, 2)
     back = SigmaSet.from_json_dict(sp.to_json_dict())
     assert back == sp
+
+
+def _unraised_certificate_checks():
+    """Feeds each explicit certificate check an input it must refuse, with
+    at most one attribute stubbed, and returns the messages of the checks
+    that did not raise."""
+    fam0, fam1 = generator_families(2)
+    big = F(10 ** 6)
+    cases = [
+        ("lower bound", binquad, "d_constant", lambda k, w, t: big,
+         lambda: check_iso_design(enumerate_isotropic(2, 1), 1)),
+        ("meet only in 0", None, None, None,
+         lambda: binquad._validate_spread(SigmaSet(2, 2, (fam0[0], fam1[0])))),
+        ("cover every", None, None, None,
+         lambda: binquad._validate_spread(SigmaSet(2, 2, (fam0[0],)))),
+        ("wrong size", binquad, "_cover_backtrack", lambda *args: [0],
+         lambda: spread(2, 2)),
+        ("w | k", None, None, None, lambda: binquad._linear_spread(3, 2)),
+        ("normalization", ZonalPolynomial, "evaluate", lambda self, ys: 2,
+         lambda: jacobi_p(P1, 1, 4)),
+    ]
+    missed = []
+    for message, owner, name, stub, call in cases:
+        saved = owner and getattr(owner, name)
+        if owner:
+            setattr(owner, name, stub)
+        try:
+            call()
+            missed.append(message)
+        except (AssertionError, ValueError) as exc:
+            if message not in str(exc):
+                missed.append(message)
+        finally:
+            if owner:
+                setattr(owner, name, saved)
+    return missed
+
+
+def test_certificate_checks_raise():
+    assert _unraised_certificate_checks() == []
+
+
+def test_certificate_checks_raise_under_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "if __debug__: sys.exit(4)\n"
+            "from test_binquad import _unraised_certificate_checks\n"
+            "missed = _unraised_certificate_checks()\n"
+            "sys.exit(3 if missed else 0)\n")
+    proc = _run_python(code, "-O", path=here)
+    assert proc.returncode == 0, proc.stderr

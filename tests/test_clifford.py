@@ -302,6 +302,29 @@ def test_code_enumeration_counts():
     assert dims == sorted(dims)
 
 
+def test_code_enumeration_matches_filter():
+    # Filter every subspace of F_2^d spanned by up to d/2 words.
+    from grassdex.clifford import _enumerate_codes
+    from grassdex.exactalg import bit_rref, bit_span
+    for d in (2, 4, 6):
+        ones = (1 << d) - 1
+        expected = set()
+        for dim in range(1, d // 2 + 1):
+            for combo in itertools.combinations(range(1, 1 << d), dim):
+                words, _ = bit_rref(combo, d)
+                span = bit_span(words)
+                if (len(words) == dim and ones in span
+                        and all((u & v).bit_count() % 2 == 0
+                                for u in words for v in words)):
+                    expected.add(words)
+        codes = _enumerate_codes(d, d // 2)
+        assert [c.generators for c in codes] == sorted(
+            expected, key=lambda words: (len(words), words))
+        for c in codes:
+            assert c.dim == len(c.generators)
+            assert c.words == frozenset(bit_span(c.generators))
+
+
 def test_code_matrix_upper_triangular_with_a1_diagonal():
     codes, mat, _ = h2_code_matrix(2, 6)
     for i in range(len(codes)):

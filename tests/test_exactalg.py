@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grassdex.exactalg import (BitMatrix, QuadExt, RatMatrix, adjugate,
-                               bit_rank, bit_rref, bit_solve, bit_span, det, hnf,
+                               bit_rank, bit_rref, bit_solve, bit_span,
+                               bit_subspaces, det, hnf,
                                int_left_kernel, inverse, null_space, rat,
                                rat_str, rref, saturate_rows,
                                solve_nonneg_combination, trace_pow,
@@ -213,6 +214,25 @@ def test_bit_rref_and_span():
             acc ^= w
     assert acc == 0b011
     assert bit_solve(words, piv, 0b001) is None
+
+
+def gaussian_binomial(n, k):
+    """Number of k-dimensional subspaces of F_2^n."""
+    num = den = 1
+    for i in range(k):
+        num *= 2 ** (n - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+def test_bit_subspaces_each_once_and_canonical():
+    for d in range(7):
+        for dim in range(d + 1):
+            got = bit_subspaces(d, dim)
+            assert got == sorted(set(got))
+            assert len(got) == gaussian_binomial(d, dim)
+            for words in got:
+                assert len(words) == dim and bit_rref(words, d)[0] == words
 
 
 def test_hnf_and_kernel():

@@ -384,7 +384,13 @@ def _raise_on_inconsistent_stats(d_sigma, d_power2):
     from dataclasses import replace
     cfg = Configuration.from_lines(4, d4_line_vectors())
     real = grassmann.pair_stats(cfg.points, tmax=2)
-    fake = replace(real, power2=real.power2 + d_power2,
+    # The zonal sums read the distribution: move one pair of a real class.
+    dist = dict(real.distribution)
+    sigma, power2 = max(dist)
+    dist[(sigma, power2)] -= 1
+    moved = (sigma + d_sigma, power2 + d_power2)
+    dist[moved] = dist.get(moved, 0) + 1
+    fake = replace(real, power2=real.power2 + d_power2, distribution=dist,
                    sigma_pow={**real.sigma_pow, 1: real.sigma_pow[1] + d_sigma})
     saved = grassmann.pair_stats
     grassmann.pair_stats = lambda *args, **kwargs: fake
