@@ -68,8 +68,10 @@ class IsoSubspace:
         self.words = canon
         self.pivots = pivots
         self._mask = None
-        for v in bit_span(canon):
-            if space.q(v) != 0:
+        # q(u + v) = q(u) + q(v) + B(u, v): q vanishes on the span iff it
+        # vanishes on the basis and B on every pair of basis words.
+        for i, v in enumerate(canon):
+            if space.q(v) or any(space.bform(v, u) for u in canon[:i]):
                 raise ValueError("quadratic form does not vanish on the span")
 
     @property

@@ -120,8 +120,16 @@ def eigenspaces(s: IsoSubspace) -> Configuration:
     """The joint eigenspace decomposition induced by an isotropic subspace.
 
     For S of dimension w = k - s there are 2^w characters; each projector
-    2^-w sum_v chi(v) g_v has rank 2^s and the images are pairwise
+    P = 2^-w sum_c chi(c) g_c has rank 2^s and the images are pairwise
     orthogonal and complete.  Point order follows the character index.
+
+    No projector is formed.  Column u of 2^w P is the integer vector
+    sum_c chi(c) g_c e_u, supported on u + A, A the X-parts of the lifts.
+    Since P g_c = chi(c) P, the columns at u and u + a_c are equal up to
+    sign, and columns at representatives of distinct cosets of A have
+    disjoint supports.  So the nonzero columns at coset representatives
+    are a basis of the image, found without elimination; their count, the
+    dimension, is checked against 2^s, also under `python -O`.
     """
     lift = stabilizer_lift(s)
     k = s.k
@@ -129,18 +137,25 @@ def eigenspaces(s: IsoSubspace) -> Configuration:
     n = 1 << k
     dim_expected = 1 << (k - w)
     ops = [lift.lift(c) for c in range(1 << w)]
+    reps = []
+    covered = set()
+    for u in range(n):
+        if u not in covered:
+            reps.append(u)
+            covered.update(u ^ g.a for g in ops)
     out = []
     for chi in range(1 << w):
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for c, g in enumerate(ops):
-            coef = -1 if (chi & c).bit_count() & 1 else 1
-            for u in range(n):
+        cols = []
+        for u in reps:
+            col = [0] * n
+            for c, g in enumerate(ops):
                 v, sgn = g.apply_index(u)
-                rows[v][u] += Fraction(coef * sgn, 1 << w)
-        sub = Subspace.span(n, rows)
-        if sub.m != dim_expected:
+                col[v] += -sgn if (chi & c).bit_count() & 1 else sgn
+            if any(col):
+                cols.append(col)
+        if len(cols) != dim_expected:
             raise AssertionError("eigenspace has unexpected dimension")
-        out.append(sub)
+        out.append(Subspace(n, cols))
     return Configuration(n, out)
 
 
@@ -405,21 +420,17 @@ class OrbitCapExceeded(Exception):
 
 def orbit(gens: GeneratorSet, seed: Subspace, cap: int = 10_000) -> Configuration:
     """Closure of the seed under the rational generators, deduplicated by
-    canonical form.  Raises OrbitCapExceeded beyond `cap` points."""
-    mats = []
-    for g in gens:
-        if not g.in_gk:
-            continue
-        if any(isinstance(x, QuadExt) for row in g.matrix.entries for x in row):
-            raise ValueError("orbit engine requires rational generators")
-        mats.append(g.matrix.transpose())
+    canonical form.  Raises OrbitCapExceeded beyond `cap` points, and
+    ValueError when a generator flagged rational maps a point to irrational
+    rows."""
+    mats = gens.rational_generators()
     seen = {seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for sub in frontier:
-            for mt in mats:
-                img = Subspace(sub.n, sub.basis @ mt)
+            for g in mats:
+                img = sub.transform(g)
                 if img not in seen:
                     seen.add(img)
                     if len(seen) > cap:

@@ -8,7 +8,7 @@ the primitives here.  All verdict arithmetic is exact: entries are
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 Rational = Fraction
 
@@ -495,18 +495,68 @@ def saturate_rows(rows, ncols):
 
 
 def primitive_int_row(row):
-    """Scale a rational row to a primitive integer row (gcd 1, same line)."""
-    lcm = 1
-    for x in row:
-        x = rat(x)
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(rat(x) * lcm) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    """Scale a rational row to a primitive integer row (gcd 1, same line).
+
+    Entries may be ints, Fractions, 'p/q' strings or rational QuadExt
+    elements; an irrational entry has no rational multiple and raises
+    ValueError.
+    """
+    fracs = [_rational_entry(x) for x in row]
+    den = lcm(*(x.denominator for x in fracs))
+    ints = [x.numerator * (den // x.denominator) for x in fracs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def _rational_entry(x):
+    """x as an int or Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, QuadExt):
+        if x.b:
+            raise ValueError(f"entry {x!r} is not rational")
+        return x.a
+    return rat(x)
+
+
+def int_rref(rows, ncols: int):
+    """Integer canonical form of the rational row space of integer rows.
+
+    Row i of the result is row i of the reduced row echelon form over Q,
+    scaled to a primitive integer row with a positive pivot.
+    Fraction-free Gauss-Jordan: each step p * row_i - a * row_r is divided
+    by its content, so no Fraction is formed and entries stay primitive.
+    A row that vanishes on every other pivot column is a multiple of the
+    RREF row, which makes the result the unique canonical form.
+    """
+    mat = [list(r) for r in rows if any(r)]
+    nr = len(mat)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(nr):
+            a = mat[i][c]
+            if a and i != r:
+                row = [p * x - a * y for x, y in zip(mat[i], prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(mat, pivots):
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        out.append(tuple(x // g for x in row))
+    return tuple(out)
 
 
 # -- GF(2) matrices ---------------------------------------------------------

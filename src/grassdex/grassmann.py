@@ -45,32 +45,39 @@ from operator import mul
 from struct import calcsize
 from typing import Dict, List, Sequence, Tuple
 
-from .exactalg import (RatMatrix, Rational, adjugate, primitive_int_row,
-                       rat_str, rref)
+from .exactalg import (RatMatrix, Rational, adjugate, int_rref,
+                       primitive_int_row, rat_str)
 from .zonal import Partition, constant_c, jacobi_p, supported_partitions
 
 
 class Subspace:
-    """An m-dimensional subspace of R^n, held as its canonical RREF basis.
+    """An m-dimensional subspace of R^n in integer canonical form.
 
-    Canonical form makes equality exact and hashing safe, so configurations
-    can deduplicate without any inner-product normalization.
+    `rows` are the rows of the reduced row echelon basis over Q, each scaled
+    to a primitive integer row with a positive pivot.  The form is unique,
+    so equality is exact and hashing safe, and configurations deduplicate
+    without any inner-product normalization.  `basis` is the same RREF
+    basis as Fractions.
     """
 
-    __slots__ = ("n", "m", "basis", "_intdata")
+    __slots__ = ("n", "m", "rows", "_basis", "_intdata")
 
     def __init__(self, n: int, rows, *, allow_dependent: bool = False):
-        mat = rows if isinstance(rows, RatMatrix) else RatMatrix(rows)
-        if mat.cols != n:
-            raise ValueError(f"rows have {mat.cols} columns, ambient is {n}")
-        r, piv, rk = rref(mat)
-        if not allow_dependent and rk != mat.rows:
+        if isinstance(rows, RatMatrix):
+            rows = rows.entries
+        ints = [primitive_int_row(r) for r in rows]
+        for r in ints:
+            if len(r) != n:
+                raise ValueError(f"rows have {len(r)} columns, ambient is {n}")
+        canon = int_rref(ints, n)
+        if not allow_dependent and len(canon) != len(ints):
             raise ValueError("basis rows are linearly dependent")
-        if rk == 0:
+        if not canon:
             raise ValueError("subspace must have positive dimension")
         self.n = n
-        self.m = rk
-        self.basis = RatMatrix([r.row(i) for i in range(rk)])
+        self.m = len(canon)
+        self.rows = canon
+        self._basis = None
         self._intdata = None
 
     @classmethod
@@ -81,15 +88,25 @@ class Subspace:
     def line(cls, vector) -> "Subspace":
         return cls(len(tuple(vector)), [list(vector)])
 
+    @property
+    def basis(self) -> RatMatrix:
+        """The canonical RREF basis, pivots 1."""
+        if self._basis is None:
+            rows = []
+            for row in self.rows:
+                pivot = next(filter(None, row))
+                rows.append([Fraction(x, pivot) for x in row])
+            self._basis = RatMatrix(rows)
+        return self._basis
+
     def int_data(self):
         """(left rows, right rows, adjugate of Gram, det Gram), all integer.
 
         The pair engine forms cross matrices as left_i @ right_j^T; for
-        ambient subspaces both factors are the primitive integer basis.
+        ambient subspaces both factors are the canonical integer rows.
         """
         if self._intdata is None:
-            rows = tuple(primitive_int_row(r) for r in self.basis.entries)
-            self._intdata = _intdata(rows, rows)
+            self._intdata = _intdata(self.rows, self.rows)
         return self._intdata
 
     def projector(self) -> RatMatrix:
@@ -117,15 +134,16 @@ class Subspace:
 
     def transform(self, q: RatMatrix) -> "Subspace":
         """Image under the linear map with matrix q (vectors as rows * q^T)."""
-        return Subspace(self.n, self.basis @ q.transpose())
+        return Subspace(self.n, [[sum(map(mul, row, qrow)) for qrow in q.entries]
+                                 for row in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.n == other.n and self.basis == other.basis
+        return self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.n, self.basis))
+        return hash((self.n, self.rows))
 
     def __repr__(self):
         return f"Subspace(n={self.n}, m={self.m}, basis={self.basis!r})"
@@ -184,9 +202,13 @@ class PairStats:
     size: int
     m: int
     sigma_pow: Dict[int, Rational]   # t -> sum of sigma^t, t = 1..max(tmax, 3)
-    power2: Rational                 # sum of second power sums sum(y_i^2)
     # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included
     distribution: Dict[Tuple[Rational, Rational], int]
+
+    @property
+    def power2(self) -> Rational:
+        """Sum of the second power sums sum(y_i^2)."""
+        return sum(c * q for (_, q), c in self.distribution.items())
 
 
 def _count_chunk(data, start, stride):
@@ -376,8 +398,8 @@ def _clamp_workers(workers: int, npoints: int) -> int:
 
 
 def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
-    """The exact pair distribution and its sigma-power and power-sum totals
-    over all ordered pairs.
+    """The exact pair distribution and its sigma-power totals over all
+    ordered pairs.
 
     `points` may be Subspace instances or raw int-data tuples.  Lines and
     planes take the packed engine, serially; for m >= 3 the pair loop may
@@ -407,9 +429,7 @@ def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
         dist[Fraction(trw, den), Fraction(trw2, den * den)] += 2 * count
     sums = {t: sum(c * s ** t for (s, _), c in dist.items())
             for t in range(1, max(tmax, 3) + 1)}
-    p2 = sum(c * q for (_, q), c in dist.items())
-    return PairStats(size=n, m=m, sigma_pow=sums, power2=p2,
-                     distribution=dict(dist))
+    return PairStats(size=n, m=m, sigma_pow=sums, distribution=dict(dist))
 
 
 class Configuration:

@@ -4,15 +4,16 @@ import json
 import os
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
-from grassdex import binquad
+from grassdex import binquad, clifford
 from grassdex.binquad import (IsoSubspace, QuadSpace, SigmaSet, SpreadNotFound,
                               check_iso_design, d_constant, enumerate_isotropic,
                               generator_families, num_isotropic_points, orbital,
                               spread, spread_size)
-from grassdex.clifford import _enumerate_codes
+from grassdex.clifford import PauliOp, _enumerate_codes
 from grassdex.exactalg import bit_rref, bit_span, bit_subspaces
 from grassdex.zonal import P1, ZonalPolynomial, constant_c, jacobi_p
 from test_grassmann import _run_python
@@ -102,6 +103,28 @@ def test_iso_subspace_rejects_anisotropic():
         IsoSubspace(2, [0b0101])  # q = 1
     with pytest.raises(ValueError):
         IsoSubspace(2, [0b0001, 0b0100])  # B = 1 on the pair
+
+
+def test_iso_subspace_basis_check_matches_span_walk():
+    # q on the span is decided from q on the basis words and B on their
+    # pairs; every word list at k = 2 (up to three words) and every pair at
+    # k = 3 is judged as the walk over the whole span judges it.
+    def accepted(k, words):
+        try:
+            IsoSubspace(k, words)
+        except ValueError:
+            return False
+        return True
+
+    cases = [(2, c) for r in (1, 2, 3)
+             for c in itertools.combinations(range(1, 16), r)]
+    cases += [(3, c) for c in itertools.combinations(range(1, 64), 2)]
+    for k, words in cases:
+        space = QuadSpace(k)
+        walk = all(space.q(v) == 0 for v in bit_span(bit_rref(words, 2 * k)[0]))
+        assert accepted(k, words) == walk, (k, words)
+    # Singular words, orthogonal except for the last pair: still refused.
+    assert not accepted(3, [0b000001, 0b000010, 0b010000])
 
 
 def test_every_member_isotropic_exhaustively():
@@ -248,6 +271,11 @@ def _unraised_certificate_checks():
         ("w | k", None, None, None, lambda: binquad._linear_spread(3, 2)),
         ("normalization", ZonalPolynomial, "evaluate", lambda self, ys: 2,
          lambda: jacobi_p(P1, 1, 4)),
+        # A lift sending every element to the identity: four nonzero coset
+        # columns for the trivial character instead of one.
+        ("unexpected dimension", clifford, "stabilizer_lift",
+         lambda s: SimpleNamespace(lift=lambda c: PauliOp(s.k, 0, 0)),
+         lambda: clifford.eigenspaces(IsoSubspace(2, [0b0001, 0b0010]))),
     ]
     missed = []
     for message, owner, name, stub, call in cases:

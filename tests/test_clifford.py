@@ -6,9 +6,9 @@ import pytest
 
 from grassdex.binquad import (IsoSubspace, SigmaSet, enumerate_isotropic,
                               spread)
-from grassdex.clifford import (GeneratorSet, OrbitCapExceeded, PauliOp,
-                               StabilizerLift, build_design,
-                               clifford_generators, eigenspaces,
+from grassdex.clifford import (CliffordGenerator, GeneratorSet,
+                               OrbitCapExceeded, PauliOp, StabilizerLift,
+                               build_design, clifford_generators, eigenspaces,
                                h2_action_coeffs, h2_action_coeffs_from_system,
                                h2_code_matrix, orbit, sigma_pair,
                                tensor_coeffs, tensor_coeffs_from_system,
@@ -51,6 +51,45 @@ def test_stabilizer_lift_requires_commuting_isotropic():
     for c1 in range(4):
         for c2 in range(4):
             assert lift.lift(c1) * lift.lift(c2) == lift.lift(c1 ^ c2)
+
+
+def reference_eigenspaces(s):
+    """Eigenspace bases the slow way: each Fraction projector
+    2^-w sum_c chi(c) g_c, reduced by Fraction RREF."""
+    lift = StabilizerLift(s)
+    n = 1 << s.k
+    ops = [lift.lift(c) for c in range(1 << s.w)]
+    out = []
+    for chi in range(1 << s.w):
+        rows = [[F(0)] * n for _ in range(n)]
+        for c, g in enumerate(ops):
+            coef = -1 if (chi & c).bit_count() & 1 else 1
+            for u in range(n):
+                v, sgn = g.apply_index(u)
+                rows[v][u] += F(coef * sgn, 1 << s.w)
+        red, _, rk = rref(RatMatrix(rows))
+        out.append(RatMatrix([red.row(i) for i in range(rk)]))
+    return out
+
+
+def _assert_eigenspaces_match_reference(s):
+    points = eigenspaces(s).points
+    expect = reference_eigenspaces(s)
+    assert [p.basis for p in points] == expect
+    assert points == [Subspace(1 << s.k, b) for b in expect]
+
+
+@pytest.mark.parametrize("k,w", [(k, w) for k in (1, 2, 3) for w in range(1, k + 1)])
+def test_eigenspaces_match_projector_reference(k, w):
+    for s in enumerate_isotropic(k, w).members:
+        _assert_eigenspaces_match_reference(s)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_eigenspaces_match_projector_reference_k4_sample(w):
+    members = enumerate_isotropic(4, w).members
+    for s in random.Random(70 + w).sample(members, 8):
+        _assert_eigenspaces_match_reference(s)
 
 
 def test_eigenspaces_k1_swap():
@@ -219,6 +258,15 @@ def test_orbit_k3_minimal_lines_6_design():
     o = orbit(gs, Subspace.line([1, 1, 0, 0, 0, 0, 0, 0]), cap=120)
     assert len(o) == 120
     assert verify_design(o, tmax=3).is_design(3)
+
+
+def test_orbit_refuses_irrational_generator():
+    # h_first has entries in Q(sqrt 2) \ Q; flagged rational, it is refused
+    # when it maps the seed to irrational rows.
+    h = next(g for g in clifford_generators(2) if g.name == "h_first")
+    gens = GeneratorSet(2, (CliffordGenerator(h.name, h.matrix, False, True),))
+    with pytest.raises(ValueError):
+        orbit(gens, Subspace.line([1, 0, 0, 0]))
 
 
 def test_orbit_cap():

@@ -4,12 +4,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from grassdex.exactalg import RatMatrix, inverse, trace_pow
+from grassdex.exactalg import QuadExt, RatMatrix, det, inverse, rref, trace_pow
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace, _clamp_workers,
                                 _count_chunk, _cpus, _packed_counts,
@@ -192,6 +193,58 @@ def test_zonal_positivity():
         pts = [random_subspace(rng, 4, 1) for _ in range(3)]
         val = zonal_positivity(Configuration(4, pts), P1)
         assert val >= 0
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def canonical_form_cases(draw):
+    """Independent rational rows B, an invertible rational T and a
+    rational combination c of the rows of B."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    row = st.lists(small_rationals, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    assume(rref(RatMatrix(rows))[2] == m)
+    t = draw(st.lists(st.lists(small_rationals, min_size=m, max_size=m),
+                      min_size=m, max_size=m))
+    assume(det(RatMatrix(t)) != 0)
+    comb = draw(st.lists(small_rationals, min_size=m, max_size=m))
+    return n, rows, t, comb
+
+
+@settings(max_examples=80, deadline=None)
+@example((3, [[F(1, 2), 0, F(-3, 4)], [0, 0, 2]], [[0, 1], [1, 0]], [0, 0]))
+@given(canonical_form_cases())
+def test_subspace_integer_canonical_form(case):
+    n, rows, t, comb = case
+    p = Subspace(n, rows)
+    q = Subspace(n, RatMatrix(t) @ RatMatrix(rows))
+    # The integer rows are the RREF rows scaled to primitive integers with
+    # positive pivots, invariant under invertible row operations.
+    red, piv, rk = rref(RatMatrix(rows))
+    assert p.basis == RatMatrix([red.row(i) for i in range(rk)])
+    assert p.rows == q.rows
+    for row, prow, c in zip(p.rows, p.basis.entries, piv):
+        assert gcd(*row) == 1 and row[c] > 0
+        assert all(F(x, row[c]) == y for x, y in zip(row, prow))
+    assert p == q and hash(p) == hash(q)
+    assert p.to_json() == q.to_json() == RatMatrix(
+        [red.row(i) for i in range(rk)]).to_json()
+    # A dependent row is refused unless the caller asks for the span.
+    extra = [sum(c * r[j] for c, r in zip(comb, rows)) for j in range(n)]
+    with pytest.raises(ValueError):
+        Subspace(n, rows + [extra])
+    assert Subspace.span(n, rows + [extra]) == p
+
+
+def test_subspace_rejects_irrational_rows():
+    with pytest.raises(ValueError):
+        Subspace(2, [[QuadExt(0, 1), 1]])
+    assert Subspace(2, [[QuadExt(F(1, 2)), 1]]) == Subspace.line([1, 2])
+    with pytest.raises(ValueError):
+        Subspace(3, [[1, 0]])
 
 
 def test_pair_stats_worker_independence():
@@ -390,7 +443,7 @@ def _raise_on_inconsistent_stats(d_sigma, d_power2):
     dist[(sigma, power2)] -= 1
     moved = (sigma + d_sigma, power2 + d_power2)
     dist[moved] = dist.get(moved, 0) + 1
-    fake = replace(real, power2=real.power2 + d_power2, distribution=dist,
+    fake = replace(real, distribution=dist,
                    sigma_pow={**real.sigma_pow, 1: real.sigma_pow[1] + d_sigma})
     saved = grassmann.pair_stats
     grassmann.pair_stats = lambda *args, **kwargs: fake
