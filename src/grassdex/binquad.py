@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .exactalg import (BitMatrix, Rational, bit_rref, bit_solve, bit_span,
-                       bit_subspaces)
+from .exactalg import Rational, bit_rref, bit_solve, bit_span, bit_subspaces
 
 
 class QuadSpace:
@@ -60,9 +60,11 @@ class IsoSubspace:
 
     def __init__(self, k: int, words: Sequence[int]):
         space = QuadSpace(k)
-        canon, pivots = bit_rref(words, 2 * k)
+        canon, pivots = bit_rref(words)
         if not canon:
             raise ValueError("isotropic subspace must be nonzero")
+        if any(v < 0 or v >> (2 * k) for v in canon):
+            raise ValueError(f"words must lie in F_2^{2 * k}")
         self.k = k
         self.w = len(canon)
         self.words = canon
@@ -74,10 +76,6 @@ class IsoSubspace:
             if space.q(v) or any(space.bform(v, u) for u in canon[:i]):
                 raise ValueError("quadratic form does not vanish on the span")
 
-    @property
-    def basis(self) -> BitMatrix:
-        return BitMatrix(self.words, 2 * self.k)
-
     def span_mask(self) -> int:
         """Bitmask over F_2^{2k} marking the span members (bit 0 = zero)."""
         if self._mask is None:
@@ -86,9 +84,6 @@ class IsoSubspace:
                 m |= 1 << v
             self._mask = m
         return self._mask
-
-    def contains(self, v: int) -> bool:
-        return bit_solve(self.words, self.pivots, v) is not None
 
     def coords(self, v: int) -> Optional[int]:
         """Coefficient bits of v over the RREF basis, or None."""
@@ -165,7 +160,7 @@ def orbital(s: IsoSubspace, t: IsoSubspace) -> Tuple[int, int]:
     if (s.k, s.w) != (t.k, t.w):
         raise ValueError("subspaces must share (k, w)")
     space = QuadSpace(s.k)
-    stacked, _ = bit_rref(list(s.words) + list(t.words), 2 * s.k)
+    stacked, _ = bit_rref(s.words + t.words)
     dim_meet = s.w + t.w - len(stacked)
     # dim(S meet S'-perp) = w - rank of the pairing matrix B(s_i, t_j).
     pairing = []
@@ -175,11 +170,14 @@ def orbital(s: IsoSubspace, t: IsoSubspace) -> Tuple[int, int]:
             if space.bform(ws, wt):
                 row |= 1 << j
         pairing.append(row)
-    rank_pairing = len(bit_rref(pairing, t.w)[0])
+    rank_pairing = len(bit_rref(pairing)[0])
     return dim_meet, s.w - rank_pairing
 
 
-def _intersection_histogram(sigma: SigmaSet) -> Dict[int, int]:
+# One histogram per Sigma set serves `verify_tt`, `check_iso_design` at
+# every t and `d_constant`; it is shared, so it is read-only.
+@lru_cache(maxsize=16)
+def _intersection_histogram(sigma: SigmaSet) -> Mapping[int, int]:
     """Counts of |S meet S'| over all ordered pairs (sizes include 0)."""
     masks = [s.span_mask() for s in sigma.members]
     hist: Dict[int, int] = {}
@@ -190,14 +188,11 @@ def _intersection_histogram(sigma: SigmaSet) -> Dict[int, int]:
         for j in range(i + 1, n):
             c = (mi & masks[j]).bit_count()
             hist[c] = hist.get(c, 0) + 2
-    return hist
+    return MappingProxyType(hist)
 
 
-@lru_cache(maxsize=None)
-def _full_histogram(k: int, w: int) -> Dict[int, int]:
-    return _intersection_histogram(enumerate_isotropic(k, w))
-
-
+# Cached so that repeated checks skip hashing all of X_w for the lookup.
+@lru_cache(maxsize=64)
 def d_constant(k: int, w: int, t: int) -> Rational:
     """Average of |S meet S'|^t over all ordered pairs of the full X_w.
 
@@ -206,7 +201,7 @@ def d_constant(k: int, w: int, t: int) -> Rational:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    hist = _full_histogram(k, w)
+    hist = _intersection_histogram(enumerate_isotropic(k, w))
     total = sum(hist.values())
     num = sum(count * size ** t for size, count in hist.items())
     return Fraction(num, total)

@@ -52,7 +52,8 @@ def cmd_verify(args) -> int:
         raise InputError(f"cannot read configuration: {exc}") from exc
     _note(f"verifying {len(config)} points in G({config.m},{config.n}) "
           f"up to t={args.t}")
-    report = grassmann.verify_design(config, tmax=args.t, workers=args.workers)
+    report = grassmann.verify_design(config, tmax=args.t,
+                                     workers=default_workers())
     rep["results"] = report.to_json_dict()
     rep["timing_s"] = round(time.perf_counter() - t0, 3)
     _emit(rep)
@@ -102,7 +103,7 @@ def cmd_lattice(args) -> int:
     if args.sections and secs is not None:
         _note(f"design verdicts on {len(secs)} sections")
         dr = lattice.section_design_report(lat, secs, tmax=args.t,
-                                           workers=args.workers)
+                                           workers=default_workers())
         res["section_design"] = dr.to_json_dict()
     if args.rankin and secs is not None:
         res["rankin"] = lattice.rankin(lat, args.m, secs).to_json_dict()
@@ -137,7 +138,7 @@ def cmd_clifford(args) -> int:
                              f"{exc}") from exc
     _note(f"building eigenspace configuration for |Sigma| = {len(sigma)}")
     build = clifford.build_design(sigma)
-    report = clifford.verify_tt(sigma, tmax=args.t, workers=args.workers,
+    report = clifford.verify_tt(sigma, tmax=args.t, workers=default_workers(),
                                 build=build)
     res = report.to_json_dict()
     iso = {}
@@ -221,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="Configuration JSON file")
     p.add_argument("--t", type=int, default=1, choices=(1, 2, 3),
                    help="design strength to certify (2t-design)")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lattice", help="lattice invariants and sections")
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--bound", default=None,
                    help="vector-norm bound for the section search")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("clifford", help="eigenspace designs from isotropic sets")
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--emit-config", default=None,
                    help="write the configuration JSON to this file")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_clifford)
 
     p = sub.add_parser("constants", help="exact design constants")
@@ -262,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "workers", None) is None:
-        args.workers = default_workers()
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:

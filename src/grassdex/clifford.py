@@ -71,12 +71,12 @@ class StabilizerLift:
     """Lift of a totally isotropic subspace into the operator group.
 
     Each canonical basis row lifts with sign +1; arbitrary elements lift as
-    ordered products of the basis lifts.  Isotropy makes the lifts commute
-    and square to +I, so the section is a group homomorphism.
+    ordered products of the basis lifts, in increasing row order.  Isotropy
+    makes the lifts commute and square to +I, so the section is a group
+    homomorphism.
     """
 
     def __init__(self, s: IsoSubspace):
-        self.s = s
         self.k = s.k
         self.basis_lifts = [PauliOp.from_vector(s.k, v) for v in s.words]
         for i, g in enumerate(self.basis_lifts):
@@ -86,28 +86,14 @@ class StabilizerLift:
                 comm = ((g.b & h.a).bit_count() + (g.a & h.b).bit_count()) & 1
                 if comm:
                     raise ValueError("lifts must commute (B must vanish on S)")
-        self._cache: Dict[int, PauliOp] = {}
+        # Element c + 2^i (c < 2^i) is element c times basis lift i.
+        self.elements = [PauliOp(s.k, 0, 0, 1)]
+        for g in self.basis_lifts:
+            self.elements += [e * g for e in self.elements]
 
     def lift(self, coeffs: int) -> PauliOp:
         """Group element for the span member with the given coefficient bits."""
-        got = self._cache.get(coeffs)
-        if got is None:
-            got = PauliOp(self.k, 0, 0, 1)
-            c = coeffs
-            i = 0
-            while c:
-                if c & 1:
-                    got = got * self.basis_lifts[i]
-                c >>= 1
-                i += 1
-            self._cache[coeffs] = got
-        return got
-
-    def lift_vector(self, v: int) -> PauliOp:
-        coeffs = self.s.coords(v)
-        if coeffs is None:
-            raise ValueError("vector is not in the subspace")
-        return self.lift(coeffs)
+        return self.elements[coeffs]
 
 
 # Room for every member of one k <= 4 Sigma set (X_3 at k = 4 has 2025).
@@ -195,7 +181,7 @@ def _agreement_data(s: IsoSubspace, t: IsoSubspace):
     """
     meet = s.span_mask() & t.span_mask()
     inter = [v for v in range(1, meet.bit_length()) if (meet >> v) & 1]
-    basis, _ = bit_rref(inter, 2 * s.k)
+    basis, _ = bit_rref(inter)
     u = s.k - len(basis)
     ls, lt = stabilizer_lift(s), stabilizer_lift(t)
     constraints = []
@@ -307,7 +293,6 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
 class CliffordGenerator:
     name: str
     matrix: RatMatrix
-    rational: bool
     in_gk: bool
 
 
@@ -362,35 +347,35 @@ def clifford_generators(k: int) -> GeneratorSet:
     gens: List[CliffordGenerator] = []
     n = 1 << k
     gens.append(CliffordGenerator(
-        "neg_identity", RatMatrix.identity(n).scale(Fraction(-1)), True, True))
+        "neg_identity", RatMatrix.identity(n).scale(Fraction(-1)), True))
     for i in range(k):
         gens.append(CliffordGenerator(
             f"diag_linear_{i}", _diag_matrix(k, lambda u, i=i: (u >> i) & 1),
-            True, True))
+            True))
     for i in range(k):
         for j in range(i + 1, k):
             gens.append(CliffordGenerator(
                 f"diag_pair_{i}{j}",
                 _diag_matrix(k, lambda u, i=i, j=j: ((u >> i) & (u >> j)) & 1),
-                True, True))
+                True))
     for i in range(k):
         gens.append(CliffordGenerator(
             f"translate_{i}", _perm_matrix(k, lambda u, i=i: u ^ (1 << i)),
-            True, True))
+            True))
     if k >= 2:
         gens.append(CliffordGenerator(
-            "swap_01", _perm_matrix(k, lambda u: _swap_bits(u, 0, 1)), True, True))
+            "swap_01", _perm_matrix(k, lambda u: _swap_bits(u, 0, 1)), True))
         gens.append(CliffordGenerator(
-            "cycle", _perm_matrix(k, lambda u: _cycle_bits(u, k)), True, True))
+            "cycle", _perm_matrix(k, lambda u: _cycle_bits(u, k)), True))
         gens.append(CliffordGenerator(
             "transvect_01", _perm_matrix(k, lambda u: u ^ ((u & 1) << 1)),
-            True, True))
+            True))
     half = Fraction(1, 2)
     # h = (1/sqrt 2) [[1, 1], [1, -1]]; sqrt(2)/2 entries live in Q(sqrt 2).
     h_exact = RatMatrix([[QuadExt(0, half), QuadExt(0, half)],
                          [QuadExt(0, half), QuadExt(0, -half)]])
     eye_rest = RatMatrix.identity(1 << (k - 1))
-    gens.append(CliffordGenerator("h_first", _kron(h_exact, eye_rest), False, False))
+    gens.append(CliffordGenerator("h_first", _kron(h_exact, eye_rest), False))
     if k >= 2:
         # h tensor h is rational: (1/2) times a sign matrix.
         sgn = RatMatrix([[1, 1, 1, 1],
@@ -398,7 +383,7 @@ def clifford_generators(k: int) -> GeneratorSet:
                          [1, 1, -1, -1],
                          [1, -1, -1, 1]]).scale(half)
         h2 = _kron(sgn, RatMatrix.identity(1 << (k - 2)))
-        gens.append(CliffordGenerator("h2_first", h2, True, True))
+        gens.append(CliffordGenerator("h2_first", h2, True))
     return GeneratorSet(k, tuple(gens))
 
 
@@ -421,7 +406,7 @@ class OrbitCapExceeded(Exception):
 def orbit(gens: GeneratorSet, seed: Subspace, cap: int = 10_000) -> Configuration:
     """Closure of the seed under the rational generators, deduplicated by
     canonical form.  Raises OrbitCapExceeded beyond `cap` points, and
-    ValueError when a generator flagged rational maps a point to irrational
+    ValueError when a generator flagged `in_gk` maps a point to irrational
     rows."""
     mats = gens.rational_generators()
     seen = {seed}

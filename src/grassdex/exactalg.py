@@ -122,9 +122,6 @@ class QuadExt:
         return f"({rat_str(self.a)} + {rat_str(self.b)}*sqrt2)"
 
 
-SQRT2 = QuadExt(0, 1)
-
-
 def _coerce_entry(x):
     if isinstance(x, QuadExt):
         return x
@@ -299,16 +296,21 @@ def rank(m: RatMatrix) -> int:
 
 
 def det(m: RatMatrix):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant of a rational matrix: each row is scaled to
+    integers by the lcm of its denominators, and `int_det` of the scaled
+    rows is divided back.  An irrational entry raises ValueError."""
     if not m.is_square:
         raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return Fraction(1)
-    rows = m.row_lists()
-    if all(isinstance(x, Fraction) and x.denominator == 1 for r in rows for x in r):
-        return Fraction(int_det([[int(x) for x in r] for r in rows]))
-    return _det_bareiss_field(rows)
+    rows = []
+    scale = 1
+    for row in m.entries:
+        fracs = [_rational_entry(x) for x in row]
+        den = lcm(*(x.denominator for x in fracs))
+        rows.append([x.numerator * (den // x.denominator) for x in fracs])
+        scale *= den
+    return Fraction(int_det(rows), scale)
 
 
 def int_det(a) -> int:
@@ -332,28 +334,6 @@ def int_det(a) -> int:
             ri[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
-
-
-def _det_bareiss_field(a):
-    n = len(a)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pr is None:
-                return Fraction(0) * a[0][0]
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (pk * a[i][j] - aik * a[k][j]) / prev
-            a[i][k] = 0 * a[i][k]
-        prev = pk
-    v = a[n - 1][n - 1]
-    return v if sign == 1 else -v
 
 
 def trace_pow(m: RatMatrix, t: int):
@@ -421,6 +401,28 @@ def adjugate(mat) -> tuple:
 # -- integer matrices (lattice plumbing) -----------------------------------
 
 
+def _echelon(mat, ncols: int):
+    """Integer row echelon form of `mat` on its first `ncols` columns, in
+    place, by Euclidean elimination below each pivot; returns the pivot
+    columns.  Rows from len(pivots) on vanish on those columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        for i in range(r + 1, len(mat)):
+            while mat[i][c] != 0:
+                q = mat[r][c] // mat[i][c]
+                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
+                mat[r], mat[i] = mat[i], mat[r]
+        pivots.append(c)
+    return pivots
+
+
 def hnf(rows):
     """Row-style Hermite normal form of integer rows.
 
@@ -430,30 +432,15 @@ def hnf(rows):
     mat = [list(map(int, r)) for r in rows]
     if not mat:
         return []
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        # Euclidean elimination below the pivot.
-        for i in range(r + 1, len(mat)):
-            while mat[i][c] != 0:
-                q = mat[r][c] // mat[i][c]
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
-                mat[r], mat[i] = mat[i], mat[r]
+    pivots = _echelon(mat, len(mat[0]))
+    for r, c in enumerate(pivots):
         if mat[r][c] < 0:
             mat[r] = [-a for a in mat[r]]
         for i in range(r):
             q = mat[i][c] // mat[r][c]
             if q:
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r] if any(row)] + \
-           [tuple(row) for row in mat[r:] if any(row)]
+    return [tuple(row) for row in mat[:len(pivots)]]
 
 
 def int_left_kernel(rows, ncols=None):
@@ -467,21 +454,8 @@ def int_left_kernel(rows, ncols=None):
         return []
     n = ncols if ncols is not None else len(mat[0])
     aug = [mat[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        for i in range(r + 1, m):
-            while aug[i][c] != 0:
-                q = aug[r][c] // aug[i][c]
-                aug[r] = [a - q * b for a, b in zip(aug[r], aug[i])]
-                aug[r], aug[i] = aug[i], aug[r]
-        r += 1
-        if r == m:
-            break
-    return [tuple(row[n:]) for row in aug[r:]]
+    rank = len(_echelon(aug, n))
+    return [tuple(row[n:]) for row in aug[rank:]]
 
 
 def saturate_rows(rows, ncols):
@@ -605,28 +579,32 @@ class BitMatrix:
         return "BitMatrix[" + "; ".join(rows) + "]"
 
 
-def bit_rref(words, cols):
-    """RREF over GF(2); returns (canonical word tuple, pivot columns)."""
-    rows = [int(w) for w in words if w]
-    res = []
-    pivots = []
-    for c in range(cols):
-        bit = 1 << c
-        pr = next((i for i in range(len(rows)) if rows[i] & bit), None)
-        if pr is None:
-            continue
-        pivot = rows.pop(pr)
-        rows = [r ^ pivot if r & bit else r for r in rows]
-        res = [r ^ pivot if r & bit else r for r in res]
-        res.append(pivot)
-        pivots.append(c)
-        if not rows:
-            break
-    return tuple(res), tuple(pivots)
+def bit_rref(words):
+    """RREF over GF(2); returns (canonical word tuple, pivot columns).
+
+    Each word is reduced by the rows so far; a nonzero remainder becomes a
+    row whose pivot is its lowest set bit, and is added to every row having
+    that bit.  Rows stay zero on each other's pivots and below their own,
+    and are returned sorted by pivot.
+    """
+    rows = {}                   # pivot bit -> row
+    for w in words:
+        w = int(w)
+        for bit, r in rows.items():
+            if w & bit:
+                w ^= r
+        if w:
+            low = w & -w
+            for bit, r in rows.items():
+                if r & low:
+                    rows[bit] = r ^ w
+            rows[low] = w
+    order = sorted(rows)
+    return tuple(rows[b] for b in order), tuple(b.bit_length() - 1 for b in order)
 
 
-def bit_rank(words, cols) -> int:
-    return len(bit_rref(words, cols)[0])
+def bit_rank(words) -> int:
+    return len(bit_rref(words)[0])
 
 
 def bit_span(words):

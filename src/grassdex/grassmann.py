@@ -210,6 +210,11 @@ class PairStats:
         """Sum of the second power sums sum(y_i^2)."""
         return sum(c * q for (_, q), c in self.distribution.items())
 
+    def zonal_sum(self, poly) -> Rational:
+        """Sum of the zonal polynomial `poly` over all ordered pairs."""
+        return sum(c * poly.evaluate_power_sums(s, q)
+                   for (s, q), c in self.distribution.items())
+
 
 def _count_chunk(data, start, stride):
     """Counts of the exact (tr W, tr W^2, den) triples over pairs i < j."""
@@ -385,7 +390,7 @@ def _pluecker(rows) -> Tuple[List[int], int]:
                      for k in range(n) for l in range(k + 1, n)])
 
 
-def _cpus() -> int:
+def default_workers() -> int:
     """CPUs this process may run on: the affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -394,7 +399,7 @@ def _cpus() -> int:
 
 def _clamp_workers(workers: int, npoints: int) -> int:
     """Worker count within [1, min(available CPUs, npoints)]."""
-    return max(1, min(workers, _cpus(), npoints))
+    return max(1, min(workers, default_workers(), npoints))
 
 
 def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
@@ -587,9 +592,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         t_stats[t] = TDesignStat(avg, exp, avg == exp)
     zsums = {}
     for mu in supported_partitions(m, tmax=min(tmax, 2)):
-        poly = jacobi_p(mu, m, n)
-        val = sum(c * poly.evaluate_power_sums(s, q)
-                  for (s, q), c in stats.distribution.items())
+        val = stats.zonal_sum(jacobi_p(mu, m, n))
         if val < 0:
             raise AssertionError(f"zonal positivity violated for {mu}")
         zsums[str(mu)] = val
@@ -611,22 +614,10 @@ def zonal_positivity(config: Configuration, mu: Partition) -> Rational:
     if mu.degree == 0:
         return Fraction(len(config)) ** 2
     stats = pair_stats(config.points, tmax=2)
-    poly = jacobi_p(mu, config.m, config.n)
-    return sum(c * poly.evaluate_power_sums(s, q)
-               for (s, q), c in stats.distribution.items())
+    return stats.zonal_sum(jacobi_p(mu, config.m, config.n))
 
 
 def average_sigma_power(config: Configuration, t: int, workers: int = 1) -> Rational:
     """Exact pair average of sigma^t for arbitrary t >= 1."""
     stats = pair_stats(config.points, tmax=t, workers=workers)
     return stats.sigma_pow[t] / len(config) ** 2
-
-
-def default_workers() -> int:
-    env = os.environ.get("GRASSDEX_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return _cpus()

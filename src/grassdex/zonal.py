@@ -201,7 +201,8 @@ def moment_oracle(m: int, n: int, t: int, samples: int = 200_000, seed: int = 0)
 
     For m == 1 the moment has a closed product form and is returned as an
     exact Fraction for any t.  For m >= 2 a Monte-Carlo estimate over
-    uniformly random subspace pairs is returned with its standard error.
+    uniformly random subspace pairs is returned with its standard error;
+    that branch needs numpy, which only the `test` extra installs.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -27,7 +27,7 @@ def brute_force_isotropic_subspaces(k, w):
     found = set()
     vectors = range(1, 1 << dim)
     for combo in itertools.combinations(vectors, w):
-        words, _ = bit_rref(list(combo), dim)
+        words, _ = bit_rref(combo)
         if len(words) != w or words in found:
             continue
         if all(space.q(v) == 0 for v in bit_span(words)):
@@ -103,6 +103,9 @@ def test_iso_subspace_rejects_anisotropic():
         IsoSubspace(2, [0b0101])  # q = 1
     with pytest.raises(ValueError):
         IsoSubspace(2, [0b0001, 0b0100])  # B = 1 on the pair
+    for words in ([0b10000], [0b10001], [-1]):
+        with pytest.raises(ValueError):
+            IsoSubspace(2, words)  # not a vector of F_2^4
 
 
 def test_iso_subspace_basis_check_matches_span_walk():
@@ -121,7 +124,7 @@ def test_iso_subspace_basis_check_matches_span_walk():
     cases += [(3, c) for c in itertools.combinations(range(1, 64), 2)]
     for k, words in cases:
         space = QuadSpace(k)
-        walk = all(space.q(v) == 0 for v in bit_span(bit_rref(words, 2 * k)[0]))
+        walk = all(space.q(v) == 0 for v in bit_span(bit_rref(words)[0]))
         assert accepted(k, words) == walk, (k, words)
     # Singular words, orthogonal except for the last pair: still refused.
     assert not accepted(3, [0b000001, 0b000010, 0b010000])

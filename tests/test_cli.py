@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from grassdex.cli import main
 
 
@@ -35,7 +37,7 @@ def test_clifford_emit_and_verify_round_trip(tmp_path, capsys):
     cfg = tmp_path / "planes.json"
     code, rep = run_cli(capsys, "clifford", "--k", "2", "--w", "1",
                         "--sigma", "all", "--t", "3",
-                        "--emit-config", str(cfg), "--workers", "1")
+                        "--emit-config", str(cfg))
     assert code == 0
     res = rep["results"]
     assert res["config_size"] == 18
@@ -43,8 +45,7 @@ def test_clifford_emit_and_verify_round_trip(tmp_path, capsys):
     assert all(res["t"][str(t)]["paths_agree"] for t in (1, 2, 3))
     assert res["iso_design"]["1"]["passes"] is True
 
-    code2, rep2 = run_cli(capsys, "verify", str(cfg), "--t", "3",
-                          "--workers", "1")
+    code2, rep2 = run_cli(capsys, "verify", str(cfg), "--t", "3")
     assert code2 == 0
     assert rep2["results"]["t"]["3"]["is_design"] is True
     # Round trip verdict equality: the emitted averages match.
@@ -57,9 +58,19 @@ def test_verify_refuted_exit_code(tmp_path, capsys):
                        for i in range(4)]}
     cfg = tmp_path / "axes.json"
     cfg.write_text(json.dumps(axes), encoding="utf-8")
-    code, rep = run_cli(capsys, "verify", str(cfg), "--t", "2", "--workers", "1")
+    code, rep = run_cli(capsys, "verify", str(cfg), "--t", "2")
     assert code == 1
     assert rep["results"]["t"]["2"]["is_design"] is False
+
+
+def test_workers_option_is_a_usage_error(capsys):
+    # The pool size follows the CPU affinity mask; there is no option for it.
+    for argv in (["verify", "cfg.json"], ["lattice", "D4"],
+                 ["clifford", "--k", "2", "--w", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "1"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_verify_malformed_input(tmp_path, capsys):
@@ -71,7 +82,7 @@ def test_verify_malformed_input(tmp_path, capsys):
 
 def test_lattice_command_d4(capsys):
     code, rep = run_cli(capsys, "lattice", "D4", "--m", "2", "--sections",
-                        "--rankin", "--perfection", "--workers", "1")
+                        "--rankin", "--perfection")
     assert code == 0
     res = rep["results"]
     assert res["delta_m"] == "3"
@@ -86,7 +97,7 @@ def test_lattice_from_basis_file(tmp_path, capsys):
     f = tmp_path / "lat.json"
     f.write_text(json.dumps({"basis": [["2", "0"], ["1", "1"]]}),
                  encoding="utf-8")
-    code, rep = run_cli(capsys, "lattice", str(f), "--workers", "1")
+    code, rep = run_cli(capsys, "lattice", str(f))
     assert code == 0
     assert rep["results"]["det"] == "4"
 
@@ -95,12 +106,11 @@ def test_lattice_section_search_too_short(tmp_path, capsys):
     from test_lattice import SPARSE_SHELL_BASIS
     f = tmp_path / "lat.json"
     f.write_text(json.dumps({"basis": SPARSE_SHELL_BASIS}), encoding="utf-8")
-    code, rep = run_cli(capsys, "lattice", str(f), "--m", "2", "--sections",
-                        "--workers", "1")
+    code, rep = run_cli(capsys, "lattice", str(f), "--m", "2", "--sections")
     assert code == 2
     assert "2-section" in rep["error"] and "search_bound" in rep["error"]
     code, rep = run_cli(capsys, "lattice", str(f), "--m", "2", "--sections",
-                        "--bound", "123/200", "--workers", "1")
+                        "--bound", "123/200")
     assert code == 0 and rep["results"]["section_count"] == 1
 
 
@@ -111,7 +121,7 @@ def test_lattice_unknown_name(capsys):
 
 def test_clifford_spread_unavailable(capsys):
     code, rep = run_cli(capsys, "clifford", "--k", "3", "--w", "3",
-                        "--sigma", "spread", "--t", "2", "--workers", "1")
+                        "--sigma", "spread", "--t", "2")
     assert code == 2
     assert "spread unavailable" in rep["error"]
 

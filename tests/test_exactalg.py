@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grassdex.exactalg import (BitMatrix, QuadExt, RatMatrix, adjugate,
@@ -202,8 +202,8 @@ def test_bitmatrix_basics():
 
 
 def test_bit_rref_and_span():
-    words, piv = bit_rref([0b101, 0b110, 0b011], 3)
-    assert len(words) == 2 and bit_rank([0b101, 0b110, 0b011], 3) == 2
+    words, piv = bit_rref([0b101, 0b110, 0b011])
+    assert len(words) == 2 and bit_rank([0b101, 0b110, 0b011]) == 2
     span = set(bit_span(words))
     assert span == {0, 0b101, 0b110, 0b011}
     coeff = bit_solve(words, piv, 0b011)
@@ -232,7 +232,7 @@ def test_bit_subspaces_each_once_and_canonical():
             assert got == sorted(set(got))
             assert len(got) == gaussian_binomial(d, dim)
             for words in got:
-                assert len(words) == dim and bit_rref(words, d)[0] == words
+                assert len(words) == dim and bit_rref(words)[0] == words
 
 
 def test_hnf_and_kernel():
@@ -286,3 +286,170 @@ def test_integer_adjugate(mat):
     for i in range(n):
         for j in range(n):
             assert sum(adj[i][k] * mat[k][j] for k in range(n)) == (d if i == j else 0)
+
+
+# -- the routines the shared paths replaced, kept as references -------------
+
+
+def _det_field_reference(m):
+    """Bareiss elimination over the entry field (Fractions throughout)."""
+    a = m.row_lists()
+    n = len(a)
+    sign = 1
+    prev = F(1)
+    for k in range(n - 1):
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pr is None:
+                return F(0)
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = (pk * a[i][j] - aik * a[k][j]) / prev
+            a[i][k] = F(0)
+        prev = pk
+    return sign * a[n - 1][n - 1]
+
+
+def _square_rational_matrices(draw_singular):
+    def build(rows_and_mix):
+        rows, mix = rows_and_mix
+        if draw_singular and len(rows) > 1:
+            # The last row is a rational combination of the others.
+            rows = rows[:-1] + [[sum(c * r[j] for c, r in zip(mix, rows[:-1]))
+                                 for j in range(len(rows))]]
+        return rows
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(rationals, min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(rationals, min_size=n, max_size=n))).map(build)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_rational_matrices(False))
+def test_det_matches_field_bareiss_reference(rows):
+    m = RatMatrix(rows)
+    assert det(m) == _det_field_reference(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_square_rational_matrices(True))
+def test_det_matches_field_bareiss_reference_singular(rows):
+    m = RatMatrix(rows)
+    assert det(m) == _det_field_reference(m)
+    if m.rows > 1:
+        assert det(m) == 0
+    zero_row = RatMatrix(rows[:-1] + [[0] * len(rows)])
+    assert det(zero_row) == _det_field_reference(zero_row) == 0
+
+
+def _hnf_reference(rows):
+    """Hermite normal form with sign fixes and upper reduction done column
+    by column inside the forward elimination."""
+    mat = [list(map(int, r)) for r in rows]
+    if not mat:
+        return []
+    r = 0
+    for c in range(len(mat[0])):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        for i in range(r + 1, len(mat)):
+            while mat[i][c] != 0:
+                q = mat[r][c] // mat[i][c]
+                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
+                mat[r], mat[i] = mat[i], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-a for a in mat[r]]
+        for i in range(r):
+            q = mat[i][c] // mat[r][c]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r] if any(row)] + \
+           [tuple(row) for row in mat[r:] if any(row)]
+
+
+def _int_left_kernel_reference(rows, ncols=None):
+    """Left kernel from its own copy of the Euclidean echelon loop."""
+    mat = [list(map(int, r)) for r in rows]
+    m = len(mat)
+    if m == 0:
+        return []
+    n = ncols if ncols is not None else len(mat[0])
+    aug = [mat[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        for i in range(r + 1, m):
+            while aug[i][c] != 0:
+                q = aug[r][c] // aug[i][c]
+                aug[r] = [a - q * b for a, b in zip(aug[r], aug[i])]
+                aug[r], aug[i] = aug[i], aug[r]
+        r += 1
+        if r == m:
+            break
+    return [tuple(row[n:]) for row in aug[r:]]
+
+
+integer_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda mn: st.lists(st.lists(st.integers(-9, 9), min_size=mn[1],
+                                 max_size=mn[1]), min_size=mn[0], max_size=mn[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices)
+@example([[0, 0], [0, 0]])
+@example([[2, 4, 6], [1, 2, 3], [3, 6, 9]])
+@example([[0, 3], [0, -6], [5, 1]])
+def test_hnf_and_kernel_match_references(rows):
+    assert hnf(rows) == _hnf_reference(rows)
+    assert int_left_kernel(rows) == _int_left_kernel_reference(rows)
+    cols = [list(c) for c in zip(*rows)]
+    assert int_left_kernel(cols, ncols=len(rows)) == \
+        _int_left_kernel_reference(cols, ncols=len(rows))
+
+
+def _bit_rref_reference(words, cols):
+    """GF(2) RREF by scanning the columns in order for a pivot row."""
+    rows = [int(w) for w in words if w]
+    res = []
+    pivots = []
+    for c in range(cols):
+        bit = 1 << c
+        pr = next((i for i in range(len(rows)) if rows[i] & bit), None)
+        if pr is None:
+            continue
+        pivot = rows.pop(pr)
+        rows = [r ^ pivot if r & bit else r for r in rows]
+        res = [r ^ pivot if r & bit else r for r in res]
+        res.append(pivot)
+        pivots.append(c)
+        if not rows:
+            break
+    return tuple(res), tuple(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda cols: st.tuples(
+    st.just(cols), st.lists(st.integers(0, (1 << cols) - 1), max_size=8))))
+@example((4, []))
+@example((4, [0, 0]))
+@example((4, [0b0110, 0b1010, 0b1100, 0, 0b0110]))
+@example((6, [0b110000, 0b010000, 0b000011]))
+def test_bit_rref_matches_column_scan_reference(case):
+    cols, words = case
+    assert bit_rref(words) == _bit_rref_reference(words, cols)
+    # A dependent word changes nothing.
+    if len(words) >= 2:
+        extra = words + [words[0] ^ words[1]]
+        assert bit_rref(extra) == bit_rref(words)

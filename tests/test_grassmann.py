@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from grassdex.exactalg import QuadExt, RatMatrix, det, inverse, rref, trace_pow
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace, _clamp_workers,
-                                _count_chunk, _cpus, _packed_counts,
+                                _count_chunk, _packed_counts,
                                 average_sigma_power, default_workers,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
@@ -287,23 +287,16 @@ def test_configuration_json_rejects_mismatched_m():
         Configuration.from_json_dict(data)
 
 
-def test_default_workers_env_override(monkeypatch):
-    monkeypatch.setenv("GRASSDEX_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("GRASSDEX_WORKERS", "junk")
-    assert default_workers() >= 1
-
-
-def test_default_workers_follow_affinity(monkeypatch):
-    monkeypatch.delenv("GRASSDEX_WORKERS", raising=False)
-    assert default_workers() == _cpus()
+def test_default_workers_follow_affinity():
     if hasattr(os, "sched_getaffinity"):
-        assert _cpus() == len(os.sched_getaffinity(0))
+        assert default_workers() == len(os.sched_getaffinity(0))
+    else:
+        assert default_workers() == (os.cpu_count() or 1)
 
 
 def test_worker_clamp():
     # Exercised on the helper alone: no pool is ever started with these.
-    cpus = _cpus()
+    cpus = default_workers()
     assert _clamp_workers(100000, 10 ** 6) == cpus
     assert _clamp_workers(100000, 3) == min(cpus, 3)
     assert _clamp_workers(0, 50) == 1 and _clamp_workers(-4, 50) == 1
