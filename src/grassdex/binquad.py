@@ -103,7 +103,11 @@ class IsoSubspace:
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """A set of distinct totally isotropic subspaces of equal dimension."""
+    """A set of distinct totally isotropic subspaces of equal dimension.
+
+    The hash is computed once, so caches keyed by a large set look it up in
+    constant time.
+    """
 
     k: int
     w: int
@@ -117,6 +121,10 @@ class SigmaSet:
             if s in seen:
                 raise ValueError("members must be distinct")
             seen.add(s)
+        object.__setattr__(self, "_hash", hash((self.k, self.w, self.members)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.members)
@@ -191,8 +199,6 @@ def _intersection_histogram(sigma: SigmaSet) -> Mapping[int, int]:
     return MappingProxyType(hist)
 
 
-# Cached so that repeated checks skip hashing all of X_w for the lookup.
-@lru_cache(maxsize=64)
 def d_constant(k: int, w: int, t: int) -> Rational:
     """Average of |S meet S'|^t over all ordered pairs of the full X_w.
 

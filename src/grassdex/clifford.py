@@ -15,10 +15,9 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .binquad import IsoSubspace, SigmaSet, _intersection_histogram
-from .exactalg import (QuadExt, RatMatrix, Rational, bit_rref, bit_span,
-                       bit_subspaces, rat_str)
-from .grassmann import Configuration, Subspace, pair_stats
-from .zonal import constant_c
+from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
+                       rat_str)
+from .grassmann import Configuration, Subspace, design_report
 
 
 @dataclass(frozen=True)
@@ -254,12 +253,11 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
 
     For each t <= tmax the sigma^t pair average is computed by the fast
     character path, which is the reduction identity
-    2^((2s-k)t) * average(|S meet S'|^(t-1)), and by the trace path on the
-    explicit subspaces; both are compared exactly and judged against the
+    2^((2s-k)t) * average(|S meet S'|^(t-1)), and by the trace path, which is
+    the `verify_design` core (`design_report`, zonal re-checks included) on
+    the explicit subspaces; both are compared exactly and judged against the
     invariant constant.
     """
-    if not 1 <= tmax <= 3:
-        raise ValueError("tmax must be between 1 and 3")
     if build is None:
         build = build_design(sigma)
     k, w = sigma.k, sigma.w
@@ -271,16 +269,16 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
     # sigma^t average is the reduction identity itself.
     hist = _intersection_histogram(sigma)
     nsig = Fraction(len(sigma.members)) ** 2
-    npts = Fraction(len(build.config)) ** 2
-    stats = pair_stats(build.config.points, tmax=tmax, workers=workers)
+    config = build.config
+    design = design_report([p.int_data() for p in config.points], config.m,
+                           config.n, tmax, workers)
     report: Dict[int, TTStat] = {}
-    for t in range(1, tmax + 1):
+    for t, st in design.t_stats.items():
         inter = sum(count * size ** (t - 1) for size, count in hist.items())
         fast = Fraction(2) ** ((2 * sp - k) * t) * inter / nsig
-        trace = stats.sigma_pow[t] / npts
-        c = constant_c(1 << sp, 1 << k, t)
-        report[t] = TTStat(fast, trace, fast, c, is_design=(fast == c),
-                           paths_agree=(fast == trace))
+        report[t] = TTStat(fast, st.average, fast, st.expected,
+                           is_design=(fast == st.expected),
+                           paths_agree=(fast == st.average))
     return TTReport(k=k, w=w, s_param=sp, sigma_size=len(sigma.members),
                     config_size=len(build.config), collisions=build.collisions,
                     stats=report)
@@ -336,11 +334,14 @@ def _diag_matrix(k: int, q) -> RatMatrix:
 
 def clifford_generators(k: int) -> GeneratorSet:
     """Exact generator matrices: diagonal sign maps for quadratic forms,
-    affine index permutations, the irrational tensor-factor rotation H and
-    its rational two-factor variant H2.
+    affine index permutations, the tensor-factor rotation H and its rational
+    two-factor variant H2.
 
-    Every generator is orthogonal, exactly; the `in_gk` flag marks the
-    rational subgroup (everything except H).
+    H = (S (x) I) / sqrt 2, S = [[1, 1], [1, -1]], is carried as the integer
+    matrix S (x) I = sqrt 2 * H, which maps every subspace to the same image
+    as H.  So each generator g satisfies g g^T = c I exactly, with c = 2 for
+    `h_first` and c = 1 for the others.  The `in_gk` flag marks the
+    generators of the rational subgroup G_k (everything except H).
     """
     if not 1 <= k <= 4:
         raise ValueError("desk scale is k <= 4")
@@ -371,11 +372,8 @@ def clifford_generators(k: int) -> GeneratorSet:
             "transvect_01", _perm_matrix(k, lambda u: u ^ ((u & 1) << 1)),
             True))
     half = Fraction(1, 2)
-    # h = (1/sqrt 2) [[1, 1], [1, -1]]; sqrt(2)/2 entries live in Q(sqrt 2).
-    h_exact = RatMatrix([[QuadExt(0, half), QuadExt(0, half)],
-                         [QuadExt(0, half), QuadExt(0, -half)]])
-    eye_rest = RatMatrix.identity(1 << (k - 1))
-    gens.append(CliffordGenerator("h_first", _kron(h_exact, eye_rest), False))
+    s_first = _kron(RatMatrix([[1, 1], [1, -1]]), RatMatrix.identity(n // 2))
+    gens.append(CliffordGenerator("h_first", s_first, False))
     if k >= 2:
         # h tensor h is rational: (1/2) times a sign matrix.
         sgn = RatMatrix([[1, 1, 1, 1],
@@ -404,10 +402,10 @@ class OrbitCapExceeded(Exception):
 
 
 def orbit(gens: GeneratorSet, seed: Subspace, cap: int = 10_000) -> Configuration:
-    """Closure of the seed under the rational generators, deduplicated by
-    canonical form.  Raises OrbitCapExceeded beyond `cap` points, and
-    ValueError when a generator flagged `in_gk` maps a point to irrational
-    rows."""
+    """Closure of the seed under the generators flagged `in_gk`,
+    deduplicated by canonical form.  A generator acts on subspaces, so a
+    nonzero multiple of an orthogonal map (such as `h_first`, if flagged)
+    acts as that map.  Raises OrbitCapExceeded beyond `cap` points."""
     mats = gens.rational_generators()
     seen = {seed}
     frontier = [seed]

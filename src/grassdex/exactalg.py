@@ -2,13 +2,16 @@
 
 Everything downstream (subspaces, lattices, design certificates) is built on
 the primitives here.  All verdict arithmetic is exact: entries are
-`fractions.Fraction` (or `QuadExt` elements of Q(sqrt 2)), never floats.
+`fractions.Fraction`, never floats.  Q is the only field: the Clifford
+rotation H = S (x) I / sqrt 2 acts on subspaces as the integer matrix S (x) I
+does, so no extension of Q is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 Rational = Fraction
 
@@ -28,119 +31,14 @@ def rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class QuadExt:
-    """Element a + b*sqrt(2) of the real quadratic field Q(sqrt 2).
-
-    Arithmetic is exact and componentwise equality is field equality
-    (1, sqrt 2 are linearly independent over Q).
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = rat(a)
-        self.b = rat(b)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QuadExt):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadExt(x)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt(self.a * other.a + 2 * self.b * other.b,
-                       self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = other.a * other.a - 2 * other.b * other.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        inv = QuadExt(other.a / norm, -other.b / norm)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        if self.b == 0:
-            return rat_str(self.a)
-        return f"({rat_str(self.a)} + {rat_str(self.b)}*sqrt2)"
-
-
-def _coerce_entry(x):
-    if isinstance(x, QuadExt):
-        return x
-    return rat(x)
-
-
 class RatMatrix:
-    """Immutable dense matrix of exact field elements.
-
-    Entries are Fractions in normal use; QuadExt entries are accepted so the
-    same elimination code serves Q(sqrt 2) matrices (orthogonality checks of
-    the irrational generators).  Mixing the two in one matrix is the caller's
-    responsibility.
-    """
+    """Immutable dense matrix of exact rationals (Fractions); ints and
+    'p/q' strings are coerced on entry."""
 
     __slots__ = ("_rows", "rows", "cols")
 
     def __init__(self, rows):
-        self._rows = tuple(tuple(_coerce_entry(x) for x in row) for row in rows)
+        self._rows = tuple(tuple(rat(x) for x in row) for row in rows)
         self.rows = len(self._rows)
         self.cols = len(self._rows[0]) if self._rows else 0
         if any(len(r) != self.cols for r in self._rows):
@@ -160,7 +58,7 @@ class RatMatrix:
 
     @classmethod
     def diagonal(cls, values) -> "RatMatrix":
-        values = [_coerce_entry(v) for v in values]
+        values = [rat(v) for v in values]
         n = len(values)
         zero = Fraction(0)
         return cls([[values[i] if i == j else zero for j in range(n)] for i in range(n)])
@@ -216,14 +114,14 @@ class RatMatrix:
         return RatMatrix([[-a for a in r] for r in self._rows])
 
     def scale(self, c) -> "RatMatrix":
-        c = _coerce_entry(c)
+        c = rat(c)
         return RatMatrix([[c * a for a in r] for r in self._rows])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = list(zip(*other._rows))
-        return RatMatrix([[_dot(ra, cb) for cb in bt] for ra in self._rows])
+        return RatMatrix([[sum(map(mul, ra, cb)) for cb in bt] for ra in self._rows])
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(list(zip(*self._rows))) if self._rows else RatMatrix([])
@@ -242,8 +140,7 @@ class RatMatrix:
         return hash(self._rows)
 
     def __repr__(self):
-        body = "; ".join(" ".join(repr(x) if isinstance(x, QuadExt) else rat_str(x)
-                                  for x in row) for row in self._rows)
+        body = "; ".join(" ".join(map(rat_str, row)) for row in self._rows)
         return f"RatMatrix[{body}]"
 
     # -- serialization -----------------------------------------------------
@@ -256,39 +153,18 @@ class RatMatrix:
         return cls([[rat(x) for x in row] for row in data])
 
 
-def _dot(xs, ys):
-    acc = None
-    for x, y in zip(xs, ys):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
-
-
 def rref(m: RatMatrix):
     """Reduced row echelon form.
 
-    Returns (R, pivots, rank); R is the unique RREF with the same row space.
+    Returns (R, pivots, rank); R is the unique RREF with the same row space,
+    read off `int_rref` of the rows scaled to integers, with the zero rows
+    last.
     """
-    rows = m.row_lists()
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return RatMatrix(rows), tuple(pivots), len(pivots)
+    canon = int_rref([primitive_int_row(r) for r in m.entries], m.cols)
+    zero = [Fraction(0)] * m.cols
+    rows = pivot_rows(canon) + [zero] * (m.rows - len(canon))
+    pivots = tuple(next(c for c, x in enumerate(r) if x) for r in canon)
+    return RatMatrix(rows), pivots, len(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -306,9 +182,8 @@ def det(m: RatMatrix):
     rows = []
     scale = 1
     for row in m.entries:
-        fracs = [_rational_entry(x) for x in row]
-        den = lcm(*(x.denominator for x in fracs))
-        rows.append([x.numerator * (den // x.denominator) for x in fracs])
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
         scale *= den
     return Fraction(int_det(rows), scale)
 
@@ -362,7 +237,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
 def solve_linear(a: RatMatrix, b) -> list:
     """Solve A x = b for square invertible A; b is a sequence."""
     inv = inverse(a)
-    return [_dot(inv.row(i), b) for i in range(a.rows)]
+    return [sum(map(mul, inv.row(i), b)) for i in range(a.rows)]
 
 
 def null_space(m: RatMatrix) -> RatMatrix:
@@ -471,9 +346,8 @@ def saturate_rows(rows, ncols):
 def primitive_int_row(row):
     """Scale a rational row to a primitive integer row (gcd 1, same line).
 
-    Entries may be ints, Fractions, 'p/q' strings or rational QuadExt
-    elements; an irrational entry has no rational multiple and raises
-    ValueError.
+    Entries may be ints, Fractions or 'p/q' strings; anything else raises
+    TypeError.
     """
     fracs = [_rational_entry(x) for x in row]
     den = lcm(*(x.denominator for x in fracs))
@@ -483,13 +357,9 @@ def primitive_int_row(row):
 
 
 def _rational_entry(x):
-    """x as an int or Fraction."""
+    """x as an int or Fraction; ints pass through unconverted."""
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, QuadExt):
-        if x.b:
-            raise ValueError(f"entry {x!r} is not rational")
-        return x.a
     return rat(x)
 
 
@@ -531,6 +401,16 @@ def int_rref(rows, ncols: int):
             g = -g
         out.append(tuple(x // g for x in row))
     return tuple(out)
+
+
+def pivot_rows(rows):
+    """The RREF rows over Q of `int_rref` output: each row divided by its
+    pivot, as Fraction lists."""
+    out = []
+    for row in rows:
+        pivot = next(filter(None, row))
+        out.append([Fraction(x, pivot) for x in row])
+    return out
 
 
 # -- GF(2) matrices ---------------------------------------------------------

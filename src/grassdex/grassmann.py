@@ -45,7 +45,7 @@ from operator import mul
 from struct import calcsize
 from typing import Dict, List, Sequence, Tuple
 
-from .exactalg import (RatMatrix, Rational, adjugate, int_rref,
+from .exactalg import (RatMatrix, Rational, adjugate, int_rref, pivot_rows,
                        primitive_int_row, rat_str)
 from .zonal import Partition, constant_c, jacobi_p, supported_partitions
 
@@ -92,11 +92,7 @@ class Subspace:
     def basis(self) -> RatMatrix:
         """The canonical RREF basis, pivots 1."""
         if self._basis is None:
-            rows = []
-            for row in self.rows:
-                pivot = next(filter(None, row))
-                rows.append([Fraction(x, pivot) for x in row])
-            self._basis = RatMatrix(rows)
+            self._basis = RatMatrix(pivot_rows(self.rows))
         return self._basis
 
     def int_data(self):

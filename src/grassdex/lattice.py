@@ -32,8 +32,10 @@ _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
 class Lattice:
     """A positive definite lattice with a rational basis, also held as the
     integers `_basis_int / _basis_den` and `_gram_int / _gram_scale`, from
-    which norms, ambient vectors and determinants are taken.  `minimum()`
-    keeps the minimal vectors it enumerates, for `minimal_sections(m=1)`."""
+    which norms, ambient spans and determinants are taken.  `minimum()`
+    keeps the minimal vectors it enumerates, for `minimal_sections(m=1)`;
+    a lattice built by rescaling another one's basis may be handed them
+    instead (see `barnes_wall`)."""
 
     def __init__(self, basis, name: Optional[str] = None):
         mat = basis if isinstance(basis, RatMatrix) else RatMatrix(basis)
@@ -62,11 +64,6 @@ class Lattice:
             self._min_vectors = [c for c, nq in vecs if nq == q]
             self._min = Fraction(q, self._gram_scale)
         return self._min
-
-    def ambient_vector(self, coords: Sequence[int]) -> Tuple[Rational, ...]:
-        den = self._basis_den
-        return tuple(Fraction(sum(map(mul, coords, col)), den)
-                     for col in zip(*self._basis_int))
 
     def coord_norm(self, coords: Sequence[int]) -> Rational:
         g = self._gram_int
@@ -208,8 +205,13 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     lam = lattice.minimum()
     bound = rat(search_bound) if search_bound is not None else m * lam
 
+    # The span of the integer rows c . _basis_int is the span of the ambient
+    # vectors, which only divide them by _basis_den.
+    basis_cols = list(zip(*lattice._basis_int))
+
     def subspace(rows) -> Subspace:
-        return Subspace.span(lattice.n, [lattice.ambient_vector(c) for c in rows])
+        return Subspace.span(lattice.n, [[sum(map(mul, c, col)) for col in basis_cols]
+                                         for c in rows])
 
     if m == 1:
         # delta_1 = min(L) by definition; the minimum-norm enumeration is
@@ -484,8 +486,12 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     if side is None:
         raise ValueError(f"normalization of BW{n} needs the irrational "
                          f"coordinate factor sqrt({ratio})")
-    scaled = RatMatrix([[x / side for x in row] for row in rows])
-    return Lattice(scaled, name=f"BW{n}")
+    scaled = Lattice([[x / side for x in row] for row in rows], name=f"BW{n}")
+    # Dividing the basis by side keeps every coordinate vector and divides
+    # every norm by side^2, so the raw minimal vectors are the scaled ones.
+    scaled._min = raw_min / side ** 2
+    scaled._min_vectors = lat._min_vectors
+    return scaled
 
 
 def catalog(name: str) -> Lattice:

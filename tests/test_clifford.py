@@ -13,7 +13,7 @@ from grassdex.clifford import (CliffordGenerator, GeneratorSet,
                                h2_code_matrix, orbit, sigma_pair,
                                tensor_coeffs, tensor_coeffs_from_system,
                                verify_tt)
-from grassdex.exactalg import QuadExt, RatMatrix, rref
+from grassdex.exactalg import RatMatrix, rref
 from grassdex.grassmann import (Subspace, principal_power_sums,
                                 verify_design)
 
@@ -215,6 +215,23 @@ def test_verify_tt_full_sets():
     assert rep22.stats[1].paths_agree and rep22.stats[2].paths_agree
 
 
+def test_verify_tt_trace_path_runs_design_rechecks(monkeypatch):
+    # The trace path is the verify_design core: with sigma^1 sums off by one,
+    # t = 1 fails while t = 2, 3 hold, which the monotonicity re-check refuses.
+    from dataclasses import replace
+    from grassdex import grassmann
+    real = grassmann.pair_stats
+
+    def shifted(*args, **kwargs):
+        stats = real(*args, **kwargs)
+        return replace(stats, sigma_pow={**stats.sigma_pow,
+                                         1: stats.sigma_pow[1] + 1})
+
+    monkeypatch.setattr(grassmann, "pair_stats", shifted)
+    with pytest.raises(AssertionError, match="monotone"):
+        verify_tt(enumerate_isotropic(2, 1), tmax=3)
+
+
 def test_verify_tt_spread_is_4_design():
     rep = verify_tt(spread(2, 2), tmax=2)
     assert rep.stats[1].is_design and rep.stats[2].is_design
@@ -244,11 +261,17 @@ def test_generators_orthogonal_and_flags():
     for k in (1, 2, 3):
         gs = clifford_generators(k)
         n = 1 << k
+        # g g^T = c I: h_first is S (x) I = sqrt 2 * H, the others orthogonal.
         for g in gs:
-            assert g.matrix @ g.matrix.transpose() == RatMatrix.identity(n)
+            c = 2 if g.name == "h_first" else 1
+            assert g.matrix @ g.matrix.transpose() == RatMatrix.identity(n).scale(c)
         h = next(g for g in gs if g.name == "h_first")
         assert not h.in_gk
-        assert any(isinstance(x, QuadExt) for row in h.matrix.entries for x in row)
+        # S (x) I with S = [[1, 1], [1, -1]] on the top index bit.
+        s, half = [[1, 1], [1, -1]], n // 2
+        assert h.matrix == RatMatrix(
+            [[s[i // half][j // half] if i % half == j % half else 0
+              for j in range(n)] for i in range(n)])
         if k >= 2:
             h2 = next(g for g in gs if g.name == "h2_first")
             assert h2.in_gk
@@ -287,13 +310,16 @@ def test_orbit_k3_minimal_lines_6_design():
     assert verify_design(o, tmax=3).is_design(3)
 
 
-def test_orbit_refuses_irrational_generator():
-    # h_first has entries in Q(sqrt 2) \ Q; flagged in_gk, it is refused
-    # when it maps the seed to irrational rows.
-    h = next(g for g in clifford_generators(2) if g.name == "h_first")
-    gens = GeneratorSet(2, (CliffordGenerator(h.name, h.matrix, True),))
-    with pytest.raises(ValueError):
-        orbit(gens, Subspace.line([1, 0, 0, 0]))
+@pytest.mark.parametrize("k,size", [(1, 4), (2, 24), (3, 240)])
+def test_orbit_with_h_first_flagged_in(k, size):
+    # S (x) I acts on subspaces as H does, so flagging it in gives the orbit
+    # under the whole real Clifford group: twice the G_k orbit (2, 12, 120).
+    gens = GeneratorSet(k, tuple(CliffordGenerator(g.name, g.matrix, True)
+                                 for g in clifford_generators(k)))
+    n = 1 << k
+    o = orbit(gens, Subspace.line([1] + [0] * (n - 1)), cap=1000)
+    assert len(o) == size
+    assert verify_design(o, tmax=3).is_design(3)
 
 
 def test_orbit_cap():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from grassdex.exactalg import (BitMatrix, QuadExt, RatMatrix, adjugate,
+from grassdex.exactalg import (BitMatrix, RatMatrix, adjugate,
                                bit_rank, bit_rref, bit_solve, bit_span,
                                bit_subspaces, det, hnf,
-                               int_left_kernel, inverse, null_space, rat,
-                               rat_str, rref, saturate_rows,
+                               int_left_kernel, inverse, null_space, rank,
+                               rat, rat_str, rref, saturate_rows,
                                solve_nonneg_combination, trace_pow,
                                verify_combination)
 
@@ -169,30 +169,6 @@ def test_shape_mismatch_rejected():
         solve_nonneg_combination([RatMatrix.identity(2)], RatMatrix.identity(3))
 
 
-@given(st.tuples(rationals, rationals))
-def test_quadext_norm_identity(ab):
-    a, b = ab
-    x = QuadExt(a, b)
-    assert x * x.conjugate() == QuadExt(a * a - 2 * b * b)
-
-
-@given(st.tuples(rationals, rationals), st.tuples(rationals, rationals))
-def test_quadext_field_ops(xy, zw):
-    x = QuadExt(*xy)
-    z = QuadExt(*zw)
-    assert x + z == z + x
-    assert x * z == z * x
-    if z:
-        assert (x / z) * z == x
-
-
-def test_quadext_interop_with_fraction():
-    x = QuadExt(F(1, 2), F(1, 3))
-    assert x + 1 == QuadExt(F(3, 2), F(1, 3))
-    assert 2 * x == QuadExt(1, F(2, 3))
-    assert F(1, 2) * x == QuadExt(F(1, 4), F(1, 6))
-
-
 def test_bitmatrix_basics():
     m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]], 3)
     assert m.rows == 2 and m.cols == 3
@@ -289,6 +265,90 @@ def test_integer_adjugate(mat):
 
 
 # -- the routines the shared paths replaced, kept as references -------------
+
+
+def _rref_reference(m):
+    """Gauss-Jordan elimination over Fractions: (R, pivots, rank)."""
+    rows = m.row_lists()
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return RatMatrix(rows), tuple(pivots), len(pivots)
+
+
+def _inverse_reference(m):
+    n = m.rows
+    aug = RatMatrix([list(m.row(i)) + [int(i == j) for j in range(n)]
+                     for i in range(n)])
+    r, piv, rk = _rref_reference(aug)
+    if rk < n or piv[:n] != tuple(range(n)):
+        return None
+    return RatMatrix([r.row(i)[n:] for i in range(n)])
+
+
+def _null_space_reference(m):
+    r, piv, _ = _rref_reference(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in piv):
+        v = [F(0)] * m.cols
+        v[fc] = F(1)
+        for i, pc in enumerate(piv):
+            v[pc] = -r[i, fc]
+        basis.append(v)
+    return RatMatrix(basis) if basis else RatMatrix.zeros(0, m.cols)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Rational matrices up to 6 x 7 with zero entries, zero rows and rows
+    dependent on earlier ones."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(F(0)), rationals)
+    rows = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([F(0)] * nc)
+        elif kind == "dependent" and rows:
+            mix = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(mix, rows)) for j in range(nc)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    return RatMatrix(rows) if rows else RatMatrix.zeros(0, nc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_matrices())
+@example(RatMatrix.zeros(3, 4))
+@example(RatMatrix.zeros(0, 0))
+@example(RatMatrix([[0, 2, 4], [0, 1, 2], [0, 0, 0], [3, 0, 1]]))
+def test_rref_family_matches_fraction_gauss_jordan(m):
+    ref = _rref_reference(m)
+    assert rref(m) == ref
+    assert rank(m) == ref[2]
+    assert null_space(m) == _null_space_reference(m)
+    if m.is_square:
+        expected = _inverse_reference(m)
+        if expected is None:
+            with pytest.raises(ValueError):
+                inverse(m)
+        else:
+            assert inverse(m) == expected
 
 
 def _det_field_reference(m):
