@@ -140,6 +140,12 @@ def cmd_clifford(args) -> int:
     build = clifford.build_design(sigma)
     report = clifford.verify_tt(sigma, tmax=args.t, workers=default_workers(),
                                 build=build)
+    if report.orbits is None:
+        _note(f"trace path: full pair engine ({report.generators} generators "
+              f"do not certify invariance)")
+    else:
+        _note(f"trace path: {report.orbits} orbit row(s) under "
+              f"{report.generators} generators")
     res = report.to_json_dict()
     iso = {}
     for t in range(0, args.t):
@@ -170,12 +176,11 @@ def _family_split_report(build: clifford.BuildResult) -> dict:
     fam0, fam1 = binquad.generator_families(k)
     out = {"sizes": [len(fam0), len(fam1)]}
     if 2 <= k <= 4:
-        raw = lattice.barnes_wall(k)
-        min_lines = set(lattice.minimal_sections(raw, 1).sections)
+        min_lines = lattice.minimal_line_keys(lattice.barnes_wall(k))
         family = {s: i for i, fam in enumerate((fam0, fam1)) for s in fam}
         counts = [0, 0]
         for (idx, _), p in zip(build.labels, build.config.points):
-            if p in min_lines:
+            if p.rows in min_lines:
                 counts[family[build.sigma.members[idx]]] += 1
         out["minimal_line_matches"] = counts
         out["lattice_minimal_lines"] = len(min_lines)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .binquad import IsoSubspace, SigmaSet, _intersection_histogram
 from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
                        rat_str)
-from .grassmann import Configuration, Subspace, design_report
+from .grassmann import Configuration, IntAction, Subspace, design_report
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,10 @@ class TTReport:
     config_size: int
     collisions: int
     stats: Dict[int, TTStat]
+    # Generators handed to the trace path, and the certified orbits it
+    # summed over (None when it ran the full pair engine); not in the JSON.
+    generators: int = 0
+    orbits: Optional[int] = None
 
     def to_json_dict(self):
         return {
@@ -257,7 +261,18 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
     the `verify_design` core (`design_report`, zonal re-checks included) on
     the explicit subspaces; both are compared exactly and judged against the
     invariant constant.
+
+    The trace path hands `clifford_generators(k)`, `h_first` = S (x) I
+    included, to `pair_stats`.  When the configuration is invariant under
+    the real Clifford group (an "all" set is), the pair distribution is
+    summed over its orbits, one row per orbit; the invariance is certified
+    exactly (g g^T = c I, exact image keys and multiplicities), and a
+    configuration that fails any check, such as a spread, takes the full
+    pair engine.  A tmax outside 1..3 raises ValueError before anything is
+    built.
     """
+    if not 1 <= tmax <= 3:
+        raise ValueError("tmax must be between 1 and 3")
     if build is None:
         build = build_design(sigma)
     k, w = sigma.k, sigma.w
@@ -270,8 +285,9 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
     hist = _intersection_histogram(sigma)
     nsig = Fraction(len(sigma.members)) ** 2
     config = build.config
-    design = design_report([p.int_data() for p in config.points], config.m,
-                           config.n, tmax, workers)
+    generators = [g.matrix for g in clifford_generators(k)]
+    design = design_report(config.points, config.m, config.n, tmax, workers,
+                           generators=generators)
     report: Dict[int, TTStat] = {}
     for t, st in design.t_stats.items():
         inter = sum(count * size ** (t - 1) for size, count in hist.items())
@@ -281,7 +297,8 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
                            paths_agree=(fast == st.average))
     return TTReport(k=k, w=w, s_param=sp, sigma_size=len(sigma.members),
                     config_size=len(build.config), collisions=build.collisions,
-                    stats=report)
+                    stats=report, generators=len(generators),
+                    orbits=design.orbits)
 
 
 # -- generators of the operator normalizer group ----------------------------
@@ -343,8 +360,8 @@ def clifford_generators(k: int) -> GeneratorSet:
     `h_first` and c = 1 for the others.  The `in_gk` flag marks the
     generators of the rational subgroup G_k (everything except H).
     """
-    if not 1 <= k <= 4:
-        raise ValueError("desk scale is k <= 4")
+    if k < 1:
+        raise ValueError("need k >= 1")
     gens: List[CliffordGenerator] = []
     n = 1 << k
     gens.append(CliffordGenerator(
@@ -403,24 +420,27 @@ class OrbitCapExceeded(Exception):
 
 def orbit(gens: GeneratorSet, seed: Subspace, cap: int = 10_000) -> Configuration:
     """Closure of the seed under the generators flagged `in_gk`,
-    deduplicated by canonical form.  A generator acts on subspaces, so a
-    nonzero multiple of an orthogonal map (such as `h_first`, if flagged)
-    acts as that map.  Raises OrbitCapExceeded beyond `cap` points."""
-    mats = gens.rational_generators()
-    seen = {seed}
-    frontier = [seed]
+    deduplicated by canonical form.  Each generator acts through its
+    `IntAction` on the canonical integer rows, so it must satisfy
+    g g^T = c I; a nonzero multiple of an orthogonal map (such as
+    `h_first`, if flagged) acts as that map.  Raises OrbitCapExceeded
+    beyond `cap` points."""
+    actions = [IntAction(g) for g in gens.rational_generators()]
+    seen = {seed.rows}
+    frontier = [seed.rows]
     while frontier:
         nxt = []
-        for sub in frontier:
-            for g in mats:
-                img = sub.transform(g)
+        for rows in frontier:
+            for act in actions:
+                img = act.key(rows)
                 if img not in seen:
                     seen.add(img)
                     if len(seen) > cap:
                         raise OrbitCapExceeded(f"orbit exceeds cap {cap}")
                     nxt.append(img)
         frontier = nxt
-    points = sorted(seen, key=lambda s: s.basis.to_json())
+    points = sorted((Subspace(seed.n, rows) for rows in seen),
+                    key=lambda s: s.basis.to_json())
     return Configuration(seed.n, points)
 
 

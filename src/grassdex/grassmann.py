@@ -31,6 +31,12 @@ bound |x . y| <= isqrt(max|x|^2 max|y|^2) < 2^(s-1), so no slot carries into
 the next and every count is exact.  Planes pack tr W and det C, and every
 slot also holds its column point's class (scales and det), so one integer
 per pair is counted.
+
+When a group G permutes the configuration X, the ordered-pair distribution
+is a sum over G-orbits O of |O| times one row, a representative of O
+against all of X (Goethals and Seidel 1981).  `pair_stats` takes generator
+matrices for G and certifies the invariance exactly before it uses the
+identity (`certified_orbits`); any failed check leaves the full engine.
 """
 
 from __future__ import annotations
@@ -41,9 +47,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
+from operator import add, itemgetter, mul, neg
 from struct import calcsize
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (RatMatrix, Rational, adjugate, int_rref, pivot_rows,
                        primitive_int_row, rat_str)
@@ -200,6 +206,8 @@ class PairStats:
     sigma_pow: Dict[int, Rational]   # t -> sum of sigma^t, t = 1..max(tmax, 3)
     # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included
     distribution: Dict[Tuple[Rational, Rational], int]
+    # Number of certified group orbits when the orbit identity was used.
+    orbits: Optional[int] = None
 
     @property
     def power2(self) -> Rational:
@@ -212,19 +220,28 @@ class PairStats:
                    for (s, q), c in self.distribution.items())
 
 
-def _count_chunk(data, start, stride):
-    """Counts of the exact (tr W, tr W^2, den) triples over pairs i < j."""
+def _count_rows(data, rows) -> Counter:
+    """Counts of the exact (tr W, tr W^2, den) triples over the pairs (i, j),
+    j >= start, of each row spec (i, start, weight), each counted weight
+    times."""
     counts = Counter()
     n = len(data)
     rng = range(len(data[0][0]))
-    for i in range(start, n, stride):
+    for i, start, weight in rows:
         di = data[i]
-        for j in range(i + 1, n):
+        for j in range(start, n):
             w, den = _pair_w(di, data[j])
             key = (sum(w[a][a] for a in rng),
                    sum(w[a][b] * w[b][a] for a in rng for b in rng), den)
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + weight
     return counts
+
+
+def _count_chunk(data, start, stride):
+    """Counts of the exact (tr W, tr W^2, den) triples over pairs i < j with
+    i = start mod stride."""
+    return _count_rows(data, ((i, i + 1, 1)
+                              for i in range(start, len(data), stride)))
 
 
 # Column points per packed integer.  One multiply-add then covers hundreds
@@ -386,6 +403,126 @@ def _pluecker(rows) -> Tuple[List[int], int]:
                      for k in range(n) for l in range(k + 1, n)])
 
 
+def line_key(vec) -> Tuple[int, ...]:
+    """Canonical row of the line through a nonzero integer vector: the
+    primitive vector with a positive pivot, `Subspace.line(vec).rows[0]`."""
+    g = gcd(*vec)
+    if next(filter(None, vec)) < 0:
+        g = -g
+    if g == 1:
+        return tuple(vec)
+    if g == -1:
+        return tuple(map(neg, vec))
+    return tuple(x // g for x in vec)
+
+
+class IntAction:
+    """A matrix g with g g^T = c I, c > 0, acting on integer rows.
+
+    The matrix is scaled to a primitive integer matrix, which acts on
+    subspaces as g does, and the equality g g^T = c I is checked exactly;
+    ValueError otherwise.  The action is compiled to index maps: term k of
+    output coordinate i is coefs_k[i] * row[index_k[i]], with one term per
+    coordinate for a signed permutation (a signed index map), two for
+    S (x) I and four for the two-factor rotation (butterflies).  Rows map
+    as `Subspace.transform` maps them: row -> g row.
+    """
+
+    __slots__ = ("n", "scale", "layers")
+
+    def __init__(self, matrix):
+        rows = matrix.entries if isinstance(matrix, RatMatrix) else matrix
+        n = len(rows)
+        if n < 2 or any(len(r) != n for r in rows):
+            raise ValueError("generator matrix must be square, n >= 2")
+        flat = primitive_int_row([x for r in rows for x in r])
+        g = [flat[i * n:(i + 1) * n] for i in range(n)]
+        c = sum(x * x for x in g[0])
+        if c == 0 or any(sum(map(mul, g[a], g[b])) != (c if a == b else 0)
+                         for a in range(n) for b in range(a, n)):
+            raise ValueError("generator is not orthogonal up to a scalar")
+        self.n = n
+        self.scale = c
+        terms = [[(j, x) for j, x in enumerate(r) if x] for r in g]
+        width = max(map(len, terms))
+        # Rows with fewer terms are padded with 0 * row[0].
+        padded = [t + [(0, 0)] * (width - len(t)) for t in terms]
+        self.layers = [(itemgetter(*(t[k][0] for t in padded)),
+                        tuple(t[k][1] for t in padded)) for k in range(width)]
+
+    def image(self, row) -> Tuple[int, ...]:
+        get, coefs = self.layers[0]
+        out = map(mul, get(row), coefs)
+        for get, coefs in self.layers[1:]:
+            out = map(add, out, map(mul, get(row), coefs))
+        return tuple(out)
+
+    def key(self, rows) -> Tuple[Tuple[int, ...], ...]:
+        """Canonical rows (`Subspace.rows`) of the image of the subspace
+        with canonical rows `rows`."""
+        if len(rows) == 1:
+            return (line_key(self.image(rows[0])),)
+        return int_rref([self.image(r) for r in rows], self.n)
+
+
+def certified_orbits(points: Sequence, generators) -> Optional[Dict[int, int]]:
+    """The orbits of the group generated by `generators` on the multiset
+    `points`, certified exactly, or None when a check fails.
+
+    Each generator must compile to an `IntAction` on R^n (g g^T = c I) and
+    map the distinct points bijectively onto themselves with their
+    multiplicities: every image's canonical rows must be a point of the
+    configuration, of the same multiplicity, and no two points may share an
+    image.  Each generator then permutes a finite set, so its inverse is one
+    of its powers and the orbits are the sets reachable along images.
+    Returns {list index of the orbit's first point: number of points in the
+    orbit, multiplicity counted}.
+    """
+    if not points or not all(isinstance(p, Subspace) for p in points):
+        return None
+    n = points[0].n
+    try:
+        actions = [IntAction(g) for g in generators]
+    except ValueError:
+        return None
+    if any(a.n != n for a in actions):
+        return None
+    ids: Dict[tuple, int] = {}
+    first: List[int] = []
+    mult: List[int] = []
+    for i, p in enumerate(points):
+        d = ids.setdefault(p.rows, len(first))
+        if d == len(first):
+            first.append(i)
+            mult.append(0)
+        mult[d] += 1
+    maps = []
+    for act in actions:
+        image = [ids.get(act.key(rows)) for rows in ids]
+        if (None in image or len(set(image)) < len(image)
+                or [mult[e] for e in image] != mult):
+            return None
+        maps.append(image)
+    orbits: Dict[int, int] = {}
+    seen = bytearray(len(first))
+    for d in range(len(first)):
+        if seen[d]:
+            continue
+        seen[d] = 1
+        stack = [d]
+        size = 0
+        while stack:
+            x = stack.pop()
+            size += mult[x]
+            for image in maps:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+        orbits[first[d]] = size
+    return orbits
+
+
 def default_workers() -> int:
     """CPUs this process may run on: the affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -398,7 +535,8 @@ def _clamp_workers(workers: int, npoints: int) -> int:
     return max(1, min(workers, default_workers(), npoints))
 
 
-def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
+def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1,
+               generators=()) -> PairStats:
     """The exact pair distribution and its sigma-power totals over all
     ordered pairs.
 
@@ -406,31 +544,49 @@ def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1) -> PairStats:
     planes take the packed engine, serially; for m >= 3 the pair loop may
     run in `workers` processes.  Exact; the reduction order is irrelevant,
     so worker count never changes the result.
+
+    With generator matrices of a group G that permutes the points (g g^T =
+    c I each), the distribution is the sum over G-orbits O of |O| times the
+    row of one point of O against all points: sigma is invariant under
+    orthogonal maps, and G permutes the columns of every row.
+    `certified_orbits` checks that G permutes the points with their
+    multiplicities, exactly; then each orbit row runs the serial pair loop
+    (packing would first lift every point, which costs more than a few
+    rows).  When any check fails, or the points are raw int data, the full
+    engine runs.  Either way the result is the same.
     """
     data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
     n = len(data)
     m = len(data[0][0])
-    workers = _clamp_workers(workers, n)
-    if m <= 2:
-        triples = _packed_counts(data)
-    elif workers > 1 and n >= 64:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_count_chunk, data, s, workers)
-                    for s in range(workers)]
-            triples = Counter()
-            for f in futs:
-                triples.update(f.result())
+    orbits = certified_orbits(points, generators) if generators else None
+    if orbits is not None:
+        # Ordered pairs (i, j) for every j, the diagonal included.
+        triples = _count_rows(data, [(i, 0, w) for i, w in orbits.items()])
+        dist, both_orders = Counter(), 1
     else:
-        triples = _count_chunk(data, 0, 1)
-    # Diagonal pairs: every principal cosine is 1.
-    dist = Counter({(Fraction(m), Fraction(m)): n})
+        workers = _clamp_workers(workers, n)
+        if m <= 2:
+            triples = _packed_counts(data)
+        elif workers > 1 and n >= 64:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                futs = [ex.submit(_count_chunk, data, s, workers)
+                        for s in range(workers)]
+                triples = Counter()
+                for f in futs:
+                    triples.update(f.result())
+        else:
+            triples = _count_chunk(data, 0, 1)
+        # Pairs i < j stand for both orders; on the diagonal every principal
+        # cosine is 1.
+        dist, both_orders = Counter({(Fraction(m), Fraction(m)): n}), 2
     for (trw, trw2, den), count in triples.items():
-        dist[Fraction(trw, den), Fraction(trw2, den * den)] += 2 * count
+        dist[Fraction(trw, den), Fraction(trw2, den * den)] += both_orders * count
     sums = {t: sum(c * s ** t for (s, _), c in dist.items())
             for t in range(1, max(tmax, 3) + 1)}
-    return PairStats(size=n, m=m, sigma_pow=sums, distribution=dict(dist))
+    return PairStats(size=n, m=m, sigma_pow=sums, distribution=dict(dist),
+                     orbits=None if orbits is None else len(orbits))
 
 
 class Configuration:
@@ -537,6 +693,9 @@ class DesignReport:
     tmax: int
     t_stats: Dict[int, TDesignStat]
     zonal_sums: Dict[str, Rational]
+    # Certified group orbits the pair distribution was summed over, if any;
+    # not part of the JSON report.
+    orbits: Optional[int] = None
 
     def is_design(self, t: int) -> bool:
         return self.t_stats[t].is_design
@@ -567,8 +726,9 @@ def verify_design(config: Configuration, tmax: int = 3, workers: int = 1) -> Des
 
 
 def design_report(data: Sequence, m: int, n: int, tmax: int,
-                  workers: int) -> DesignReport:
-    """Design verdicts for the points with pair-engine data `data` in G(m, n).
+                  workers: int, generators=()) -> DesignReport:
+    """Design verdicts for the points `data` in G(m, n), Subspace instances
+    or their pair-engine data; `generators` go to `pair_stats`.
 
     Equality at t forces equality at every t' < t (the sigma^t expansions
     have positive coefficients); this monotonicity, nonnegativity of every
@@ -579,7 +739,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         raise ValueError("tmax must be between 1 and 3")
     if 2 * m > n:
         raise ValueError("design criteria require m <= n/2")
-    stats = pair_stats(data, tmax=tmax, workers=workers)
+    stats = pair_stats(data, tmax=tmax, workers=workers, generators=generators)
     size2 = Fraction(len(data)) ** 2
     t_stats = {}
     for t in range(1, tmax + 1):
@@ -600,7 +760,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         if t <= tmax and t_stats[t].is_design and zsums[str(mu)] != 0:
             raise AssertionError("zonal sum must vanish at certified strength")
     return DesignReport(n=n, m=m, size=len(data), tmax=tmax,
-                        t_stats=t_stats, zonal_sums=zsums)
+                        t_stats=t_stats, zonal_sums=zsums, orbits=stats.orbits)
 
 
 def zonal_positivity(config: Configuration, mu: Partition) -> Rational:

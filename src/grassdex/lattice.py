@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str, saturate_rows,
                        solve_nonneg_combination, verify_combination)
 from .grassmann import (Configuration, DesignReport, Subspace, design_report,
-                        intdata_from_coords)
+                        intdata_from_coords, line_key)
 
 # gamma_m^m for the classical Hermite constants, m <= 8 (exact rationals).
 _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
@@ -522,6 +522,16 @@ def catalog(name: str) -> Lattice:
     if key == "BW16":
         return barnes_wall(4, normalized=True)
     raise ValueError(f"unknown catalog lattice {name!r}")
+
+
+def minimal_line_keys(lattice: Lattice) -> Set[Tuple[Tuple[int, ...], ...]]:
+    """Canonical rows (`Subspace.rows`) of the lines through the minimal
+    vectors, without building a Subspace per line."""
+    lam = lattice.minimum()
+    # c . _basis_int is the ambient vector times _basis_den: the same line.
+    basis_cols = list(zip(*lattice._basis_int))
+    return {(line_key([sum(map(mul, c, col)) for col in basis_cols]),)
+            for c, _ in short_vectors_with_norms(lattice, lam, half=True)}
 
 
 def minimal_line_configuration(lattice: Lattice) -> Configuration:

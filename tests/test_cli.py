@@ -52,6 +52,28 @@ def test_clifford_emit_and_verify_round_trip(tmp_path, capsys):
     assert rep2["results"]["t"]["2"]["average"] == res["t"]["2"]["average_fast"]
 
 
+def test_clifford_notes_the_trace_path(capsys):
+    # stderr names the orbit rows or the full engine; results are unchanged.
+    code = main(["clifford", "--k", "2", "--w", "1", "--sigma", "all", "--t", "2"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "trace path: 1 orbit row(s) under 11 generators" in err
+    code = main(["clifford", "--k", "2", "--w", "2", "--sigma", "spread",
+                 "--t", "2"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "trace path: full pair engine (11 generators" in err
+
+
+def test_clifford_family_split_k3(capsys):
+    code, rep = run_cli(capsys, "clifford", "--k", "3", "--w", "3",
+                        "--sigma", "all", "--t", "1")
+    assert code == 0
+    assert rep["results"]["family_split"] == {
+        "sizes": [15, 15], "minimal_line_matches": [120, 0],
+        "lattice_minimal_lines": 120}
+
+
 def test_verify_refuted_exit_code(tmp_path, capsys):
     axes = {"n": 4, "m": 1,
             "points": [[["1" if j == i else "0" for j in range(4)]]

@@ -232,6 +232,24 @@ def test_verify_tt_trace_path_runs_design_rechecks(monkeypatch):
         verify_tt(enumerate_isotropic(2, 1), tmax=3)
 
 
+@pytest.mark.parametrize("tmax", [0, 4])
+def test_verify_tt_rejects_tmax_before_building(monkeypatch, tmax):
+    from grassdex import clifford
+
+    def no_build(sigma):
+        raise AssertionError("build_design was called")
+
+    monkeypatch.setattr(clifford, "build_design", no_build)
+    with pytest.raises(ValueError, match="tmax"):
+        verify_tt(enumerate_isotropic(2, 1), tmax=tmax)
+
+
+def test_verify_tt_sums_orbits_of_full_sets_only():
+    assert verify_tt(enumerate_isotropic(3, 2), tmax=2).orbits == 1
+    rep = verify_tt(spread(2, 2), tmax=2)
+    assert rep.orbits is None and rep.generators == 11
+
+
 def test_verify_tt_spread_is_4_design():
     rep = verify_tt(spread(2, 2), tmax=2)
     assert rep.stats[1].is_design and rep.stats[2].is_design

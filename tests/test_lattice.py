@@ -15,7 +15,7 @@ from grassdex.exactalg import RatMatrix, det, inverse
 from grassdex.grassmann import Configuration, Subspace, verify_design
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
-                              minimal_sections, rankin, section_design_report,
+                              minimal_line_keys, minimal_sections, rankin, section_design_report,
                               short_vectors, short_vectors_with_norms,
                               similar_to, theta_shells)
 
@@ -372,6 +372,14 @@ def test_barnes_wall_raw_minimum_scaling():
 def test_minimal_line_configuration(e8):
     cfg = minimal_line_configuration(e8)
     assert len(cfg) == 120 and cfg.m == 1 and cfg.n == 8
+
+
+def test_minimal_line_keys_are_the_minimal_line_rows(d4, e8):
+    # E8's basis has halves, so the integer rows scale its vectors by 2.
+    for lat in (d4, e8, barnes_wall(3), catalog("E7")):
+        keys = minimal_line_keys(lat)
+        assert keys == {s.rows for s in minimal_sections(lat, 1).sections}
+        assert len(keys) == len(minimal_sections(lat, 1))
 
 
 def test_e7_sections_intrinsic_design():
