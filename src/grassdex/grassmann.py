@@ -20,7 +20,13 @@ both traces from inner products of per-point integer vectors:
 with det C = <wedge^2 L_p, wedge^2 R_q> by Cauchy-Binet on Pluecker
 vectors; for lines tr W = c^2 and tr W^2 = c^4 with c = L_p . R_q.  Each
 lifted vector is divided by its content, and the per-point scales re-enter
-through the count keys.
+when a pair's traces are formed.
+
+Every count site keys a pair by `_pair_key`: sigma = tr W / den and
+sum y_i^2 = tr W^2 / den^2 as gcd-reduced integer numerators and
+denominators.  Pairs at one angle share one key however their Gram
+determinants differ, so the counters hold one entry per angle class and
+Fractions are built once per class, never per pair.
 
 The inner products are taken a block at a time by packing (Kronecker
 substitution): for a block of column points and each coordinate k, one
@@ -204,7 +210,8 @@ class PairStats:
     size: int
     m: int
     sigma_pow: Dict[int, Rational]   # t -> sum of sigma^t, t = 1..max(tmax, 3)
-    # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included
+    # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included;
+    # one entry per distinct `_pair_key` of the count sites.
     distribution: Dict[Tuple[Rational, Rational], int]
     # Number of certified group orbits when the orbit identity was used.
     orbits: Optional[int] = None
@@ -220,10 +227,19 @@ class PairStats:
                    for (s, q), c in self.distribution.items())
 
 
+def _pair_key(trw: int, trw2: int, den: int) -> Tuple[int, int, int, int]:
+    """(sigma num, sigma den, sum y^2 num, sum y^2 den) in lowest terms for
+    sigma = trw / den and sum y_i^2 = trw2 / den^2, den > 0: equal keys
+    exactly when the two rationals are equal."""
+    g = gcd(trw, den)
+    den2 = den * den
+    h = gcd(trw2, den2)
+    return trw // g, den // g, trw2 // h, den2 // h
+
+
 def _count_rows(data, rows) -> Counter:
-    """Counts of the exact (tr W, tr W^2, den) triples over the pairs (i, j),
-    j >= start, of each row spec (i, start, weight), each counted weight
-    times."""
+    """Counts of the `_pair_key`s of the pairs (i, j), j >= start, of each
+    row spec (i, start, weight), each counted weight times."""
     counts = Counter()
     n = len(data)
     rng = range(len(data[0][0]))
@@ -231,15 +247,16 @@ def _count_rows(data, rows) -> Counter:
         di = data[i]
         for j in range(start, n):
             w, den = _pair_w(di, data[j])
-            key = (sum(w[a][a] for a in rng),
-                   sum(w[a][b] * w[b][a] for a in rng for b in rng), den)
+            key = _pair_key(sum(w[a][a] for a in rng),
+                            sum(w[a][b] * w[b][a] for a in rng for b in rng),
+                            den)
             counts[key] = counts.get(key, 0) + weight
     return counts
 
 
 def _count_chunk(data, start, stride):
-    """Counts of the exact (tr W, tr W^2, den) triples over pairs i < j with
-    i = start mod stride."""
+    """Counts of the `_pair_key`s over pairs i < j with i = start mod
+    stride; a pool worker returns one entry per angle class."""
     return _count_rows(data, ((i, i + 1, 1)
                               for i in range(start, len(data), stride)))
 
@@ -340,7 +357,8 @@ def _packed_pairs(fields, row_keys, col_keys):
 
 
 def _packed_counts(data) -> Counter:
-    """`_count_chunk(data, 0, 1)` for m <= 2, from packed inner products.
+    """`_count_chunk(data, 0, 1)` for m <= 2, from packed inner products:
+    each distinct slot is decoded once and keyed by `_pair_key`.
 
     Needs the cross matrices symmetric in the pair (L_p R_q^T = (L_q R_p^T)^T),
     as for all data from `Subspace.int_data` and `intdata_from_coords`.
@@ -353,10 +371,12 @@ def _packed_counts(data) -> Counter:
         dets = [d[3] for d in data]
         for dp, dq, (c,), k in _packed_pairs(
                 [([d[0][0] for d in data], [d[1][0] for d in data])], dets, dets):
-            counts[c * c, c ** 4, dp * dq] += k
+            c2 = c * c
+            counts[_pair_key(c2, c2 * c2, dp * dq)] += k
         return counts
     # Planes: tr W = <X_p, Y_q>, det C = <wedge^2 L_p, wedge^2 R_q>, each
-    # lifted vector divided by its content, which re-enters through the keys.
+    # lifted vector divided by its content, which re-enters through the
+    # row and column classes before the pair is keyed.
     xs, ys, px, py, row_keys, col_keys = [], [], [], [], [], []
     for left, right, adj, d in data:
         x, g = _plane_lift(left, adj, 2)
@@ -374,7 +394,7 @@ def _packed_counts(data) -> Counter:
         trw = g * h * tr
         det_c = a * b * minor
         den = dp * dq
-        counts[trw, trw * trw - 2 * den * det_c * det_c, den] += k
+        counts[_pair_key(trw, trw * trw - 2 * den * det_c * det_c, den)] += k
     return counts
 
 
@@ -561,31 +581,33 @@ def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1,
     orbits = certified_orbits(points, generators) if generators else None
     if orbits is not None:
         # Ordered pairs (i, j) for every j, the diagonal included.
-        triples = _count_rows(data, [(i, 0, w) for i, w in orbits.items()])
-        dist, both_orders = Counter(), 1
+        keys = _count_rows(data, [(i, 0, w) for i, w in orbits.items()])
     else:
         workers = _clamp_workers(workers, n)
         if m <= 2:
-            triples = _packed_counts(data)
+            half = _packed_counts(data)
         elif workers > 1 and n >= 64:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 futs = [ex.submit(_count_chunk, data, s, workers)
                         for s in range(workers)]
-                triples = Counter()
+                half = Counter()
                 for f in futs:
-                    triples.update(f.result())
+                    half.update(f.result())
         else:
-            triples = _count_chunk(data, 0, 1)
+            half = _count_chunk(data, 0, 1)
         # Pairs i < j stand for both orders; on the diagonal every principal
         # cosine is 1.
-        dist, both_orders = Counter({(Fraction(m), Fraction(m)): n}), 2
-    for (trw, trw2, den), count in triples.items():
-        dist[Fraction(trw, den), Fraction(trw2, den * den)] += both_orders * count
+        keys = Counter({(m, 1, m, 1): n})
+        for key, count in half.items():
+            keys[key] += 2 * count
+    # Distinct reduced keys are distinct rationals.
+    dist = {(Fraction(a, b), Fraction(c, d)): count
+            for (a, b, c, d), count in keys.items()}
     sums = {t: sum(c * s ** t for (s, _), c in dist.items())
             for t in range(1, max(tmax, 3) + 1)}
-    return PairStats(size=n, m=m, sigma_pow=sums, distribution=dict(dist),
+    return PairStats(size=n, m=m, sigma_pow=sums, distribution=dist,
                      orbits=None if orbits is None else len(orbits))
 
 
@@ -603,10 +625,6 @@ class Configuration:
         self.n = n
         self.m = m
         self.points = points
-
-    @classmethod
-    def from_lines(cls, n: int, vectors) -> "Configuration":
-        return cls(n, [Subspace.line(v) for v in vectors])
 
     def __len__(self):
         return len(self.points)

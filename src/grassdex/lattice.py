@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str, saturate_rows,
@@ -64,11 +64,6 @@ class Lattice:
             self._min_vectors = [c for c, nq in vecs if nq == q]
             self._min = Fraction(q, self._gram_scale)
         return self._min
-
-    def coord_norm(self, coords: Sequence[int]) -> Rational:
-        g = self._gram_int
-        q = sum(c * sum(map(mul, row, coords)) for c, row in zip(coords, g) if c)
-        return Fraction(q, self._gram_scale)
 
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
@@ -192,7 +187,10 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
 
     Candidate spans come from m-tuples of enumerated vectors; each span is
     saturated (intersected with the lattice exactly) before its Gram
-    determinant is taken.  Completeness: every delta-achieving section is
+    determinant is taken, unless Hermite's bound caps its index below 2,
+    when the candidate rows already are a basis of the saturation; the
+    stored coordinates are then some basis of each section, not a fixed
+    one.  Completeness: every delta-achieving section is
     spanned by vectors realizing its successive minima, whose norms are at
     most gamma_m^m * delta / min^(m-1); the result is certified complete
     when the search bound covers that cap (always true for the default
@@ -246,20 +244,27 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     found: Dict[int, Dict[Tuple, Tuple]] = {}
 
     def consider(idxs: Tuple[int, ...]):
-        raw = int_det([[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs]
-                       for a in idxs])
+        gram = [[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs] for a in idxs]
+        raw = int_det([row[:] for row in gram])
         if raw == 0:
             return
         delta = state["delta"]
-        if delta is not None and hermite is not None:
-            # Saturation divides by a square index; skip when no index can
-            # bring raw down to delta while staying above the Hermite floor.
+        rr = None
+        if hermite is not None:
+            # Saturation divides raw by the square of its index, and the
+            # saturated Gram stays at or above the Hermite floor
+            # lam^m / gamma_m^m, so the index is at most rr.  Skip when no
+            # index can bring raw down to delta.
             rr = isqrt(raw * hermite.numerator // (lam_q ** m * hermite.denominator))
-            if rr * rr * delta < raw:
+            if delta is not None and rr * rr * delta < raw:
                 return
-        sat = saturate_rows([cvecs[i] for i in idxs], r)
-        sg = [[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)]
-        d2 = int_det([row[:] for row in sg])
+        if rr is not None and rr < 2:
+            # Index 1: the candidate rows already span the saturation.
+            sat, sg, d2 = [cvecs[i] for i in idxs], gram, raw
+        else:
+            sat = saturate_rows([cvecs[i] for i in idxs], r)
+            sg = [[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)]
+            d2 = int_det([row[:] for row in sg])
         if delta is not None and d2 > delta:
             return
         found.setdefault(d2, {})[tuple(map(tuple, hnf(sat)))] = (sat, sg)

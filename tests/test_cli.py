@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from grassdex.cli import main
+from grassdex.exactalg import RatMatrix
+from grassdex.grassmann import Configuration
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +86,33 @@ def test_verify_refuted_exit_code(tmp_path, capsys):
     code, rep = run_cli(capsys, "verify", str(cfg), "--t", "2")
     assert code == 1
     assert rep["results"]["t"]["2"]["is_design"] is False
+
+
+@pytest.mark.parametrize("source", ["lines", "planes"])
+def test_verify_results_are_rotation_invariant(tmp_path, capsys, source):
+    # A rational rotation changes every coordinate and Gram determinant but
+    # no principal angle, so `verify` must report byte-identical results.
+    from test_grassmann import d4_line_vectors, householder_rotation, lines_config
+    if source == "lines":
+        cfg = lines_config(4, d4_line_vectors())
+    else:
+        emitted = tmp_path / "emitted.json"
+        main(["clifford", "--k", "2", "--w", "1", "--sigma", "all", "--t", "1",
+              "--emit-config", str(emitted)])
+        capsys.readouterr()
+        cfg = Configuration.from_json_dict(json.loads(emitted.read_text()))
+    rot = RatMatrix(householder_rotation(random.Random(5), cfg.n, factors=3))
+    rotated = Configuration(cfg.n, [p.transform(rot) for p in cfg.points])
+    assert rotated.points != cfg.points
+    reports = []
+    for name, c in (("plain", cfg), ("rotated", rotated)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(c.to_json_dict()), encoding="utf-8")
+        reports.append(run_cli(capsys, "verify", str(path), "--t", "3"))
+    (code, plain), (code_rot, turned) = reports
+    assert code == code_rot
+    assert json.dumps(plain["results"], sort_keys=True) == \
+        json.dumps(turned["results"], sort_keys=True)
 
 
 def test_workers_option_is_a_usage_error(capsys):

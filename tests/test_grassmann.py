@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -39,6 +40,11 @@ def d4_line_vectors():
                 v[i], v[j] = 1, s
                 vecs.append(v)
     return vecs
+
+
+def lines_config(n, vectors):
+    """The configuration of the lines through the integer `vectors`."""
+    return Configuration(n, [Subspace.line(v) for v in vectors])
 
 
 def random_subspace(rng, n, m):
@@ -130,7 +136,7 @@ def test_eval_zonal_examples():
 
 
 def test_verify_design_d4_lines():
-    cfg = Configuration.from_lines(4, d4_line_vectors())
+    cfg = lines_config(4, d4_line_vectors())
     rep = verify_design(cfg, tmax=3)
     assert rep.is_design(1) and rep.is_design(2) and not rep.is_design(3)
     assert rep.strength() == 2
@@ -146,7 +152,7 @@ def test_verify_design_single_point():
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_verify_design_cross_polytope(n):
     axes = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rep = verify_design(Configuration.from_lines(n, axes), tmax=2)
+    rep = verify_design(lines_config(n, axes), tmax=2)
     assert rep.is_design(1)
     assert not rep.is_design(2)
     assert rep.t_stats[2].average == F(1, n)
@@ -155,7 +161,7 @@ def test_verify_design_cross_polytope(n):
 
 def test_multiset_orbit_consistency():
     # A duplicated multiset must average identically to the plain set.
-    cfg = Configuration.from_lines(4, d4_line_vectors())
+    cfg = lines_config(4, d4_line_vectors())
     doubled = Configuration(4, list(cfg.points) * 3)
     r1 = verify_design(cfg, tmax=2)
     r2 = verify_design(doubled, tmax=2)
@@ -185,7 +191,7 @@ def test_signed_permutation_orbit_multiset_consistency():
 
 
 def test_zonal_positivity():
-    cfg = Configuration.from_lines(4, d4_line_vectors())
+    cfg = lines_config(4, d4_line_vectors())
     assert zonal_positivity(cfg, P0) == len(cfg) ** 2
     assert zonal_positivity(cfg, P1) == 0
     rng = random.Random(5)
@@ -258,7 +264,7 @@ def test_pair_stats_worker_independence():
 
 
 def test_average_sigma_power_high_t():
-    cfg = Configuration.from_lines(2, [[1, 0], [0, 1], [1, 1], [1, -1]])
+    cfg = lines_config(2, [[1, 0], [0, 1], [1, 1], [1, -1]])
     # 4 lines at 45 degrees: sigma values 1 or 1/2.
     avg4 = average_sigma_power(cfg, 4)
     assert avg4 == (4 * 1 + 8 * F(1, 16)) / 16
@@ -271,7 +277,7 @@ def test_verify_design_requires_small_m():
 
 
 def test_configuration_json_round_trip():
-    cfg = Configuration.from_lines(4, d4_line_vectors())
+    cfg = lines_config(4, d4_line_vectors())
     data = json.loads(json.dumps(cfg.to_json_dict()))
     back = Configuration.from_json_dict(data)
     assert back.n == cfg.n and back.m == cfg.m
@@ -417,6 +423,109 @@ def test_packed_slots_pass_64_bits(monkeypatch):
     assert len(widths) == 2 and min(widths) > 64
 
 
+def triple_reference(points, tmax):
+    """(distribution, sigma-power sums) from one exact (tr W, tr W^2, den)
+    triple per pair i < j, each turned into a pair of Fractions."""
+    data = [p.int_data() for p in points]
+    m = len(data[0][0])
+    rng = range(m)
+    triples = Counter()
+    for i in range(len(data)):
+        for j in range(i + 1, len(data)):
+            w, den = grassmann._pair_w(data[i], data[j])
+            triples[sum(w[a][a] for a in rng),
+                    sum(w[a][b] * w[b][a] for a in rng for b in rng), den] += 1
+    dist = Counter({(F(m), F(m)): len(data)})
+    for (trw, trw2, den), count in triples.items():
+        dist[F(trw, den), F(trw2, den * den)] += 2 * count
+    sums = {t: sum(c * s ** t for (s, _), c in dist.items())
+            for t in range(1, max(tmax, 3) + 1)}
+    return dict(dist), sums
+
+
+def householder_rotation(rng, n, factors=2):
+    """A product of integer Householder matrices (v.v) I - 2 v v^T, a
+    rational rotation up to the scale of its rows."""
+    rot = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(factors):
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        if not any(v):
+            v[0] = 1
+        vv = sum(x * x for x in v)
+        h = [[vv * (i == j) - 2 * v[i] * v[j] for j in range(n)]
+             for i in range(n)]
+        rot = [[sum(a * b for a, b in zip(row, col)) for col in zip(*h)]
+               for row in rot]
+    return rot
+
+
+def signed_permutation_generators(n):
+    """A transposition, an n-cycle and one sign change: they generate the
+    signed permutations of R^n."""
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(n)] for i in range(n)]
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    flip = [[(-1 if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)]
+    return [swap, cycle, flip]
+
+
+def group_closure(seeds, generators):
+    """The distinct images of the seed subspaces under the generated group."""
+    mats = [RatMatrix(g) for g in generators]
+    seen = list(dict.fromkeys(seeds))
+    known = set(seen)
+    for p in seen:
+        for g in mats:
+            q = p.transform(g)
+            if q not in known:
+                known.add(q)
+                seen.append(q)
+    return seen
+
+
+def _rotated_cases():
+    """(unrotated points, rotation, generators or None); m = 3 has n >= 64
+    points, so `workers=2` runs the pool."""
+    rng = random.Random(11)
+    gens = signed_permutation_generators(4)
+    lines = group_closure([Subspace.line(v) for v in
+                           ([1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1], [2, 1, 0, 0])],
+                          gens)
+    planes = group_closure([Subspace(4, [[1, 0, 0, 0], [0, 1, 1, 0]]),
+                            Subspace(4, [[1, 1, 0, 0], [0, 0, 1, 1]])], gens)
+    solids = [random_subspace(rng, 6, 3) for _ in range(70)]
+    return [pytest.param(lines, householder_rotation(rng, 4), None, id="lines"),
+            pytest.param(planes, householder_rotation(rng, 4), None, id="planes"),
+            pytest.param(lines, householder_rotation(rng, 4), gens, id="orbit-lines"),
+            pytest.param(planes, householder_rotation(rng, 4), gens, id="orbit-planes"),
+            pytest.param(solids, householder_rotation(rng, 6), None, id="pool-m3")]
+
+
+@pytest.mark.parametrize("points, rot, gens", _rotated_cases())
+def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens):
+    rotated = [p.transform(RatMatrix(rot)) for p in points]
+    kwargs = {}
+    if gens is not None:
+        # The rotated points are permuted by the conjugates R g R^T.
+        n = range(len(rot))
+        kwargs["generators"] = [
+            [[sum(ri[a] * g[a][b] * rj[b] for a in n for b in n) for rj in rot]
+             for ri in rot] for g in gens]
+    stats = pair_stats(rotated, tmax=4, workers=2, **kwargs)
+    dist, sums = triple_reference(rotated, 4)
+    assert stats.distribution == dist
+    assert stats.sigma_pow == sums
+    assert (stats.orbits is not None) == (gens is not None)
+    # Rotations leave every principal angle in place.
+    assert pair_stats(points, tmax=4).distribution == dist
+    # The count sites key each angle class once, in lowest terms, however
+    # the rotated Gram determinants differ.
+    data = [p.int_data() for p in rotated]
+    counts = _packed_counts(data) if rotated[0].m <= 2 else _count_chunk(data, 0, 1)
+    assert len(counts) <= len(dist)
+    assert all(gcd(a, b) == gcd(c, d) == 1 and b > 0 and d > 0
+               for a, b, c, d in counts)
+
+
 # Pair statistics of the 12 D4 lines changed so that one consistency check
 # of `design_report` fails: (message, change of sum sigma, of power2).
 _INCONSISTENT_STATS = [("zonal positivity", -36, 0),
@@ -428,7 +537,7 @@ def _raise_on_inconsistent_stats(d_sigma, d_power2):
     """Runs verify_design on the D4 lines with altered pair statistics and
     returns the AssertionError it raises (None if none)."""
     from dataclasses import replace
-    cfg = Configuration.from_lines(4, d4_line_vectors())
+    cfg = lines_config(4, d4_line_vectors())
     real = grassmann.pair_stats(cfg.points, tmax=2)
     # The zonal sums read the distribution: move one pair of a real class.
     dist = dict(real.distribution)
@@ -486,11 +595,11 @@ def test_cli_and_pair_engine_leave_numpy_unimported():
     code = (
         "import sys\n"
         "import grassdex.cli\n"
-        "from grassdex.grassmann import Configuration, Subspace, pair_stats\n"
-        "lines = Configuration.from_lines(3, [[1, 0, 0], [1, 1, 0], [1, 1, 1]])\n"
+        "from grassdex.grassmann import Subspace, pair_stats\n"
+        "lines = [Subspace.line(v) for v in ([1, 0, 0], [1, 1, 0], [1, 1, 1])]\n"
         "planes = [Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),\n"
         "          Subspace(4, [[1, 0, 1, 0], [0, 1, 0, 1]])]\n"
-        "pair_stats(lines.points)\n"
+        "pair_stats(lines)\n"
         "pair_stats(planes)\n"
         "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
     proc = _run_python(code)

@@ -5,19 +5,27 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from math import isqrt, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grassdex import lattice as lattice_mod
-from grassdex.exactalg import RatMatrix, det, inverse
+from grassdex.exactalg import RatMatrix, det, hnf, inverse, saturate_rows
 from grassdex.grassmann import Configuration, Subspace, verify_design
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
                               minimal_line_keys, minimal_sections, rankin, section_design_report,
                               short_vectors, short_vectors_with_norms,
                               similar_to, theta_shells)
+
+
+def coord_norm(lat, coords):
+    """x^T G x for the coordinate vector x, from the rational Gram matrix."""
+    g = lat.gram.entries
+    return sum(a * g[i][j] * b for i, a in enumerate(coords)
+               for j, b in enumerate(coords))
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +76,7 @@ def test_short_vectors_exactness_against_exhaustive_box():
         for b in range(-6, 7):
             if (a, b) == (0, 0):
                 continue
-            if lat.coord_norm((a, b)) <= 12:
+            if coord_norm(lat, (a, b)) <= 12:
                 box.append((a, b))
     assert got == sorted(box)
 
@@ -106,7 +114,7 @@ def test_short_vectors_random_bases_against_certified_box():
         bound = lat.minimum() * 3
         radius = isqrt(int(bound / lower)) + 1
         box = [c for c in itertools.product(range(-radius, radius + 1), repeat=3)
-               if any(c) and lat.coord_norm(c) <= bound]
+               if any(c) and coord_norm(lat, c) <= bound]
         assert sorted(short_vectors(lat, bound)) == sorted(box)
 
 
@@ -161,7 +169,7 @@ def test_enumerator_matches_certified_box(rows, factor, half, off_grid):
     got = short_vectors_with_norms(lat, bound, half=half)
     assert sorted(got) == sorted(box)
     assert [c for c, _ in got] == short_vectors(lat, bound, half=half)
-    assert all(nrm == lat.coord_norm(c) for c, nrm in got)
+    assert all(nrm == coord_norm(lat, c) for c, nrm in got)
 
 
 def test_one_enumeration_per_lattice(monkeypatch):
@@ -244,6 +252,45 @@ def test_minimal_sections_d4_planes(d4):
     for g in s.witness_grams:
         assert det(g) == 3
     assert s.complete
+
+
+@pytest.mark.parametrize("name, wide", [("D4", True), ("E6", True),
+                                         ("E7", False), ("E8", False)])
+def test_hermite_index_one_candidates_are_saturated(name, wide):
+    # minimal_sections skips saturate_rows for a candidate pair when the
+    # Hermite bound on its index, rr, is below 2.  Every such pair of
+    # vectors up to the section search's norm cap (and, when wide, up to
+    # its default bound 2 min) must already span its saturation.
+    lat = catalog(name)
+    secs = minimal_sections(lat, 2)
+    hermite = lattice_mod._HERMITE_POW[2]
+    scale = lat._gram_scale
+    lam_q = int(lat.minimum() * scale)
+    vecs = short_vectors(lat, 2 * lat.minimum() if wide else secs.norm_cap, half=True)
+    gvecs = [[sum(map(mul, row, c)) for row in lat._gram_int] for c in vecs]
+    norms = [sum(map(mul, g, c)) for g, c in zip(gvecs, vecs)]
+    skipped = 0
+    for i, (u, gu) in enumerate(zip(vecs, gvecs)):
+        for j in range(i + 1, len(vecs)):
+            c = sum(map(mul, gu, vecs[j]))
+            raw = norms[i] * norms[j] - c * c
+            rr = isqrt(raw * hermite.numerator // (lam_q ** 2 * hermite.denominator))
+            if raw and rr < 2:
+                pair = [u, vecs[j]]
+                assert hnf(pair) == hnf(saturate_rows(pair, lat.rank))
+                skipped += 1
+    assert skipped
+    # The kept coordinates may be any basis of the saturated section: compare
+    # them by HNF, their Grams by determinant, and their spans by projector.
+    basis_cols = list(zip(*lat._basis_int))
+    for sub, gram, coords in zip(secs.sections, secs.witness_grams, secs.coords):
+        assert hnf(coords) == hnf(saturate_rows(coords, lat.rank))
+        assert det(gram) == secs.delta
+        gys = [[sum(map(mul, row, c)) for row in lat._gram_int] for c in coords]
+        assert [[x * scale for x in row] for row in gram.entries] == \
+            [[sum(map(mul, gy, c)) for c in coords] for gy in gys]
+        ambient = [[sum(map(mul, c, col)) for col in basis_cols] for c in coords]
+        assert Subspace.span(lat.n, ambient).projector() == sub.projector()
 
 
 def test_minimal_sections_zn():
