@@ -6,8 +6,8 @@ quadratic spaces; their design strength (2-, 4-, 6-designs) is certified
 with zero numerical error.
 """
 
-from .exactalg import (BitMatrix, RatMatrix, Rational, det, rat, rat_str,
-                       rref, solve_nonneg_combination, trace_pow)
+from .exactalg import (RatMatrix, Rational, det, rat, rat_str, rref,
+                       solve_nonneg_combination, trace_pow)
 from .zonal import (Partition, ZonalPolynomial, constant_c, jacobi_p,
                     moment_oracle)
 from .grassmann import (Configuration, DesignReport, Subspace, eval_zonal,

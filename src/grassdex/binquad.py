@@ -182,8 +182,8 @@ def orbital(s: IsoSubspace, t: IsoSubspace) -> Tuple[int, int]:
     return dim_meet, s.w - rank_pairing
 
 
-# One histogram per Sigma set serves `verify_tt`, `check_iso_design` at
-# every t and `d_constant`; it is shared, so it is read-only.
+# One histogram per Sigma set serves `intersection_moment` at every t; it is
+# shared, so it is read-only.
 @lru_cache(maxsize=16)
 def _intersection_histogram(sigma: SigmaSet) -> Mapping[int, int]:
     """Counts of |S meet S'| over all ordered pairs (sizes include 0)."""
@@ -199,6 +199,13 @@ def _intersection_histogram(sigma: SigmaSet) -> Mapping[int, int]:
     return MappingProxyType(hist)
 
 
+def intersection_moment(sigma: SigmaSet, t: int) -> Rational:
+    """Average of |S meet S'|^t over all ordered pairs of the set."""
+    hist = _intersection_histogram(sigma)
+    return Fraction(sum(count * size ** t for size, count in hist.items()),
+                    sum(hist.values()))
+
+
 def d_constant(k: int, w: int, t: int) -> Rational:
     """Average of |S meet S'|^t over all ordered pairs of the full X_w.
 
@@ -207,10 +214,7 @@ def d_constant(k: int, w: int, t: int) -> Rational:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    hist = _intersection_histogram(enumerate_isotropic(k, w))
-    total = sum(hist.values())
-    num = sum(count * size ** t for size, count in hist.items())
-    return Fraction(num, total)
+    return intersection_moment(enumerate_isotropic(k, w), t)
 
 
 @dataclass(frozen=True)
@@ -231,9 +235,7 @@ def check_iso_design(sigma: SigmaSet, t: int) -> IsoDesignCheck:
     if len(sigma) < 1:
         raise ValueError("empty set")
     expected = d_constant(sigma.k, sigma.w, t)
-    hist = _intersection_histogram(sigma)
-    total = sum(hist.values())
-    avg = Fraction(sum(count * size ** t for size, count in hist.items()), total)
+    avg = intersection_moment(sigma, t)
     if avg < expected:
         raise AssertionError("lower bound violated")
     return IsoDesignCheck(avg, expected, avg == expected)

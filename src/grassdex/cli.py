@@ -16,8 +16,8 @@ import time
 from fractions import Fraction
 
 from . import binquad, clifford, grassmann, lattice
-from .exactalg import RatMatrix, rat_str
-from .grassmann import Configuration, default_workers
+from .exactalg import RatMatrix, rat, rat_str
+from .grassmann import Configuration
 from .zonal import constant_c
 
 SCHEMA_VERSION = 1
@@ -52,8 +52,7 @@ def cmd_verify(args) -> int:
         raise InputError(f"cannot read configuration: {exc}") from exc
     _note(f"verifying {len(config)} points in G({config.m},{config.n}) "
           f"up to t={args.t}")
-    report = grassmann.verify_design(config, tmax=args.t,
-                                     workers=default_workers())
+    report = grassmann.verify_design(config, tmax=args.t)
     rep["results"] = report.to_json_dict()
     rep["timing_s"] = round(time.perf_counter() - t0, 3)
     _emit(rep)
@@ -90,7 +89,7 @@ def cmd_lattice(args) -> int:
     secs = None
     if args.sections or args.rankin or args.perfection:
         _note(f"searching minimal {args.m}-sections of {lat.name or 'lattice'}")
-        bound = Fraction(args.bound) if args.bound else None
+        bound = rat(args.bound) if args.bound else None
         secs = lattice.minimal_sections(lat, args.m, search_bound=bound)
         res["delta_m"] = rat_str(secs.delta)
         res["section_count"] = len(secs)
@@ -102,8 +101,7 @@ def cmd_lattice(args) -> int:
                 "vector-norm bound")
     if args.sections and secs is not None:
         _note(f"design verdicts on {len(secs)} sections")
-        dr = lattice.section_design_report(lat, secs, tmax=args.t,
-                                           workers=default_workers())
+        dr = lattice.section_design_report(lat, secs, tmax=args.t)
         res["section_design"] = dr.to_json_dict()
     if args.rankin and secs is not None:
         res["rankin"] = lattice.rankin(lat, args.m, secs).to_json_dict()
@@ -138,8 +136,7 @@ def cmd_clifford(args) -> int:
                              f"{exc}") from exc
     _note(f"building eigenspace configuration for |Sigma| = {len(sigma)}")
     build = clifford.build_design(sigma)
-    report = clifford.verify_tt(sigma, tmax=args.t, workers=default_workers(),
-                                build=build)
+    report = clifford.verify_tt(sigma, tmax=args.t, build=build)
     if report.orbits is None:
         _note(f"trace path: full pair engine ({report.generators} generators "
               f"do not certify invariance)")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .binquad import IsoSubspace, SigmaSet, _intersection_histogram
+from .binquad import IsoSubspace, SigmaSet, intersection_moment
 from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
                        rat_str)
 from .grassmann import Configuration, IntAction, Subspace, design_report
@@ -251,7 +251,7 @@ class TTReport:
         }
 
 
-def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
+def verify_tt(sigma: SigmaSet, tmax: int = 3,
               build: Optional[BuildResult] = None) -> TTReport:
     """Verify design strength of the eigenspace configuration two ways.
 
@@ -282,16 +282,13 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3, workers: int = 1,
     # dim(S meet S') independent parity constraints), each with sigma
     # 2^(2s-k) |S meet S'|.  Summed over the intersection histogram, the
     # sigma^t average is the reduction identity itself.
-    hist = _intersection_histogram(sigma)
-    nsig = Fraction(len(sigma.members)) ** 2
     config = build.config
     generators = [g.matrix for g in clifford_generators(k)]
-    design = design_report(config.points, config.m, config.n, tmax, workers,
+    design = design_report(config.points, config.m, config.n, tmax,
                            generators=generators)
     report: Dict[int, TTStat] = {}
     for t, st in design.t_stats.items():
-        inter = sum(count * size ** (t - 1) for size, count in hist.items())
-        fast = Fraction(2) ** ((2 * sp - k) * t) * inter / nsig
+        fast = Fraction(2) ** ((2 * sp - k) * t) * intersection_moment(sigma, t - 1)
         report[t] = TTStat(fast, st.average, fast, st.expected,
                            is_design=(fast == st.expected),
                            paths_agree=(fast == st.average))

@@ -17,11 +17,15 @@ Rational = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to an exact Fraction."""
+    """Coerce ints, 'p/q' strings and Fractions to an exact Fraction; a
+    malformed string or a zero denominator raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -63,13 +67,6 @@ class RatMatrix:
         zero = Fraction(0)
         return cls([[values[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def symmetric(cls, rows) -> "RatMatrix":
-        m = cls(rows)
-        if not m.is_symmetric():
-            raise ValueError("matrix is not symmetric")
-        return m
-
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij):
@@ -79,9 +76,6 @@ class RatMatrix:
     def row(self, i):
         return self._rows[i]
 
-    def row_lists(self):
-        return [list(r) for r in self._rows]
-
     @property
     def entries(self):
         return self._rows
@@ -90,12 +84,6 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(self._rows[i][j] == self._rows[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -103,15 +91,6 @@ class RatMatrix:
             raise ValueError("shape mismatch")
         return RatMatrix([[a + b for a, b in zip(ra, rb)]
                           for ra, rb in zip(self._rows, other._rows)])
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RatMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self._rows, other._rows)])
-
-    def __neg__(self):
-        return RatMatrix([[-a for a in r] for r in self._rows])
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
@@ -413,50 +392,7 @@ def pivot_rows(rows):
     return out
 
 
-# -- GF(2) matrices ---------------------------------------------------------
-
-
-class BitMatrix:
-    """Matrix over GF(2) with at most 64 columns, one int word per row.
-
-    Bit j of a row word is column j.  Instances are immutable.
-    """
-
-    __slots__ = ("words", "rows", "cols")
-
-    def __init__(self, words, cols: int):
-        if cols > 64:
-            raise ValueError("BitMatrix supports at most 64 columns")
-        mask = (1 << cols) - 1
-        self.words = tuple(int(w) & mask for w in words)
-        self.rows = len(self.words)
-        self.cols = cols
-
-    @classmethod
-    def from_rows(cls, rows, cols: int) -> "BitMatrix":
-        words = []
-        for row in rows:
-            w = 0
-            for j, b in enumerate(row):
-                if b & 1:
-                    w |= 1 << j
-            words.append(w)
-        return cls(words, cols)
-
-    def row_bits(self, i):
-        return [(self.words[i] >> j) & 1 for j in range(self.cols)]
-
-    def __eq__(self, other):
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self.words == other.words
-
-    def __hash__(self):
-        return hash((self.cols, self.words))
-
-    def __repr__(self):
-        rows = ["".join(str(b) for b in self.row_bits(i)) for i in range(self.rows)]
-        return "BitMatrix[" + "; ".join(rows) + "]"
+# -- GF(2) row words: bit j of a word is column j ---------------------------
 
 
 def bit_rref(words):
@@ -481,10 +417,6 @@ def bit_rref(words):
             rows[low] = w
     order = sorted(rows)
     return tuple(rows[b] for b in order), tuple(b.bit_length() - 1 for b in order)
-
-
-def bit_rank(words) -> int:
-    return len(bit_rref(words)[0])
 
 
 def bit_span(words):
@@ -632,8 +564,8 @@ def _phase1(tab: _Tableau):
     return True
 
 
-def solve_nonneg_combination(targets, goal, strict: bool = False):
-    """Exact weights lambda >= 0 (or > 0 when strict) with sum(l_i T_i) = goal.
+def solve_nonneg_combination(targets, goal):
+    """Exact weights lambda > 0 with sum(l_i T_i) = goal.
 
     Returns a list of Fractions or None when no such weights exist.  Strict
     feasibility is decided exactly by maximizing the minimum weight (capped
@@ -646,19 +578,6 @@ def solve_nonneg_combination(targets, goal, strict: bool = False):
         raise ValueError("shape mismatch between targets and goal")
     nt = len(targets)
     cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
-
-    if not strict:
-        tab = _Tableau(nt)
-        for (i, j) in cells:
-            tab.add_row([t[i, j] for t in targets], goal[i, j])
-        if not _phase1(tab):
-            return None
-        sol = [Fraction(0)] * nt
-        for r, c in enumerate(tab.basis):
-            if c is not None and c < nt:
-                sol[c] = tab.rows[r][-1]
-        return sol
-
     # Variables: lambda_1..lambda_nt, z, s_1..s_nt, cap slack.
     nv = nt + 1 + nt + 1
     zi = nt

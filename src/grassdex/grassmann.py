@@ -118,27 +118,11 @@ class Subspace:
         return self._intdata
 
     def projector(self) -> RatMatrix:
-        """Orthogonal projector onto the subspace (symmetric idempotent)."""
-        _, b, adj, d = self.int_data()
-        n = self.n
-        m = self.m
-        # B^T adj(G) B / det(G)
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(m):
-            for c in range(m):
-                coef = adj[a][c]
-                if coef == 0:
-                    continue
-                ra, rc = b[a], b[c]
-                for i in range(n):
-                    if ra[i] == 0:
-                        continue
-                    w = coef * ra[i]
-                    row = out[i]
-                    for j in range(n):
-                        if rc[j] != 0:
-                            row[j] += Fraction(w * rc[j], d)
-        return RatMatrix(out)
+        """Orthogonal projector onto the subspace (symmetric idempotent),
+        B^T adj(G) B / det(G)."""
+        b, _, adj, d = self.int_data()
+        return RatMatrix([[Fraction(x, d) for x in row]
+                          for row in adj_product(b, adj, b)])
 
     def transform(self, q: RatMatrix) -> "Subspace":
         """Image under the linear map with matrix q (vectors as rows * q^T)."""
@@ -166,6 +150,23 @@ def _intdata(left, right):
     g = [[sum(map(mul, left[i], right[j])) for j in range(m)] for i in range(m)]
     adj = adjugate(g)
     return left, right, adj, sum(g[0][j] * adj[j][0] for j in range(m))
+
+
+def adj_product(left, adj, right) -> List[List[int]]:
+    """The integer matrix left^T adj right, for m x n factors and an m x m
+    adj: det G times the projector when left = right are basis rows of
+    Gram G and adj = adj(G).  Row i is the combination of the rows of
+    adj right with coefficients left[.][i], zero coefficients skipped."""
+    mid = _mul_int(adj, right)
+    out = []
+    for col in zip(*left):
+        row = None
+        for c, mrow in zip(col, mid):
+            if c:
+                row = ([c * x for x in mrow] if row is None
+                       else [r + c * x for r, x in zip(row, mrow)])
+        out.append(row or [0] * len(mid[0]))
+    return out
 
 
 def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
@@ -407,12 +408,9 @@ def _content(vec) -> Tuple[List[int], int]:
 def _plane_lift(rows, adj, off_diagonal: int) -> Tuple[List[int], int]:
     """Upper half of rows^T adj rows, off-diagonal entries times
     `off_diagonal`, divided by its content."""
-    (p, q), ((a, b), (c, d)) = rows, adj
-    u = [a * x + b * y for x, y in zip(p, q)]
-    v = [c * x + d * y for x, y in zip(p, q)]
-    n = len(p)
-    return _content([(p[k] * u[l] + q[k] * v[l]) * (off_diagonal if k < l else 1)
-                     for k in range(n) for l in range(k, n)])
+    full = adj_product(rows, adj, rows)
+    return _content([row[l] * (off_diagonal if k < l else 1)
+                     for k, row in enumerate(full) for l in range(k, len(row))])
 
 
 def _pluecker(rows) -> Tuple[List[int], int]:
@@ -550,20 +548,15 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _clamp_workers(workers: int, npoints: int) -> int:
-    """Worker count within [1, min(available CPUs, npoints)]."""
-    return max(1, min(workers, default_workers(), npoints))
-
-
-def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1,
-               generators=()) -> PairStats:
+def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     """The exact pair distribution and its sigma-power totals over all
     ordered pairs.
 
     `points` may be Subspace instances or raw int-data tuples.  Lines and
-    planes take the packed engine, serially; for m >= 3 the pair loop may
-    run in `workers` processes.  Exact; the reduction order is irrelevant,
-    so worker count never changes the result.
+    planes take the packed engine, serially; for m >= 3 and at least 64
+    points the pair loop runs in a pool of min(`default_workers()`, points)
+    processes when that is more than one.  Exact; the reduction order is
+    irrelevant, so the worker count never changes the result.
 
     With generator matrices of a group G that permutes the points (g g^T =
     c I each), the distribution is the sum over G-orbits O of |O| times the
@@ -583,10 +576,10 @@ def pair_stats(points: Sequence, tmax: int = 3, workers: int = 1,
         # Ordered pairs (i, j) for every j, the diagonal included.
         keys = _count_rows(data, [(i, 0, w) for i, w in orbits.items()])
     else:
-        workers = _clamp_workers(workers, n)
+        workers = min(default_workers(), n) if m >= 3 and n >= 64 else 1
         if m <= 2:
             half = _packed_counts(data)
-        elif workers > 1 and n >= 64:
+        elif workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -737,14 +730,14 @@ class DesignReport:
         }
 
 
-def verify_design(config: Configuration, tmax: int = 3, workers: int = 1) -> DesignReport:
+def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
     """Certify 2t-design status for each t <= tmax by exact pair averages."""
     return design_report([p.int_data() for p in config.points], config.m,
-                         config.n, tmax, workers)
+                         config.n, tmax)
 
 
 def design_report(data: Sequence, m: int, n: int, tmax: int,
-                  workers: int, generators=()) -> DesignReport:
+                  generators=()) -> DesignReport:
     """Design verdicts for the points `data` in G(m, n), Subspace instances
     or their pair-engine data; `generators` go to `pair_stats`.
 
@@ -757,7 +750,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         raise ValueError("tmax must be between 1 and 3")
     if 2 * m > n:
         raise ValueError("design criteria require m <= n/2")
-    stats = pair_stats(data, tmax=tmax, workers=workers, generators=generators)
+    stats = pair_stats(data, tmax=tmax, generators=generators)
     size2 = Fraction(len(data)) ** 2
     t_stats = {}
     for t in range(1, tmax + 1):
@@ -791,7 +784,7 @@ def zonal_positivity(config: Configuration, mu: Partition) -> Rational:
     return stats.zonal_sum(jacobi_p(mu, config.m, config.n))
 
 
-def average_sigma_power(config: Configuration, t: int, workers: int = 1) -> Rational:
+def average_sigma_power(config: Configuration, t: int) -> Rational:
     """Exact pair average of sigma^t for arbitrary t >= 1."""
-    stats = pair_stats(config.points, tmax=t, workers=workers)
+    stats = pair_stats(config.points, tmax=t)
     return stats.sigma_pow[t] / len(config) ** 2

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str, saturate_rows,
                        solve_nonneg_combination, verify_combination)
-from .grassmann import (Configuration, DesignReport, Subspace, design_report,
-                        intdata_from_coords, line_key)
+from .grassmann import (Configuration, DesignReport, Subspace, adj_product,
+                        design_report, intdata_from_coords, line_key)
 
 # gamma_m^m for the classical Hermite constants, m <= 8 (exact rationals).
 _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
@@ -202,6 +202,8 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         raise ValueError("need 1 <= m <= rank/2")
     lam = lattice.minimum()
     bound = rat(search_bound) if search_bound is not None else m * lam
+    if bound <= 0:
+        raise ValueError("search_bound must be positive")
 
     # The span of the integer rows c . _basis_int is the span of the ambient
     # vectors, which only divide them by _basis_den.
@@ -341,14 +343,9 @@ def _metric_projector_int(lattice: Lattice, coords) -> List[List[int]]:
     positive scalar multiple spans the same line in End, which is all the
     perfection rank computation needs.
     """
-    r = lattice.rank
-    m = len(coords)
     gy, _, adj, _ = intdata_from_coords(coords, lattice._gram_int)
     # G Y^T adj(Gsec) Y, integer.
-    left = [[sum(gy[a][i] * adj[a][b] for a in range(m)) for b in range(m)]
-            for i in range(r)]
-    return [[sum(left[i][b] * coords[b][j] for b in range(m)) for j in range(r)]
-            for i in range(r)]
+    return adj_product(gy, adj, coords)
 
 
 def check_perfection(lattice: Lattice, m: int,
@@ -411,7 +408,7 @@ def check_eutaxy(lattice: Lattice, m: int,
     projs = [RatMatrix([[Fraction(m * x, tr) for x in row] for row in p])
              for p in ints]
     ident = RatMatrix.identity(r)
-    weights = solve_nonneg_combination(projs, ident, strict=True)
+    weights = solve_nonneg_combination(projs, ident)
     if weights is None:
         return EutaxyResult(False, None, uniform=False)
     if not verify_combination(projs, ident, weights):
@@ -419,8 +416,8 @@ def check_eutaxy(lattice: Lattice, m: int,
     return EutaxyResult(True, weights, uniform=False)
 
 
-def section_design_report(lattice: Lattice, sections: SectionSet, tmax: int = 2,
-                          workers: int = 1) -> DesignReport:
+def section_design_report(lattice: Lattice, sections: SectionSet,
+                          tmax: int = 2) -> DesignReport:
     """Design verdicts for the minimal sections, taken intrinsically.
 
     Subspace pair data is computed in lattice coordinates with the Gram
@@ -428,7 +425,7 @@ def section_design_report(lattice: Lattice, sections: SectionSet, tmax: int = 2,
     """
     gi = lattice._gram_int
     data = [intdata_from_coords(c, gi) for c in sections.coords]
-    return design_report(data, sections.m, lattice.rank, tmax, workers)
+    return design_report(data, sections.m, lattice.rank, tmax)
 
 
 # -- constructions -----------------------------------------------------------

@@ -7,7 +7,6 @@ prints a single pass/fail line (visible with `pytest -s`).
 """
 
 import itertools
-import os
 import random
 import sys
 import time
@@ -29,8 +28,6 @@ from grassdex.lattice import (barnes_wall, catalog, check_eutaxy,
                               minimal_sections, section_design_report,
                               similar_to, theta_shells)
 from grassdex.zonal import constant_c, exact_line_moment, moment_oracle
-
-WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _line(num, ok, detail, t0):
@@ -82,7 +79,7 @@ def test_criterion_04_e8_minimal_2_sections():
     t0 = time.time()
     e8 = catalog("E8")
     secs = minimal_sections(e8, 2)
-    rep = section_design_report(e8, secs, tmax=2, workers=WORKERS)
+    rep = section_design_report(e8, secs, tmax=2)
     _, perfect = check_perfection(e8, 2, secs)
     eut = check_eutaxy(e8, 2, secs)
     ok = (secs.delta == 3 and rep.is_design(2) and perfect and eut.is_eutactic)
@@ -98,7 +95,7 @@ def test_criterion_05_bw16_minimal_lines():
     bw16 = catalog("BW16")
     ok_norm = bw16.minimum() == 4 and bw16.det() == 2 ** 8
     cfg = minimal_line_configuration(bw16)
-    rep = verify_design(cfg, tmax=3, workers=WORKERS)
+    rep = verify_design(cfg, tmax=3)
     ok = ok_norm and rep.size == 2160 and rep.is_design(3)
     _line(5, ok, f"min=4 det=2^8: {ok_norm}; 2160 lines 6-design="
                  f"{rep.is_design(3)}", t0)
@@ -130,7 +127,7 @@ def test_criterion_07_clifford_full_sigma():
     for k, w, size in ((2, 1, 18), (3, 3, 240)):
         sigma = enumerate_isotropic(k, w)
         bd = build_design(sigma)
-        rep = verify_tt(sigma, tmax=3, workers=WORKERS, build=bd)
+        rep = verify_tt(sigma, tmax=3, build=bd)
         good = (len(bd.config) == size
                 and all(rep.stats[t].is_design for t in (1, 2, 3))
                 and all(rep.stats[t].paths_agree for t in (1, 2, 3)))
@@ -155,7 +152,7 @@ def test_criterion_07_clifford_full_sigma():
 def test_criterion_08a_spread_design_k2_w1():
     t0 = time.time()
     sigma = spread(2, 1)
-    rep = verify_tt(sigma, tmax=2, workers=1)
+    rep = verify_tt(sigma, tmax=2)
     ok = rep.config_size == 18 and rep.stats[2].is_design
     _line("8a", ok, f"spread(2,1): 18 planes 4-design={rep.stats[2].is_design}", t0)
     assert ok
@@ -175,7 +172,7 @@ def test_criterion_08b_spread_design_k3_w3():
         raise AssertionError(
             "spread(3,3) does not exist (exhaustive proof); the 40-line "
             "4-design cannot be constructed") from exc
-    rep = verify_tt(sigma, tmax=2, workers=1)
+    rep = verify_tt(sigma, tmax=2)
     ok = rep.config_size == 40 and rep.stats[2].is_design
     _line("8b", ok, f"spread(3,3): 40 lines 4-design={rep.stats[2].is_design}", t0)
     assert ok
@@ -185,7 +182,7 @@ def test_criterion_08c_spread_design_k4_w2():
     t0 = time.time()
     sigma = spread(4, 2)
     assert len(sigma) == 45
-    rep = verify_tt(sigma, tmax=2, workers=WORKERS)
+    rep = verify_tt(sigma, tmax=2)
     ok = rep.config_size == 180 and rep.stats[2].is_design
     _line("8c", ok, f"spread(4,2): 180 4-spaces in G(4,16), "
                     f"4-design={rep.stats[2].is_design}", t0)

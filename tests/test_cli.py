@@ -166,6 +166,26 @@ def test_lattice_section_search_too_short(tmp_path, capsys):
     assert code == 0 and rep["results"]["section_count"] == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lattice", "D4", "--m", "2", "--sections", "--bound", "1/0"], "denominator"),
+    (["verify", "{cfg}"], "denominator"),
+    (["lattice", "{lat}"], "denominator"),
+    (["lattice", "D4", "--m", "1", "--sections", "--bound", "-3"], "positive"),
+    (["lattice", "D4", "--m", "2", "--sections", "--bound", "0"], "positive"),
+], ids=["bound-1/0", "verify-1/0", "basis-1/0", "m1-bound-3", "bound-0"])
+def test_bad_rationals_are_input_errors(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "m": 1, "points": [[["1", "1/0"]]]}),
+                   encoding="utf-8")
+    lat = tmp_path / "lat.json"
+    lat.write_text(json.dumps({"basis": [["2", "0"], ["1/0", "1"]]}),
+                   encoding="utf-8")
+    argv = [a.format(cfg=cfg, lat=lat) for a in argv]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep["command"] == argv[0]
+    assert message in rep["error"]
+
+
 def test_lattice_unknown_name(capsys):
     code, rep = run_cli(capsys, "lattice", "LEECH")
     assert code == 2 and "error" in rep

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import random
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from grassdex.exactalg import RatMatrix, det, inverse, rref, trace_pow
 from grassdex import grassmann
-from grassdex.grassmann import (Configuration, Subspace, _clamp_workers,
+from grassdex.grassmann import (Configuration, Subspace,
                                 _count_chunk, _packed_counts,
                                 average_sigma_power, default_workers,
                                 eval_zonal, intdata_from_coords, pair_stats,
@@ -75,7 +76,7 @@ def test_projector_examples():
     pr = p.projector()
     assert pr @ pr == pr
     assert pr.trace() == p.m
-    assert pr.is_symmetric()
+    assert pr == pr.transpose()
 
 
 def test_power_sums_examples():
@@ -253,13 +254,15 @@ def test_subspace_rejects_irrational_rows():
         Subspace(3, [[1, 0]])
 
 
-def test_pair_stats_worker_independence():
+def test_pair_stats_worker_independence(monkeypatch):
     # m = 3: lines and planes take the serial packed engine, whatever the
     # worker count.
     rng = random.Random(9)
     pts = [random_subspace(rng, 6, 3) for _ in range(70)]
-    s1 = pair_stats(pts, tmax=3, workers=1)
-    s2 = pair_stats(pts, tmax=3, workers=3)
+    monkeypatch.setattr(grassmann, "default_workers", lambda: 1)
+    s1 = pair_stats(pts, tmax=3)
+    monkeypatch.setattr(grassmann, "default_workers", lambda: 3)
+    s2 = pair_stats(pts, tmax=3)
     assert s1.sigma_pow == s2.sigma_pow and s1.power2 == s2.power2
 
 
@@ -300,13 +303,51 @@ def test_default_workers_follow_affinity():
         assert default_workers() == (os.cpu_count() or 1)
 
 
-def test_worker_clamp():
-    # Exercised on the helper alone: no pool is ever started with these.
-    cpus = default_workers()
-    assert _clamp_workers(100000, 10 ** 6) == cpus
-    assert _clamp_workers(100000, 3) == min(cpus, 3)
-    assert _clamp_workers(0, 50) == 1 and _clamp_workers(-4, 50) == 1
-    assert _clamp_workers(2, 1) == 1
+def test_pair_stats_sizes_its_pool(monkeypatch):
+    # A stand-in pool records its size and runs the tasks in this process,
+    # so no process is started whatever the faked CPU count.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    rng = random.Random(9)
+    lines = [random_subspace(rng, 6, 1) for _ in range(70)]
+    planes = [random_subspace(rng, 6, 2) for _ in range(70)]
+    solids = [random_subspace(rng, 6, 3) for _ in range(70)]
+    gens = signed_permutation_generators(6)
+    orbit = group_closure([Subspace(6, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+                                        [0, 0, 0, 0, 1, 1]])], gens)
+    assert len(orbit) >= 64
+    # Packed engine (m <= 2), too few points, and the orbit rows: serial
+    # however many CPUs there are.
+    monkeypatch.setattr(grassmann, "default_workers", lambda: 1000)
+    pair_stats(lines)
+    pair_stats(planes)
+    pair_stats(solids[:63])
+    assert pair_stats(orbit, generators=gens).orbits == 1
+    assert sizes == []
+    reference = None
+    for cpus in (1, 2, 1000):
+        monkeypatch.setattr(grassmann, "default_workers", lambda c=cpus: c)
+        stats = pair_stats(solids)
+        assert sizes == ([min(cpus, len(solids))] if cpus > 1 else [])
+        reference = reference or stats.distribution
+        assert stats.distribution == reference
+        sizes.clear()
 
 
 def projector_reference(points, tmax):
@@ -364,7 +405,9 @@ def test_pair_engine_matches_projector_reference(data):
         assert _packed_counts(points) == _count_chunk(points, 0, 1)
     sums, power2 = projector_reference(cfg.points, 5)
     for workers in (1, 2):
-        stats = pair_stats(cfg.points, tmax=5, workers=workers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grassmann, "default_workers", lambda w=workers: w)
+            stats = pair_stats(cfg.points, tmax=5)
         assert {t: stats.sigma_pow[t] for t in sums} == sums
         assert stats.power2 == power2
         assert sum(stats.distribution.values()) == len(cfg) ** 2
@@ -484,7 +527,7 @@ def group_closure(seeds, generators):
 
 def _rotated_cases():
     """(unrotated points, rotation, generators or None); m = 3 has n >= 64
-    points, so `workers=2` runs the pool."""
+    points, so two CPUs run the pool."""
     rng = random.Random(11)
     gens = signed_permutation_generators(4)
     lines = group_closure([Subspace.line(v) for v in
@@ -501,7 +544,8 @@ def _rotated_cases():
 
 
 @pytest.mark.parametrize("points, rot, gens", _rotated_cases())
-def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens):
+def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens,
+                                                          monkeypatch):
     rotated = [p.transform(RatMatrix(rot)) for p in points]
     kwargs = {}
     if gens is not None:
@@ -510,7 +554,8 @@ def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens):
         kwargs["generators"] = [
             [[sum(ri[a] * g[a][b] * rj[b] for a in n for b in n) for rj in rot]
              for ri in rot] for g in gens]
-    stats = pair_stats(rotated, tmax=4, workers=2, **kwargs)
+    monkeypatch.setattr(grassmann, "default_workers", lambda: 2)
+    stats = pair_stats(rotated, tmax=4, **kwargs)
     dist, sums = triple_reference(rotated, 4)
     assert stats.distribution == dist
     assert stats.sigma_pow == sums

@@ -355,7 +355,7 @@ def test_eutaxy_rank_deficient_sections_fail():
     # An artificial section set spanning too little cannot reach the identity.
     from grassdex.exactalg import solve_nonneg_combination
     p = Subspace.line([1, 0]).projector()
-    assert solve_nonneg_combination([p], RatMatrix.identity(2), strict=True) is None
+    assert solve_nonneg_combination([p], RatMatrix.identity(2)) is None
 
 
 def test_design_implies_uniform_projector_sum(d4):
