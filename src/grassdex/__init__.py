@@ -11,11 +11,11 @@ from .exactalg import (RatMatrix, Rational, det, rat, rat_str, rref,
 from .zonal import (Partition, ZonalPolynomial, constant_c, jacobi_p,
                     moment_oracle)
 from .grassmann import (Configuration, DesignReport, Subspace, eval_zonal,
-                        principal_power_sums, projector, sigma, verify_design,
+                        principal_power_sums, sigma, verify_design,
                         zonal_positivity)
 from .lattice import (Lattice, RankinValue, SectionSet, barnes_wall, catalog,
                       check_eutaxy, check_perfection, minimal_sections,
-                      rankin, short_vectors)
+                      rankin, section_subspaces, short_vectors)
 from .binquad import (IsoSubspace, QuadSpace, SigmaSet, check_iso_design,
                       d_constant, enumerate_isotropic, orbital, spread)
 from .clifford import (GeneratorSet, PauliOp, StabilizerLift, build_design,

@@ -649,10 +649,6 @@ class Configuration:
         return cfg
 
 
-def projector(p: Subspace) -> RatMatrix:
-    return p.projector()
-
-
 def principal_power_sums(p: Subspace, q: Subspace, tmax: int) -> List[Rational]:
     """[sum_i y_i^t for t = 1..tmax], y_i the squared principal cosines."""
     if (p.n, p.m) != (q.n, q.m):
@@ -757,8 +753,9 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         avg = stats.sigma_pow[t] / size2
         exp = constant_c(m, n, t)
         t_stats[t] = TDesignStat(avg, exp, avg == exp)
+    parts = supported_partitions(m, tmax=min(tmax, 2))
     zsums = {}
-    for mu in supported_partitions(m, tmax=min(tmax, 2)):
+    for mu in parts:
         val = stats.zonal_sum(jacobi_p(mu, m, n))
         if val < 0:
             raise AssertionError(f"zonal positivity violated for {mu}")
@@ -766,9 +763,8 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
     for t in range(2, tmax + 1):
         if t_stats[t].is_design and not t_stats[t - 1].is_design:
             raise AssertionError("design strengths must be monotone")
-    for mu in supported_partitions(m, tmax=min(tmax, 2)):
-        t = Partition(*mu.parts).degree
-        if t <= tmax and t_stats[t].is_design and zsums[str(mu)] != 0:
+    for mu in parts:
+        if t_stats[mu.degree].is_design and zsums[str(mu)] != 0:
             raise AssertionError("zonal sum must vanish at certified strength")
     return DesignReport(n=n, m=m, size=len(data), tmax=tmax,
                         t_stats=t_stats, zonal_sums=zsums, orbits=stats.orbits)

@@ -6,14 +6,16 @@ A lattice is held as a rational basis (rows) of rank r inside R^n, its Gram
 matrix, and their integer multiples; Fincke-Pohst enumeration runs in
 integers on a fraction-free (Bareiss) table of the Gram.  Full-rank
 constructions use r = n; rank-deficient embeddings (E6, E7 inside R^8) are
-supported, with section design verdicts taken intrinsically in dimension r.
+supported.  A section is its integer coordinate rows, judged intrinsically
+in dimension r; its ambient span is built only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import cached_property
+from math import exp, gcd, isqrt, lcm, log
 from operator import mul
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -166,20 +168,40 @@ def short_vectors_with_norms(lattice: Lattice, bound, half: bool = False):
 
 @dataclass
 class SectionSet:
-    """Minimal m-sections: the spans (ambient subspaces), their saturated
-    coordinate bases and witness Gram matrices of determinant delta."""
+    """Minimal m-sections, each a basis of integer coordinate rows (`coords`)
+    whose Gram determinant is delta.  `gram_int` is the lattice's integer
+    Gram multiple, from which `records` are built."""
 
     m: int
     delta: Rational
-    sections: List[Subspace]
-    witness_grams: List[RatMatrix]
     coords: List[Tuple[Tuple[int, ...], ...]]
     search_bound: Rational
     complete: bool
     norm_cap: Optional[Rational]
+    gram_int: List[List[int]]
 
     def __len__(self):
-        return len(self.sections)
+        return len(self.coords)
+
+    @cached_property
+    def records(self) -> List[tuple]:
+        """One pair-engine record per section, `intdata_from_coords`: (G Y^T
+        rows, coordinate rows Y, adj(Y G Y^T), det(Y G Y^T)) with G the
+        integer Gram, so det is delta * s^m.  Built once, on first read."""
+        return [intdata_from_coords(c, self.gram_int) for c in self.coords]
+
+
+def _ambient_rows(lattice: Lattice, coords) -> List[List[int]]:
+    """The integer rows c . _basis_int of coordinate rows c: the ambient
+    vectors times _basis_den, so they span the same subspace."""
+    basis_cols = list(zip(*lattice._basis_int))
+    return [[sum(map(mul, c, col)) for col in basis_cols] for c in coords]
+
+
+def section_subspaces(lattice: Lattice, sections: SectionSet) -> List[Subspace]:
+    """The ambient spans of the sections, in the order of `coords`."""
+    return [Subspace.span(lattice.n, _ambient_rows(lattice, c))
+            for c in sections.coords]
 
 
 def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
@@ -188,14 +210,14 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     Candidate spans come from m-tuples of enumerated vectors; each span is
     saturated (intersected with the lattice exactly) before its Gram
     determinant is taken, unless Hermite's bound caps its index below 2,
-    when the candidate rows already are a basis of the saturation; the
-    stored coordinates are then some basis of each section, not a fixed
-    one.  Completeness: every delta-achieving section is
-    spanned by vectors realizing its successive minima, whose norms are at
-    most gamma_m^m * delta / min^(m-1); the result is certified complete
-    when the search bound covers that cap (always true for the default
-    bound m * min at desk scale), and reported relative to the bound
-    otherwise.
+    when the candidate rows already are a basis of the saturation.  The
+    coordinates kept are some basis of each section, not a fixed one; for
+    m >= 2 sections come in the order of their HNFs, lines in enumeration
+    order.  Completeness: every delta-achieving section is spanned by
+    vectors realizing its successive minima, whose norms are at most
+    gamma_m^m * delta / min^(m-1); the result is certified complete when the
+    search bound covers that cap (always true for the default bound m * min
+    at desk scale), and reported relative to the bound otherwise.
     """
     r = lattice.rank
     if not (1 <= m and 2 * m <= r):
@@ -204,14 +226,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     bound = rat(search_bound) if search_bound is not None else m * lam
     if bound <= 0:
         raise ValueError("search_bound must be positive")
-
-    # The span of the integer rows c . _basis_int is the span of the ambient
-    # vectors, which only divide them by _basis_den.
-    basis_cols = list(zip(*lattice._basis_int))
-
-    def subspace(rows) -> Subspace:
-        return Subspace.span(lattice.n, [[sum(map(mul, c, col)) for col in basis_cols]
-                                         for c in rows])
+    gi = lattice._gram_int
 
     if m == 1:
         # delta_1 = min(L) by definition; the minimum-norm enumeration is
@@ -219,9 +234,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         # is primitive (c = g c' would give |c'|^2 = lam / g^2 < lam), and
         # half=True keeps one vector per line.
         coords = [(c,) for c, _ in short_vectors_with_norms(lattice, lam, half=True)]
-        grams = [RatMatrix([[lam]])] * len(coords)
-        return SectionSet(1, lam, [subspace(c) for c in coords], grams, coords,
-                          lam, complete=True, norm_cap=lam)
+        return SectionSet(1, lam, coords, lam, complete=True, norm_cap=lam, gram_int=gi)
 
     vecs = sorted(short_vectors_with_norms(lattice, bound, half=True),
                   key=lambda cn: cn[1])
@@ -229,7 +242,6 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     norms = [int(nrm * s) for _, nrm in vecs]
     cvecs = [c for c, _ in vecs]
     nv = len(cvecs)
-    gi = lattice._gram_int
     lam_q = int(lam * s)
 
     def gvec(c) -> List[int]:
@@ -241,13 +253,12 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     # norm cap is floor(s * cap), compared with the integer norms.
     hermite = _HERMITE_POW.get(m)
     state = {"delta": None, "cap": None}
-    # det -> {HNF of the saturated coordinates: (coordinates, Gram)}; the
-    # HNF names the section, and the last candidate spanning it is kept.
-    found: Dict[int, Dict[Tuple, Tuple]] = {}
+    # det -> {HNF of the saturated coordinates: coordinates}; the HNF names
+    # the section, and the last candidate spanning it is kept.
+    found: Dict[int, Dict[Tuple, list]] = {}
 
     def consider(idxs: Tuple[int, ...]):
-        gram = [[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs] for a in idxs]
-        raw = int_det([row[:] for row in gram])
+        raw = int_det([[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs] for a in idxs])
         if raw == 0:
             return
         delta = state["delta"]
@@ -262,14 +273,13 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
                 return
         if rr is not None and rr < 2:
             # Index 1: the candidate rows already span the saturation.
-            sat, sg, d2 = [cvecs[i] for i in idxs], gram, raw
+            sat, d2 = [cvecs[i] for i in idxs], raw
         else:
             sat = saturate_rows([cvecs[i] for i in idxs], r)
-            sg = [[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)]
-            d2 = int_det([row[:] for row in sg])
+            d2 = int_det([[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)])
         if delta is not None and d2 > delta:
             return
-        found.setdefault(d2, {})[tuple(map(tuple, hnf(sat)))] = (sat, sg)
+        found.setdefault(d2, {})[tuple(map(tuple, hnf(sat)))] = sat
         if delta is None or d2 < delta:
             state["delta"] = d2
             if hermite:
@@ -293,17 +303,12 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         raise ValueError(f"no {m}-section: the vectors of norm at most "
                          f"{rat_str(bound)} span fewer than {m} dimensions; "
                          "pass a larger search_bound")
-    best = sorted(((subspace(sat), sg, tuple(map(tuple, sat)))
-                   for sat, sg in found[min(found)].values()),
-                  key=lambda sec: sec[0].basis.to_json())
+    best = found[min(found)]
+    coords = [tuple(map(tuple, best[key])) for key in sorted(best)]
     delta = Fraction(min(found), s ** m)
-    sections = [sub for sub, _, _ in best]
-    grams = [RatMatrix([[Fraction(x, s) for x in row] for row in sg])
-             for _, sg, _ in best]
-    coords = [c for _, _, c in best]
     cap = hermite * delta / lam ** (m - 1) if hermite else None
     complete = cap is not None and bound >= cap
-    return SectionSet(m, delta, sections, grams, coords, bound, complete, cap)
+    return SectionSet(m, delta, coords, bound, complete, cap, gi)
 
 
 @dataclass
@@ -332,34 +337,31 @@ def rankin(lattice: Lattice, m: int, sections: Optional[SectionSet] = None) -> R
     dl = lattice.det()
     root = exact_nth_root(dl ** m, lattice.rank)
     gamma_exact = delta / root if root is not None else None
-    gamma_dec = float(delta) / float(dl) ** (m / lattice.rank)
+    try:
+        gamma_dec = float(delta) / float(dl) ** (m / lattice.rank)
+    except OverflowError:
+        # det L past the float range (~1e308): the same quotient in logs.
+        ld, ll = (log(q.numerator) - log(q.denominator) for q in (delta, dl))
+        gamma_dec = exp(ld - ll * m / lattice.rank)
     return RankinValue(delta, dl, m, lattice.rank, gamma_exact, gamma_dec)
-
-
-def _metric_projector_int(lattice: Lattice, coords) -> List[List[int]]:
-    """Integer multiple of the coordinate-space projector onto a section.
-
-    P = G Y^T (Y G Y^T)^-1 Y is self-adjoint for the Gram inner product; any
-    positive scalar multiple spans the same line in End, which is all the
-    perfection rank computation needs.
-    """
-    gy, _, adj, _ = intdata_from_coords(coords, lattice._gram_int)
-    # G Y^T adj(Gsec) Y, integer.
-    return adj_product(gy, adj, coords)
 
 
 def check_perfection(lattice: Lattice, m: int,
                      sections: Optional[SectionSet] = None) -> Tuple[int, bool]:
     """Rank of the span of the section projectors inside the symmetric
     endomorphisms; perfect when it reaches r(r+1)/2.  Fraction-free
-    elimination on the integer projector multiples, one gcd per pivot row."""
+    elimination on the integer projector multiples, one gcd per pivot row.
+
+    A section's coordinate-space projector P = G Y^T (Y G Y^T)^-1 Y is
+    self-adjoint for the Gram inner product; its record gives the integer
+    multiple G Y^T adj(Y G Y^T) Y, which spans the same line in End."""
     if sections is None:
         sections = minimal_sections(lattice, m)
     r = lattice.rank
     target = r * (r + 1) // 2
     pivots: Dict[int, List[int]] = {}
-    for coords in sections.coords:
-        row = [x for prow in _metric_projector_int(lattice, coords) for x in prow]
+    for gy, y, adj, _ in sections.records:
+        row = [x for prow in adj_product(gy, adj, y) for x in prow]
         for p in sorted(pivots):
             f = row[p]
             if f:
@@ -391,8 +393,8 @@ def check_eutaxy(lattice: Lattice, m: int,
     if sections is None:
         sections = minimal_sections(lattice, m)
     r = lattice.rank
-    nsec = len(sections.sections)
-    ints = [_metric_projector_int(lattice, coords) for coords in sections.coords]
+    nsec = len(sections)
+    ints = [adj_product(gy, adj, y) for gy, y, adj, _ in sections.records]
     # Each multiple is det(Gram of the section) times the projector, so equal
     # minimal determinants give one trace tr = m * det; the uniform sum is
     # then sum P = (m * nsec / r) I, i.e. r * sum P_int = nsec * tr * I.
@@ -423,9 +425,7 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
     Subspace pair data is computed in lattice coordinates with the Gram
     metric, so rank-deficient embeddings are judged in dimension rank.
     """
-    gi = lattice._gram_int
-    data = [intdata_from_coords(c, gi) for c in sections.coords]
-    return design_report(data, sections.m, lattice.rank, tmax)
+    return design_report(sections.records, sections.m, lattice.rank, tmax)
 
 
 # -- constructions -----------------------------------------------------------
@@ -529,16 +529,14 @@ def catalog(name: str) -> Lattice:
 def minimal_line_keys(lattice: Lattice) -> Set[Tuple[Tuple[int, ...], ...]]:
     """Canonical rows (`Subspace.rows`) of the lines through the minimal
     vectors, without building a Subspace per line."""
-    lam = lattice.minimum()
-    # c . _basis_int is the ambient vector times _basis_den: the same line.
-    basis_cols = list(zip(*lattice._basis_int))
-    return {(line_key([sum(map(mul, c, col)) for col in basis_cols]),)
-            for c, _ in short_vectors_with_norms(lattice, lam, half=True)}
+    vecs = short_vectors_with_norms(lattice, lattice.minimum(), half=True)
+    return {(line_key(row),) for row in _ambient_rows(lattice, [c for c, _ in vecs])}
 
 
 def minimal_line_configuration(lattice: Lattice) -> Configuration:
     """The lines supporting the minimal vectors, as ambient subspaces."""
-    return Configuration(lattice.n, minimal_sections(lattice, 1).sections)
+    lines = minimal_sections(lattice, 1)
+    return Configuration(lattice.n, section_subspaces(lattice, lines))
 
 
 def theta_shells(lattice: Lattice, max_norm) -> Dict[Rational, int]:

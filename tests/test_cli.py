@@ -154,6 +154,18 @@ def test_lattice_from_basis_file(tmp_path, capsys):
     assert rep["results"]["det"] == "4"
 
 
+def test_lattice_rankin_past_the_float_range(tmp_path, capsys):
+    # det L = 10^720 has no float; gamma_decimal falls back to logarithms.
+    big = str(10 ** 90)
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"basis": [[big if i == j else "0" for j in range(4)]
+                                       for i in range(4)]}), encoding="utf-8")
+    code, rep = run_cli(capsys, "lattice", str(f), "--m", "1", "--rankin")
+    assert code == 0
+    assert rep["results"]["rankin"]["gamma"] == "1"
+    assert rep["results"]["rankin"]["gamma_decimal"] == pytest.approx(1)
+
+
 def test_lattice_section_search_too_short(tmp_path, capsys):
     from test_lattice import SPARSE_SHELL_BASIS
     f = tmp_path / "lat.json"

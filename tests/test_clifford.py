@@ -312,11 +312,12 @@ def test_orbit_fixed_seed():
 
 
 def test_orbit_k2_minimal_lines():
-    from grassdex.lattice import barnes_wall, minimal_sections
+    from grassdex.lattice import barnes_wall, minimal_sections, section_subspaces
     gs = clifford_generators(2)
     o = orbit(gs, Subspace.line([1, 0, 0, 0]), cap=50)
     assert len(o) == 12
-    minlines = set(minimal_sections(barnes_wall(2), 1).sections)
+    bw4 = barnes_wall(2)
+    minlines = set(section_subspaces(bw4, minimal_sections(bw4, 1)))
     assert set(o.points) == minlines
     assert verify_design(o, tmax=2).is_design(2)
 

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from grassdex import lattice as lattice_mod
 from grassdex.exactalg import RatMatrix, det, hnf, inverse, saturate_rows
-from grassdex.grassmann import Configuration, Subspace, verify_design
+from grassdex.grassmann import (Configuration, Subspace, intdata_from_coords,
+                                verify_design)
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
                               minimal_line_keys, minimal_sections, rankin, section_design_report,
-                              short_vectors, short_vectors_with_norms,
-                              similar_to, theta_shells)
+                              section_subspaces, short_vectors,
+                              short_vectors_with_norms, similar_to, theta_shells)
 
 
 def coord_norm(lat, coords):
@@ -188,9 +189,11 @@ def test_one_enumeration_per_lattice(monkeypatch):
     kept = [c for c, in lines.coords]
     assert kept == short_vectors(bw16, 4, half=True)
     calls.clear()
-    raw = minimal_sections(barnes_wall(4), 1)
+    raw_lat = barnes_wall(4)
+    raw = minimal_sections(raw_lat, 1)
     assert len(calls) == 1
-    assert raw.sections == lines.sections and raw.coords == lines.coords
+    assert section_subspaces(raw_lat, raw) == section_subspaces(bw16, lines)
+    assert raw.coords == lines.coords
 
 
 @pytest.mark.parametrize("name", ["D4", "E6", "E8", "Z3"])
@@ -249,8 +252,8 @@ def test_minimal_sections_d4_planes(d4):
     s = minimal_sections(d4, 2)
     assert s.delta == 3
     assert len(s) == 16
-    for g in s.witness_grams:
-        assert det(g) == 3
+    for *_, d in s.records:
+        assert d == 3 * d4._gram_scale ** 2
     assert s.complete
 
 
@@ -282,14 +285,13 @@ def test_hermite_index_one_candidates_are_saturated(name, wide):
     assert skipped
     # The kept coordinates may be any basis of the saturated section: compare
     # them by HNF, their Grams by determinant, and their spans by projector.
-    basis_cols = list(zip(*lat._basis_int))
-    for sub, gram, coords in zip(secs.sections, secs.witness_grams, secs.coords):
+    for sub, (gy, coords, _, d) in zip(section_subspaces(lat, secs), secs.records):
         assert hnf(coords) == hnf(saturate_rows(coords, lat.rank))
-        assert det(gram) == secs.delta
         gys = [[sum(map(mul, row, c)) for row in lat._gram_int] for c in coords]
-        assert [[x * scale for x in row] for row in gram.entries] == \
-            [[sum(map(mul, gy, c)) for c in coords] for gy in gys]
-        ambient = [[sum(map(mul, c, col)) for col in basis_cols] for c in coords]
+        assert [list(row) for row in gy] == gys
+        assert d == det(RatMatrix([[sum(map(mul, g, c)) for c in coords] for g in gys]))
+        assert d == secs.delta * scale ** 2
+        ambient = RatMatrix([list(c) for c in coords]) @ lat.basis
         assert Subspace.span(lat.n, ambient).projector() == sub.projector()
 
 
@@ -306,7 +308,39 @@ def test_minimal_sections_saturation():
     z2 = catalog("Z4")
     s = minimal_sections(z2, 2)
     coord_plane = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert coord_plane in s.sections
+    assert coord_plane in section_subspaces(z2, s)
+
+
+@pytest.mark.parametrize("name", ["D4", "E6", "E7", "E8", "Z4"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_section_records_and_spans(monkeypatch, name, m):
+    # One integer record per section, built once when first read; ambient
+    # spans only from section_subspaces, checked against spans built from
+    # the saturated coordinates and the rational basis.
+    lat = catalog(name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return intdata_from_coords(*args)
+
+    monkeypatch.setattr(lattice_mod, "intdata_from_coords", counting)
+    secs = minimal_sections(lat, m)
+    rankin(lat, m, secs)
+    assert not calls and "records" not in vars(secs)
+    reference = {Subspace.span(lat.n, RatMatrix([list(r) for r in saturate_rows(c, lat.rank)])
+                               @ lat.basis) for c in secs.coords}
+    assert set(section_subspaces(lat, secs)) == reference and len(reference) == len(secs)
+    for coords, rec in zip(secs.coords, secs.records):
+        assert rec == intdata_from_coords(coords, lat._gram_int)
+        assert rec[3] == secs.delta * lat._gram_scale ** m
+    section_design_report(lat, secs, tmax=1)
+    check_perfection(lat, m, secs)
+    check_eutaxy(lat, m, secs)
+    assert len(calls) == len(secs)
+    if m >= 2:
+        keys = [hnf(c) for c in secs.coords]
+        assert keys == sorted(keys)
 
 
 def test_delta_invariant_under_unimodular_change(d4):
@@ -365,7 +399,7 @@ def test_design_implies_uniform_projector_sum(d4):
         rep = section_design_report(d4, secs, tmax=1)
         assert rep.is_design(1)
         total = RatMatrix.zeros(4, 4)
-        for sub in secs.sections:
+        for sub in section_subspaces(d4, secs):
             total = total + sub.projector()
         assert total == RatMatrix.identity(4).scale(F(m * len(secs), 4))
 
@@ -387,7 +421,7 @@ def test_section_design_matches_ambient_path(d4):
     for m in (1, 2):
         secs = minimal_sections(d4, m)
         rep_coord = section_design_report(d4, secs, tmax=2)
-        rep_amb = verify_design(Configuration(4, secs.sections), tmax=2)
+        rep_amb = verify_design(Configuration(4, section_subspaces(d4, secs)), tmax=2)
         assert rep_coord.t_stats == rep_amb.t_stats
         assert rep_coord.to_json_dict() == rep_amb.to_json_dict()
 
@@ -425,7 +459,8 @@ def test_minimal_line_keys_are_the_minimal_line_rows(d4, e8):
     # E8's basis has halves, so the integer rows scale its vectors by 2.
     for lat in (d4, e8, barnes_wall(3), catalog("E7")):
         keys = minimal_line_keys(lat)
-        assert keys == {s.rows for s in minimal_sections(lat, 1).sections}
+        lines = section_subspaces(lat, minimal_sections(lat, 1))
+        assert keys == {s.rows for s in lines}
         assert len(keys) == len(minimal_sections(lat, 1))
 
 
