@@ -472,138 +472,58 @@ def bit_solve(basis_words, pivots, target):
 # -- exact linear feasibility (simplex over Q) ------------------------------
 
 
-class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's rule."""
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.rows = []          # each: list of coefficients, length nvars + 1 (rhs last)
-        self.basis = []
-
-    def add_row(self, coeffs, rhs):
-        row = [Fraction(x) for x in coeffs] + [Fraction(rhs)]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        self.rows.append(row)
-        self.basis.append(None)
-
-    def _pivot(self, r, c):
-        prow = self.rows[r]
-        inv = prow[c]
-        self.rows[r] = [x / inv for x in prow]
-        prow = self.rows[r]
-        for i, row in enumerate(self.rows):
-            if i != r and row[c] != 0:
-                f = row[c]
-                self.rows[i] = [a - f * b for a, b in zip(row, prow)]
-        self.basis[r] = c
-
-    def optimize(self, objective):
-        """Maximize objective . x; returns (value, solution) or None if unbounded."""
-        m = len(self.rows)
-        z = [-Fraction(x) for x in objective] + [Fraction(0)]
-        for r in range(m):
-            c = self.basis[r]
-            if c is not None and z[c] != 0:
-                f = z[c]
-                z = [a - f * b for a, b in zip(z, self.rows[r])]
-        while True:
-            enter = next((c for c in range(self.nvars) if z[c] < 0), None)
-            if enter is None:
-                break
-            best = None
-            for r in range(m):
-                a = self.rows[r][enter]
-                if a > 0:
-                    ratio = self.rows[r][-1] / a
-                    if best is None or ratio < best[0] or \
-                            (ratio == best[0] and self.basis[r] < self.basis[best[1]]):
-                        best = (ratio, r)
-            if best is None:
-                return None
-            self._pivot(best[1], enter)
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, self.rows[best[1]])]
-        sol = [Fraction(0)] * self.nvars
-        for r, c in enumerate(self.basis):
-            if c is not None and c < self.nvars:
-                sol[c] = self.rows[r][-1]
-        return z[-1], sol
-
-
-def _phase1(tab: _Tableau):
-    """Drive in a feasible basis with artificial variables; True if feasible."""
-    m = len(tab.rows)
-    n0 = tab.nvars
-    tab.nvars = n0 + m
-    for i, row in enumerate(tab.rows):
-        rhs = row.pop()
-        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        row.append(rhs)
-        tab.basis[i] = n0 + i
-    obj = [Fraction(0)] * n0 + [Fraction(-1)] * m
-    res = tab.optimize(obj)
-    assert res is not None  # phase-1 objective is bounded by 0
-    value, _ = res
-    if value != 0:
-        return False
-    # Pivot artificials out of the basis where possible; drop dead rows.
-    for r in range(m):
-        if tab.basis[r] is not None and tab.basis[r] >= n0:
-            c = next((j for j in range(n0) if tab.rows[r][j] != 0), None)
-            if c is not None:
-                tab._pivot(r, c)
-    keep = [r for r in range(len(tab.rows))
-            if not (tab.basis[r] is not None and tab.basis[r] >= n0)]
-    tab.rows = [tab.rows[r] for r in keep]
-    tab.basis = [tab.basis[r] for r in keep]
-    # Remove artificial columns.
-    for i, row in enumerate(tab.rows):
-        tab.rows[i] = row[:n0] + [row[-1]]
-    tab.nvars = n0
-    return True
-
-
 def solve_nonneg_combination(targets, goal):
-    """Exact weights lambda > 0 with sum(l_i T_i) = goal.
+    """Exact weights lambda > 0 with sum(l_i T_i) = goal, or None.
 
-    Returns a list of Fractions or None when no such weights exist.  Strict
-    feasibility is decided exactly by maximizing the minimum weight (capped
-    at 1 to keep the program bounded); strict iff the optimum is positive.
+    Strict feasibility is one phase-1 problem on a homogenized system: find
+    s, u >= 0 with sum(s_i T_i) - u * goal = goal - sum(T_i), and return
+    lambda_i = (1 + s_i) / (1 + u).  Conversely, strict lambda gives
+    s_i = c lambda_i - 1 and u = c - 1 with c = max(1, 1 / min lambda), so
+    the system is feasible exactly when strict weights exist, for any
+    targets.  The simplex minimizes the sum of one artificial per entry with
+    Bland's rule, the artificial of row k indexed after the real variables;
+    an artificial that leaves the basis never re-enters, so no artificial
+    column is stored.
     """
     if not targets:
         return None
     shape = (goal.rows, goal.cols)
     if any((t.rows, t.cols) != shape for t in targets):
         raise ValueError("shape mismatch between targets and goal")
-    nt = len(targets)
-    cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
-    # Variables: lambda_1..lambda_nt, z, s_1..s_nt, cap slack.
-    nv = nt + 1 + nt + 1
-    zi = nt
-    tab = _Tableau(nv)
-    for (i, j) in cells:
-        tab.add_row([t[i, j] for t in targets] + [Fraction(0)] * (nt + 2), goal[i, j])
-    for i in range(nt):
-        coeffs = [Fraction(0)] * nv
-        coeffs[i] = Fraction(1)
-        coeffs[zi] = Fraction(-1)
-        coeffs[zi + 1 + i] = Fraction(-1)
-        tab.add_row(coeffs, 0)
-    cap = [Fraction(0)] * nv
-    cap[zi] = Fraction(1)
-    cap[-1] = Fraction(1)
-    tab.add_row(cap, 1)
-    if not _phase1(tab):
+    nv = len(targets) + 1                 # s_1..s_N, u; the rhs is last
+    rows = []
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            col = [Fraction(t[i, j]) for t in targets]
+            g = Fraction(goal[i, j])
+            row = col + [-g, g - sum(col)]
+            rows.append([-x for x in row] if row[-1] < 0 else row)
+    basis = [nv + k for k in range(len(rows))]
+    # Reduced costs of the phase-1 objective (sum of the artificials) over
+    # the real columns, and minus its value last.
+    cost = [-sum(col) for col in zip(*rows)]
+    while True:
+        enter = next((c for c in range(nv) if cost[c] < 0), None)
+        if enter is None:
+            break
+        # Bland: the lowest entering index; ratio ties go to the smallest
+        # basic index.
+        leave = min((row[-1] / row[enter], basis[k], k)
+                    for k, row in enumerate(rows) if row[enter] > 0)[2]
+        piv = rows[leave][enter]
+        prow = rows[leave] = [x / piv for x in rows[leave]]
+        for row in rows + [cost]:
+            f = row[enter]
+            if f and row is not prow:
+                row[:] = [a - f * b for a, b in zip(row, prow)]
+        basis[leave] = enter
+    if cost[-1] != 0:
         return None
-    obj = [Fraction(0)] * nv
-    obj[zi] = Fraction(1)
-    res = tab.optimize(obj)
-    assert res is not None  # z is capped
-    value, sol = res
-    if value <= 0:
-        return None
-    return sol[:nt]
+    x = [Fraction(0)] * nv
+    for row, b in zip(rows, basis):
+        if b < nv:
+            x[b] = row[-1]
+    return [(1 + s) / (1 + x[-1]) for s in x[:-1]]
 
 
 def verify_combination(targets, goal, weights) -> bool:

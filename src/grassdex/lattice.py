@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import exp, gcd, isqrt, lcm, log
+from math import exp, gcd, isqrt, lcm, log, prod
 from operator import mul
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -217,7 +217,11 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     vectors realizing its successive minima, whose norms are at most
     gamma_m^m * delta / min^(m-1); the result is certified complete when the
     search bound covers that cap (always true for the default bound m * min
-    at desk scale), and reported relative to the bound otherwise.
+    at desk scale), and reported relative to the bound otherwise.  For
+    m <= 8 the enumeration stops at the smaller of the bound and gamma_m^m *
+    (product of the m smallest basis norms) / min^(m-1), which bounds that
+    cap in advance (Hadamard), so a huge bound costs no more than the cap;
+    search_bound and completeness still refer to the requested bound.
     """
     r = lattice.rank
     if not (1 <= m and 2 * m <= r):
@@ -236,9 +240,17 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         coords = [(c,) for c, _ in short_vectors_with_norms(lattice, lam, half=True)]
         return SectionSet(1, lam, coords, lam, complete=True, norm_cap=lam, gram_int=gi)
 
-    vecs = sorted(short_vectors_with_norms(lattice, bound, half=True),
-                  key=lambda cn: cn[1])
     s = lattice._gram_scale
+    hermite = _HERMITE_POW.get(m)
+    reach = bound
+    if hermite is not None:
+        # Hadamard: delta_m is at most the product of the m smallest basis
+        # norms, so no minimal section needs a vector past this cap (never
+        # below those m norms).
+        diag = sorted(gi[i][i] for i in range(r))[:m]
+        reach = min(bound, hermite * Fraction(prod(diag), s ** m) / lam ** (m - 1))
+    vecs = sorted(short_vectors_with_norms(lattice, reach, half=True),
+                  key=lambda cn: cn[1])
     norms = [int(nrm * s) for _, nrm in vecs]
     cvecs = [c for c, _ in vecs]
     nv = len(cvecs)
@@ -251,11 +263,11 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
 
     # Determinants below are of integer Grams, s^m times the true ones; the
     # norm cap is floor(s * cap), compared with the integer norms.
-    hermite = _HERMITE_POW.get(m)
     state = {"delta": None, "cap": None}
-    # det -> {HNF of the saturated coordinates: coordinates}; the HNF names
-    # the section, and the last candidate spanning it is kept.
-    found: Dict[int, Dict[Tuple, list]] = {}
+    # HNF of the saturated coordinates -> coordinates, for the sections at
+    # the smallest determinant so far; the HNF names the section, and the
+    # last candidate spanning it is kept.
+    best: Dict[Tuple, list] = {}
 
     def consider(idxs: Tuple[int, ...]):
         raw = int_det([[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs] for a in idxs])
@@ -279,12 +291,13 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
             d2 = int_det([[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)])
         if delta is not None and d2 > delta:
             return
-        found.setdefault(d2, {})[tuple(map(tuple, hnf(sat)))] = sat
         if delta is None or d2 < delta:
+            best.clear()
             state["delta"] = d2
             if hermite:
                 cap = hermite * d2 / lam_q ** (m - 1)
                 state["cap"] = cap.numerator // cap.denominator
+        best[tuple(map(tuple, hnf(sat)))] = sat
 
     def choose(start: int, chosen: List[int]):
         if len(chosen) == m:
@@ -299,16 +312,26 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
             chosen.pop()
 
     choose(0, [])
-    if not found:
+    if not best:
         raise ValueError(f"no {m}-section: the vectors of norm at most "
                          f"{rat_str(bound)} span fewer than {m} dimensions; "
                          "pass a larger search_bound")
-    best = found[min(found)]
     coords = [tuple(map(tuple, best[key])) for key in sorted(best)]
-    delta = Fraction(min(found), s ** m)
+    delta = Fraction(state["delta"], s ** m)
     cap = hermite * delta / lam ** (m - 1) if hermite else None
     complete = cap is not None and bound >= cap
     return SectionSet(m, delta, coords, bound, complete, cap, gi)
+
+
+def _sections_of(lattice: Lattice, m: int,
+                 sections: Optional[SectionSet]) -> SectionSet:
+    """`sections`, checked to hold m-sections of this lattice's Gram, or a
+    fresh minimal m-section search when it is None."""
+    if sections is None:
+        return minimal_sections(lattice, m)
+    if sections.m != m or sections.gram_int != lattice._gram_int:
+        raise ValueError(f"the sections are not {m}-sections of this lattice")
+    return sections
 
 
 @dataclass
@@ -331,8 +354,7 @@ class RankinValue:
 
 
 def rankin(lattice: Lattice, m: int, sections: Optional[SectionSet] = None) -> RankinValue:
-    if sections is None:
-        sections = minimal_sections(lattice, m)
+    sections = _sections_of(lattice, m, sections)
     delta = sections.delta
     dl = lattice.det()
     root = exact_nth_root(dl ** m, lattice.rank)
@@ -355,8 +377,7 @@ def check_perfection(lattice: Lattice, m: int,
     A section's coordinate-space projector P = G Y^T (Y G Y^T)^-1 Y is
     self-adjoint for the Gram inner product; its record gives the integer
     multiple G Y^T adj(Y G Y^T) Y, which spans the same line in End."""
-    if sections is None:
-        sections = minimal_sections(lattice, m)
+    sections = _sections_of(lattice, m, sections)
     r = lattice.rank
     target = r * (r + 1) // 2
     pivots: Dict[int, List[int]] = {}
@@ -388,10 +409,13 @@ def check_eutaxy(lattice: Lattice, m: int,
 
     Uniform weights are tried first (an orbit shortcut: any section set that
     averages like a 2-design has a uniform eutaxy witness); otherwise the
-    exact feasibility solver decides strict eutaxy.
+    exact phase-1 solver `solve_nonneg_combination` decides strict eutaxy,
+    and its weights, some strict vertex certificate rather than a canonical
+    one, are re-checked exactly (AssertionError, also under python -O).
+    A given section set must hold m-sections of this lattice (ValueError
+    otherwise), as for `rankin` and `check_perfection`.
     """
-    if sections is None:
-        sections = minimal_sections(lattice, m)
+    sections = _sections_of(lattice, m, sections)
     r = lattice.rank
     nsec = len(sections)
     ints = [adj_product(gy, adj, y) for gy, y, adj, _ in sections.records]

@@ -62,8 +62,6 @@ P1 = Partition(1)
 P11 = Partition(1, 1)
 P2 = Partition(2)
 
-SUPPORTED_PARTITIONS = (P0, P1, P11, P2)
-
 
 @dataclass(frozen=True)
 class ZonalPolynomial:

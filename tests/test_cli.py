@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -176,6 +177,19 @@ def test_lattice_section_search_too_short(tmp_path, capsys):
     code, rep = run_cli(capsys, "lattice", str(f), "--m", "2", "--sections",
                         "--bound", "123/200")
     assert code == 0 and rep["results"]["section_count"] == 1
+
+
+def test_lattice_huge_bound_ends(capsys):
+    # A bound past every useful norm ends at the Hadamard cap on the search,
+    # with the default run's results apart from the bound it reports.
+    argv = ["lattice", "D4", "--m", "2", "--sections"]
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, *argv, "--bound", "1e400")
+    assert code == 0 and time.perf_counter() - start < 5
+    code, base = run_cli(capsys, *argv)
+    assert rep["results"].pop("search_bound") == "1" + "0" * 400
+    assert base["results"].pop("search_bound") == "4"
+    assert rep["results"] == base["results"] and rep["results"]["complete"]
 
 
 @pytest.mark.parametrize("argv, message", [

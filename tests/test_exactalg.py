@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import lcm
 
@@ -160,6 +161,58 @@ def test_solve_nonneg_strict_refuted():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         solve_nonneg_combination([RatMatrix.identity(2)], RatMatrix.identity(3))
+
+
+def _random_lines(rng, r, count):
+    lines = []
+    while len(lines) < count:
+        v = [rng.randint(-3, 3) for _ in range(r)]
+        if any(v):
+            lines.append(line_projector(v))
+    return lines
+
+
+def test_solve_nonneg_finds_strict_weights_when_they_exist():
+    # goal = sum(l_i T_i) with every l_i > 0 by construction, so the solver
+    # must return strict weights; they need not be the l_i.
+    rng = random.Random(14)
+    for _ in range(40):
+        r = rng.randint(2, 4)
+        targets = _random_lines(rng, r, rng.randint(1, 10))
+        lam = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in targets]
+        goal = RatMatrix.zeros(r, r)
+        for w, t in zip(lam, targets):
+            goal = goal + t.scale(w)
+        w = solve_nonneg_combination(targets, goal)
+        assert w is not None and len(w) == len(targets)
+        assert all(x > 0 for x in w)
+        assert verify_combination(targets, goal, w)
+
+
+def test_solve_nonneg_refutes_a_forced_zero_weight():
+    # Linearly independent targets write goal in one way only; a zero
+    # coefficient there leaves no strictly positive weights.
+    rng = random.Random(41)
+    checked = 0
+    while checked < 30:
+        r = rng.randint(2, 4)
+        targets = _random_lines(rng, r, rng.randint(1, r * (r + 1) // 2))
+        flat = RatMatrix([[x for row in t.entries for x in row] for t in targets])
+        if rank(flat) < len(targets):
+            continue
+        lam = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in targets]
+        lam[rng.randrange(len(lam))] = F(0)
+        goal = RatMatrix.zeros(r, r)
+        for w, t in zip(lam, targets):
+            goal = goal + t.scale(w)
+        assert solve_nonneg_combination(targets, goal) is None
+        checked += 1
+
+
+def test_shape_mismatch_rejected_among_several_targets():
+    targets = [RatMatrix.identity(3), RatMatrix.identity(2), RatMatrix.identity(3)]
+    with pytest.raises(ValueError, match="shape"):
+        solve_nonneg_combination(targets, RatMatrix.identity(3))
 
 
 def test_bit_rref_and_span():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from math import isqrt, prod
 from operator import mul
@@ -12,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grassdex import lattice as lattice_mod
-from grassdex.exactalg import RatMatrix, det, hnf, inverse, saturate_rows
+from grassdex.exactalg import (RatMatrix, det, hnf, inverse, saturate_rows,
+                               verify_combination)
 from grassdex.grassmann import (Configuration, Subspace, intdata_from_coords,
                                 verify_design)
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
@@ -383,6 +385,56 @@ def test_eutaxy(d4):
     assert eu.is_eutactic and eu.uniform and eu.weights == [1, 1, 1]
     eu4 = check_eutaxy(d4, 1)
     assert eu4.is_eutactic and eu4.weights == [F(1, 3)] * 12
+
+
+def test_eutaxy_non_uniform_e7_plus_a1(monkeypatch):
+    # E7 + A1: 63 + 1 minimal lines in rank 8.  Each summand is eutactic on
+    # its own span (weights 1/9 and 1), so no uniform witness exists and the
+    # solver decides; its weights go through the exact re-check.
+    e7 = catalog("E7")
+    rows = [list(e7.basis.row(i)) + [0, 0] for i in range(7)] + [[0] * 8 + [1, 1]]
+    lat = Lattice(rows)
+    checks = []
+
+    def counting(*args):
+        checks.append(args)
+        return verify_combination(*args)
+
+    monkeypatch.setattr(lattice_mod, "verify_combination", counting)
+    start = time.perf_counter()
+    eu = check_eutaxy(lat, 1)
+    assert time.perf_counter() - start < 10
+    assert eu.is_eutactic and not eu.uniform and len(eu.weights) == 64
+    assert all(w > 0 for w in eu.weights) and len(checks) == 1
+
+
+def test_section_analyses_reject_mismatched_sections(d4, e8):
+    # A section set carries its m and its lattice's Gram; rankin, perfection
+    # and eutaxy refuse one of another m or another lattice.
+    planes = minimal_sections(e8, 2)
+    with pytest.raises(ValueError, match="3-sections"):
+        rankin(e8, 3, planes)
+    lines = minimal_sections(d4, 1)
+    with pytest.raises(ValueError, match="2-sections"):
+        check_eutaxy(d4, 2, lines)
+    with pytest.raises(ValueError, match="2-sections"):
+        check_perfection(d4, 2, lines)
+    z4_lines = minimal_sections(catalog("Z4"), 1)
+    for check in (rankin, check_perfection, check_eutaxy):
+        with pytest.raises(ValueError, match="this lattice"):
+            check(d4, 1, z4_lines)
+    assert check_eutaxy(d4, 2).weights == [F(1, 8)] * 16
+    assert check_eutaxy(d4, 1, lines).weights == [F(1, 3)] * 12
+
+
+def test_huge_search_bound_keeps_the_sections(d4, e8):
+    # The enumeration stops at the Hadamard cap, so a huge bound returns the
+    # default search's sections and delta, reported against the bound given.
+    for lat in (d4, e8):
+        base = minimal_sections(lat, 2)
+        huge = minimal_sections(lat, 2, search_bound=F(10) ** 400)
+        assert huge.coords == base.coords and huge.delta == base.delta
+        assert huge.complete and huge.search_bound == F(10) ** 400
 
 
 def test_eutaxy_rank_deficient_sections_fail():

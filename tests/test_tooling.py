@@ -1,11 +1,14 @@
 """Guards for what lives outside the package but leans on it: the benchmark
-tracer's list of wrapped entry points and the README's library example."""
+tracer's list of wrapped entry points, the README's library example and its
+command lines."""
 
 import importlib
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
+from grassdex.cli import build_parser
 from grassdex.lattice import catalog, minimal_sections
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +45,15 @@ def test_readme_python_example_runs():
     assert blocks
     for code in blocks:
         exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    # Every documented command parses; nothing runs, so a renamed or dropped
+    # flag fails here instead of in a reader's shell.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words and words[0] == "grassdex"]
+    assert len(commands) >= 8
+    for argv in commands:
+        build_parser().parse_args(argv)
