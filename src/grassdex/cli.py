@@ -1,9 +1,12 @@
 """Command-line front end: build configurations, run verifications, emit
 machine-readable certificates.
 
-stdout carries exactly one JSON document per invocation; progress notes go
-to stderr.  All numeric verdict fields are exact rational strings.  Exit
-codes: 0 certified / success, 1 refuted, 2 input or usage error.
+stdout carries exactly one JSON document per invocation, built in `main`:
+the report (v, command, inputs, results, caveats, timing_s), or on exit 2
+(v, command, error).  Progress notes go to stderr.  All numeric verdict
+fields are exact rational strings.  Exit codes: 0 certified / success,
+1 refuted, 2 input or usage error; a malformed or out-of-range input is
+always 2, never 1 or a traceback.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from fractions import Fraction
 from . import binquad, clifford, grassmann, lattice
 from .exactalg import RatMatrix, rat, rat_str
 from .grassmann import Configuration
-from .zonal import constant_c
+from .zonal import MAX_T, constant_c
 
 SCHEMA_VERSION = 1
+T_CHOICES = range(1, MAX_T + 1)
 
 
 def _note(msg: str):
@@ -32,80 +36,67 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _report(command: str, inputs: dict) -> dict:
-    return {"v": SCHEMA_VERSION, "command": command, "inputs": inputs,
-            "results": {}, "caveats": [], "timing_s": None}
-
-
 class InputError(Exception):
     pass
 
 
-def cmd_verify(args) -> int:
-    rep = _report("verify", {"config": args.config, "t": args.t})
-    t0 = time.perf_counter()
+def _read(path: str, what: str, build):
+    """`build` applied to the decoded JSON file at `path`; a file that cannot
+    be opened, decoded or built from raises InputError naming `what`."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        config = Configuration.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"cannot read configuration: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from exc
+
+
+def cmd_verify(args, res: dict, caveats: list) -> int:
+    config = _read(args.config, "configuration", Configuration.from_json_dict)
     _note(f"verifying {len(config)} points in G({config.m},{config.n}) "
           f"up to t={args.t}")
     report = grassmann.verify_design(config, tmax=args.t)
-    rep["results"] = report.to_json_dict()
-    rep["timing_s"] = round(time.perf_counter() - t0, 3)
-    _emit(rep)
+    res.update(report.to_json_dict())
     return 0 if report.is_design(args.t) else 1
+
+
+def _lattice_from_json(data) -> lattice.Lattice:
+    if "basis" in data:
+        return lattice.Lattice(RatMatrix.from_json(data["basis"]),
+                               name=data.get("name"))
+    if "name" in data:
+        return lattice.catalog(data["name"])
+    raise ValueError("lattice file needs a 'basis' or 'name' field")
 
 
 def _load_lattice(target: str) -> lattice.Lattice:
     if os.path.exists(target):
-        try:
-            with open(target, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if "basis" in data:
-                return lattice.Lattice(RatMatrix.from_json(data["basis"]),
-                                       name=data.get("name"))
-            if "name" in data:
-                return lattice.catalog(data["name"])
-            raise ValueError("lattice file needs a 'basis' or 'name' field")
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"cannot read lattice: {exc}") from exc
-    try:
-        return lattice.catalog(target)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        return _read(target, "lattice", _lattice_from_json)
+    return lattice.catalog(target)
 
 
-def cmd_lattice(args) -> int:
-    rep = _report("lattice", {"target": args.target, "m": args.m,
-                              "sections": args.sections, "rankin": args.rankin,
-                              "perfection": args.perfection, "t": args.t})
-    t0 = time.perf_counter()
+def cmd_lattice(args, res: dict, caveats: list) -> int:
     lat = _load_lattice(args.target)
-    res = {"name": lat.name, "rank": lat.rank, "ambient": lat.n,
-           "det": rat_str(lat.det()), "min": rat_str(lat.minimum())}
-    secs = None
-    if args.sections or args.rankin or args.perfection:
-        _note(f"searching minimal {args.m}-sections of {lat.name or 'lattice'}")
-        bound = rat(args.bound) if args.bound else None
-        secs = lattice.minimal_sections(lat, args.m, search_bound=bound)
-        res["delta_m"] = rat_str(secs.delta)
-        res["section_count"] = len(secs)
-        res["search_bound"] = rat_str(secs.search_bound)
-        res["complete"] = secs.complete
-        if not secs.complete:
-            rep["caveats"].append(
-                "section search is exhaustive only relative to the given "
-                "vector-norm bound")
-    if args.sections and secs is not None:
+    res.update(name=lat.name, rank=lat.rank, ambient=lat.n,
+               det=rat_str(lat.det()), min=rat_str(lat.minimum()))
+    if not (args.sections or args.rankin or args.perfection):
+        return 0
+    _note(f"searching minimal {args.m}-sections of {lat.name or 'lattice'}")
+    bound = rat(args.bound) if args.bound else None
+    secs = lattice.minimal_sections(lat, args.m, search_bound=bound)
+    res["delta_m"] = rat_str(secs.delta)
+    res["section_count"] = len(secs)
+    res["search_bound"] = rat_str(secs.search_bound)
+    res["complete"] = secs.complete
+    if not secs.complete:
+        caveats.append("section search is exhaustive only relative to the "
+                       "given vector-norm bound")
+    if args.sections:
         _note(f"design verdicts on {len(secs)} sections")
         dr = lattice.section_design_report(lat, secs, tmax=args.t)
         res["section_design"] = dr.to_json_dict()
-    if args.rankin and secs is not None:
+    if args.rankin:
         res["rankin"] = lattice.rankin(lat, args.m, secs).to_json_dict()
-    if args.perfection and secs is not None:
+    if args.perfection:
         rank_span, perfect = lattice.check_perfection(lat, args.m, secs)
         eu = lattice.check_eutaxy(lat, args.m, secs)
         res["perfection"] = {"span_rank": rank_span,
@@ -114,16 +105,10 @@ def cmd_lattice(args) -> int:
         res["eutaxy"] = {"is_eutactic": eu.is_eutactic, "uniform": eu.uniform,
                          "weights": [rat_str(w) for w in eu.weights]
                          if eu.weights and len(eu.weights) <= 64 else None}
-    rep["results"] = res
-    rep["timing_s"] = round(time.perf_counter() - t0, 3)
-    _emit(rep)
     return 0
 
 
-def cmd_clifford(args) -> int:
-    rep = _report("clifford", {"k": args.k, "w": args.w, "sigma": args.sigma,
-                               "t": args.t})
-    t0 = time.perf_counter()
+def cmd_clifford(args, res: dict, caveats: list) -> int:
     if args.k > 4:
         raise InputError("desk scale is k <= 4")
     if args.sigma == "all":
@@ -143,7 +128,7 @@ def cmd_clifford(args) -> int:
     else:
         _note(f"trace path: {report.orbits} orbit row(s) under "
               f"{report.generators} generators")
-    res = report.to_json_dict()
+    res.update(report.to_json_dict())
     iso = {}
     for t in range(0, args.t):
         chk = binquad.check_iso_design(sigma, t)
@@ -152,7 +137,7 @@ def cmd_clifford(args) -> int:
     res["iso_design"] = iso
     if args.w == args.k and args.sigma == "all":
         res["family_split"] = _family_split_report(build)
-        rep["caveats"].append(
+        caveats.append(
             "family_split is experimental: the correspondence between the "
             "two orbit families and particular lattice line sets is "
             "reported, not asserted")
@@ -160,9 +145,6 @@ def cmd_clifford(args) -> int:
         with open(args.emit_config, "w", encoding="utf-8") as fh:
             json.dump(build.config.to_json_dict(), fh)
         res["config_file"] = args.emit_config
-    rep["results"] = res
-    rep["timing_s"] = round(time.perf_counter() - t0, 3)
-    _emit(rep)
     return 0
 
 
@@ -184,14 +166,8 @@ def _family_split_report(build: clifford.BuildResult) -> dict:
     return out
 
 
-def cmd_constants(args) -> int:
-    rep = _report("constants", {"m": args.m, "n": args.n, "k": args.k,
-                                "w": args.w, "t": args.t})
-    t0 = time.perf_counter()
-    res = {}
+def cmd_constants(args, res: dict, caveats: list) -> int:
     if args.m is not None and args.n is not None:
-        if not 1 <= args.t <= 3:
-            raise InputError("t must be 1, 2 or 3 for the sigma constants")
         res["c"] = rat_str(constant_c(args.m, args.n, args.t))
     elif args.k is not None and args.w is not None:
         if args.t < 0:
@@ -200,16 +176,13 @@ def cmd_constants(args) -> int:
         res["d"] = rat_str(d)
         s = args.k - args.w
         tt = args.t + 1
-        if tt <= 3 and 2 ** s <= 2 ** args.k // 2:
+        if tt <= MAX_T and 2 ** s <= 2 ** args.k // 2:
             c = constant_c(2 ** s, 2 ** args.k, tt)
             lhs = Fraction(2) ** (-(2 * s - args.k) * tt) * c
             res["bridge"] = {"c": rat_str(c), "scaled_c": rat_str(lhs),
                              "equals_d": lhs == d}
     else:
         raise InputError("need either --m/--n or --k/--w")
-    rep["results"] = res
-    rep["timing_s"] = round(time.perf_counter() - t0, 3)
-    _emit(rep)
     return 0
 
 
@@ -222,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify a configuration file")
     p.add_argument("config", help="Configuration JSON file")
-    p.add_argument("--t", type=int, default=1, choices=(1, 2, 3),
+    p.add_argument("--t", type=int, default=1, choices=T_CHOICES,
                    help="design strength to certify (2t-design)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, inputs=("config", "t"))
 
     p = sub.add_parser("lattice", help="lattice invariants and sections")
     p.add_argument("target", help="catalog name (Zn, D4, E6, E7, E8, BW16) "
@@ -235,19 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rankin", action="store_true")
     p.add_argument("--perfection", action="store_true",
                    help="perfection and eutaxy checks")
-    p.add_argument("--t", type=int, default=2, choices=(1, 2, 3))
+    p.add_argument("--t", type=int, default=2, choices=T_CHOICES)
     p.add_argument("--bound", default=None,
                    help="vector-norm bound for the section search")
-    p.set_defaults(func=cmd_lattice)
+    p.set_defaults(func=cmd_lattice, inputs=("target", "m", "sections",
+                                             "rankin", "perfection", "t"))
 
     p = sub.add_parser("clifford", help="eigenspace designs from isotropic sets")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--sigma", choices=("all", "spread"), default="all")
-    p.add_argument("--t", type=int, default=2, choices=(1, 2, 3))
+    p.add_argument("--t", type=int, default=2, choices=T_CHOICES)
     p.add_argument("--emit-config", default=None,
                    help="write the configuration JSON to this file")
-    p.set_defaults(func=cmd_clifford)
+    p.set_defaults(func=cmd_clifford, inputs=("k", "w", "sigma", "t"))
 
     p = sub.add_parser("constants", help="exact design constants")
     p.add_argument("--m", type=int, default=None)
@@ -255,19 +229,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--w", type=int, default=None)
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=cmd_constants)
+    p.set_defaults(func=cmd_constants, inputs=("m", "n", "k", "w", "t"))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    rep = {"v": SCHEMA_VERSION, "command": args.cmd,
+           "inputs": {key: getattr(args, key) for key in args.inputs},
+           "results": {}, "caveats": [], "timing_s": None}
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args, rep["results"], rep["caveats"])
     except (InputError, ValueError) as exc:
         _note(f"error: {exc}")
         _emit({"v": SCHEMA_VERSION, "command": args.cmd, "error": str(exc)})
         return 2
+    rep["timing_s"] = round(time.perf_counter() - t0, 3)
+    _emit(rep)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .binquad import IsoSubspace, SigmaSet, intersection_moment
 from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
                        rat_str)
 from .grassmann import Configuration, IntAction, Subspace, design_report
+from .zonal import MAX_T
 
 
 @dataclass(frozen=True)
@@ -268,11 +269,11 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     summed over its orbits, one row per orbit; the invariance is certified
     exactly (g g^T = c I, exact image keys and multiplicities), and a
     configuration that fails any check, such as a spread, takes the full
-    pair engine.  A tmax outside 1..3 raises ValueError before anything is
+    pair engine.  A tmax outside 1..MAX_T raises ValueError before anything is
     built.
     """
-    if not 1 <= tmax <= 3:
-        raise ValueError("tmax must be between 1 and 3")
+    if not 1 <= tmax <= MAX_T:
+        raise ValueError(f"tmax must be between 1 and {MAX_T}")
     if build is None:
         build = build_design(sigma)
     k, w = sigma.k, sigma.w

@@ -9,6 +9,7 @@ does, so no extension of Q is needed.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -17,16 +18,25 @@ Rational = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to an exact Fraction; a
-    malformed string or a zero denominator raises ValueError."""
+    """Coerce ints, 'p/q' or decimal strings and Fractions to an exact
+    Fraction; bools and floats raise TypeError.  A malformed string, a zero
+    denominator or a decimal exponent past sys.get_int_max_str_digits()
+    (10**e costs superlinear time, as a long digit string would) raises
+    ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise TypeError(f"not an exact rational: {x!r}")
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        limit = sys.get_int_max_str_digits()
+        exp = x.replace("E", "e").rpartition("e")[2]
+        if limit and exp.strip().lstrip("+-").replace("_", "").isdecimal() \
+                and abs(int(exp)) > limit:
+            raise ValueError(f"decimal exponent past {limit} in {x[:40]!r}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def rat_str(x: Fraction) -> str:
@@ -129,7 +139,9 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, data) -> "RatMatrix":
-        return cls([[rat(x) for x in row] for row in data])
+        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+            raise TypeError("a matrix must be a JSON list of rows")
+        return cls(data)
 
 
 def rref(m: RatMatrix):

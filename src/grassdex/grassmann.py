@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (RatMatrix, Rational, adjugate, int_rref, pivot_rows,
                        primitive_int_row, rat_str)
-from .zonal import Partition, constant_c, jacobi_p, supported_partitions
+from .zonal import MAX_T, Partition, constant_c, jacobi_p, supported_partitions
 
 
 class Subspace:
@@ -640,8 +640,9 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data) -> "Configuration":
-        n = int(data["n"])
-        m = int(data["m"])
+        n, m = data["n"], data["m"]
+        if type(n) is not int or type(m) is not int:
+            raise TypeError(f"n and m must be JSON integers, got {n!r}, {m!r}")
         points = [Subspace(n, RatMatrix.from_json(rows)) for rows in data["points"]]
         cfg = cls(n, points)
         if cfg.m != m:
@@ -742,8 +743,8 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
     zonal sum and its vanishing at certified strengths are re-checked, and
     a failure raises AssertionError, also under `python -O`.
     """
-    if not 1 <= tmax <= 3:
-        raise ValueError("tmax must be between 1 and 3")
+    if not 1 <= tmax <= MAX_T:
+        raise ValueError(f"tmax must be between 1 and {MAX_T}")
     if 2 * m > n:
         raise ValueError("design criteria require m <= n/2")
     stats = pair_stats(data, tmax=tmax, generators=generators)

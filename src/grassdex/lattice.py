@@ -522,6 +522,8 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
 
 def catalog(name: str) -> Lattice:
     """Built-in bases: Zn, D4, E6, E7, E8, BW16."""
+    if not isinstance(name, str):
+        raise ValueError(f"a catalog lattice name is a string, not {name!r}")
     key = name.strip().upper()
     if key.startswith("Z") and key[1:].isdigit():
         n = int(key[1:])

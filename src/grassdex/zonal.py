@@ -14,6 +14,8 @@ from typing import Dict, Tuple
 
 from .exactalg import Rational
 
+MAX_T = 3    # the largest t with a closed form in `constant_c`, so in any verdict
+
 
 class Partition:
     """Weakly decreasing positive integer parts; () is the zero partition.
@@ -150,7 +152,7 @@ def supported_partitions(m: int, tmax: int = 2):
 
 
 def constant_c(m: int, n: int, t: int) -> Rational:
-    """The invariant-measure average of sigma^t on pairs in G(m, n), t <= 3.
+    """The invariant-measure average of sigma^t on pairs in G(m, n), t <= MAX_T.
 
     sigma is the sum of squared principal cosines; a finite configuration is
     a 2t-design exactly when its pair average of sigma^t equals this value.
@@ -168,7 +170,7 @@ def constant_c(m: int, n: int, t: int) -> Rational:
                       * (F(2 * n, n - 2) + F(n + 3, n + 4))
                       - 8 * F(m * (m - 1) ** 2, (n - 1) * (n - 2)))
         return F(m * m, 3 * n) * inner
-    raise ValueError("t must be 1, 2 or 3")
+    raise ValueError(f"t must be between 1 and {MAX_T}")
 
 
 def exact_line_moment(n: int, t: int) -> Rational:

@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grassdex.cli import main
 from grassdex.exactalg import RatMatrix
@@ -198,7 +200,11 @@ def test_lattice_huge_bound_ends(capsys):
     (["lattice", "{lat}"], "denominator"),
     (["lattice", "D4", "--m", "1", "--sections", "--bound", "-3"], "positive"),
     (["lattice", "D4", "--m", "2", "--sections", "--bound", "0"], "positive"),
-], ids=["bound-1/0", "verify-1/0", "basis-1/0", "m1-bound-3", "bound-0"])
+    (["lattice", "D4", "--m", "2", "--sections", "--bound", "1e1000000"],
+     "exponent"),
+    (["verify", "{huge}"], "exponent"),
+], ids=["bound-1/0", "verify-1/0", "basis-1/0", "m1-bound-3", "bound-0",
+        "bound-1e1000000", "verify-1e1000000"])
 def test_bad_rationals_are_input_errors(tmp_path, capsys, argv, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "m": 1, "points": [[["1", "1/0"]]]}),
@@ -206,10 +212,38 @@ def test_bad_rationals_are_input_errors(tmp_path, capsys, argv, message):
     lat = tmp_path / "lat.json"
     lat.write_text(json.dumps({"basis": [["2", "0"], ["1/0", "1"]]}),
                    encoding="utf-8")
-    argv = [a.format(cfg=cfg, lat=lat) for a in argv]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 2, "m": 1, "points": [[["1e1000000", "1"]]]}),
+                    encoding="utf-8")
+    argv = [a.format(cfg=cfg, lat=lat, huge=huge) for a in argv]
+    start = time.perf_counter()
     code, rep = run_cli(capsys, *argv)
     assert code == 2 and rep["command"] == argv[0]
     assert message in rep["error"]
+    assert time.perf_counter() - start < 1    # 10**1000000 is never built
+
+
+TWO_LINES = '"points": [[["1", "0"]], [["0", "1"]]]'
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify", '{"n": 1e999, "m": 1, ' + TWO_LINES + '}'),
+    ("verify", '{"n": 2.9, "m": 1, ' + TWO_LINES + '}'),
+    ("verify", '{"n": 2, "m": true, ' + TWO_LINES + '}'),
+    ("verify", '{"n": 2, "m": 1, "points": [[[true, false]], [[false, true]]]}'),
+    ("verify", '{"n": 2, "m": 1, "points": [["10"], ["01"]]}'),
+    ("lattice", '{"name": 5}'),
+    ("lattice", '{"basis": ["12", "34"]}'),
+], ids=["n-overflow", "n-float", "m-bool", "entries-bool", "rows-as-strings",
+        "name-int", "basis-rows-as-strings"])
+def test_malformed_input_files_are_input_errors(tmp_path, capsys, command, text):
+    # Each of these once read as a number it is not or raised past the
+    # error boundary; a bad file is exit 2, never the refuted code 1.
+    f = tmp_path / "input.json"
+    f.write_text(text, encoding="utf-8")
+    code, rep = run_cli(capsys, command, str(f))
+    assert code == 2 and rep["command"] == command
+    assert rep["error"].startswith("cannot read")
 
 
 def test_lattice_unknown_name(capsys):
@@ -237,3 +271,99 @@ def test_rationals_everywhere_in_json(capsys):
             return all(no_floats(v) for v in x)
         return True
     assert no_floats(rep["results"])
+
+
+# -- fuzzing the input files ----------------------------------------------
+# Valid documents stay cheap (dimension <= 4, entries |x| <= 3); up to two
+# mutations then replace or delete any node, the top included.
+
+SMALL = st.integers(-3, 3)
+ENTRY = st.one_of(SMALL, SMALL.map(str),
+                  st.builds("{}/{}".format, SMALL, st.integers(1, 4)))
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), SMALL, st.just({}),
+    st.sampled_from(["1/0", "abc", "", "1.5", "1e1000000", "-2E-1000000",
+                     "1e1_000_000", "basis", "D4", "Z3"]),
+    st.lists(ENTRY, max_size=4), st.lists(st.lists(ENTRY, max_size=3), max_size=3))
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(ENTRY, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def configurations(draw):
+    """Scaled coordinate frames (certified at t = 1) or random points, where
+    m > n/2 is allowed and rows may be dependent or zero."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from(["1", "-2", "3/2"]))
+        return {"n": n, "m": 1, "points": [[[scale if j == i else "0"
+                                              for j in range(n)]]
+                                            for i in range(n)]}
+    return {"n": n, "m": m,
+            "points": draw(st.lists(_matrices(m, n), max_size=5))}
+
+
+@st.composite
+def lattices(draw):
+    """A basis (possibly singular, or with rank > ambient) or a name."""
+    rank, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(st.one_of(
+        st.builds(lambda b: {"basis": b}, _matrices(rank, n)),
+        st.builds(lambda s: {"name": s},
+                  st.sampled_from(["D4", "z3", " E6 ", "Z0", "A2", "LEECH"]))))
+
+
+def _nodes(doc, out):
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in list(items):
+        out.append((doc, key))
+        _nodes(child, out)
+    return out
+
+
+@st.composite
+def mutated(draw, documents):
+    doc = draw(documents)
+    for _ in range(draw(st.integers(0, 2))):
+        spots = _nodes(doc, [])
+        i = draw(st.integers(-1, len(spots) - 1))
+        junk = draw(JUNK)
+        if i < 0:
+            doc = junk
+        elif draw(st.booleans()):
+            spots[i][0][spots[i][1]] = junk
+        else:
+            del spots[i][0][spots[i][1]]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _run_on_file(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code = main([argv[0], str(path), *argv[1:]])
+    rep = json.loads(capsys.readouterr().out)    # exactly one document
+    assert code in (0, 1, 2)
+    assert ("error" in rep) == (code == 2), rep
+
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(text=mutated(configurations()))
+def test_fuzzed_configuration_files(tmp_path, capsys, text):
+    _run_on_file(tmp_path, capsys, ["verify", "--t", "1"], text)
+
+
+@FUZZ
+@given(text=mutated(lattices()))
+def test_fuzzed_lattice_files(tmp_path, capsys, text):
+    _run_on_file(tmp_path, capsys, ["lattice"], text)

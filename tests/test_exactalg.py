@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction as F
 from math import lcm
 
@@ -32,6 +34,21 @@ def test_rat_parsing():
         rat(1.5)
     with pytest.raises(ValueError, match="zero denominator"):
         rat("1/0")
+
+
+def test_rat_rejects_bools_and_unbounded_exponents():
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            rat(flag)
+    limit = sys.get_int_max_str_digits()
+    assert rat(f"1e{limit}") == 10 ** limit
+    assert rat(f"2.5E-{limit}") == F(5, 2 * 10 ** limit)
+    for text in (f"1e{limit + 1}", f"-3.25E-{limit + 1}", "1e1_000_000",
+                 " 7e+10000000 ", "1e10000000\n"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_rref_identity():

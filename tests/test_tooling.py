@@ -1,11 +1,14 @@
 """Guards for what lives outside the package but leans on it: the benchmark
 tracer's list of wrapped entry points, the README's library example and its
-command lines."""
+command lines, and the promise of no runtime dependency."""
 
 import importlib
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from grassdex.cli import build_parser
@@ -57,3 +60,13 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 8
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_cli_imports_without_numpy():
+    # numpy is a test extra only; a fresh interpreter must not load it.
+    code = ("import sys, grassdex, grassdex.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, text=True)
+    assert proc.returncode == 0, proc.stderr or "numpy was imported"
