@@ -28,10 +28,6 @@ class QuadSpace:
             raise ValueError("k out of supported range")
         self.k = k
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.k
-
     def q(self, v: int) -> int:
         a = v & ((1 << self.k) - 1)
         b = v >> self.k

@@ -16,9 +16,19 @@ from typing import Dict, List, Optional, Tuple
 
 from .binquad import IsoSubspace, SigmaSet, intersection_moment
 from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
-                       rat_str)
+                       rat_str, solve_linear)
 from .grassmann import Configuration, IntAction, Subspace, design_report
 from .zonal import MAX_T
+
+
+def _signed_map(k: int, image) -> RatMatrix:
+    """The n x n matrix (n = 2^k) mapping e_u to s * e_v, (v, s) = image(u)."""
+    n = 1 << k
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for u in range(n):
+        v, s = image(u)
+        rows[v][u] = Fraction(s)
+    return RatMatrix(rows)
 
 
 @dataclass(frozen=True)
@@ -51,20 +61,12 @@ class PauliOp:
         return u ^ self.a, s
 
     def matrix(self) -> RatMatrix:
-        n = 1 << self.k
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for u in range(n):
-            v, s = self.apply_index(u)
-            rows[v][u] = Fraction(s)
-        return RatMatrix(rows)
+        return _signed_map(self.k, self.apply_index)
 
     @classmethod
     def from_vector(cls, k: int, v: int, sign: int = 1) -> "PauliOp":
         mask = (1 << k) - 1
         return cls(k, v & mask, v >> k, sign)
-
-    def vector(self) -> int:
-        return self.a | (self.b << self.k)
 
 
 class StabilizerLift:
@@ -153,10 +155,6 @@ class BuildResult:
     config: Configuration
     labels: List[Tuple[int, int]]   # (member index, character index)
     collisions: int
-
-    @property
-    def s_param(self) -> int:
-        return self.sigma.k - self.sigma.w
 
 
 def build_design(sigma: SigmaSet) -> BuildResult:
@@ -321,30 +319,11 @@ class GeneratorSet:
         return iter(self.elements)
 
 
-def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    rows = []
-    for i in range(a.rows):
-        for ib in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                for jb in range(b.cols):
-                    row.append(a[i, j] * b[ib, jb])
-            rows.append(row)
-    return RatMatrix(rows)
-
-
-def _perm_matrix(k: int, phi) -> RatMatrix:
-    n = 1 << k
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for u in range(n):
-        rows[phi(u)][u] = Fraction(1)
-    return RatMatrix(rows)
-
-
-def _diag_matrix(k: int, q) -> RatMatrix:
-    n = 1 << k
-    return RatMatrix.diagonal([Fraction(-1) if q(u) else Fraction(1)
-                               for u in range(n)])
+def _tensor_identity(block, r: int) -> RatMatrix:
+    """block (x) I_r for a square block of rationals."""
+    n = len(block) * r
+    return RatMatrix([[block[i // r][j // r] if i % r == j % r else 0
+                       for j in range(n)] for i in range(n)])
 
 
 def clifford_generators(k: int) -> GeneratorSet:
@@ -352,6 +331,9 @@ def clifford_generators(k: int) -> GeneratorSet:
     affine index permutations, the tensor-factor rotation H and its rational
     two-factor variant H2.
 
+    Every generator but `h_first` and `h2_first` is a signed map of the
+    basis, built by `_signed_map` (as are the `PauliOp` matrices); those two
+    are one 2x2 or 4x4 block tensored with an identity.  The rotation
     H = (S (x) I) / sqrt 2, S = [[1, 1], [1, -1]], is carried as the integer
     matrix S (x) I = sqrt 2 * H, which maps every subspace to the same image
     as H.  So each generator g satisfies g g^T = c I exactly, with c = 2 for
@@ -360,56 +342,31 @@ def clifford_generators(k: int) -> GeneratorSet:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    gens: List[CliffordGenerator] = []
     n = 1 << k
-    gens.append(CliffordGenerator(
-        "neg_identity", RatMatrix.identity(n).scale(Fraction(-1)), True))
-    for i in range(k):
-        gens.append(CliffordGenerator(
-            f"diag_linear_{i}", _diag_matrix(k, lambda u, i=i: (u >> i) & 1),
-            True))
-    for i in range(k):
-        for j in range(i + 1, k):
-            gens.append(CliffordGenerator(
-                f"diag_pair_{i}{j}",
-                _diag_matrix(k, lambda u, i=i, j=j: ((u >> i) & (u >> j)) & 1),
-                True))
-    for i in range(k):
-        gens.append(CliffordGenerator(
-            f"translate_{i}", _perm_matrix(k, lambda u, i=i: u ^ (1 << i)),
-            True))
+    maps = [("neg_identity", lambda u: (u, -1))]
+    maps += [(f"diag_linear_{i}", lambda u, i=i: (u, (-1) ** ((u >> i) & 1)))
+             for i in range(k)]
+    maps += [(f"diag_pair_{i}{j}",
+              lambda u, i=i, j=j: (u, (-1) ** ((u >> i) & (u >> j) & 1)))
+             for i in range(k) for j in range(i + 1, k)]
+    maps += [(f"translate_{i}", lambda u, i=i: (u ^ (1 << i), 1))
+             for i in range(k)]
     if k >= 2:
-        gens.append(CliffordGenerator(
-            "swap_01", _perm_matrix(k, lambda u: _swap_bits(u, 0, 1)), True))
-        gens.append(CliffordGenerator(
-            "cycle", _perm_matrix(k, lambda u: _cycle_bits(u, k)), True))
-        gens.append(CliffordGenerator(
-            "transvect_01", _perm_matrix(k, lambda u: u ^ ((u & 1) << 1)),
-            True))
-    half = Fraction(1, 2)
-    s_first = _kron(RatMatrix([[1, 1], [1, -1]]), RatMatrix.identity(n // 2))
-    gens.append(CliffordGenerator("h_first", s_first, False))
+        # Swap bits 0 and 1; rotate the bits up by one; add bit 0 to bit 1.
+        maps += [("swap_01", lambda u: (u ^ (((u ^ (u >> 1)) & 1) * 3), 1)),
+                 ("cycle", lambda u: (((u << 1) | (u >> (k - 1))) & (n - 1), 1)),
+                 ("transvect_01", lambda u: (u ^ ((u & 1) << 1), 1))]
+    gens = [CliffordGenerator(name, _signed_map(k, image), True)
+            for name, image in maps]
+    gens.append(CliffordGenerator(
+        "h_first", _tensor_identity([[1, 1], [1, -1]], n // 2), False))
     if k >= 2:
         # h tensor h is rational: (1/2) times a sign matrix.
-        sgn = RatMatrix([[1, 1, 1, 1],
-                         [1, -1, 1, -1],
-                         [1, 1, -1, -1],
-                         [1, -1, -1, 1]]).scale(half)
-        h2 = _kron(sgn, RatMatrix.identity(1 << (k - 2)))
-        gens.append(CliffordGenerator("h2_first", h2, True))
+        sgn = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        gens.append(CliffordGenerator(
+            "h2_first", _tensor_identity([[Fraction(x, 2) for x in row]
+                                          for row in sgn], n // 4), True))
     return GeneratorSet(k, tuple(gens))
-
-
-def _swap_bits(u: int, i: int, j: int) -> int:
-    bi = (u >> i) & 1
-    bj = (u >> j) & 1
-    if bi != bj:
-        u ^= (1 << i) | (1 << j)
-    return u
-
-
-def _cycle_bits(u: int, k: int) -> int:
-    return ((u << 1) | (u >> (k - 1))) & ((1 << k) - 1)
 
 
 class OrbitCapExceeded(Exception):
@@ -464,8 +421,8 @@ def h2_action_coeffs(k: int, r: int) -> Tuple[Rational, Rational, Rational]:
 def h2_action_coeffs_from_system(k: int, r: int) -> Tuple[Rational, Rational, Rational]:
     """Solve the three scalar-product equations for (a1, a2, a4) exactly.
 
-    Must agree with the closed forms identically; a singular system is
-    flagged (not expected for valid inputs).
+    Must agree with the closed forms identically; a singular system raises
+    ValueError from `solve_linear` (not expected for valid inputs).
     """
     F = Fraction
     p2r = F(2) ** (2 * r)
@@ -480,11 +437,7 @@ def h2_action_coeffs_from_system(k: int, r: int) -> Tuple[Rational, Rational, Ra
          F(4) ** k + (3 * n2m - 3) * twok + n4 - 3 * n2m + 2],
     ]
     rhs = [1 / p2r, 4 / p2r, 16 / p2r]
-    mat = RatMatrix(rows)
-    from .exactalg import det as _det, solve_linear
-    if _det(mat) == 0:
-        raise ValueError("singular coefficient system")
-    a1, a2, a4 = solve_linear(mat, rhs)
+    a1, a2, a4 = solve_linear(RatMatrix(rows), rhs)
     return a1, a2, a4
 
 
@@ -574,11 +527,18 @@ def h2_code_matrix(k: int, d: int):
 
 
 def _triangular_fixed_space(mat) -> RatMatrix:
-    """Kernel of (M^T - I) for upper-triangular M, by forward substitution.
+    """Kernel of (M^T - I) for upper-triangular M, by one forward
+    substitution, as the rows of its RREF basis.
 
-    Coordinates are processed in increasing index order; indices with unit
-    diagonal spawn free parameters, other coordinates are determined, and
-    inconsistent rows eliminate parameters.
+    v M = v reads v_j (1 - M[j][j]) = sum_{i<j} v_i M[i][j].  In increasing
+    index order, a coordinate with a non-unit diagonal is determined by the
+    earlier ones, and one with a unit diagonal is a new free parameter.  On
+    every input `h2_code_matrix` supports, the right side vanishes at each
+    unit diagonal, so parameter p's row has its 1 at its own index and 0 at
+    every earlier index and every other parameter's index: the rows already
+    are the RREF basis.  A unit diagonal whose right side does not vanish
+    would constrain the parameters; it raises AssertionError (also under
+    python -O).
     """
     n = len(mat)
     exprs: List[Dict[int, Fraction]] = []
@@ -594,28 +554,10 @@ def _triangular_fixed_space(mat) -> RatMatrix:
         if mat[j][j] != 1:
             f = 1 / (1 - mat[j][j])
             exprs.append({p: c * f for p, c in s.items()})
-            continue
-        if s:
-            # Constraint s == 0: eliminate the highest-index free parameter.
-            pivot = max(s)
-            pc = s.pop(pivot)
-            repl = {p: -c / pc for p, c in s.items()}
-            for e in exprs:
-                if pivot in e:
-                    c0 = e.pop(pivot)
-                    for p, c in repl.items():
-                        e[p] = e.get(p, Fraction(0)) + c0 * c
-            for e in exprs:
-                for p in [p for p, c in e.items() if not c]:
-                    del e[p]
-        exprs.append({nparams: Fraction(1)})
-        nparams += 1
-    live = sorted({p for e in exprs for p in e})
-    basis = []
-    for p in live:
-        basis.append([e.get(p, Fraction(0)) for e in exprs])
-    if not basis:
-        return RatMatrix.zeros(0, n)
-    from .exactalg import rref as _rref
-    r, _, rk = _rref(RatMatrix(basis))
-    return RatMatrix([r.row(i) for i in range(rk)])
+        elif s:
+            raise AssertionError("a unit-diagonal code is constrained")
+        else:
+            exprs.append({nparams: Fraction(1)})
+            nparams += 1
+    return RatMatrix([[e.get(p, Fraction(0)) for e in exprs]
+                      for p in range(nparams)])

@@ -559,10 +559,6 @@ def exact_nth_root(x: Fraction, n: int):
 
 
 def _int_nth_root(v: int, n: int):
-    if v == 0:
-        return 0
-    if n == 1:
-        return v
     if n == 2:
         r = isqrt(v)
         return r if r * r == v else None

@@ -25,6 +25,10 @@ from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
 from .grassmann import (Configuration, DesignReport, Subspace, adj_product,
                         design_report, intdata_from_coords, line_key)
 
+# Most vectors one enumeration keeps; desk-scale enumerations keep a few
+# thousand at most (BW16's minimal lines are 2,160).
+ENUM_CAP = 1 << 17
+
 # gamma_m^m for the classical Hermite constants, m <= 8 (exact rationals).
 _HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
                 4: Fraction(4), 5: Fraction(8), 6: Fraction(64, 3),
@@ -114,7 +118,9 @@ def _enumerate(table, limit: int, half: bool = False):
 
     Fincke-Pohst in exact integers: level i fixes x_i from low to high for
     i = n-1 down to 0.  With half=True, one representative per +-pair: the
-    outermost nonzero coordinate is positive.
+    outermost nonzero coordinate is positive.  Raises ValueError as soon as
+    more than ENUM_CAP vectors would be kept, so a skewed basis or a wide
+    bound ends in an error instead of unbounded time and memory.
     """
     rows, d, w, big = table
     n = len(d)
@@ -136,6 +142,9 @@ def _enumerate(table, limit: int, half: bool = False):
             if i:
                 rec(i - 1, left, zero_prefix and not xi)
             elif xi or not zero_prefix:
+                if len(out) == ENUM_CAP:
+                    raise ValueError(f"short-vector enumeration exceeds its "
+                                     f"cap of {ENUM_CAP} vectors")
                 out.append((tuple(x), (top - left) // big))
         x[i] = 0
 
@@ -457,7 +466,13 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
 
 def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     """The Z-span of the scaled characteristic vectors of all affine
-    subspaces of F_2^k, reduced to a basis by integer row reduction.
+    subspaces of F_2^k, with the triangular basis: for each coordinate
+    subset (mask), 2^ceil((k - |mask|)/2) times the indicator of the
+    points inside it, rows sorted by decreasing norm.  These supports are
+    nested by coordinate subsets, and the basis is better conditioned for
+    enumeration than HNF rows.  That it spans the same full-rank lattice as
+    the affine generators is checked exactly, by equal HNFs (AssertionError
+    otherwise, also under python -O).
 
     The raw span has minimum 2^k; `normalized=True` rescales so the minimum
     becomes 2^floor(k/2) and raises when that similarity is irrational
@@ -482,26 +497,15 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
                 for s in span:
                     row[cos ^ s] = scale
                 gens.append(row)
-    basis_rows = hnf(gens)
-    if len(basis_rows) != n:
-        raise AssertionError("generators must span a full-rank lattice")
-    # Prefer the triangular family (supports nested by coordinate subsets)
-    # when it spans the same lattice; it is better conditioned for
-    # enumeration than the HNF rows.
     tri = []
     for mask in range(n):
-        d = bin(mask).count("1")
-        scale = 1 << ((k - d + 1) // 2)
-        row = [0] * n
-        for u in range(n):
-            if u & ~mask == 0:
-                row[u] = scale
-        tri.append(row)
-    tri_sorted = sorted(tri, key=lambda row: sum(x * x for x in row), reverse=True)
-    if hnf(tri) == basis_rows:
-        rows = tri_sorted
-    else:
-        rows = [list(r) for r in basis_rows]
+        scale = 1 << ((k - mask.bit_count() + 1) // 2)
+        tri.append([scale if u & ~mask == 0 else 0 for u in range(n)])
+    basis_rows = hnf(gens)
+    if len(basis_rows) != n or hnf(tri) != basis_rows:
+        raise AssertionError("the triangular basis must span the full-rank "
+                             "lattice of the affine generators")
+    rows = sorted(tri, key=lambda row: sum(x * x for x in row), reverse=True)
     lat = Lattice(rows, name=f"BW{n}(raw)")
     if not normalized:
         return lat

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grassdex.cli import main
 from grassdex.exactalg import RatMatrix
 from grassdex.grassmann import Configuration
+from grassdex.lattice import ENUM_CAP
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +245,56 @@ def test_malformed_input_files_are_input_errors(tmp_path, capsys, command, text)
     code, rep = run_cli(capsys, command, str(f))
     assert code == 2 and rep["command"] == command
     assert rep["error"].startswith("cannot read")
+
+
+def test_lattice_non_eutactic_verdict(tmp_path, capsys):
+    # Z + 2Z: one minimal line, whose projector cannot reach the identity.
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"basis": [["1", "0"], ["0", "2"]]}), encoding="utf-8")
+    code, rep = run_cli(capsys, "lattice", str(f), "--m", "1", "--perfection")
+    assert code == 0
+    res = rep["results"]
+    assert res["perfection"]["is_perfect"] is False
+    assert res["eutaxy"] == {"is_eutactic": False, "uniform": False,
+                             "weights": None}
+
+
+def test_lattice_incomplete_search_carries_the_caveat(capsys):
+    # Bound 1 is below the cap gamma_2^2 * delta_2 / min = 4/3 for Z4 planes.
+    code, rep = run_cli(capsys, "lattice", "Z4", "--m", "2", "--sections",
+                        "--bound", "1")
+    assert code == 0
+    res = rep["results"]
+    assert res["complete"] is False and res["section_count"] == 6
+    assert any("relative to the given vector-norm bound" in c
+               for c in rep["caveats"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["clifford", "--k", "5", "--w", "1"], "desk scale is k <= 4"),
+    (["constants", "--k", "2", "--w", "1", "--t", "-1"], "t must be >= 0"),
+], ids=["clifford-k5", "constants-t-negative"])
+def test_out_of_range_arguments_are_input_errors(capsys, argv, message):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep["command"] == argv[0]
+    assert message in rep["error"]
+
+
+@pytest.mark.parametrize("target", ["skew6", "skew7", "Z20"])
+def test_enumeration_cap_ends_a_huge_search(tmp_path, capsys, target):
+    # The skewed bases have minimum 1 but about 10^6 (10^7) sign pairs of
+    # vectors up to their smallest basis norm, which `Lattice.minimum`
+    # enumerates; Z20 has no Hadamard cap on the search at m = 10.
+    argv = [target, "--m", "10", "--sections"]
+    if target.startswith("skew"):
+        e = "1" + "0" * int(target[-1])
+        f = tmp_path / "skew.json"
+        f.write_text(json.dumps({"basis": [[e, "0"], [e, "1"]]}), encoding="utf-8")
+        argv = [str(f)]
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "lattice", *argv)
+    assert code == 2 and time.perf_counter() - start < 5
+    assert f"cap of {ENUM_CAP} vectors" in rep["error"]
 
 
 def test_lattice_unknown_name(capsys):

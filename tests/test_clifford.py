@@ -1,14 +1,20 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+
+import grassdex
 
 from grassdex.binquad import (IsoSubspace, SigmaSet, enumerate_isotropic,
                               spread)
 from grassdex.clifford import (CliffordGenerator, GeneratorSet,
                                OrbitCapExceeded, PauliOp, StabilizerLift,
-                               build_design, clifford_generators, eigenspaces,
+                               _triangular_fixed_space, build_design,
+                               clifford_generators, eigenspaces,
                                h2_action_coeffs, h2_action_coeffs_from_system,
                                h2_code_matrix, orbit, sigma_pair,
                                tensor_coeffs, tensor_coeffs_from_system,
@@ -303,6 +309,71 @@ def test_generator_diag_pair_example():
     assert dp.matrix == RatMatrix.diagonal([1, 1, 1, -1])
 
 
+def _bit(u, i):
+    return (u >> i) & 1
+
+
+def _generator_entry(name, k, v, u):
+    """Entry (v, u) of a generator, written from its definition: column u is
+    the image of e_u."""
+    if name == "h_first":
+        # S (x) I, S = [[1, 1], [1, -1]] on the top bit.
+        low = (1 << (k - 1)) - 1
+        top = _bit(v, k - 1) & _bit(u, k - 1)
+        return (-1) ** top if v & low == u & low else 0
+    if name == "h2_first":
+        # (1/2) (S (x) S) (x) I on the top two bits.
+        low = (1 << (k - 2)) - 1
+        top = ((v >> (k - 2)) & (u >> (k - 2))).bit_count()
+        return F((-1) ** top, 2) if v & low == u & low else 0
+    if name == "neg_identity":
+        return -1 if v == u else 0
+    if name.startswith("diag_linear_"):
+        i = int(name[-1])
+        return (-1) ** _bit(u, i) if v == u else 0
+    if name.startswith("diag_pair_"):
+        i, j = int(name[-2]), int(name[-1])
+        return (-1) ** (_bit(u, i) * _bit(u, j)) if v == u else 0
+    if name.startswith("translate_"):
+        image = u ^ (1 << int(name[-1]))
+    elif name == "swap_01":
+        image = (u & ~3) | (_bit(u, 0) << 1) | _bit(u, 1)
+    elif name == "cycle":
+        # bit i of u moves to bit i + 1 (mod k).
+        image = sum(_bit(u, i) << ((i + 1) % k) for i in range(k))
+    elif name == "transvect_01":
+        image = u ^ (_bit(u, 0) << 1)
+    else:
+        raise AssertionError(f"unexpected generator {name}")
+    return 1 if v == image else 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_generators_match_entrywise_definitions(k):
+    gs = clifford_generators(k)
+    names = (["neg_identity"] + [f"diag_linear_{i}" for i in range(k)]
+             + [f"diag_pair_{i}{j}" for i in range(k) for j in range(i + 1, k)]
+             + [f"translate_{i}" for i in range(k)]
+             + (["swap_01", "cycle", "transvect_01"] if k >= 2 else [])
+             + ["h_first"] + (["h2_first"] if k >= 2 else []))
+    assert [g.name for g in gs] == names
+    n = 1 << k
+    for g in gs:
+        assert g.in_gk == (g.name != "h_first")
+        assert g.matrix == RatMatrix([[_generator_entry(g.name, k, v, u)
+                                       for u in range(n)] for v in range(n)]), g.name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pauli_matrices_match_entrywise_definition(k):
+    # sign * X(a)Y(b) sends e_u to sign * (-1)^(b.u) e_(u+a).
+    n = 1 << k
+    for a, b, sign in itertools.product(range(n), range(n), (1, -1)):
+        want = [[sign * (-1) ** (b & u).bit_count() if v == u ^ a else 0
+                 for u in range(n)] for v in range(n)]
+        assert PauliOp(k, a, b, sign).matrix() == RatMatrix(want)
+
+
 def test_orbit_fixed_seed():
     gs = clifford_generators(2)
     perm_only = GeneratorSet(2, tuple(
@@ -488,3 +559,70 @@ def test_fixed_space_extra_invariants():
 def test_code_matrix_unsupported_combination():
     with pytest.raises(ValueError):
         h2_code_matrix(2, 8)  # dim-4 expansions leave the spanning basis
+
+
+# Every (k, d) that h2_code_matrix supports: k in {2, 3}, even d <= 8 with
+# d/2 <= k + 1.
+SUPPORTED_CODE_PARAMS = [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6), (3, 8)]
+
+
+def test_code_matrix_supported_domain_is_exact():
+    for k in range(1, 5):
+        for d in range(0, 11):
+            try:
+                h2_code_matrix(k, d)
+            except ValueError:
+                assert (k, d) not in SUPPORTED_CODE_PARAMS
+            else:
+                assert (k, d) in SUPPORTED_CODE_PARAMS
+
+
+@pytest.mark.parametrize("k,d", SUPPORTED_CODE_PARAMS)
+def test_fixed_space_is_a_complete_rref_kernel(k, d):
+    codes, mat, fixed = h2_code_matrix(k, d)
+    n = len(codes)
+    # v M = v exactly for every row, summed over the nonzeros of each column.
+    columns = [[(i, mat[i, j]) for i in range(n) if mat[i, j]] for j in range(n)]
+    for i in range(fixed.rows):
+        v = fixed.row(i)
+        assert [sum(v[r] * m for r, m in col) for col in columns] == list(v)
+    # RREF: leading 1s in increasing columns, each alone in its column.
+    pivots = []
+    for i in range(fixed.rows):
+        row = fixed.row(i)
+        lead = next(j for j, x in enumerate(row) if x != 0)
+        assert row[lead] == 1
+        pivots.append(lead)
+    assert pivots == sorted(set(pivots))
+    for i, p in enumerate(pivots):
+        assert all(fixed[r, p] == 0 for r in range(fixed.rows) if r != i)
+    # M^T - I is triangular, so its kernel has dimension at most the number
+    # of zero diagonal entries, the unit-diagonal codes; as many independent
+    # rows are the whole kernel.
+    units = [j for j in range(n) if mat[j, j] == 1]
+    assert fixed.rows == len(units) and (fixed.cols == n or not units)
+    assert pivots == units
+
+
+def test_fixed_space_rejects_a_constrained_unit_diagonal():
+    # v M = v forces v_0 = 0 here: a constraint the one-pass basis refuses,
+    # also under python -O.
+    mat = [[F(1), F(1)], [F(0), F(1)]]
+    with pytest.raises(AssertionError, match="constrained"):
+        _triangular_fixed_space(mat)
+    assert _triangular_fixed_space([[F(1), F(0)], [F(0), F(1, 2)]]) == RatMatrix([[1, 0]])
+    code = ("import sys\n"
+            "from fractions import Fraction as F\n"
+            "from grassdex.clifford import _triangular_fixed_space\n"
+            "if __debug__: sys.exit(4)\n"
+            "try:\n"
+            "    _triangular_fixed_space([[F(1), F(1)], [F(0), F(1)]])\n"
+            "except AssertionError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n")
+    src = os.path.dirname(os.path.dirname(grassdex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from grassdex.exactalg import (RatMatrix, adjugate,
                                bit_rref, bit_solve, bit_span,
-                               bit_subspaces, det, hnf,
+                               bit_subspaces, det, exact_nth_root, hnf,
                                int_left_kernel, inverse, null_space, rank,
                                rat, rat_str, rref, saturate_rows,
                                solve_nonneg_combination, trace_pow,
@@ -568,3 +568,43 @@ def test_bit_rref_matches_column_scan_reference(case):
     if len(words) >= 2:
         extra = words + [words[0] ^ words[1]]
         assert bit_rref(extra) == bit_rref(words)
+
+
+def _int_root_reference(v, n):
+    """The positive integer c with c^n = v, or None: a float guess, checked
+    exactly with its neighbours."""
+    c = round(v ** (1 / n))
+    return next((x for x in (c - 1, c, c + 1) if x > 0 and x ** n == v), None)
+
+
+positive_rationals = st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6,
+                                  max_denominator=10 ** 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_rationals, st.integers(1, 7))
+def test_exact_nth_root_of_a_power_is_the_base(q, n):
+    assert exact_nth_root(q ** n, n) == q
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_rationals, st.integers(1, 7))
+@example(F(1), 3)
+@example(F(4, 9), 2)
+@example(F(2), 2)
+@example(F(8, 27), 3)
+@example(F(16, 3), 4)
+@example(F(10 ** 6 + 1, 10 ** 6), 1)
+def test_exact_nth_root_matches_integer_reference(x, n):
+    rn = _int_root_reference(x.numerator, n)
+    rd = _int_root_reference(x.denominator, n)
+    want = F(rn, rd) if rn is not None and rd is not None else None
+    assert exact_nth_root(x, n) == want
+    if want is not None:
+        assert want > 0 and want ** n == x
+
+
+def test_exact_nth_root_rejects_nonpositive():
+    for x in (F(0), F(-4), F(-1, 8)):
+        with pytest.raises(ValueError):
+            exact_nth_root(x, 2)

@@ -245,6 +245,19 @@ def test_eutaxy_recheck_raises_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_enumeration_cap_is_exact(monkeypatch):
+    # D4's minimum enumeration keeps its 12 root lines, so a cap of 12
+    # passes and a cap of 11 ends it.
+    monkeypatch.setattr(lattice_mod, "ENUM_CAP", 12)
+    assert catalog("D4").minimum() == 2
+    assert len(short_vectors(catalog("D4"), 2, half=True)) == 12
+    monkeypatch.setattr(lattice_mod, "ENUM_CAP", 11)
+    with pytest.raises(ValueError, match="cap of 11 vectors"):
+        catalog("D4").minimum()
+    with pytest.raises(ValueError, match="cap of 11 vectors"):
+        short_vectors(catalog("D4"), 2, half=True)
+
+
 def test_minimal_sections_lines(e8):
     s = minimal_sections(e8, 1)
     assert s.delta == 2 and len(s) == 120 and s.complete

@@ -4,6 +4,7 @@ command lines, and the promise of no runtime dependency."""
 
 import importlib
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -11,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from grassdex.cli import build_parser
+from grassdex.cli import build_parser, main
 from grassdex.lattice import catalog, minimal_sections
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +24,40 @@ def _load_tracing():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _load_run():
+    # run.py defines dataclasses, which look their module up in sys.modules,
+    # and imports its siblings from perfbench/ by name.
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path[:] = path
+    return mod
+
+
+def test_benchmark_digests_in_process(capsys):
+    # The benchmark's recorded `results` digests, reached through cli.main:
+    # the three fixed workloads and `verify` on the unrotated inputs of
+    # `verify-rotated`, whose digests equal the rotated ones.
+    run = _load_run()
+    expected = json.loads(run.EXPECTED.read_text(encoding="utf-8"))
+    invocations = [(inv.key, inv.argv) for name in run.WORKLOADS
+                   if name != "verify-rotated" for inv in run.workload(name, 1)]
+    invocations += [(f"verify-rotated/{base}",
+                     ["verify", str(run.DATA / fname), "--t", str(t)])
+                    for base, (fname, t, _) in run.ROTATED.items()]
+    assert len(invocations) == len(expected) == 5
+    for key, argv in invocations:
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == expected[key]["exit"], key
+        assert run.results_digest(report["results"]) == expected[key]["digest"], key
 
 
 def test_traced_entry_points_resolve():
