@@ -127,7 +127,7 @@ def cmd_clifford(args, res: dict, caveats: list) -> int:
               f"do not certify invariance)")
     else:
         _note(f"trace path: {report.orbits} orbit row(s) under "
-              f"{report.generators} generators")
+              f"{report.generators} generators ({report.examined} examined)")
     res.update(report.to_json_dict())
     iso = {}
     for t in range(0, args.t):

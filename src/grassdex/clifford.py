@@ -230,10 +230,11 @@ class TTReport:
     config_size: int
     collisions: int
     stats: Dict[int, TTStat]
-    # Generators handed to the trace path, and the certified orbits it
-    # summed over (None when it ran the full pair engine); not in the JSON.
+    # Generators handed to the trace path, the certified orbits it summed
+    # over (None for the full pair engine) and those examined; not in JSON.
     generators: int = 0
     orbits: Optional[int] = None
+    examined: int = 0
 
     def to_json_dict(self):
         return {
@@ -262,13 +263,14 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     invariant constant.
 
     The trace path hands `clifford_generators(k)`, `h_first` = S (x) I
-    included, to `pair_stats`.  When the configuration is invariant under
-    the real Clifford group (an "all" set is), the pair distribution is
-    summed over its orbits, one row per orbit; the invariance is certified
-    exactly (g g^T = c I, exact image keys and multiplicities), and a
-    configuration that fails any check, such as a spread, takes the full
-    pair engine.  A tmax outside 1..MAX_T raises ValueError before anything is
-    built.
+    included, to `pair_stats`, `cycle`, `transvect_01` and `h_first` first
+    (for 2 <= k <= 4 they leave one orbit on every "all" set, so the
+    certificate stops there).  When the configuration is invariant under the
+    real Clifford group, the pair distribution is summed over its orbits,
+    one row per orbit; the invariance is certified exactly (g g^T = c I,
+    exact image keys and multiplicities), and a configuration that fails any
+    check, such as a spread, takes the full pair engine.  A tmax outside
+    1..MAX_T raises ValueError before anything is built.
     """
     if not 1 <= tmax <= MAX_T:
         raise ValueError(f"tmax must be between 1 and {MAX_T}")
@@ -282,7 +284,9 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     # 2^(2s-k) |S meet S'|.  Summed over the intersection histogram, the
     # sigma^t average is the reduction identity itself.
     config = build.config
-    generators = [g.matrix for g in clifford_generators(k)]
+    first = ("cycle", "transvect_01", "h_first")
+    generators = [g.matrix for g in sorted(clifford_generators(k),
+                                           key=lambda g: g.name not in first)]
     design = design_report(config.points, config.m, config.n, tmax,
                            generators=generators)
     report: Dict[int, TTStat] = {}
@@ -294,7 +298,7 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     return TTReport(k=k, w=w, s_param=sp, sigma_size=len(sigma.members),
                     config_size=len(build.config), collisions=build.collisions,
                     stats=report, generators=len(generators),
-                    orbits=design.orbits)
+                    orbits=design.orbits, examined=design.examined)
 
 
 # -- generators of the operator normalizer group ----------------------------
@@ -311,9 +315,6 @@ class CliffordGenerator:
 class GeneratorSet:
     k: int
     elements: Tuple[CliffordGenerator, ...]
-
-    def rational_generators(self) -> List[RatMatrix]:
-        return [g.matrix for g in self.elements if g.in_gk]
 
     def __iter__(self):
         return iter(self.elements)
@@ -380,7 +381,7 @@ def orbit(gens: GeneratorSet, seed: Subspace, cap: int = 10_000) -> Configuratio
     g g^T = c I; a nonzero multiple of an orthogonal map (such as
     `h_first`, if flagged) acts as that map.  Raises OrbitCapExceeded
     beyond `cap` points."""
-    actions = [IntAction(g) for g in gens.rational_generators()]
+    actions = [IntAction(g.matrix) for g in gens if g.in_gk]
     seen = {seed.rows}
     frontier = [seed.rows]
     while frontier:

@@ -183,6 +183,13 @@ def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     return _intdata(gy, coords)
 
 
+def _without_content(rec) -> tuple:
+    """A pair-engine record with its adjugate and det divided by their gcd."""
+    left, right, adj, d = rec
+    g = gcd(d, *(x for row in adj for x in row))
+    return left, right, [[x // g for x in row] for row in adj], d // g
+
+
 def _mul_int(a, b):
     """Product of small integer matrices given as tuples of row tuples."""
     bt = list(zip(*b))
@@ -214,8 +221,10 @@ class PairStats:
     # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included;
     # one entry per distinct `_pair_key` of the count sites.
     distribution: Dict[Tuple[Rational, Rational], int]
-    # Number of certified group orbits when the orbit identity was used.
+    # Certified group orbits when the orbit identity was used, and the
+    # generators the certificate examined.
     orbits: Optional[int] = None
+    examined: int = 0
 
     @property
     def power2(self) -> Rational:
@@ -484,18 +493,24 @@ class IntAction:
 
 
 def certified_orbits(points: Sequence, generators) -> Optional[Dict[int, int]]:
-    """The orbits of the group generated by `generators` on the multiset
+    """The orbits of a group generated by `generators` on the multiset
     `points`, certified exactly, or None when a check fails.
 
-    Each generator must compile to an `IntAction` on R^n (g g^T = c I) and
-    map the distinct points bijectively onto themselves with their
-    multiplicities: every image's canonical rows must be a point of the
-    configuration, of the same multiplicity, and no two points may share an
-    image.  Each generator then permutes a finite set, so its inverse is one
-    of its powers and the orbits are the sets reachable along images.
-    Returns {list index of the orbit's first point: number of points in the
-    orbit, multiplicity counted}.
+    Each generator must compile to an `IntAction` on R^n (g g^T = c I).
+    They are examined in order, merging orbits, until one orbit is left
+    (the orbit identity needs only some group transitive on the points).
+    An examined generator must map the distinct points bijectively onto
+    themselves with their multiplicities (exact image keys), so it permutes
+    a finite set and its inverse is one of its powers.  Returns {list index
+    of the orbit's first point: number of points in the orbit, multiplicity
+    counted}.
     """
+    found = _certify(points, generators)
+    return None if found is None else found[0]
+
+
+def _certify(points: Sequence, generators):
+    """(`certified_orbits`, the number of generators examined), or None."""
     if not points or not all(isinstance(p, Subspace) for p in points):
         return None
     n = points[0].n
@@ -514,31 +529,31 @@ def certified_orbits(points: Sequence, generators) -> Optional[Dict[int, int]]:
             first.append(i)
             mult.append(0)
         mult[d] += 1
-    maps = []
-    for act in actions:
-        image = [ids.get(act.key(rows)) for rows in ids]
+    # Union-find over the distinct points; a root is its orbit's least id.
+    parent = list(range(len(first)))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # path halving
+        return x
+
+    left, examined = len(first), 0
+    while left > 1 and examined < len(actions):
+        image = [ids.get(actions[examined].key(rows)) for rows in ids]
         if (None in image or len(set(image)) < len(image)
                 or [mult[e] for e in image] != mult):
             return None
-        maps.append(image)
+        examined += 1
+        for x, y in enumerate(image):
+            x, y = root(x), root(y)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+                left -= 1
     orbits: Dict[int, int] = {}
-    seen = bytearray(len(first))
     for d in range(len(first)):
-        if seen[d]:
-            continue
-        seen[d] = 1
-        stack = [d]
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += mult[x]
-            for image in maps:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-        orbits[first[d]] = size
-    return orbits
+        key = first[root(d)]
+        orbits[key] = orbits.get(key, 0) + mult[d]
+    return orbits, examined
 
 
 def default_workers() -> int:
@@ -563,15 +578,20 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     row of one point of O against all points: sigma is invariant under
     orthogonal maps, and G permutes the columns of every row.
     `certified_orbits` checks that G permutes the points with their
-    multiplicities, exactly; then each orbit row runs the serial pair loop
-    (packing would first lift every point, which costs more than a few
-    rows).  When any check fails, or the points are raw int data, the full
-    engine runs.  Either way the result is the same.
+    multiplicities, exactly, on the generators up to one orbit; then each
+    orbit row runs the serial pair loop (packing would first lift every
+    point, which costs more than a few rows).  When any check fails, or the
+    points are raw int data, the full engine runs, with the same result.
     """
     data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
     n = len(data)
     m = len(data[0][0])
-    orbits = certified_orbits(points, generators) if generators else None
+    if m >= 3:
+        # W and den both shrink by g_p g_q, so no key moves; the m = 2
+        # identity for det W in `_packed_counts` needs det G itself.
+        data = [_without_content(rec) for rec in data]
+    found = _certify(points, generators) if generators else None
+    orbits, examined = found or (None, 0)
     if orbits is not None:
         # Ordered pairs (i, j) for every j, the diagonal included.
         keys = _count_rows(data, [(i, 0, w) for i, w in orbits.items()])
@@ -601,7 +621,8 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     sums = {t: sum(c * s ** t for (s, _), c in dist.items())
             for t in range(1, max(tmax, 3) + 1)}
     return PairStats(size=n, m=m, sigma_pow=sums, distribution=dist,
-                     orbits=None if orbits is None else len(orbits))
+                     orbits=None if orbits is None else len(orbits),
+                     examined=examined)
 
 
 class Configuration:
@@ -701,9 +722,10 @@ class DesignReport:
     tmax: int
     t_stats: Dict[int, TDesignStat]
     zonal_sums: Dict[str, Rational]
-    # Certified group orbits the pair distribution was summed over, if any;
-    # not part of the JSON report.
+    # Certified group orbits the pair distribution was summed over, if any,
+    # and the generators examined to certify them; not part of the JSON.
     orbits: Optional[int] = None
+    examined: int = 0
 
     def is_design(self, t: int) -> bool:
         return self.t_stats[t].is_design
@@ -768,7 +790,8 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         if t_stats[mu.degree].is_design and zsums[str(mu)] != 0:
             raise AssertionError("zonal sum must vanish at certified strength")
     return DesignReport(n=n, m=m, size=len(data), tmax=tmax,
-                        t_stats=t_stats, zonal_sums=zsums, orbits=stats.orbits)
+                        t_stats=t_stats, zonal_sums=zsums, orbits=stats.orbits,
+                        examined=stats.examined)
 
 
 def zonal_positivity(config: Configuration, mu: Partition) -> Rational:

@@ -468,11 +468,12 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     """The Z-span of the scaled characteristic vectors of all affine
     subspaces of F_2^k, with the triangular basis: for each coordinate
     subset (mask), 2^ceil((k - |mask|)/2) times the indicator of the
-    points inside it, rows sorted by decreasing norm.  These supports are
-    nested by coordinate subsets, and the basis is better conditioned for
-    enumeration than HNF rows.  That it spans the same full-rank lattice as
-    the affine generators is checked exactly, by equal HNFs (AssertionError
-    otherwise, also under python -O).
+    points inside it, rows sorted by increasing norm (nested supports).
+    The enumeration fixes coordinates from the last row inward, where this
+    order has twice the Gram-Schmidt norms of decreasing norm at k = 4: it
+    finds the minimal vectors about six times faster.  That the basis spans
+    the same full-rank lattice as the affine generators is checked exactly,
+    by equal HNFs (AssertionError otherwise, also under python -O).
 
     The raw span has minimum 2^k; `normalized=True` rescales so the minimum
     becomes 2^floor(k/2) and raises when that similarity is irrational
@@ -505,7 +506,7 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     if len(basis_rows) != n or hnf(tri) != basis_rows:
         raise AssertionError("the triangular basis must span the full-rank "
                              "lattice of the affine generators")
-    rows = sorted(tri, key=lambda row: sum(x * x for x in row), reverse=True)
+    rows = sorted(tri, key=lambda row: sum(x * x for x in row))
     lat = Lattice(rows, name=f"BW{n}(raw)")
     if not normalized:
         return lat

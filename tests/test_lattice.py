@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -513,6 +514,29 @@ def test_barnes_wall_raw_minimum_scaling():
     for k in (2, 3):
         raw = barnes_wall(k)
         assert raw.minimum() == 2 ** k
+
+
+# SHA-256 of repr(sorted(minimal_line_keys(barnes_wall(k)))), recorded with
+# the basis rows in decreasing norm; the row order must not move a line.
+_BW_LINE_DIGESTS = {
+    3: (120, "7078b9fef8534b08826e2558eabb8bfdd001fac46756aba3c9232f03c3f04791"),
+    4: (2160, "690be739a9506e5edbbc7b5e48b77c68a81267f6433395faf049ece865d53810"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_BW_LINE_DIGESTS))
+def test_barnes_wall_minimal_lines_are_pinned(k):
+    lat = barnes_wall(k)
+    keys = sorted(minimal_line_keys(lat))
+    count, digest = _BW_LINE_DIGESTS[k]
+    assert len(keys) == count
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_barnes_wall_basis_norms_are_nondecreasing(k):
+    norms = [sum(x * x for x in row) for row in barnes_wall(k).basis.entries]
+    assert norms == sorted(norms)
 
 
 def test_minimal_line_configuration(e8):

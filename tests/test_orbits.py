@@ -3,14 +3,15 @@ configuration, and the pair distribution summed over its orbits."""
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from grassdex.binquad import enumerate_isotropic, spread
 from grassdex.clifford import build_design, clifford_generators
 from grassdex.exactalg import RatMatrix
-from grassdex.grassmann import (IntAction, Subspace, certified_orbits,
-                                line_key, pair_stats)
+from grassdex.grassmann import (IntAction, Subspace, _count_rows,
+                                certified_orbits, line_key, pair_stats)
 
 from test_grassmann import _run_python
 
@@ -33,15 +34,28 @@ def _index_swap(n, a, b):
 ALL_SETS = [(k, w) for k in (1, 2, 3) for w in range(1, k + 1)] + [(4, 4)]
 
 
+def _tt_order(k):
+    """`verify_tt`'s order: `cycle`, `transvect_01` and `h_first` first, the
+    other generators after them in their `clifford_generators` order."""
+    first = ("cycle", "transvect_01", "h_first")
+    return [g.matrix for g in clifford_generators(k) if g.name in first] + [
+        g.matrix for g in clifford_generators(k) if g.name not in first]
+
+
 @pytest.mark.parametrize("k,w", ALL_SETS)
 def test_orbit_reduced_distribution_equals_full_engine(k, w):
     points = _all_points(k, w)
-    reduced = pair_stats(points, tmax=3, generators=_generators(k))
     full = pair_stats(points, tmax=3)
-    assert reduced.orbits is not None and full.orbits is None
-    assert reduced.distribution == full.distribution
-    assert reduced.sigma_pow == full.sigma_pow
-    assert reduced.size == full.size == len(points)
+    assert full.orbits is None
+    for gens in (_generators(k), _tt_order(k)):
+        reduced = pair_stats(points, tmax=3, generators=gens)
+        assert reduced.orbits is not None
+        assert reduced.distribution == full.distribution
+        assert reduced.sigma_pow == full.sigma_pow
+        assert reduced.size == full.size == len(points)
+    # In `verify_tt`'s order three generators leave one orbit; the
+    # certificate examines nothing after them.
+    assert (reduced.orbits, reduced.examined) == (1, 3)
 
 
 def test_all_sets_are_single_orbits():
@@ -74,6 +88,58 @@ def test_several_orbits_are_summed():
     reduced = pair_stats(points, tmax=3, generators=gens)
     assert reduced.orbits == len(orbits)
     assert reduced.distribution == pair_stats(points, tmax=3).distribution
+
+
+def _row(points, i):
+    """The pair distribution of point i against every point, counted
+    len(points) times: the full engine's distribution when a transitive
+    group permutes the points."""
+    data = [p.int_data() for p in points]
+    return {(Fraction(a, b), Fraction(c, d)): count
+            for (a, b, c, d), count in _count_rows(data, [(i, 0, len(points))]).items()}
+
+
+def test_early_stop_on_k4_w2_planes_matches_sampled_rows():
+    # 6300 points at m = 4 are 19.8M pairs, too many for the full engine
+    # here (the README run's recorded digest pins its totals).  Every row of
+    # a transitive configuration has the same distribution, so the one
+    # orbit row must equal the rows of points the certificate never chose.
+    points = _all_points(4, 2)
+    reduced = pair_stats(points, tmax=3, generators=_tt_order(4))
+    assert (reduced.orbits, reduced.examined) == (1, 3)
+    for i in random.Random(7).sample(range(1, len(points)), 2):
+        assert reduced.distribution == _row(points, i)
+
+
+def test_generator_after_one_orbit_is_not_examined():
+    # The swap does not permute the lines, but the triple before it already
+    # leaves one orbit, so the certificate never looks at it.
+    points = _all_points(3, 3)
+    gens = _tt_order(3)
+    gens[3:3] = [_index_swap(8, 0, 1)]
+    stats = pair_stats(points, tmax=3, generators=gens)
+    assert certified_orbits(points, gens) == {0: len(points)}
+    assert (stats.orbits, stats.examined) == (1, 3)
+    assert stats.distribution == pair_stats(points, tmax=3).distribution
+
+
+def test_same_generator_first_is_refused():
+    points = _all_points(3, 3)
+    gens = [_index_swap(8, 0, 1)] + _tt_order(3)
+    stats = pair_stats(points, tmax=3, generators=gens)
+    assert certified_orbits(points, gens) is None
+    assert (stats.orbits, stats.examined) == (None, 0)
+    assert stats.distribution == pair_stats(points, tmax=3).distribution
+
+
+def test_two_orbits_examine_every_generator():
+    # Without H the 240 lines at (3, 3) fall into two orbits of 120.
+    points = _all_points(3, 3)
+    gens = [g.matrix for g in clifford_generators(3) if g.in_gk]
+    stats = pair_stats(points, tmax=3, generators=gens)
+    assert certified_orbits(points, gens) == {0: 120, 8: 120}
+    assert (stats.orbits, stats.examined) == (2, len(gens))
+    assert stats.distribution == pair_stats(points, tmax=3).distribution
 
 
 def _refusals():

@@ -60,6 +60,19 @@ def test_benchmark_digests_in_process(capsys):
         assert run.results_digest(report["results"]) == expected[key]["digest"], key
 
 
+def test_readme_clifford_k4_w2_all_keeps_its_digest(capsys):
+    # The README's orbit-path run: one row of 6300 planes at m = 4, certified
+    # on three generators.  The digest was recorded from the full engine.
+    run = _load_run()
+    code = main(["clifford", "--k", "4", "--w", "2", "--sigma", "all",
+                 "--t", "3"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert "trace path: 1 orbit row(s) under 20 generators (3 examined)" in err
+    assert run.results_digest(json.loads(out)["results"]) == (
+        "3edce2781461878a603e95d7dc34e0fa2a584a44aba801fe6ee36863922f0e76")
+
+
 def test_traced_entry_points_resolve():
     # perfbench/tracing.py wraps these names by attribute lookup; a rename in
     # the package would only show in the slow benchmark suite.
