@@ -18,9 +18,17 @@ both traces from inner products of per-point integer vectors:
     tr W^2 = (tr W)^2 - 2 det W,  det W = det G_p det G_q (det C)^2  (m = 2)
 
 with det C = <wedge^2 L_p, wedge^2 R_q> by Cauchy-Binet on Pluecker
-vectors; for lines tr W = c^2 and tr W^2 = c^4 with c = L_p . R_q.  Each
-lifted vector is divided by its content, and the per-point scales re-enter
-when a pair's traces are formed.
+vectors; for lines tr W = c^2 and tr W^2 = c^4 with c = L_p . R_q.  The
+lifted vectors share one scale per square class of Gram determinants (d_p
+d_q a perfect square).  The first field becomes the upper half of D P_p,
+with P_p the projector and D the lcm of the class's projector
+denominators; the top wedge (L_p for lines, wedge^2 L_p for planes) is
+divided by r_p, the rational square root of d_p / d_G for the class's
+first determinant d_G; then each field is divided by its content over the
+class.  This writes sigma = <P_p, P_q> (Conway, Hardin and Sloane 1996)
+over a shared denominator, so pairs at one angle give equal integers.  The
+class scales re-enter once per pair of classes and distinct value, when
+the pair is keyed.
 
 Every count site keys a pair by `_pair_key`: sigma = tr W / den and
 sum y_i^2 = tr W^2 / den^2 as gcd-reduced integer numerators and
@@ -35,8 +43,9 @@ coordinate, sum_k x[k] * col_k + 2^(s-1) * ones, yields x . y_j + 2^(s-1)
 in every slot.  The slot width comes from the exact Hoelder (Cauchy-Schwarz)
 bound |x . y| <= isqrt(max|x|^2 max|y|^2) < 2^(s-1), so no slot carries into
 the next and every count is exact.  Planes pack tr W and det C, and every
-slot also holds its column point's class (scales and det), so one integer
-per pair is counted.
+slot also holds its column point's class, so one integer per pair is
+counted: pairs at one angle between two classes share one slot, which
+`Counter.update` counts in C and which is decoded and keyed once.
 
 When a group G permutes the configuration X, the ordered-pair distribution
 is a sum over G-orbits O of |O| times one row, a representative of O
@@ -52,7 +61,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, neg
 from struct import calcsize
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,13 +86,19 @@ class Subspace:
     def __init__(self, n: int, rows, *, allow_dependent: bool = False):
         if isinstance(rows, RatMatrix):
             rows = rows.entries
-        ints = [primitive_int_row(r) for r in rows]
-        for r in ints:
-            if len(r) != n:
-                raise ValueError(f"rows have {len(r)} columns, ambient is {n}")
-        canon = int_rref(ints, n)
-        if not allow_dependent and len(canon) != len(ints):
-            raise ValueError("basis rows are linearly dependent")
+        rows = list(rows)
+        if (len(rows) == 1 and len(rows[0]) == n and any(rows[0])
+                and all(type(x) is int for x in rows[0])):
+            # One nonzero integer row: its line's canonical row.
+            canon = (line_key(rows[0]),)
+        else:
+            ints = [primitive_int_row(r) for r in rows]
+            for r in ints:
+                if len(r) != n:
+                    raise ValueError(f"rows have {len(r)} columns, ambient is {n}")
+            canon = int_rref(ints, n)
+            if not allow_dependent and len(canon) != len(ints):
+                raise ValueError("basis rows are linearly dependent")
         if not canon:
             raise ValueError("subspace must have positive dimension")
         self.n = n
@@ -271,12 +286,24 @@ def _count_chunk(data, start, stride):
                               for i in range(start, len(data), stride)))
 
 
-# Column points per packed integer.  One multiply-add then covers hundreds
-# of pairs, while the block a row starts in, computed whole but read only
-# to the right of the row, wastes little.
-_BLOCK = 512
+# Bytes of column slots per packed integer, so that one multiply-add costs
+# about the same whatever the slot width: 2048 one-byte slots, 512 of four
+# bytes, 85 of 24.  The block a row starts in is computed whole but read
+# only to the right of the row, so wide slots waste less in fewer points.
+_BLOCK_BYTES = 2048
 # memoryview formats by native item width in bits.
 _SLOT_FORMATS = {8 * calcsize(c): c for c in "BHIQ"}
+
+
+def _slot_layout(xnorms, ynorms, classes: int) -> Tuple[List[int], int]:
+    """(bits per field, slot width in bits) for row and column vectors of
+    squared lengths at most xnorms[f] and ynorms[f], with `classes` column
+    classes above the fields.  By Hoelder with p = q = 2, |x . y|^2 <=
+    |x|^2 |y|^2, so x . y + 2^(bits - 1) fits in its bits."""
+    bits = [isqrt(a * b).bit_length() + 1 for a, b in zip(xnorms, ynorms)]
+    need = sum(bits) + (classes - 1).bit_length()
+    fits = [w for w in sorted(_SLOT_FORMATS) if w >= need]
+    return bits, fits[0] if fits else -(-need // 8) * 8
 
 
 def _pack(values, nbytes: int) -> int:
@@ -289,41 +316,43 @@ class _PackedColumns:
     """Column points packed so that one multiply-add per coordinate gives a
     row's inner products with a whole block of them.
 
-    Each point carries one integer vector per field and a class index.  Slot
-    j of sum_k x[k] * col_k + base holds, for each field f, x_f . y_f(j) +
-    2^(bits_f - 1) in bits [shift_f, shift_f + bits_f), and class j above
-    the fields.  Over the rows the engine will use, |x_f . y_f| <=
-    max|x_f| max|y_f| < 2^(bits_f - 1) (Euclidean norms), so each field
-    stays in its bits.
+    Each point carries one integer vector per field and a class index, the
+    index of its scale (`_shared_scales`: one per square class of Gram
+    determinants, or one per point where sharing would widen the slot).
+    Slot j of sum_k x[k] * col_k + base holds, for each field f,
+    x_f . y_f(j) + 2^(bits_f - 1) in bits [shift_f, shift_f + bits_f), and
+    class j above the fields, so a row's pairs at equal values against one
+    class give equal slots.  Over the rows the engine will use,
+    |x_f . y_f| <= max|x_f| max|y_f| < 2^(bits_f - 1) (Euclidean norms), so
+    each field stays in its bits.
     """
 
     def __init__(self, fields, classes: Sequence[int]):
+        bits, width = _slot_layout(
+            [max(sum(v * v for v in x) for x in xs) for xs, _ in fields],
+            [max(sum(v * v for v in y) for y in ys) for _, ys in fields],
+            max(classes) + 1)
         self.fields = []                 # (shift, bits) per field
         shift = 0
-        for xs, ys in fields:
-            # Hoelder with p = q = 2: |x . y|^2 <= |x|^2 |y|^2, in integers.
-            bound = isqrt(max(sum(v * v for v in x) for x in xs) *
-                          max(sum(v * v for v in y) for y in ys))
-            self.fields.append((shift, bound.bit_length() + 1))
-            shift += bound.bit_length() + 1
+        for b in bits:
+            self.fields.append((shift, b))
+            shift += b
         self.class_shift = shift
-        need = shift + max(classes).bit_length()
-        fits = [w for w in sorted(_SLOT_FORMATS) if w >= need]
-        width = fits[0] if fits else -(-need // 8) * 8
         self.nbytes = nb = width // 8
         # Slots read in place as native integers on little-endian hosts.
         self.fmt = _SLOT_FORMATS.get(width) if sys.byteorder == "little" else None
-        # Some x is nonzero, so |y[k]| <= bound_f: y << shift_f + half packs
-        # without a sign.
+        # Some x is nonzero, so |y[k]| < 2^(bits_f - 1): y << shift_f + half
+        # packs without a sign.
         half = 1 << (width - 1)
         offsets = sum(1 << (sh + bits - 1) for sh, bits in self.fields)
+        self.per_block = per_block = max(1, _BLOCK_BYTES // nb)
         self.blocks = []
-        for j0 in range(0, len(classes), _BLOCK):
-            block = classes[j0:j0 + _BLOCK]
+        for j0 in range(0, len(classes), per_block):
+            block = classes[j0:j0 + per_block]
             halves = _pack([half] * len(block), nb)
             cols = [_pack([(v << sh) + half for v in col], nb) - halves
                     for (_, ys), (sh, _) in zip(fields, self.fields)
-                    for col in zip(*ys[j0:j0 + _BLOCK])]
+                    for col in zip(*ys[j0:j0 + per_block])]
             base = _pack([offsets + (c << shift) for c in block], nb)
             self.blocks.append((j0, cols, base, len(block)))
 
@@ -331,7 +360,7 @@ class _PackedColumns:
         """The slots of columns j >= start, one sequence per block; x is the
         row's field vectors concatenated."""
         nb = self.nbytes
-        for j0, cols, base, size in self.blocks[start // _BLOCK:]:
+        for j0, cols, base, size in self.blocks[start // self.per_block:]:
             raw = sum(map(mul, x, cols), base).to_bytes(size * nb, "little")
             lo = max(start - j0, 0)
             if self.fmt:
@@ -370,64 +399,174 @@ def _packed_counts(data) -> Counter:
     """`_count_chunk(data, 0, 1)` for m <= 2, from packed inner products:
     each distinct slot is decoded once and keyed by `_pair_key`.
 
-    Needs the cross matrices symmetric in the pair (L_p R_q^T = (L_q R_p^T)^T),
-    as for all data from `Subspace.int_data` and `intdata_from_coords`.
+    Every field is scaled per square class of Gram determinants
+    (`_shared_scales`), so within a class pairs at one angle share one slot,
+    and the class scales re-enter once per slot, with its row and column
+    classes, before the pair is keyed.  Needs the cross matrices symmetric
+    in the pair (L_p R_q^T = (L_q R_p^T)^T), as for all data from
+    `Subspace.int_data` and `intdata_from_coords`, and every det G > 0.
     """
     counts = Counter()
     if len(data) < 2:
         return counts
     if len(data[0][0]) == 1:
-        # Lines: tr W = c^2, tr W^2 = c^4 with c = L_p . R_q.
-        dets = [d[3] for d in data]
-        for dp, dq, (c,), k in _packed_pairs(
-                [([d[0][0] for d in data], [d[1][0] for d in data])], dets, dets):
-            c2 = c * c
-            counts[_pair_key(c2, c2 * c2, dp * dq)] += k
-        return counts
-    # Planes: tr W = <X_p, Y_q>, det C = <wedge^2 L_p, wedge^2 R_q>, each
-    # lifted vector divided by its content, which re-enters through the
-    # row and column classes before the pair is keyed.
-    xs, ys, px, py, row_keys, col_keys = [], [], [], [], [], []
-    for left, right, adj, d in data:
-        x, g = _plane_lift(left, adj, 2)
-        lp, a = _pluecker(left)
-        y, h = _plane_lift(right, adj, 1)
-        rp, b = _pluecker(right)
-        xs.append(x)
-        px.append(lp)
-        ys.append(y)
-        py.append(rp)
-        row_keys.append((g, a, d))
-        col_keys.append((h, b, d))
-    for (g, a, dp), (h, b, dq), (tr, minor), k in _packed_pairs(
-            [(xs, ys), (px, py)], row_keys, col_keys):
-        trw = g * h * tr
-        det_c = a * b * minor
-        den = dp * dq
-        counts[_pair_key(trw, trw * trw - 2 * den * det_c * det_c, den)] += k
+        # Lines: the top wedge is the line vector itself.
+        rows = [[left[0]] for left, _, _, _ in data]
+        cols = [[right[0]] for _, right, _, _ in data]
+    else:
+        rows = [[_plane_lift(left, adj, 2), _pluecker(left)]
+                for left, _, adj, _ in data]
+        cols = [[_plane_lift(right, adj, 1), _pluecker(right)]
+                for _, right, adj, _ in data]
+    (xs, row_keys), (ys, col_keys) = _shared_scales(
+        [rows, cols], [d for _, _, _, d in data])
+    fields = [([x[f] for x in xs], [y[f] for y in ys])
+              for f in range(len(rows[0]))]
+    for (dg, row), (dh, col), values, k in _packed_pairs(fields, row_keys,
+                                                         col_keys):
+        # e / f = <top_p / sqrt d_p, top_q / sqrt d_q>^2: c^2 / den = sigma
+        # for lines (c = L_p . R_q), (det C)^2 / den for planes, with
+        # det C = <wedge^2 L_p, wedge^2 R_q>.
+        (kp, mp), (kq, mq) = row[-1], col[-1]
+        e, f = (values[-1] * kp * kq) ** 2, (mp * mq) ** 2 * dg * dh
+        if len(values) == 1:
+            counts[_pair_key(e, e * e, f)] += k
+            continue
+        # Planes: sigma = tr W / den = <X_p / d_p, Y_q / d_q> = a / b, and
+        # sum y_i^2 = tr W^2 / den^2 = sigma^2 - 2 (det C)^2 / den.
+        (kp, mp), (kq, mq) = row[0], col[0]
+        a, b = values[0] * kp * kq, mp * mq
+        counts[_pair_key(a * f, f * (a * a * f - 2 * e * b * b), b * f)] += k
     return counts
+
+
+def _square_classes(dets) -> List[List[int]]:
+    """The distinct determinants grouped by square class: d joins the first
+    group whose first member d' has d d' a perfect square, an exact `isqrt`
+    test."""
+    groups: List[List[int]] = []
+    for d in dict.fromkeys(dets):
+        for group in groups:
+            dd = d * group[0]
+            if dd > 0 and isqrt(dd) ** 2 == dd:
+                group.append(d)
+                break
+        else:
+            groups.append([d])
+    return groups
+
+
+def _shared_scales(sides, dets):
+    """One (vectors, scales) pair per side of the packed engine, each field
+    scaled over a whole square class of points (`_square_classes`).
+
+    `sides[s][p]` holds point p's integer field vectors on side s (rows,
+    columns): its projector field (value v / d_p) first for planes, its top
+    wedge (value v / sqrt d_p) last.  Point p of a class with first
+    determinant d_G gets the integer vectors `vectors[p]` and the scale
+    (d_G, ((k, D) per field)): its projector field is vectors[p][0] * k / D,
+    its top wedge vectors[p][-1] * k / (D sqrt d_G).  Since d_p / d_G = r_p^2
+    is a rational square, the top wedge is taken as v / r_p.  D is the lcm
+    of the class's denominators and k the content of the scaled field over
+    the class, so equal values give equal vectors.
+
+    The per-point scales are the same code on a finer grouping: each cell
+    of points with one determinant and equal contents on a side.  A class
+    is scaled together only when the packed slot stays no wider than with
+    per-point scales; otherwise each of its cells keeps its own scale.
+    """
+    n = len(dets)
+    prims = [[[_content(v) for v in lift] for lift in side] for side in sides]
+    wedge = len(sides[0][0]) - 1
+    # Per side: determinant -> contents -> the points of that cell.
+    cells = []
+    for prim in prims:
+        side = defaultdict(lambda: defaultdict(list))
+        for p, point in enumerate(prim):
+            side[dets[p]][tuple(map(itemgetter(1), point))].append(p)
+        cells.append(side)
+    out = [([None] * n, [None] * n) for _ in sides]
+
+    def scale(s, keys, dg):
+        """Multipliers per cell and field, and the one scale of the cells
+        `keys` (determinant, contents) of side s, first determinant dg."""
+        mults, fields = [], []
+        for f in range(wedge + 1):
+            fracs = []
+            for d, gs in keys:
+                num, den = gs[f], d
+                if f == wedge:
+                    # 1 / r_p = d_G / sqrt(d_p d_G), an exact root in a class
+                    num, den = num * dg, isqrt(d * dg)
+                h = gcd(num, den)
+                fracs.append((num // h, den // h))
+            big = lcm(*(den for _, den in fracs))
+            m = [num * (big // den) for num, den in fracs]
+            k = gcd(*m)
+            mults.append([x // k for x in m])
+            fields.append((k, big))
+        return keys, list(zip(*mults)), (dg, tuple(fields))
+
+    def assign(s, keys, mults, key):
+        vectors, scales = out[s]
+        for (d, gs), ms in zip(keys, mults):
+            for p in cells[s][d][gs]:
+                vectors[p] = [v if x == 1 else [x * y for y in v]
+                              for (v, _), x in zip(prims[s][p], ms)]
+                scales[p] = key
+
+    # Column classes share the slot with the fields.  Lengths are read only
+    # once some cell needs a multiplier: cells without one keep their vectors.
+    classes = per_point = sum(map(len, cells[1].values()))
+    lengths = maxima = width = None
+    for group in _square_classes(dets):
+        shared = [scale(s, [(d, gs) for d in group for gs in cells[s][d]],
+                        group[0]) for s in range(len(sides))]
+        joined = classes + 1 - sum(len(cells[1][d]) for d in group)
+        if any(x != 1 for _, mults, _ in shared for ms in mults for x in ms):
+            if lengths is None:
+                lengths = [[[sum(map(mul, v, v)) for v, _ in point]
+                            for point in prim] for prim in prims]
+                maxima = [[max(col) for col in zip(*side)] for side in lengths]
+                width = _slot_layout(*maxima, per_point)[1]
+            grown = [list(top) for top in maxima]
+            for s, (keys, mults, _) in enumerate(shared):
+                for (d, gs), ms in zip(keys, mults):
+                    for p in cells[s][d][gs]:
+                        for f, x in enumerate(ms):
+                            grown[s][f] = max(grown[s][f], lengths[s][p][f] * x * x)
+            if _slot_layout(*grown, joined)[1] > width:
+                for s in range(len(sides)):
+                    for d in group:
+                        for gs in cells[s][d]:
+                            assign(s, *scale(s, [(d, gs)], d))
+                continue
+            maxima = grown
+        classes = joined
+        for s, found in enumerate(shared):
+            assign(s, *found)
+    return out
 
 
 def _content(vec) -> Tuple[List[int], int]:
     """(vec / g, g) with g the gcd of the entries (1 for a zero vector)."""
-    g = gcd(*vec) or 1
-    return [v // g for v in vec], g
+    g = gcd(*vec)
+    return (vec, 1) if g < 2 else ([v // g for v in vec], g)
 
 
-def _plane_lift(rows, adj, off_diagonal: int) -> Tuple[List[int], int]:
+def _plane_lift(rows, adj, off_diagonal: int) -> List[int]:
     """Upper half of rows^T adj rows, off-diagonal entries times
-    `off_diagonal`, divided by its content."""
+    `off_diagonal`."""
     full = adj_product(rows, adj, rows)
-    return _content([row[l] * (off_diagonal if k < l else 1)
-                     for k, row in enumerate(full) for l in range(k, len(row))])
+    return [row[l] * (off_diagonal if k < l else 1)
+            for k, row in enumerate(full) for l in range(k, len(row))]
 
 
-def _pluecker(rows) -> Tuple[List[int], int]:
-    """The 2x2 minors of two rows, divided by their content."""
+def _pluecker(rows) -> List[int]:
+    """The 2x2 minors of two rows."""
     p, q = rows
     n = len(p)
-    return _content([p[k] * q[l] - p[l] * q[k]
-                     for k in range(n) for l in range(k + 1, n)])
+    return [p[k] * q[l] - p[l] * q[k] for k in range(n) for l in range(k + 1, n)]
 
 
 def line_key(vec) -> Tuple[int, ...]:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from grassdex.exactalg import RatMatrix, det, inverse, rref, trace_pow
+from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_row,
+                               rref, trace_pow)
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
                                 _count_chunk, _packed_counts,
@@ -464,6 +465,94 @@ def test_packed_slots_pass_64_bits(monkeypatch):
     for m in (1, 2):
         pair_stats([Subspace(4, big[:m]), Subspace(4, small[:m])])
     assert len(widths) == 2 and min(widths) > 64
+
+
+@st.composite
+def rotated_packed_inputs(draw):
+    """Lines or planes in R^4 from two square classes of Gram determinants
+    (1 and 2 before rotation) and random bases with entries up to 2^41, each
+    point turned by one of two integer Householder products."""
+    m = draw(st.integers(1, 2))
+    bases = [[[1, 0, 0, 0], [0, 1, 0, 0]][:m], [[1, 0, 0, 0], [0, 1, 1, 0]][:m]]
+    bases += [draw(matrices(m, 4)) for _ in range(draw(st.integers(0, 2)))]
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    rots = [RatMatrix(householder_rotation(rng, 4, draw(st.integers(1, 3))))
+            for _ in range(2)]
+    picks = draw(st.lists(st.tuples(st.sampled_from(range(len(bases))),
+                                    st.sampled_from((0, 1))),
+                          min_size=2, max_size=8))
+    return bases, rots, picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotated_packed_inputs())
+def test_packed_engine_matches_pair_loop_on_rotations(data):
+    bases, rots, picks = data
+    try:
+        points = [Subspace(4, bases[b]).transform(rots[r]) for b, r in picks]
+    except ValueError:
+        assume(False)
+    data = [p.int_data() for p in points]
+    assert _packed_counts(data) == _count_chunk(data, 0, 1)
+
+
+def test_equal_angles_share_one_slot(monkeypatch):
+    from grassdex.binquad import enumerate_isotropic
+    from grassdex.clifford import build_design
+    # k = 3, w = 2 eigenspace planes (Gram determinants 1, 4 and 16: one
+    # square class), rotated so that the determinants differ; 200 columns
+    # span two packed blocks.
+    points = build_design(enumerate_isotropic(3, 2)).config.points[:200]
+    rot = RatMatrix(householder_rotation(random.Random(3), 8, factors=4))
+    data = [p.transform(rot).int_data() for p in points]
+    assert len({d for _, _, _, d in data}) > 20
+    decoded, blocks = [], set()
+    decode = grassmann._PackedColumns.decode
+
+    def counting(self, slot):
+        decoded.append(slot)
+        blocks.add(len(self.blocks))
+        return decode(self, slot)
+
+    monkeypatch.setattr(grassmann._PackedColumns, "decode", counting)
+    counts = _packed_counts(data)
+    assert counts == _count_chunk(data, 0, 1)
+    assert blocks == {2}
+    # Equal angles give one slot up to the sign of det C.
+    assert len(decoded) <= 2 * len(counts)
+
+
+def test_shared_scale_never_widens_the_slot(monkeypatch):
+    # Square norms 5^2, 7^2, 13^2, 17^2: one square class, but a shared
+    # scale multiplies the vectors by 1547, 1105, 595 and 455.  Per point
+    # the slot holds |x . y| <= 289 in 10 bits and 4 classes in 2 bits.
+    widths = []
+
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, fields, classes):
+            super().__init__(fields, classes)
+            widths.append(8 * self.nbytes)
+
+    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+    data = [Subspace.line(v).int_data()
+            for v in ([3, 4, 0], [2, 3, 6], [5, 0, 12], [8, 9, 12])]
+    assert _packed_counts(data) == _count_chunk(data, 0, 1)
+    assert widths == [16]
+
+
+@settings(max_examples=100, deadline=None)
+@example([0, -3, 6, 0])
+@example([0, 0, 0, -2 ** 70])
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=6)
+       .filter(any))
+def test_one_integer_row_is_its_line_key(vec):
+    n = len(vec)
+    line = Subspace(n, [vec])
+    assert line.rows == (grassmann.line_key(vec),)
+    # The elimination path, taken by Fraction and string entries.
+    assert line.rows == int_rref([primitive_int_row(vec)], n)
+    assert Subspace(n, [[F(x) for x in vec]]) == line
+    assert Subspace(n, [[str(x) for x in vec]]) == line
 
 
 def triple_reference(points, tmax):
