@@ -333,6 +333,8 @@ def spread(k: int, w: int, budget: int = 2_000_000) -> SigmaSet:
     attempted; SpreadNotFound distinguishes a completed (exhaustive) search
     from an exhausted budget.
     """
+    if not 1 <= w <= k:
+        raise ValueError("need 1 <= w <= k")
     size = spread_size(k, w)
     if size.denominator != 1:
         raise SpreadNotFound(

@@ -142,8 +142,12 @@ def cmd_clifford(args, res: dict, caveats: list) -> int:
             "two orbit families and particular lattice line sets is "
             "reported, not asserted")
     if args.emit_config:
-        with open(args.emit_config, "w", encoding="utf-8") as fh:
-            json.dump(build.config.to_json_dict(), fh)
+        try:
+            with open(args.emit_config, "w", encoding="utf-8") as fh:
+                json.dump(build.config.to_json_dict(), fh)
+        except OSError as exc:
+            raise InputError(f"cannot write configuration to "
+                             f"{args.emit_config!r}: {exc.strerror or exc}") from exc
         res["config_file"] = args.emit_config
     return 0
 

@@ -139,9 +139,14 @@ class RatMatrix:
 
     @classmethod
     def from_json(cls, data) -> "RatMatrix":
-        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-            raise TypeError("a matrix must be a JSON list of rows")
-        return cls(data)
+        return cls(json_rows(data))
+
+
+def json_rows(data):
+    """`data`, a JSON list of rows; TypeError for anything else."""
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise TypeError("a matrix must be a JSON list of rows")
+    return data
 
 
 def rref(m: RatMatrix):
@@ -348,9 +353,13 @@ def primitive_int_row(row):
 
 
 def _rational_entry(x):
-    """x as an int or Fraction; ints pass through unconverted."""
-    if isinstance(x, (int, Fraction)):
+    """x as an int or Fraction: ints pass through unconverted and a
+    decimal-integer string becomes an int, with no Fraction built; every
+    other entry goes through `rat` (bools raise TypeError)."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
         return x
+    if isinstance(x, str) and x.removeprefix("-").isdecimal():
+        return int(x)
     return rat(x)
 
 

@@ -27,8 +27,10 @@ divided by r_p, the rational square root of d_p / d_G for the class's
 first determinant d_G; then each field is divided by its content over the
 class.  This writes sigma = <P_p, P_q> (Conway, Hardin and Sloane 1996)
 over a shared denominator, so pairs at one angle give equal integers.  The
-class scales re-enter once per pair of classes and distinct value, when
-the pair is keyed.
+decision is one per configuration: if sharing would pack a wider slot than
+per-point scales, every point keeps its own scale instead.  The scales
+re-enter once per pair of scales and distinct value, when the pair is
+keyed.
 
 Every count site keys a pair by `_pair_key`: sigma = tr W / den and
 sum y_i^2 = tr W^2 / den^2 as gcd-reduced integer numerators and
@@ -66,8 +68,8 @@ from operator import add, itemgetter, mul, neg
 from struct import calcsize
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactalg import (RatMatrix, Rational, adjugate, int_rref, pivot_rows,
-                       primitive_int_row, rat_str)
+from .exactalg import (RatMatrix, Rational, adjugate, int_rref, json_rows,
+                       pivot_rows, primitive_int_row, rat_str)
 from .zonal import MAX_T, Partition, constant_c, jacobi_p, supported_partitions
 
 
@@ -318,7 +320,8 @@ class _PackedColumns:
 
     Each point carries one integer vector per field and a class index, the
     index of its scale (`_shared_scales`: one per square class of Gram
-    determinants, or one per point where sharing would widen the slot).
+    determinants, or one per point throughout the configuration if sharing
+    would widen the slot).
     Slot j of sum_k x[k] * col_k + base holds, for each field f,
     x_f . y_f(j) + 2^(bits_f - 1) in bits [shift_f, shift_f + bits_f), and
     class j above the fields, so a row's pairs at equal values against one
@@ -399,11 +402,12 @@ def _packed_counts(data) -> Counter:
     """`_count_chunk(data, 0, 1)` for m <= 2, from packed inner products:
     each distinct slot is decoded once and keyed by `_pair_key`.
 
-    Every field is scaled per square class of Gram determinants
-    (`_shared_scales`), so within a class pairs at one angle share one slot,
-    and the class scales re-enter once per slot, with its row and column
-    classes, before the pair is keyed.  Needs the cross matrices symmetric
-    in the pair (L_p R_q^T = (L_q R_p^T)^T), as for all data from
+    Every field is scaled per square class of Gram determinants, or per
+    point when that packs a narrower slot, one decision for the whole
+    configuration (`_shared_scales`).  Within a class pairs at one angle
+    share one slot, and the scales re-enter once per slot, with its row and
+    column classes, before the pair is keyed.  Needs the cross matrices
+    symmetric in the pair (L_p R_q^T = (L_q R_p^T)^T), as for all data from
     `Subspace.int_data` and `intdata_from_coords`, and every det G > 0.
     """
     counts = Counter()
@@ -440,25 +444,26 @@ def _packed_counts(data) -> Counter:
     return counts
 
 
-def _square_classes(dets) -> List[List[int]]:
-    """The distinct determinants grouped by square class: d joins the first
-    group whose first member d' has d d' a perfect square, an exact `isqrt`
-    test."""
-    groups: List[List[int]] = []
-    for d in dict.fromkeys(dets):
-        for group in groups:
-            dd = d * group[0]
-            if dd > 0 and isqrt(dd) ** 2 == dd:
-                group.append(d)
-                break
-        else:
-            groups.append([d])
-    return groups
+def _square_classes(dets) -> Dict[int, List[int]]:
+    """The points by square class of their Gram determinants, keyed by the
+    class's first determinant d_G: a new determinant d joins the first class
+    with d d_G a perfect square, an exact `isqrt` test."""
+    first: Dict[int, int] = {}
+    classes: Dict[int, List[int]] = defaultdict(list)
+    for p, d in enumerate(dets):
+        if d not in first:
+            first[d] = next((g for g in classes
+                             if (dd := d * g) > 0 and isqrt(dd) ** 2 == dd), d)
+        classes[first[d]].append(p)
+    return classes
 
 
 def _shared_scales(sides, dets):
-    """One (vectors, scales) pair per side of the packed engine, each field
-    scaled over a whole square class of points (`_square_classes`).
+    """One (vectors, scales) pair per side of the packed engine, from one
+    decision per configuration: each square class of points
+    (`_square_classes`) shares one scale, unless that packs a wider slot
+    than per-point scales (`_slot_layout` on both; ties go to sharing), and
+    then every point keeps its own.
 
     `sides[s][p]` holds point p's integer field vectors on side s (rows,
     columns): its projector field (value v / d_p) first for planes, its top
@@ -470,82 +475,60 @@ def _shared_scales(sides, dets):
     of the class's denominators and k the content of the scaled field over
     the class, so equal values give equal vectors.
 
-    The per-point scales are the same code on a finer grouping: each cell
-    of points with one determinant and equal contents on a side.  A class
-    is scaled together only when the packed slot stays no wider than with
-    per-point scales; otherwise each of its cells keeps its own scale.
+    A point's own scale is that form for a class of one point: with g_f the
+    content of field f, (d_p, ((g_0 / h, d_p / h), (g_1, 1))) for planes,
+    h = gcd(g_0, d_p), and (d_p, ((g, 1),)) for lines.
     """
-    n = len(dets)
     prims = [[[_content(v) for v in lift] for lift in side] for side in sides]
+    vectors = [[[v for v, _ in point] for point in prim] for prim in prims]
     wedge = len(sides[0][0]) - 1
-    # Per side: determinant -> contents -> the points of that cell.
-    cells = []
-    for prim in prims:
-        side = defaultdict(lambda: defaultdict(list))
-        for p, point in enumerate(prim):
-            side[dets[p]][tuple(map(itemgetter(1), point))].append(p)
-        cells.append(side)
-    out = [([None] * n, [None] * n) for _ in sides]
+    classes = _square_classes(dets)
+    # Per side and point: (multiplier per field, the class's scale).
+    shared = [[None] * len(dets) for _ in sides]
+    for prim, out in zip(prims, shared):
+        for dg, points in classes.items():
+            mults, scale = [], []
+            for f in range(wedge + 1):
+                fracs = []
+                for p in points:
+                    num, den = prim[p][f][1], dets[p]
+                    if f == wedge:
+                        # 1 / r_p = d_G / sqrt(d_p d_G), an exact root in a class
+                        num, den = num * dg, isqrt(den * dg)
+                    h = gcd(num, den)
+                    fracs.append((num // h, den // h))
+                big = lcm(*(den for _, den in fracs))
+                m = [num * (big // den) for num, den in fracs]
+                k = gcd(*m)
+                mults.append([x // k for x in m])
+                scale.append((k, big))
+            for p, ms in zip(points, zip(*mults)):
+                out[p] = ms, (dg, tuple(scale))
+    if any(x != 1 for side in shared for ms, _ in side for x in ms):
+        # Lengths are read only here: with every multiplier 1 the shared
+        # slot packs the per-point vectors in no more column classes.
+        lengths = [[[sum(map(mul, v, v)) for v in point] for point in side]
+                   for side in vectors]
+        grown = [[[n * x * x for n, x in zip(point, ms)]
+                  for point, (ms, _) in zip(side, found)]
+                 for side, found in zip(lengths, shared)]
+        own = [[(d, tuple((g, 1) if f == wedge else
+                          (g // gcd(g, d), d // gcd(g, d))
+                          for f, (_, g) in enumerate(point)))
+                for d, point in zip(dets, prim)] for prim in prims]
 
-    def scale(s, keys, dg):
-        """Multipliers per cell and field, and the one scale of the cells
-        `keys` (determinant, contents) of side s, first determinant dg."""
-        mults, fields = [], []
-        for f in range(wedge + 1):
-            fracs = []
-            for d, gs in keys:
-                num, den = gs[f], d
-                if f == wedge:
-                    # 1 / r_p = d_G / sqrt(d_p d_G), an exact root in a class
-                    num, den = num * dg, isqrt(d * dg)
-                h = gcd(num, den)
-                fracs.append((num // h, den // h))
-            big = lcm(*(den for _, den in fracs))
-            m = [num * (big // den) for num, den in fracs]
-            k = gcd(*m)
-            mults.append([x // k for x in m])
-            fields.append((k, big))
-        return keys, list(zip(*mults)), (dg, tuple(fields))
+        def width(norms, keys):
+            return _slot_layout(*([max(f) for f in zip(*side)] for side in norms),
+                                len(set(keys)))[1]
 
-    def assign(s, keys, mults, key):
-        vectors, scales = out[s]
-        for (d, gs), ms in zip(keys, mults):
-            for p in cells[s][d][gs]:
-                vectors[p] = [v if x == 1 else [x * y for y in v]
-                              for (v, _), x in zip(prims[s][p], ms)]
-                scales[p] = key
-
-    # Column classes share the slot with the fields.  Lengths are read only
-    # once some cell needs a multiplier: cells without one keep their vectors.
-    classes = per_point = sum(map(len, cells[1].values()))
-    lengths = maxima = width = None
-    for group in _square_classes(dets):
-        shared = [scale(s, [(d, gs) for d in group for gs in cells[s][d]],
-                        group[0]) for s in range(len(sides))]
-        joined = classes + 1 - sum(len(cells[1][d]) for d in group)
-        if any(x != 1 for _, mults, _ in shared for ms in mults for x in ms):
-            if lengths is None:
-                lengths = [[[sum(map(mul, v, v)) for v, _ in point]
-                            for point in prim] for prim in prims]
-                maxima = [[max(col) for col in zip(*side)] for side in lengths]
-                width = _slot_layout(*maxima, per_point)[1]
-            grown = [list(top) for top in maxima]
-            for s, (keys, mults, _) in enumerate(shared):
-                for (d, gs), ms in zip(keys, mults):
-                    for p in cells[s][d][gs]:
-                        for f, x in enumerate(ms):
-                            grown[s][f] = max(grown[s][f], lengths[s][p][f] * x * x)
-            if _slot_layout(*grown, joined)[1] > width:
-                for s in range(len(sides)):
-                    for d in group:
-                        for gs in cells[s][d]:
-                            assign(s, *scale(s, [(d, gs)], d))
-                continue
-            maxima = grown
-        classes = joined
-        for s, found in enumerate(shared):
-            assign(s, *found)
-    return out
+        if width(grown, [key for _, key in shared[1]]) > width(lengths, own[1]):
+            return list(zip(vectors, own))
+        vectors = [[[v if x == 1 else [x * y for y in v]
+                     for v, x in zip(point, ms)]
+                    for point, (ms, _) in zip(side, found)]
+                   for side, found in zip(vectors, shared)]
+    return [(side, [key for _, key in found])
+            for side, found in zip(vectors, shared)]
 
 
 def _content(vec) -> Tuple[List[int], int]:
@@ -803,7 +786,7 @@ class Configuration:
         n, m = data["n"], data["m"]
         if type(n) is not int or type(m) is not int:
             raise TypeError(f"n and m must be JSON integers, got {n!r}, {m!r}")
-        points = [Subspace(n, RatMatrix.from_json(rows)) for rows in data["points"]]
+        points = [Subspace(n, json_rows(rows)) for rows in data["points"]]
         cfg = cls(n, points)
         if cfg.m != m:
             raise ValueError(f"declared m={m} but points have dimension {cfg.m}")
@@ -833,8 +816,6 @@ def sigma(p: Subspace, q: Subspace) -> Rational:
 
 def eval_zonal(mu: Partition, p: Subspace, q: Subspace) -> Rational:
     """Exact zonal polynomial value at the principal-cosine data of (p, q)."""
-    if mu.degree > 2:
-        raise ValueError("only partitions of degree <= 2 are supported")
     poly = jacobi_p(mu, p.m, p.n)
     if mu.degree == 0:
         return Fraction(1)
@@ -935,12 +916,10 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
 
 def zonal_positivity(config: Configuration, mu: Partition) -> Rational:
     """The exact double zonal sum over the configuration (always >= 0)."""
-    if mu.degree > 2:
-        raise ValueError("only partitions of degree <= 2 are supported")
     if mu.degree == 0:
         return Fraction(len(config)) ** 2
-    stats = pair_stats(config.points, tmax=2)
-    return stats.zonal_sum(jacobi_p(mu, config.m, config.n))
+    poly = jacobi_p(mu, config.m, config.n)
+    return pair_stats(config.points, tmax=2).zonal_sum(poly)
 
 
 def average_sigma_power(config: Configuration, t: int) -> Rational:

@@ -273,11 +273,23 @@ def test_lattice_incomplete_search_carries_the_caveat(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["clifford", "--k", "5", "--w", "1"], "desk scale is k <= 4"),
     (["constants", "--k", "2", "--w", "1", "--t", "-1"], "t must be >= 0"),
-], ids=["clifford-k5", "constants-t-negative"])
+    (["clifford", "--k", "0", "--w", "1", "--sigma", "spread"], "need 1 <= w <= k"),
+    (["clifford", "--k", "-1", "--w", "1", "--sigma", "spread"], "need 1 <= w <= k"),
+    (["clifford", "--k", "2", "--w", "0", "--sigma", "spread"], "need 1 <= w <= k"),
+], ids=["clifford-k5", "constants-t-negative", "spread-k0", "spread-k-negative",
+        "spread-w0"])
 def test_out_of_range_arguments_are_input_errors(capsys, argv, message):
     code, rep = run_cli(capsys, *argv)
     assert code == 2 and rep["command"] == argv[0]
     assert message in rep["error"]
+
+
+def test_unwritable_emit_config_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, rep = run_cli(capsys, "clifford", "--k", "2", "--w", "1", "--t", "1",
+                        "--emit-config", str(target))
+    assert code == 2 and set(rep) == {"v", "command", "error"}
+    assert str(target) in rep["error"] and not target.parent.exists()
 
 
 @pytest.mark.parametrize("target", ["skew6", "skew7", "Z20"])

@@ -21,7 +21,7 @@ from grassdex.grassmann import (Configuration, Subspace,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
                                 zonal_positivity)
-from grassdex.zonal import P0, P1
+from grassdex.zonal import P0, P1, Partition
 
 
 def naive_sigma(p: Subspace, q: Subspace):
@@ -201,6 +201,16 @@ def test_zonal_positivity():
         pts = [random_subspace(rng, 4, 1) for _ in range(3)]
         val = zonal_positivity(Configuration(4, pts), P1)
         assert val >= 0
+
+
+def test_zonal_degree_past_two_is_refused_before_any_pair(monkeypatch):
+    cfg = lines_config(4, d4_line_vectors())
+    monkeypatch.setattr(grassmann, "pair_stats", None)    # never reached
+    for mu in (Partition(3), Partition(2, 1)):
+        with pytest.raises(ValueError, match="degree <= 2"):
+            zonal_positivity(cfg, mu)
+        with pytest.raises(ValueError, match="degree <= 2"):
+            eval_zonal(mu, cfg.points[0], cfg.points[1])
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -538,6 +548,55 @@ def test_shared_scale_never_widens_the_slot(monkeypatch):
             for v in ([3, 4, 0], [2, 3, 6], [5, 0, 12], [8, 9, 12])]
     assert _packed_counts(data) == _count_chunk(data, 0, 1)
     assert widths == [16]
+
+
+def test_one_scale_decision_for_two_square_classes(monkeypatch):
+    # The four lines above, whose shared scale would widen the slot, and
+    # three lines of norm 2, a second square class that shares without a
+    # multiplier.  One decision covers both classes: per point the slot
+    # holds |x . y| <= 289 in 10 bits and 5 classes in 3 bits.
+    widths = []
+
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, fields, classes):
+            super().__init__(fields, classes)
+            widths.append(8 * self.nbytes)
+
+    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+    data = [Subspace.line(v).int_data()
+            for v in ([3, 4, 0], [1, 1, 0], [2, 3, 6], [5, 0, 12], [1, 0, -1],
+                      [8, 9, 12], [0, 1, 1])]
+    assert len(grassmann._square_classes([d for *_, d in data])) == 2
+    assert _packed_counts(data) == _count_chunk(data, 0, 1)
+    assert widths == [16]
+
+
+JSON_ENTRIES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(1, 99)).map("{0[0]}/{0[1]}".format),
+    st.decimals(-1000, 1000, places=3, allow_nan=False, allow_infinity=False)
+    .map(str))
+
+
+@settings(max_examples=100, deadline=None)
+@example((3, [["-12", "0", "1/2"], ["0.25", "-0", "7"]]))
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(JSON_ENTRIES, min_size=n, max_size=n),
+                         min_size=1, max_size=3))))
+def test_string_rows_parse_as_their_rationals(data):
+    # Integer strings become ints without a Fraction; 'p/q' and decimal
+    # strings go through `rat`; the subspace is the same either way.
+    n, rows = data
+    try:
+        expected = Subspace(n, RatMatrix(rows)).rows
+    except ValueError:
+        with pytest.raises(ValueError):
+            Subspace(n, rows)
+        return
+    assert Subspace(n, rows).rows == expected
+    cfg = Configuration.from_json_dict({"n": n, "m": len(expected),
+                                        "points": [rows]})
+    assert cfg.points[0].rows == expected
 
 
 @settings(max_examples=100, deadline=None)
