@@ -31,6 +31,19 @@ def _note(msg: str):
     print(msg, file=sys.stderr, flush=True)
 
 
+def _path_note(label: str, report) -> None:
+    """Which path a design verdict took: one row per certified orbit, or
+    the full pair engine; `report` has `generators`, `orbits`, `examined`."""
+    if report.orbits is not None:
+        _note(f"{label}: {report.orbits} orbit row(s) under "
+              f"{report.generators} generators ({report.examined} examined)")
+    elif report.generators:
+        _note(f"{label}: full pair engine ({report.generators} generators "
+              f"do not certify invariance)")
+    else:
+        _note(f"{label}: full pair engine (no generators)")
+
+
 def _emit(report: dict) -> None:
     json.dump(report, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
@@ -93,6 +106,7 @@ def cmd_lattice(args, res: dict, caveats: list) -> int:
     if args.sections:
         _note(f"design verdicts on {len(secs)} sections")
         dr = lattice.section_design_report(lat, secs, tmax=args.t)
+        _path_note("design path", dr)
         res["section_design"] = dr.to_json_dict()
     if args.rankin:
         res["rankin"] = lattice.rankin(lat, args.m, secs).to_json_dict()
@@ -108,9 +122,21 @@ def cmd_lattice(args, res: dict, caveats: list) -> int:
     return 0
 
 
+def _unwritable(path: str, exc: OSError) -> InputError:
+    return InputError(f"cannot write configuration to {path!r}: "
+                      f"{exc.strerror or exc}")
+
+
 def cmd_clifford(args, res: dict, caveats: list) -> int:
     if args.k > 4:
         raise InputError("desk scale is k <= 4")
+    if args.emit_config:
+        # Fail before the build, not after it.  Append mode creates a
+        # missing file and leaves an existing one as it is until the end.
+        try:
+            open(args.emit_config, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _unwritable(args.emit_config, exc) from exc
     if args.sigma == "all":
         sigma = binquad.enumerate_isotropic(args.k, args.w)
     else:
@@ -122,12 +148,7 @@ def cmd_clifford(args, res: dict, caveats: list) -> int:
     _note(f"building eigenspace configuration for |Sigma| = {len(sigma)}")
     build = clifford.build_design(sigma)
     report = clifford.verify_tt(sigma, tmax=args.t, build=build)
-    if report.orbits is None:
-        _note(f"trace path: full pair engine ({report.generators} generators "
-              f"do not certify invariance)")
-    else:
-        _note(f"trace path: {report.orbits} orbit row(s) under "
-              f"{report.generators} generators ({report.examined} examined)")
+    _path_note("trace path", report)
     res.update(report.to_json_dict())
     iso = {}
     for t in range(0, args.t):
@@ -146,8 +167,7 @@ def cmd_clifford(args, res: dict, caveats: list) -> int:
             with open(args.emit_config, "w", encoding="utf-8") as fh:
                 json.dump(build.config.to_json_dict(), fh)
         except OSError as exc:
-            raise InputError(f"cannot write configuration to "
-                             f"{args.emit_config!r}: {exc.strerror or exc}") from exc
+            raise _unwritable(args.emit_config, exc) from exc
         res["config_file"] = args.emit_config
     return 0
 

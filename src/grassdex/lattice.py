@@ -7,7 +7,9 @@ matrix, and their integer multiples; Fincke-Pohst enumeration runs in
 integers on a fraction-free (Bareiss) table of the Gram.  Full-rank
 constructions use r = n; rank-deficient embeddings (E6, E7 inside R^8) are
 supported.  A section is its integer coordinate rows, judged intrinsically
-in dimension r; its ambient span is built only on request.
+in dimension r; its ambient span is built for the design verdicts, whose
+pair distribution is summed over certified automorphism orbits (root
+reflections, or generators a construction attaches).
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import exp, gcd, isqrt, lcm, log, prod
-from operator import mul
+from operator import mul, sub
 from typing import Dict, List, Optional, Set, Tuple
 
+from .clifford import clifford_generators
 from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str, saturate_rows,
                        solve_nonneg_combination, verify_combination)
@@ -39,9 +42,11 @@ class Lattice:
     """A positive definite lattice with a rational basis, also held as the
     integers `_basis_int / _basis_den` and `_gram_int / _gram_scale`, from
     which norms, ambient spans and determinants are taken.  `minimum()`
-    keeps the minimal vectors it enumerates, for `minimal_sections(m=1)`;
-    a lattice built by rescaling another one's basis may be handed them
-    instead (see `barnes_wall`)."""
+    keeps the minimal vectors it enumerates, for `minimal_sections(m=1)`
+    and the root search of `automorphism_generators`; a lattice built by
+    rescaling another one's basis may be handed them instead (see
+    `barnes_wall`).  `_automorphisms` holds candidate automorphisms in
+    ambient coordinates that a construction attaches, none by default."""
 
     def __init__(self, basis, name: Optional[str] = None):
         mat = basis if isinstance(basis, RatMatrix) else RatMatrix(basis)
@@ -57,6 +62,7 @@ class Lattice:
         self._basis_int, self._basis_den = _int_scaled(mat)
         self._min: Optional[Rational] = None
         self._min_vectors: List[Tuple[int, ...]] = []
+        self._automorphisms: List[RatMatrix] = []
 
     def det(self) -> Rational:
         # det(s G) is the last leading minor of the table.
@@ -209,8 +215,11 @@ def _ambient_rows(lattice: Lattice, coords) -> List[List[int]]:
 
 def section_subspaces(lattice: Lattice, sections: SectionSet) -> List[Subspace]:
     """The ambient spans of the sections, in the order of `coords`."""
-    return [Subspace.span(lattice.n, _ambient_rows(lattice, c))
-            for c in sections.coords]
+    m = sections.m
+    rows = _ambient_rows(lattice, [c for coords in sections.coords
+                                   for c in coords])
+    return [Subspace.span(lattice.n, rows[i:i + m])
+            for i in range(0, len(rows), m)]
 
 
 def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
@@ -451,14 +460,67 @@ def check_eutaxy(lattice: Lattice, m: int,
     return EutaxyResult(True, weights, uniform=False)
 
 
+def _simple_roots(lattice: Lattice) -> List[Tuple[int, ...]]:
+    """The simple roots among the minimal vectors `Lattice.minimum` kept, as
+    coordinate vectors (none before the minimum is known).
+
+    A minimal vector c is a root when the reflection in it maps the lattice
+    onto itself: 2 (c G)_i / (c G c^T) is an integer for every i, G the
+    integer Gram `_gram_int`, an exact test that stops at the first
+    coordinate failing it.  The kept vectors have a positive outermost
+    nonzero coordinate (`_enumerate` with half=True), so they are the
+    positive vectors of the functional sum_i c_i M^i for a large M, which
+    is generic; the simple roots are the positive roots that are not the
+    sum of two positive roots, and their reflections generate the Weyl
+    group (Humphreys 1990, 1.3-1.5).
+    """
+    if not lattice._min_vectors:
+        return []
+    gi = lattice._gram_int
+    q = int(lattice._min * lattice._gram_scale)
+    roots = [c for c in lattice._min_vectors
+             if all(2 * sum(map(mul, c, row)) % q == 0 for row in gi)]
+    positive = set(roots)
+    return [r for r in roots
+            if not any(tuple(map(sub, r, p)) in positive for p in roots)]
+
+
+def automorphism_generators(lattice: Lattice) -> List:
+    """Candidate generators of the automorphism group in ambient
+    coordinates, each with g g^T = c I: those a construction attached
+    (`barnes_wall`), then the reflections (v.v) I - 2 v v^T in the simple
+    roots v (`_simple_roots`, as integer ambient rows).  They are only
+    candidates: `pair_stats` certifies every one it examines."""
+    out = list(lattice._automorphisms)
+    for v in _ambient_rows(lattice, _simple_roots(lattice)):
+        q = sum(x * x for x in v)
+        out.append([[(q if i == j else 0) - 2 * a * b for j, b in enumerate(v)]
+                    for i, a in enumerate(v)])
+    return out
+
+
 def section_design_report(lattice: Lattice, sections: SectionSet,
                           tmax: int = 2) -> DesignReport:
     """Design verdicts for the minimal sections, taken intrinsically.
 
-    Subspace pair data is computed in lattice coordinates with the Gram
-    metric, so rank-deficient embeddings are judged in dimension rank.
+    Every automorphism of the lattice permutes its minimal m-sections, so
+    the pair distribution can be summed over orbits, one row per orbit
+    (Goethals and Seidel 1981).  The ambient spans of the sections go to
+    `design_report` with `automorphism_generators`: for a root lattice the
+    reflections in its simple roots, for Barnes-Wall the real Clifford
+    generators `barnes_wall` attached.  `pair_stats` certifies exactly that
+    the generators it examines permute the spans with their multiplicities
+    (g g^T = c I, exact image keys) before it uses the identity; a failed
+    check runs the full pair engine on the spans, with the same result.  A
+    lattice with no candidate generators keeps the full engine on the
+    integer coordinate records, with the Gram metric.  Either way the
+    verdicts are taken in dimension rank, so rank-deficient embeddings are
+    judged intrinsically.
     """
-    return design_report(sections.records, sections.m, lattice.rank, tmax)
+    gens = automorphism_generators(lattice)
+    points = section_subspaces(lattice, sections) if gens else sections.records
+    return design_report(points, sections.m, lattice.rank, tmax,
+                         generators=gens)
 
 
 # -- constructions -----------------------------------------------------------
@@ -508,6 +570,15 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
                              "lattice of the affine generators")
     rows = sorted(tri, key=lambda row: sum(x * x for x in row))
     lat = Lattice(rows, name=f"BW{n}(raw)")
+    # Candidate automorphisms from the real Clifford group (Nebe, Rains and
+    # Sloane 2001).  `h_first` = S (x) I does not map the minimal lines of
+    # BW16 onto themselves, so it is left out; `cycle`, `transvect_01` and
+    # `h2_first` come first, which leave one orbit on the minimal lines and
+    # 2-sections of BW16.
+    first = ("cycle", "transvect_01", "h2_first")
+    lat._automorphisms = [g.matrix for g in sorted(
+        clifford_generators(k), key=lambda g: g.name not in first)
+        if g.name != "h_first"]
     if not normalized:
         return lat
     raw_min = lat.minimum()
@@ -522,6 +593,8 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     # every norm by side^2, so the raw minimal vectors are the scaled ones.
     scaled._min = raw_min / side ** 2
     scaled._min_vectors = lat._min_vectors
+    # A similarity keeps the automorphisms.
+    scaled._automorphisms = lat._automorphisms
     return scaled
 
 

@@ -72,6 +72,56 @@ def test_clifford_notes_the_trace_path(capsys):
     assert "trace path: full pair engine (11 generators" in err
 
 
+def test_lattice_notes_the_design_path(tmp_path, capsys):
+    # The note goes to stderr only; a lattice without roots or attached
+    # generators keeps the full engine.
+    code = main(["lattice", "D4", "--m", "2", "--sections"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "design path: 1 orbit row(s) under 4 generators (4 examined)" in err
+    rootless = tmp_path / "rootless.json"
+    rootless.write_text(json.dumps({"basis": [["1", "1", "1", "0", "0"],
+                                              ["1", "0", "0", "1", "1"]]}))
+    code = main(["lattice", str(rootless), "--m", "1", "--sections"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "design path: full pair engine (no generators)" in err
+
+
+def test_lattice_d4_lines_keep_the_traced_calls(monkeypatch, capsys):
+    # The benchmark's tracer counts the first `Lattice.minimum` and every
+    # `short_vectors*` call as an enumeration, 2 on D4 lines, with 12
+    # vectors, and finds `pair_stats` inside `section_design_report`.  So
+    # the design path enumerates nothing more: `_enumerate` runs once, for
+    # the minimum, and `minimal_sections` reads its 12 vectors back.
+    from grassdex import grassmann, lattice
+    events, sizes = [], []
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(f"> {name}")
+            out = real(*args, **kwargs)
+            events.append(f"< {name}")
+            if name.startswith("short_vectors"):
+                sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for name in ("_enumerate", "short_vectors", "short_vectors_with_norms",
+                 "section_design_report"):
+        spy(lattice, name)
+    spy(grassmann, "pair_stats")
+    code, rep = run_cli(capsys, "lattice", "D4", "--m", "1", "--sections")
+    assert code == 0 and rep["results"]["section_count"] == 12
+    assert events.count("> _enumerate") == 1 and sizes == [12]
+    design = events[events.index("> section_design_report"):
+                    events.index("< section_design_report")]
+    assert "> pair_stats" in design and events.count("> pair_stats") == 1
+
+
 def test_clifford_family_split_k3(capsys):
     code, rep = run_cli(capsys, "clifford", "--k", "3", "--w", "3",
                         "--sigma", "all", "--t", "1")
@@ -290,6 +340,18 @@ def test_unwritable_emit_config_is_an_input_error(tmp_path, capsys):
                         "--emit-config", str(target))
     assert code == 2 and set(rep) == {"v", "command", "error"}
     assert str(target) in rep["error"] and not target.parent.exists()
+
+
+def test_unwritable_emit_config_fails_before_the_build(tmp_path, capsys,
+                                                       monkeypatch):
+    from grassdex import clifford
+    built = []
+    monkeypatch.setattr(clifford, "build_design", built.append)
+    target = tmp_path / "missing" / "x.json"
+    code, rep = run_cli(capsys, "clifford", "--k", "2", "--w", "1", "--t", "1",
+                        "--emit-config", str(target))
+    assert code == 2 and built == []
+    assert rep["error"].startswith(f"cannot write configuration to {str(target)!r}")
 
 
 @pytest.mark.parametrize("target", ["skew6", "skew7", "Z20"])

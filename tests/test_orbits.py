@@ -11,7 +11,12 @@ from grassdex.binquad import enumerate_isotropic, spread
 from grassdex.clifford import build_design, clifford_generators
 from grassdex.exactalg import RatMatrix
 from grassdex.grassmann import (IntAction, Subspace, _count_rows,
-                                certified_orbits, line_key, pair_stats)
+                                certified_orbits, design_report, line_key,
+                                pair_stats)
+from grassdex import grassmann, lattice as lattice_mod
+from grassdex.lattice import (_simple_roots, automorphism_generators, catalog,
+                              minimal_sections, section_design_report,
+                              section_subspaces)
 
 from test_grassmann import _run_python
 
@@ -236,3 +241,148 @@ def test_int_action_scales():
 def test_line_key_is_subspace_line_rows():
     for vec in ([0, -2, 4, 6], [3, 0, -3], [0, 0, 5], [-1, 2]):
         assert (line_key(vec),) == Subspace.line(vec).rows
+
+
+# -- lattice sections --------------------------------------------------------
+
+LATTICE_SECTIONS = [("D4", 1), ("D4", 2), ("E6", 2), ("E6", 3), ("E7", 1),
+                    ("E7", 2), ("E8", 1), ("E8", 2), ("BW16", 1)]
+
+
+@pytest.mark.parametrize("name,m", LATTICE_SECTIONS)
+def test_lattice_orbit_route_equals_full_engine(name, m):
+    # The spans with the lattice's generators against the full engine on
+    # the coordinate records: one orbit, the same distribution.
+    lat = catalog(name)
+    secs = minimal_sections(lat, m)
+    reduced = pair_stats(section_subspaces(lat, secs), tmax=3,
+                         generators=automorphism_generators(lat))
+    full = pair_stats(secs.records, tmax=3)
+    assert reduced.orbits == 1 and full.orbits is None
+    assert reduced.distribution == full.distribution
+    assert reduced.sigma_pow == full.sigma_pow
+    report = section_design_report(lat, secs, tmax=3)
+    assert report.orbits == 1
+    assert report.to_json_dict() == design_report(
+        secs.records, m, lat.rank, 3).to_json_dict()
+
+
+@pytest.mark.parametrize("name,count", [("D4", 4), ("E6", 6), ("E7", 7),
+                                        ("E8", 8), ("Z3", 3), ("BW16", 0)])
+def test_simple_roots(name, count):
+    # A root system of rank r has r simple roots; Z^n has the n orthogonal
+    # A1 roots, and BW16's minimal vectors (norm 4) are no roots.
+    lat = catalog(name)
+    lat.minimum()
+    roots = _simple_roots(lat)
+    assert len(roots) == count
+    gi, q = lat._gram_int, int(lat.minimum() * lat._gram_scale)
+    for r in roots:
+        assert sum(a * gi[i][j] * b for i, a in enumerate(r)
+                   for j, b in enumerate(r)) == q
+    if count:
+        assert len(automorphism_generators(lat)) == count
+
+
+def test_barnes_wall_attaches_clifford_generators():
+    # Not h_first, and cycle, transvect_01 and h2_first first; the
+    # normalized lattice keeps them.
+    gens = {g.name: g.matrix for g in clifford_generators(4)}
+    want = [gens.pop(name) for name in ("cycle", "transvect_01", "h2_first")]
+    del gens["h_first"]
+    want += list(gens.values())
+    assert automorphism_generators(catalog("BW16")) == want
+    assert automorphism_generators(lattice_mod.barnes_wall(4)) == want
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_many_orbit_rows_take_the_packed_engine(m):
+    # The sign changes of Z^8 fix every coordinate line and plane: 8 and 28
+    # orbits, past `_SERIAL_ROWS`, so the orbit rows are packed.
+    lat = catalog("Z8")
+    secs = minimal_sections(lat, m)
+    report = section_design_report(lat, secs, tmax=3)
+    assert report.orbits == len(secs) > grassmann._SERIAL_ROWS
+    assert report.to_json_dict() == design_report(
+        secs.records, m, 8, 3).to_json_dict()
+    data = [p.int_data() for p in section_subspaces(lat, secs)]
+    rows = [(i, 0, i + 1) for i in range(len(data))]
+    assert grassmann._packed_counts(data, rows) == _count_rows(data, rows)
+
+
+def test_generator_free_lattice_keeps_the_records():
+    # Gram [[3, 1], [1, 3]]: 2 * 1 / 3 is no integer, so neither minimal
+    # vector is a root, and the report runs the full engine.
+    lat = lattice_mod.Lattice([[1, 1, 1, 0, 0], [1, 0, 0, 1, 1]])
+    secs = minimal_sections(lat, 1)
+    assert automorphism_generators(lat) == []
+    report = section_design_report(lat, secs, tmax=2)
+    assert (report.generators, report.orbits, report.examined) == (0, None, 0)
+
+
+def _reflection(v):
+    q = sum(x * x for x in v)
+    return [[(q if i == j else 0) - 2 * a * b for j, b in enumerate(v)]
+            for i, a in enumerate(v)]
+
+
+def _lattice_refusals():
+    """(name, spans, generators, records) whose certificate must fail: a
+    reflection that is no automorphism of D4, and H = S (x) I on the BW16
+    lines, each placed first so that it is examined."""
+    d4 = catalog("D4")
+    planes = minimal_sections(d4, 2)
+    bw16 = catalog("BW16")
+    lines = minimal_sections(bw16, 1)
+    h_first = next(g.matrix for g in clifford_generators(4)
+                   if g.name == "h_first")
+    return [
+        ("non-root reflection", section_subspaces(d4, planes),
+         [_reflection([1, 1, 1, 0])] + automorphism_generators(d4),
+         planes.records),
+        ("h_first", section_subspaces(bw16, lines),
+         [h_first] + automorphism_generators(bw16), lines.records),
+    ]
+
+
+def _lattice_unrefused():
+    """Names of the lattice refusal cases whose certificate passed, or
+    whose fallback differs from the full engine; empty when all hold."""
+    bad = []
+    for name, spans, gens, records in _lattice_refusals():
+        stats = pair_stats(spans, tmax=3, generators=gens)
+        full = pair_stats(records, tmax=3)
+        if (certified_orbits(spans, gens) is not None
+                or stats.orbits is not None
+                or stats.distribution != full.distribution
+                or stats.sigma_pow != full.sigma_pow):
+            bad.append(name)
+    return bad
+
+
+def test_lattice_refusals_fall_back_to_the_full_engine():
+    assert _lattice_unrefused() == []
+
+
+def test_lattice_refusals_hold_under_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "if __debug__: sys.exit(4)\n"
+            "from test_orbits import _lattice_unrefused\n"
+            "bad = _lattice_unrefused()\n"
+            "print(bad)\n"
+            "sys.exit(3 if bad else 0)\n")
+    proc = _run_python(code, "-O", path=here)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_section_report_falls_back_on_a_refused_generator(monkeypatch):
+    d4 = catalog("D4")
+    secs = minimal_sections(d4, 2)
+    real = automorphism_generators(d4)
+    monkeypatch.setattr(lattice_mod, "automorphism_generators",
+                        lambda lat: [_reflection([1, 1, 1, 0])] + real)
+    report = section_design_report(d4, secs, tmax=3)
+    assert (report.generators, report.orbits) == (len(real) + 1, None)
+    assert report.to_json_dict() == design_report(
+        secs.records, 2, 4, 3).to_json_dict()
