@@ -37,6 +37,9 @@ def _path_note(label: str, report) -> None:
     if report.orbits is not None:
         _note(f"{label}: {report.orbits} orbit row(s) under "
               f"{report.generators} generators ({report.examined} examined)")
+    elif report.examined:
+        _note(f"{label}: full pair engine (orbit rows under "
+              f"{report.generators} generators would cost more)")
     elif report.generators:
         _note(f"{label}: full pair engine ({report.generators} generators "
               f"do not certify invariance)")
@@ -130,13 +133,25 @@ def _unwritable(path: str, exc: OSError) -> InputError:
 def cmd_clifford(args, res: dict, caveats: list) -> int:
     if args.k > 4:
         raise InputError("desk scale is k <= 4")
+    created = False
     if args.emit_config:
-        # Fail before the build, not after it.  Append mode creates a
-        # missing file and leaves an existing one as it is until the end.
+        # Fail before the build, not after it.  Append mode leaves an
+        # existing file as it is until the end; a file it creates is removed
+        # again if the command fails.
+        created = not os.path.exists(args.emit_config)
         try:
             open(args.emit_config, "a", encoding="utf-8").close()
         except OSError as exc:
             raise _unwritable(args.emit_config, exc) from exc
+    try:
+        return _clifford_run(args, res, caveats)
+    except BaseException:
+        if created:
+            os.unlink(args.emit_config)
+        raise
+
+
+def _clifford_run(args, res: dict, caveats: list) -> int:
     if args.sigma == "all":
         sigma = binquad.enumerate_isotropic(args.k, args.w)
     else:

@@ -281,6 +281,13 @@ def _count_rows(data, rows) -> Counter:
     return counts
 
 
+def _count_chunk(data, start, stride):
+    """Counts of the `_pair_key`s over pairs i < j with i = start mod
+    stride; a pool worker returns one entry per angle class."""
+    return _count_rows(data, ((i, i + 1, 1)
+                              for i in range(start, len(data), stride)))
+
+
 # Bytes of column slots per packed integer, so that one multiply-add costs
 # about the same whatever the slot width: 2048 one-byte slots, 512 of four
 # bytes, 85 of 24.  The block a row starts in is computed whole but read
@@ -372,31 +379,28 @@ class _PackedColumns:
             for sh, bits in self.fields]
 
 
-def _packed_pairs(fields, row_keys, col_keys, rows):
-    """(row_keys[i], col_keys[j], values, count) over the pairs (i, j),
-    j >= start, of each row spec (i, start, weight), each counted weight
-    times; values are the inner products x_f(i) . y_f(j) of every field
-    f = (xs, ys)."""
+def _packed_pairs(fields, row_keys, col_keys):
+    """(row_keys[i], col_keys[j], values, count) over pairs i < j, values
+    the inner products x_f(i) . y_f(j) of every field f = (xs, ys)."""
     classes: Dict = {}
     packed = _PackedColumns(fields, [classes.setdefault(k, len(classes))
                                      for k in col_keys])
     by_row = defaultdict(Counter)
-    for i, start, weight in rows:
+    for i in range(len(row_keys) - 1):
         x = [v for xs, _ in fields for v in xs[i]]
-        counter = by_row[row_keys[i], weight]
-        for slots in packed.row(x, start):
+        counter = by_row[row_keys[i]]
+        for slots in packed.row(x, i + 1):
             counter.update(slots)
     kinds = list(classes)
-    for (key, weight), counter in by_row.items():
+    for key, counter in by_row.items():
         for slot, k in counter.items():
             cls, values = packed.decode(slot)
-            yield key, kinds[cls], values, k * weight
+            yield key, kinds[cls], values, k
 
 
-def _packed_counts(data, rows=None) -> Counter:
-    """`_count_rows(data, rows)` for m <= 2, from packed inner products:
-    each distinct slot is decoded once and keyed by `_pair_key`.  `rows`
-    defaults to the pairs i < j, once each.
+def _packed_counts(data) -> Counter:
+    """`_count_chunk(data, 0, 1)` for m <= 2, from packed inner products:
+    each distinct slot is decoded once and keyed by `_pair_key`.
 
     Every field is scaled per square class of Gram determinants, or per
     point when that packs a narrower slot, one decision for the whole
@@ -406,26 +410,24 @@ def _packed_counts(data, rows=None) -> Counter:
     symmetric in the pair (L_p R_q^T = (L_q R_p^T)^T), as for all data from
     `Subspace.int_data` and `intdata_from_coords`, and every det G > 0.
     """
-    if rows is None:
-        rows = [(i, i + 1, 1) for i in range(len(data) - 1)]
     counts = Counter()
-    if not rows:
+    if len(data) < 2:
         return counts
     if len(data[0][0]) == 1:
         # Lines: the top wedge is the line vector itself.
-        lefts = [[left[0]] for left, _, _, _ in data]
-        rights = [[right[0]] for _, right, _, _ in data]
+        rows = [[left[0]] for left, _, _, _ in data]
+        cols = [[right[0]] for _, right, _, _ in data]
     else:
-        lefts = [[_plane_lift(left, adj, 2), _pluecker(left)]
-                 for left, _, adj, _ in data]
-        rights = [[_plane_lift(right, adj, 1), _pluecker(right)]
-                  for _, right, adj, _ in data]
+        rows = [[_plane_lift(left, adj, 2), _pluecker(left)]
+                for left, _, adj, _ in data]
+        cols = [[_plane_lift(right, adj, 1), _pluecker(right)]
+                for _, right, adj, _ in data]
     (xs, row_keys), (ys, col_keys) = _shared_scales(
-        [lefts, rights], [d for _, _, _, d in data])
+        [rows, cols], [d for _, _, _, d in data])
     fields = [([x[f] for x in xs], [y[f] for y in ys])
-              for f in range(len(lefts[0]))]
+              for f in range(len(rows[0]))]
     for (dg, row), (dh, col), values, k in _packed_pairs(fields, row_keys,
-                                                         col_keys, rows):
+                                                         col_keys):
         # e / f = <top_p / sqrt d_p, top_q / sqrt d_q>^2: c^2 / den = sigma
         # for lines (c = L_p . R_q), (det C)^2 / den for planes, with
         # det C = <wedge^2 L_p, wedge^2 R_q>.
@@ -676,14 +678,13 @@ def _certify(points: Sequence, generators):
     return orbits, examined
 
 
-# Orbit rows of lines and planes up to this many run the serial loop; more
-# take the packed engine, which lifts and packs every point first.  Both
-# costs grow with the point count, so the crossover is a row count: 6-7
-# rows on the minimal lines of BW16 (2160) and E8 (120), 7-8 on the E8
-# minimal planes (1120), 3 on the D4 planes (16).
+# Certified orbit rows of lines and planes up to this many run the serial
+# loop; with more, the packed full engine is faster.  The serial rows cost
+# about 6-40 times as much per pair, so the crossover grows with the point
+# count: 3 rows on the D4 minimal planes (16 points), 8 on the E8 minimal
+# lines (120) and E7 planes (336), 13 on the E8 planes (1120), 40 on the
+# BW16 minimal lines (2160).
 _SERIAL_ROWS = 6
-# Rows (m >= 3) from which the pool starts: the full engine's on 64 points.
-_POOL_ROWS = 63
 
 
 def default_workers() -> int:
@@ -697,26 +698,23 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     """The exact pair distribution and its sigma-power totals over all
     ordered pairs.
 
-    `points` may be Subspace instances or raw int-data tuples.  The pairs
-    are counted a row at a time (`_count_rows`): the full engine's rows are
-    point i against the points j > i, each pair standing for both orders.
-    Lines and planes take the packed engine, serially; for m >= 3 and at
-    least `_POOL_ROWS` rows the pair loop runs in a pool of
-    min(`default_workers()`, points) processes when that is more than one.
-    Exact; the reduction order is irrelevant, so the worker count never
-    changes the result.
+    `points` may be Subspace instances or raw int-data tuples.  Lines and
+    planes take the packed engine, serially; for m >= 3 and at least 64
+    points the pair loop runs in a pool of min(`default_workers()`, points)
+    processes when that is more than one.  Exact; the reduction order is
+    irrelevant, so the worker count never changes the result.
 
     With generator matrices of a group G that permutes the points (g g^T =
     c I each), the distribution is the sum over G-orbits O of |O| times the
     row of one point of O against all points: sigma is invariant under
     orthogonal maps, and G permutes the columns of every row.
     `certified_orbits` checks that G permutes the points with their
-    multiplicities, exactly, on the generators up to one orbit; then the
-    rows are one point per orbit against all points, taken by the same
-    engines, except that up to `_SERIAL_ROWS` rows of lines or planes run
-    the serial loop (packing would first lift every point).  When any check
-    fails, or the points are raw int data, the full engine runs, with the
-    same result.
+    multiplicities, exactly, on the generators up to one orbit; then each
+    orbit row runs the serial pair loop (packing would first lift every
+    point, which costs more than a few rows), if the rows count fewer pairs
+    than the full engine and, for lines and planes, are no more than
+    `_SERIAL_ROWS`.  When any check fails, the rows would cost more, or the
+    points are raw int data, the full engine runs, with the same result.
     """
     data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
     n = len(data)
@@ -727,30 +725,33 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
         data = [_without_content(rec) for rec in data]
     found = _certify(points, generators) if generators else None
     orbits, examined = found or (None, 0)
+    # n |O| ordered pairs against the full engine's n (n - 1) / 2.
+    if orbits is not None and (2 * len(orbits) >= n - 1 or
+                               (m <= 2 and len(orbits) > _SERIAL_ROWS)):
+        orbits = None
     if orbits is not None:
-        # Ordered pairs (i, j) for every j, the diagonal included, once per
-        # point of the orbit.
-        rows = [(i, 0, w) for i, w in orbits.items()]
-        keys = Counter()
+        # Ordered pairs (i, j) for every j, the diagonal included.
+        keys = _count_rows(data, [(i, 0, w) for i, w in orbits.items()])
     else:
+        workers = min(default_workers(), n) if m >= 3 and n >= 64 else 1
+        if m <= 2:
+            half = _packed_counts(data)
+        elif workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                futs = [ex.submit(_count_chunk, data, s, workers)
+                        for s in range(workers)]
+                half = Counter()
+                for f in futs:
+                    half.update(f.result())
+        else:
+            half = _count_chunk(data, 0, 1)
         # Pairs i < j stand for both orders; on the diagonal every principal
         # cosine is 1.
-        rows = [(i, i + 1, 2) for i in range(n - 1)]
         keys = Counter({(m, 1, m, 1): n})
-    workers = (min(default_workers(), n)
-               if m >= 3 and len(rows) >= _POOL_ROWS else 1)
-    if m <= 2 and (orbits is None or len(rows) > _SERIAL_ROWS):
-        keys.update(_packed_counts(data, rows))
-    elif workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_count_rows, data, rows[s::workers])
-                    for s in range(workers)]
-            for f in futs:
-                keys.update(f.result())
-    else:
-        keys.update(_count_rows(data, rows))
+        for key, count in half.items():
+            keys[key] += 2 * count
     # Distinct reduced keys are distinct rationals.
     dist = {(Fraction(a, b), Fraction(c, d)): count
             for (a, b, c, d), count in keys.items()}

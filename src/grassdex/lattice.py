@@ -507,11 +507,13 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
     the pair distribution can be summed over orbits, one row per orbit
     (Goethals and Seidel 1981).  The ambient spans of the sections go to
     `design_report` with `automorphism_generators`: for a root lattice the
-    reflections in its simple roots, for Barnes-Wall the real Clifford
-    generators `barnes_wall` attached.  `pair_stats` certifies exactly that
-    the generators it examines permute the spans with their multiplicities
-    (g g^T = c I, exact image keys) before it uses the identity; a failed
-    check runs the full pair engine on the spans, with the same result.  A
+    reflections in its simple roots, for Barnes-Wall the generators of the
+    rational Clifford subgroup `barnes_wall` attached.  `pair_stats`
+    certifies exactly that the generators it examines permute the spans
+    with their multiplicities (g g^T = c I, exact image keys) before it
+    uses the identity; a failed check, or orbit rows that would cost more
+    than the full pair engine, runs that engine on the spans, with the
+    same result.  A
     lattice with no candidate generators keeps the full engine on the
     integer coordinate records, with the Gram metric.  Either way the
     verdicts are taken in dimension rank, so rank-deficient embeddings are
@@ -570,15 +572,15 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
                              "lattice of the affine generators")
     rows = sorted(tri, key=lambda row: sum(x * x for x in row))
     lat = Lattice(rows, name=f"BW{n}(raw)")
-    # Candidate automorphisms from the real Clifford group (Nebe, Rains and
-    # Sloane 2001).  `h_first` = S (x) I does not map the minimal lines of
-    # BW16 onto themselves, so it is left out; `cycle`, `transvect_01` and
+    # Candidate automorphisms: the generators of the rational Clifford
+    # subgroup G_k, which preserves the lattice (Nebe, Rains and Sloane
+    # 2001); H = `h_first` is not in it.  `cycle`, `transvect_01` and
     # `h2_first` come first, which leave one orbit on the minimal lines and
     # 2-sections of BW16.
     first = ("cycle", "transvect_01", "h2_first")
     lat._automorphisms = [g.matrix for g in sorted(
         clifford_generators(k), key=lambda g: g.name not in first)
-        if g.name != "h_first"]
+        if g.in_gk]
     if not normalized:
         return lat
     raw_min = lat.minimum()

@@ -86,6 +86,12 @@ def test_lattice_notes_the_design_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert "design path: full pair engine (no generators)" in err
+    # Z8's sign changes fix every line: 8 orbit rows cost more.
+    code = main(["lattice", "Z8", "--m", "1", "--sections"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert ("design path: full pair engine (orbit rows under 8 generators "
+            "would cost more)") in err
 
 
 def test_lattice_d4_lines_keep_the_traced_calls(monkeypatch, capsys):
@@ -352,6 +358,19 @@ def test_unwritable_emit_config_fails_before_the_build(tmp_path, capsys,
                         "--emit-config", str(target))
     assert code == 2 and built == []
     assert rep["error"].startswith(f"cannot write configuration to {str(target)!r}")
+
+
+def test_failed_clifford_run_leaves_no_emit_config(tmp_path, capsys):
+    # The early check creates the file; a run that fails after it removes
+    # the file again, and an existing file is left as it was.
+    target = tmp_path / "out.json"
+    args = ["clifford", "--k", "2", "--w", "0", "--sigma", "spread",
+            "--emit-config", str(target)]
+    code, rep = run_cli(capsys, *args)
+    assert code == 2 and "error" in rep and not target.exists()
+    target.write_text("kept")
+    code, rep = run_cli(capsys, *args)
+    assert code == 2 and target.read_text() == "kept"
 
 
 @pytest.mark.parametrize("target", ["skew6", "skew7", "Z20"])

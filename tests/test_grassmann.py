@@ -16,17 +16,12 @@ from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_
                                rref, trace_pow)
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
-                                _count_rows, _packed_counts,
+                                _count_chunk, _packed_counts,
                                 average_sigma_power, default_workers,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
                                 zonal_positivity)
 from grassdex.zonal import P0, P1, Partition
-
-
-def _half_counts(data):
-    """The serial loop's pair keys over the pairs i < j, once each."""
-    return _count_rows(data, [(i, i + 1, 1) for i in range(len(data) - 1)])
 
 
 def naive_sigma(p: Subspace, q: Subspace):
@@ -418,7 +413,7 @@ def test_pair_engine_matches_projector_reference(data):
     if m <= 2:
         # The packed engine against the per-pair loop.
         points = [p.int_data() for p in cfg.points]
-        assert _packed_counts(points) == _half_counts(points)
+        assert _packed_counts(points) == _count_chunk(points, 0, 1)
     sums, power2 = projector_reference(cfg.points, 5)
     for workers in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
@@ -462,7 +457,7 @@ def test_packed_engine_matches_pair_loop_on_metric_data(data):
     gram, coords = data
     points = [intdata_from_coords(c, gram) for c in coords]
     assume(all(d for _, _, _, d in points))
-    assert _packed_counts(points) == _half_counts(points)
+    assert _packed_counts(points) == _count_chunk(points, 0, 1)
 
 
 def test_packed_slots_pass_64_bits(monkeypatch):
@@ -508,7 +503,7 @@ def test_packed_engine_matches_pair_loop_on_rotations(data):
     except ValueError:
         assume(False)
     data = [p.int_data() for p in points]
-    assert _packed_counts(data) == _half_counts(data)
+    assert _packed_counts(data) == _count_chunk(data, 0, 1)
 
 
 def test_equal_angles_share_one_slot(monkeypatch):
@@ -531,7 +526,7 @@ def test_equal_angles_share_one_slot(monkeypatch):
 
     monkeypatch.setattr(grassmann._PackedColumns, "decode", counting)
     counts = _packed_counts(data)
-    assert counts == _half_counts(data)
+    assert counts == _count_chunk(data, 0, 1)
     assert blocks == {2}
     # Equal angles give one slot up to the sign of det C.
     assert len(decoded) <= 2 * len(counts)
@@ -551,7 +546,7 @@ def test_shared_scale_never_widens_the_slot(monkeypatch):
     monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
     data = [Subspace.line(v).int_data()
             for v in ([3, 4, 0], [2, 3, 6], [5, 0, 12], [8, 9, 12])]
-    assert _packed_counts(data) == _half_counts(data)
+    assert _packed_counts(data) == _count_chunk(data, 0, 1)
     assert widths == [16]
 
 
@@ -572,7 +567,7 @@ def test_one_scale_decision_for_two_square_classes(monkeypatch):
             for v in ([3, 4, 0], [1, 1, 0], [2, 3, 6], [5, 0, 12], [1, 0, -1],
                       [8, 9, 12], [0, 1, 1])]
     assert len(grassmann._square_classes([d for *_, d in data])) == 2
-    assert _packed_counts(data) == _half_counts(data)
+    assert _packed_counts(data) == _count_chunk(data, 0, 1)
     assert widths == [16]
 
 
@@ -718,7 +713,7 @@ def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens,
     # The count sites key each angle class once, in lowest terms, however
     # the rotated Gram determinants differ.
     data = [p.int_data() for p in rotated]
-    counts = _packed_counts(data) if rotated[0].m <= 2 else _half_counts(data)
+    counts = _packed_counts(data) if rotated[0].m <= 2 else _count_chunk(data, 0, 1)
     assert len(counts) <= len(dist)
     assert all(gcd(a, b) == gcd(c, d) == 1 and b > 0 and d > 0
                for a, b, c, d in counts)

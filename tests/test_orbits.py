@@ -83,16 +83,23 @@ def test_multiplicities_enter_the_orbit_weights():
 
 
 def test_several_orbits_are_summed():
-    # Under the diagonal sign maps alone the 240 lines split into orbits.
-    gens = [g.matrix for g in clifford_generators(3)
-            if g.name.startswith(("neg", "diag"))]
+    # Under the diagonal sign maps alone the 240 lines split into 51
+    # orbits, more rows than `_SERIAL_ROWS`, so the full engine runs; with
+    # translate_0 and h2_first added they split into 6 unequal orbits,
+    # whose rows are summed.
     points = _all_points(3, 3)
-    orbits = certified_orbits(points, gens)
-    assert orbits is not None and len(orbits) > 1
-    assert sum(orbits.values()) == len(points)
-    reduced = pair_stats(points, tmax=3, generators=gens)
-    assert reduced.orbits == len(orbits)
-    assert reduced.distribution == pair_stats(points, tmax=3).distribution
+    full = pair_stats(points, tmax=3).distribution
+    diag = [g for g in clifford_generators(3)
+            if g.name.startswith(("neg", "diag"))]
+    more = [g for g in clifford_generators(3)
+            if g.name in ("translate_0", "h2_first")]
+    for gens, count, route in ((diag, 51, None), (diag + more, 6, 6)):
+        gens = [g.matrix for g in gens]
+        orbits = certified_orbits(points, gens)
+        assert len(orbits) == count and sum(orbits.values()) == len(points)
+        reduced = pair_stats(points, tmax=3, generators=gens)
+        assert (reduced.orbits, reduced.examined) == (route, len(gens))
+        assert reduced.distribution == full
 
 
 def _row(points, i):
@@ -295,19 +302,34 @@ def test_barnes_wall_attaches_clifford_generators():
     assert automorphism_generators(lattice_mod.barnes_wall(4)) == want
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_many_orbit_rows_take_the_packed_engine(m):
-    # The sign changes of Z^8 fix every coordinate line and plane: 8 and 28
-    # orbits, past `_SERIAL_ROWS`, so the orbit rows are packed.
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_costly_orbit_rows_take_the_full_engine(m):
+    # The sign changes of Z^8 fix every coordinate m-space: one orbit per
+    # point, so orbit rows would count more pairs than the full engine,
+    # which runs on the spans instead.
     lat = catalog("Z8")
     secs = minimal_sections(lat, m)
     report = section_design_report(lat, secs, tmax=3)
-    assert report.orbits == len(secs) > grassmann._SERIAL_ROWS
+    assert (report.generators, report.orbits, report.examined) == (8, None, 8)
     assert report.to_json_dict() == design_report(
         secs.records, m, 8, 3).to_json_dict()
-    data = [p.int_data() for p in section_subspaces(lat, secs)]
-    rows = [(i, 0, i + 1) for i in range(len(data))]
-    assert grassmann._packed_counts(data, rows) == _count_rows(data, rows)
+
+
+def test_orbit_rows_of_lines_stop_past_the_serial_limit():
+    # On the 120 minimal lines of E8 the first six simple reflections leave
+    # 7 orbits, fewer pairs than the full engine but past `_SERIAL_ROWS`,
+    # so the packed full engine runs; the first seven leave 3 orbit rows.
+    lat = catalog("E8")
+    lines = minimal_sections(lat, 1)
+    spans = section_subspaces(lat, lines)
+    gens = automorphism_generators(lat)
+    assert len(certified_orbits(spans, gens[:6])) == 7 > grassmann._SERIAL_ROWS
+    full = pair_stats(lines.records, tmax=3)
+    for count, orbits in ((6, None), (7, 3)):
+        stats = pair_stats(spans, tmax=3, generators=gens[:count])
+        assert (stats.orbits, stats.examined) == (orbits, count)
+        assert stats.distribution == full.distribution
+        assert stats.sigma_pow == full.sigma_pow
 
 
 def test_generator_free_lattice_keeps_the_records():
