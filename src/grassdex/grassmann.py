@@ -32,6 +32,20 @@ per-point scales, every point keeps its own scale instead.  The scales
 re-enter once per pair of scales and distinct value, when the pair is
 keyed.
 
+For m >= 3 each point's rows are first made orthogonal in the record's own
+metric by a fraction-free Gram-Schmidt (integer only, content divided out
+at each step; `_orthogonal`).  The new rows u_a, v_a have a diagonal Gram
+g_a, so adj(G) / det G becomes diag(w) / l with l = lcm(g) and weights
+w_a = l / g_a.  With the cross entries C_ab = u_a(p) . v_b(q):
+
+    H_ac = sum_b w'_b C_ab C_cb,  tr W = sum_a w_a H_aa,
+    tr W^2 = sum_{a,c} w_a w_c H_ac^2,  den = l_p l_q
+
+for W = diag(w) C diag(w') C^T.  With new bases T_p B_p and T_q B_q this
+W / den is T_p^-T (W / den of the old bases) T_p^T, a similar matrix, so
+tr W / den = sigma and tr W^2 / den^2 = sum y_i^2 are unchanged and so is
+every pair key.
+
 Every count site keys a pair by `_pair_key`: sigma = tr W / den and
 sum y_i^2 = tr W^2 / den^2 as gcd-reduced integer numerators and
 denominators.  Pairs at one angle share one key however their Gram
@@ -47,7 +61,9 @@ bound |x . y| <= isqrt(max|x|^2 max|y|^2) < 2^(s-1), so no slot carries into
 the next and every count is exact.  Planes pack tr W and det C, and every
 slot also holds its column point's class, so one integer per pair is
 counted: pairs at one angle between two classes share one slot, which
-`Counter.update` counts in C and which is decoded and keyed once.
+`Counter.update` counts in C and which is decoded and keyed once.  For
+m >= 3 the columns are the m rows v_b of each point, so each row u_a of a
+point gives its C_ab against a whole block at once.
 
 When a group G permutes the configuration X, the ordered-pair distribution
 is a sum over G-orbits O of |O| times one row, a representative of O
@@ -63,6 +79,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, neg
 from struct import calcsize
@@ -200,13 +217,6 @@ def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     return _intdata(gy, coords)
 
 
-def _without_content(rec) -> tuple:
-    """A pair-engine record with its adjugate and det divided by their gcd."""
-    left, right, adj, d = rec
-    g = gcd(d, *(x for row in adj for x in row))
-    return left, right, [[x // g for x in row] for row in adj], d // g
-
-
 def _mul_int(a, b):
     """Product of small integer matrices given as tuples of row tuples."""
     bt = list(zip(*b))
@@ -281,11 +291,12 @@ def _count_rows(data, rows) -> Counter:
     return counts
 
 
-def _count_chunk(data, start, stride):
+def _count_chunk(orth, start, stride):
     """Counts of the `_pair_key`s over pairs i < j with i = start mod
-    stride; a pool worker returns one entry per angle class."""
-    return _count_rows(data, ((i, i + 1, 1)
-                              for i in range(start, len(data), stride)))
+    stride, from the records `orth` (`_orthogonal`) by the packed cross
+    engine; a pool worker returns one entry per angle class."""
+    return _cross_rows(orth, ((i, i + 1, 1)
+                              for i in range(start, len(orth), stride)))
 
 
 # Bytes of column slots per packed integer, so that one multiply-add costs
@@ -327,10 +338,11 @@ class _PackedColumns:
     class j above the fields, so a row's pairs at equal values against one
     class give equal slots.  Over the rows the engine will use,
     |x_f . y_f| <= max|x_f| max|y_f| < 2^(bits_f - 1) (Euclidean norms), so
-    each field stays in its bits.
+    each field stays in its bits.  A block holds whole groups of `group`
+    consecutive columns, so a point's m columns share one block.
     """
 
-    def __init__(self, fields, classes: Sequence[int]):
+    def __init__(self, fields, classes: Sequence[int], group: int = 1):
         bits, width = _slot_layout(
             [max(sum(v * v for v in x) for x in xs) for xs, _ in fields],
             [max(sum(v * v for v in y) for y in ys) for _, ys in fields],
@@ -348,7 +360,7 @@ class _PackedColumns:
         # packs without a sign.
         half = 1 << (width - 1)
         offsets = sum(1 << (sh + bits - 1) for sh, bits in self.fields)
-        self.per_block = per_block = max(1, _BLOCK_BYTES // nb)
+        self.per_block = per_block = max(1, _BLOCK_BYTES // (nb * group)) * group
         self.blocks = []
         for j0 in range(0, len(classes), per_block):
             block = classes[j0:j0 + per_block]
@@ -441,6 +453,82 @@ def _packed_counts(data) -> Counter:
         (kp, mp), (kq, mq) = row[0], col[0]
         a, b = values[0] * kp * kq, mp * mq
         counts[_pair_key(a * f, f * (a * a * f - 2 * e * b * b), b * f)] += k
+    return counts
+
+
+def _orthogonal(rec) -> tuple:
+    """(U, V, w, l): the rows of a pair-engine record (or of its first two
+    fields, left and right) made orthogonal in its own metric, by
+    fraction-free Gram-Schmidt.
+
+    Row a of U and of V is one integer combination of the record's left and
+    right rows, so U_p V_q^T is the cross matrix of p and q in the new
+    bases; each step takes u -> g_b u - (u . v_b) u_b (and v alike) for the
+    earlier rows b, then divides the pair by its common content.  U V^T is
+    diagonal, g_a = u_a . v_a, and the weights w_a = l / g_a over l =
+    lcm(g) stand in for the adjugate: adj(G) / det G = diag(w) / l.
+    """
+    left, right = rec[0], rec[1]
+    same = left is right
+    us, vs, gs = [], [], []
+    for u, v in zip(left, right):
+        for ub, vb, gb in zip(us, vs, gs):
+            c = sum(map(mul, u, vb))
+            if c:
+                u = [gb * x - c * y for x, y in zip(u, ub)]
+                v = u if same else [gb * x - c * y for x, y in zip(v, vb)]
+                h = gcd(*u) if same else gcd(*u, *v)
+                if h > 1:
+                    u = [x // h for x in u]
+                    v = u if same else [x // h for x in v]
+        us.append(u)
+        vs.append(v)
+        gs.append(sum(map(mul, u, v)))
+    scale = lcm(*gs)
+    return us, vs, [scale // g for g in gs], scale
+
+
+def _cross_rows(orth, rows) -> Counter:
+    """`_count_rows` for the records `orth` (`_orthogonal`), from packed
+    cross entries C_ab = u_a(p) . v_b(q).
+
+    Column (q, b) holds v_b(q), so one multiply-add per coordinate gives
+    C_ab against a block of points for each row a of p; each pair then
+    takes H, tr W and tr W^2 by the identities of the module docstring and
+    `_pair_key` gives the loop's keys.  Needs U_q V_p^T = (U_p V_q^T)^T, a
+    symmetric metric, as for all data from `Subspace.int_data` and
+    `intdata_from_coords`.
+    """
+    counts = Counter()
+    n = len(orth)
+    m = len(orth[0][2])
+    packed = _PackedColumns([([u for us, _, _, _ in orth for u in us],
+                              [v for _, vs, _, _ in orth for v in vs])],
+                            [0] * (n * m), m)
+    off = 1 << (packed.fields[0][1] - 1)
+    # H's diagonal first, then its upper triangle.
+    tri = ([(a, a) for a in range(m)]
+           + [(a, c) for a in range(m) for c in range(a + 1, m)])
+    first, second = [a for a, _ in tri], [c for _, c in tri]
+    for i, start, weight in rows:
+        if start >= n:
+            continue
+        us, _, wp, lp = orth[i]
+        # w_a w_c, counted twice off the diagonal.
+        ww = [wp[a] * wp[c] * (1 + (a < c)) for a, c in tri]
+        q = start
+        for block in zip(*(packed.row(u, start * m) for u in us)):
+            vals = [[x - off for x in slots] for slots in block]
+            for k in range(0, len(vals[0]), m):
+                cr = [v[k:k + m] for v in vals]
+                _, _, wq, lq = orth[q]
+                q += 1
+                x = [list(map(mul, row, wq)) for row in cr]
+                h = list(map(sum, map(map, repeat(mul), map(x.__getitem__, first),
+                                      map(cr.__getitem__, second))))
+                key = _pair_key(sum(map(mul, wp, h)),
+                                sum(map(mul, ww, map(mul, h, h))), lp * lq)
+                counts[key] = counts.get(key, 0) + weight
     return counts
 
 
@@ -699,30 +787,45 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     ordered pairs.
 
     `points` may be Subspace instances or raw int-data tuples.  Lines and
-    planes take the packed engine, serially; for m >= 3 and at least 64
-    points the pair loop runs in a pool of min(`default_workers()`, points)
-    processes when that is more than one.  Exact; the reduction order is
-    irrelevant, so the worker count never changes the result.
+    planes take the packed engine (`_packed_counts`), serially.  For m >= 3
+    every point's rows (a Subspace's canonical rows: no adjugate is formed)
+    are first made orthogonal in its own metric (`_orthogonal`), and the
+    packed cross engine (`_cross_rows`) keys each
+    pair from its cross entries C_ab = u_a . v_b and the weights w_a = l /
+    g_a of the diagonal Grams:
+
+        H_ac = sum_b w'_b C_ab C_cb,  tr W = sum_a w_a H_aa,
+        tr W^2 = sum_{a,c} w_a w_c H_ac^2,  den = l_p l_q.
+
+    With at least 64 points its rows i = s mod workers run in a pool of
+    min(`default_workers()`, points) processes when that is more than one.
+    Exact; the reduction order is irrelevant, so the worker count never
+    changes the result.
 
     With generator matrices of a group G that permutes the points (g g^T =
     c I each), the distribution is the sum over G-orbits O of |O| times the
     row of one point of O against all points: sigma is invariant under
     orthogonal maps, and G permutes the columns of every row.
     `certified_orbits` checks that G permutes the points with their
-    multiplicities, exactly, on the generators up to one orbit; then each
-    orbit row runs the serial pair loop (packing would first lift every
-    point, which costs more than a few rows), if the rows count fewer pairs
-    than the full engine and, for lines and planes, are no more than
-    `_SERIAL_ROWS`.  When any check fails, the rows would cost more, or the
-    points are raw int data, the full engine runs, with the same result.
+    multiplicities, exactly, on the generators up to one orbit; then the
+    orbit rows are counted serially, if they count fewer pairs than the
+    full engine and, for lines and planes, are no more than
+    `_SERIAL_ROWS`.  Lines and planes run the rows as the pair loop
+    (packing would first lift every point, which costs more than a few
+    rows); m >= 3 runs them through the cross engine.  When any check
+    fails, the rows would cost more, or the points are raw int data, the
+    full engine runs, with the same result.
     """
-    data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
-    n = len(data)
-    m = len(data[0][0])
+    if not points:
+        raise ValueError("pair_stats needs at least one point")
+    n = len(points)
+    m = points[0].m if isinstance(points[0], Subspace) else len(points[0][0])
     if m >= 3:
-        # W and den both shrink by g_p g_q, so no key moves; the m = 2
-        # identity for det W in `_packed_counts` needs det G itself.
-        data = [_without_content(rec) for rec in data]
+        # Only the rows enter, so a Subspace forms no adjugate here.
+        data = [_orthogonal((p.rows, p.rows) if isinstance(p, Subspace) else p)
+                for p in points]
+    else:
+        data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
     found = _certify(points, generators) if generators else None
     orbits, examined = found or (None, 0)
     # n |O| ordered pairs against the full engine's n (n - 1) / 2.
@@ -731,7 +834,8 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
         orbits = None
     if orbits is not None:
         # Ordered pairs (i, j) for every j, the diagonal included.
-        keys = _count_rows(data, [(i, 0, w) for i, w in orbits.items()])
+        rows = [(i, 0, w) for i, w in orbits.items()]
+        keys = _count_rows(data, rows) if m <= 2 else _cross_rows(data, rows)
     else:
         workers = min(default_workers(), n) if m >= 3 and n >= 64 else 1
         if m <= 2:
@@ -888,8 +992,7 @@ class DesignReport:
 
 def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
     """Certify 2t-design status for each t <= tmax by exact pair averages."""
-    return design_report([p.int_data() for p in config.points], config.m,
-                         config.n, tmax)
+    return design_report(config.points, config.m, config.n, tmax)
 
 
 def design_report(data: Sequence, m: int, n: int, tmax: int,

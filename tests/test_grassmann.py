@@ -16,12 +16,17 @@ from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_
                                rref, trace_pow)
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
-                                _count_chunk, _packed_counts,
+                                _count_chunk, _count_rows, _packed_counts,
                                 average_sigma_power, default_workers,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
                                 zonal_positivity)
 from grassdex.zonal import P0, P1, Partition
+
+
+def pair_loop(data):
+    """`_pair_key` counts over pairs i < j from the per-pair W loop."""
+    return _count_rows(data, [(i, i + 1, 1) for i in range(len(data))])
 
 
 def naive_sigma(p: Subspace, q: Subspace):
@@ -266,8 +271,8 @@ def test_subspace_rejects_irrational_rows():
 
 
 def test_pair_stats_worker_independence(monkeypatch):
-    # m = 3: lines and planes take the serial packed engine, whatever the
-    # worker count.
+    # m = 3 and 70 points: the cross engine runs serially with one worker
+    # and in a pool of three processes with three.
     rng = random.Random(9)
     pts = [random_subspace(rng, 6, 3) for _ in range(70)]
     monkeypatch.setattr(grassmann, "default_workers", lambda: 1)
@@ -314,10 +319,10 @@ def test_default_workers_follow_affinity():
         assert default_workers() == (os.cpu_count() or 1)
 
 
-def test_pair_stats_sizes_its_pool(monkeypatch):
-    # A stand-in pool records its size and runs the tasks in this process,
-    # so no process is started whatever the faked CPU count.
-    sizes = []
+def recording_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that appends its size to `sizes`
+    and runs each task in this process, so no process is started whatever
+    the faked CPU count."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -334,7 +339,13 @@ def test_pair_stats_sizes_its_pool(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_pair_stats_sizes_its_pool(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool(sizes))
     rng = random.Random(9)
     lines = [random_subspace(rng, 6, 1) for _ in range(70)]
     planes = [random_subspace(rng, 6, 2) for _ in range(70)]
@@ -413,7 +424,7 @@ def test_pair_engine_matches_projector_reference(data):
     if m <= 2:
         # The packed engine against the per-pair loop.
         points = [p.int_data() for p in cfg.points]
-        assert _packed_counts(points) == _count_chunk(points, 0, 1)
+        assert _packed_counts(points) == pair_loop(points)
     sums, power2 = projector_reference(cfg.points, 5)
     for workers in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
@@ -457,7 +468,7 @@ def test_packed_engine_matches_pair_loop_on_metric_data(data):
     gram, coords = data
     points = [intdata_from_coords(c, gram) for c in coords]
     assume(all(d for _, _, _, d in points))
-    assert _packed_counts(points) == _count_chunk(points, 0, 1)
+    assert _packed_counts(points) == pair_loop(points)
 
 
 def test_packed_slots_pass_64_bits(monkeypatch):
@@ -503,7 +514,7 @@ def test_packed_engine_matches_pair_loop_on_rotations(data):
     except ValueError:
         assume(False)
     data = [p.int_data() for p in points]
-    assert _packed_counts(data) == _count_chunk(data, 0, 1)
+    assert _packed_counts(data) == pair_loop(data)
 
 
 def test_equal_angles_share_one_slot(monkeypatch):
@@ -526,7 +537,7 @@ def test_equal_angles_share_one_slot(monkeypatch):
 
     monkeypatch.setattr(grassmann._PackedColumns, "decode", counting)
     counts = _packed_counts(data)
-    assert counts == _count_chunk(data, 0, 1)
+    assert counts == pair_loop(data)
     assert blocks == {2}
     # Equal angles give one slot up to the sign of det C.
     assert len(decoded) <= 2 * len(counts)
@@ -546,7 +557,7 @@ def test_shared_scale_never_widens_the_slot(monkeypatch):
     monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
     data = [Subspace.line(v).int_data()
             for v in ([3, 4, 0], [2, 3, 6], [5, 0, 12], [8, 9, 12])]
-    assert _packed_counts(data) == _count_chunk(data, 0, 1)
+    assert _packed_counts(data) == pair_loop(data)
     assert widths == [16]
 
 
@@ -567,8 +578,157 @@ def test_one_scale_decision_for_two_square_classes(monkeypatch):
             for v in ([3, 4, 0], [1, 1, 0], [2, 3, 6], [5, 0, 12], [1, 0, -1],
                       [8, 9, 12], [0, 1, 1])]
     assert len(grassmann._square_classes([d for *_, d in data])) == 2
-    assert _packed_counts(data) == _count_chunk(data, 0, 1)
+    assert _packed_counts(data) == pair_loop(data)
     assert widths == [16]
+
+
+def assert_cross_matches_loop(data, rows):
+    """The packed cross engine against the per-pair W loop, key for key:
+    the full sweep, the two chunks of a two-worker pool, and `rows`."""
+    orth = [grassmann._orthogonal(rec) for rec in data]
+    loop = pair_loop(data)
+    assert _count_chunk(orth, 0, 1) == loop
+    assert _count_chunk(orth, 0, 2) + _count_chunk(orth, 1, 2) == loop
+    assert grassmann._cross_rows(orth, rows) == _count_rows(data, rows)
+
+
+@st.composite
+def row_specs(draw, size):
+    """Row specs (i, start, weight) of the engine, starts anywhere."""
+    return draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                   st.integers(0, size),
+                                   st.integers(1, 3)), max_size=4))
+
+
+@st.composite
+def solid_configurations(draw):
+    """Bases of m = 3..6 dimensional subspaces of R^n, n = 2m..12, some of
+    them repeated; packed blocks of 1 byte (one point each), 100 bytes or
+    the default, so rows start at and inside blocks."""
+    m = draw(st.integers(3, 6))
+    n = draw(st.integers(2 * m, 12))
+    bases = [draw(matrices(m, n)) for _ in range(draw(st.integers(2, 5)))]
+    bases += draw(st.lists(st.sampled_from(bases), max_size=2))
+    rows = draw(row_specs(len(bases)))
+    return n, bases, rows, draw(st.sampled_from((1, 100, 2048)))
+
+
+@settings(max_examples=40, deadline=None)
+@example((6, [[[2 ** 40 + 1, 3, 0, 7, 0, 1], [5, -2 ** 41, 1, 0, 2, 0],
+               [0, 1, 2 ** 39, 0, 0, -3]],
+              [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+              [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
+              [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]],
+          [(0, 0, 1), (2, 1, 2), (3, 3, 1)], 100))
+@given(solid_configurations())
+def test_cross_engine_matches_pair_loop(case):
+    n, bases, rows, block_bytes = case
+    try:
+        data = [Subspace(n, b).int_data() for b in bases]
+    except ValueError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grassmann, "_BLOCK_BYTES", block_bytes)
+        assert_cross_matches_loop(data, rows)
+
+
+@st.composite
+def rotated_solids(draw):
+    """m = 3 or 4 subspaces of R^8 with small entries, each turned by one
+    of two integer Householder products."""
+    m = draw(st.integers(3, 4))
+    small = st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+                     min_size=m, max_size=m)
+    bases = [draw(small) for _ in range(draw(st.integers(2, 4)))]
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    rots = [RatMatrix(householder_rotation(rng, 8, draw(st.integers(1, 3))))
+            for _ in range(2)]
+    picks = draw(st.lists(st.tuples(st.sampled_from(range(len(bases))),
+                                    st.sampled_from((0, 1))),
+                          min_size=2, max_size=6))
+    return bases, rots, picks, draw(row_specs(len(picks)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rotated_solids())
+def test_cross_engine_matches_pair_loop_on_rotations(case):
+    bases, rots, picks, rows = case
+    try:
+        data = [Subspace(8, bases[b]).transform(rots[r]).int_data()
+                for b, r in picks]
+    except ValueError:
+        assume(False)
+    assert_cross_matches_loop(data, rows)
+
+
+@st.composite
+def metric_solids(draw):
+    """Lattice-coordinate data for m = 3 or 4: coordinate rows and the
+    integer Gram A A^T + T of a random A, T the tridiagonal (2, 1) matrix,
+    which is positive definite."""
+    m = draw(st.integers(3, 4))
+    n = draw(st.integers(2 * m, 8))
+    a = draw(matrices(n, n))
+    gram = [[sum(x * y for x, y in zip(r, c)) + {0: 2, 1: 1}.get(abs(i - j), 0)
+             for j, c in enumerate(a)] for i, r in enumerate(a)]
+    coords = [draw(matrices(m, n)) for _ in range(draw(st.integers(2, 4)))]
+    coords += draw(st.lists(st.sampled_from(coords), max_size=2))
+    return gram, coords, draw(row_specs(len(coords)))
+
+
+@settings(max_examples=30, deadline=None)
+@example(([[2, 1, 0, 0, 0, 0], [1, 2, 1, 0, 0, 0], [0, 1, 2, 1, 0, 0],
+           [0, 0, 1, 2, 1, 0], [0, 0, 0, 1, 2, 1], [0, 0, 0, 0, 1, 2]],
+          [[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+           [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
+           [[2 ** 40, -1, 3, 0, 0, 1], [0, 1, -2 ** 39, 5, 0, 0],
+            [0, 0, 1, 0, 7, 0]]],
+          [(0, 0, 1), (1, 2, 3)]))
+@given(metric_solids())
+def test_cross_engine_matches_pair_loop_on_metric_data(case):
+    gram, coords, rows = case
+    assume(any(gram[i][j] for i in range(len(gram)) for j in range(i)))
+    data = [intdata_from_coords(c, gram) for c in coords]
+    assume(all(d for _, _, _, d in data))
+    assert_cross_matches_loop(data, rows)
+
+
+def test_cross_engine_slots_pass_64_bits(monkeypatch):
+    widths = []
+
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, fields, classes, group=1):
+            super().__init__(fields, classes, group)
+            widths.append(8 * self.nbytes)
+
+    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+    big = [[2 ** 40 + 1, 3, 0, 7, 0, 1], [5, -2 ** 41, 1, 0, 2, 0],
+           [0, 1, 2 ** 39, 0, 0, -3]]
+    small = [[1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]]
+    data = [Subspace(6, big).int_data(), Subspace(6, small).int_data()]
+    assert_cross_matches_loop(data, [(0, 0, 1)])
+    assert min(widths) > 64
+
+
+def test_cross_engine_pool_matches_pair_loop(monkeypatch):
+    # 70 m = 4 points, three of them repeated, in a two-worker pool whose
+    # chunks run in this process.
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool(sizes))
+    monkeypatch.setattr(grassmann, "default_workers", lambda: 2)
+    rng = random.Random(5)
+    points = [random_subspace(rng, 8, 4) for _ in range(67)]
+    points += points[:3]
+    stats = pair_stats(points, tmax=3)
+    assert sizes == [2]
+    dist, sums = triple_reference(points, 3)
+    assert stats.distribution == dist and stats.sigma_pow == sums
+
+
+def test_pair_stats_refuses_no_points():
+    with pytest.raises(ValueError, match="at least one point"):
+        pair_stats([])
 
 
 JSON_ENTRIES = st.one_of(
@@ -713,7 +873,8 @@ def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens,
     # The count sites key each angle class once, in lowest terms, however
     # the rotated Gram determinants differ.
     data = [p.int_data() for p in rotated]
-    counts = _packed_counts(data) if rotated[0].m <= 2 else _count_chunk(data, 0, 1)
+    counts = (_packed_counts(data) if rotated[0].m <= 2 else
+              _count_chunk([grassmann._orthogonal(r) for r in data], 0, 1))
     assert len(counts) <= len(dist)
     assert all(gcd(a, b) == gcd(c, d) == 1 and b > 0 and d > 0
                for a, b, c, d in counts)

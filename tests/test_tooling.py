@@ -60,6 +60,23 @@ def test_benchmark_digests_in_process(capsys):
         assert run.results_digest(report["results"]) == expected[key]["digest"], key
 
 
+def test_rotated_benchmark_inputs_keep_their_digests(capsys, tmp_path):
+    # `verify` on the seed-1 rotations of both `verify-rotated` bases: the
+    # rotated records are what the m >= 3 cross engine and the shared
+    # scales of the packed engine see in the benchmark.
+    run = _load_run()
+    expected = json.loads(run.EXPECTED.read_text(encoding="utf-8"))
+    for base, (fname, t, _) in run.ROTATED.items():
+        path = tmp_path / f"rotated-{base}-seed1.json"
+        run.rotate.write(run.rotate.rotate_config(
+            run.rotate.load(run.DATA / fname), 1), path)
+        key = f"verify-rotated/{base}"
+        code = main(["verify", str(path), "--t", str(t)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == expected[key]["exit"], key
+        assert run.results_digest(report["results"]) == expected[key]["digest"], key
+
+
 def test_readme_clifford_k4_w2_all_keeps_its_digest(capsys):
     # The README's orbit-path run: one row of 6300 planes at m = 4, certified
     # on three generators.  The digest was recorded from the full engine.
