@@ -34,7 +34,11 @@ keyed.
 
 For m >= 3 each point's rows are first made orthogonal in the record's own
 metric by a fraction-free Gram-Schmidt (integer only, content divided out
-at each step; `_orthogonal`).  The new rows u_a, v_a have a diagonal Gram
+at each step; `_orthogonal`).  A Subspace hands over the rows it was given
+in, as primitive integer rows, when they are m independent rows, and its
+canonical rows otherwise: Gram-Schmidt about doubles the bit size of a
+basis far from orthogonal, such as RREF rows of a rotated space, and keeps
+an orthogonal one as it is.  The new rows u_a, v_a have a diagonal Gram
 g_a, so adj(G) / det G becomes diag(w) / l with l = lcm(g) and weights
 w_a = l / g_a.  With the cross entries C_ab = u_a(p) . v_b(q):
 
@@ -44,7 +48,7 @@ w_a = l / g_a.  With the cross entries C_ab = u_a(p) . v_b(q):
 for W = diag(w) C diag(w') C^T.  With new bases T_p B_p and T_q B_q this
 W / den is T_p^-T (W / den of the old bases) T_p^T, a similar matrix, so
 tr W / den = sigma and tr W^2 / den^2 = sum y_i^2 are unchanged and so is
-every pair key.
+every pair key, whichever basis a point starts from.
 
 Every count site keys a pair by `_pair_key`: sigma = tr W / den and
 sum y_i^2 = tr W^2 / den^2 as gcd-reduced integer numerators and
@@ -98,9 +102,15 @@ class Subspace:
     so equality is exact and hashing safe, and configurations deduplicate
     without any inner-product normalization.  `basis` is the same RREF
     basis as Fractions.
+
+    For m >= 3 a point built from m independent rows other than `rows` also
+    keeps them, as primitive integer rows (`_given`), for the pair engine
+    alone: sigma does not depend on the basis, and a given basis is often
+    far smaller after Gram-Schmidt than the RREF one (an orthogonal one
+    stays as it is).  Nothing else reads them.
     """
 
-    __slots__ = ("n", "m", "rows", "_basis", "_intdata")
+    __slots__ = ("n", "m", "rows", "_given", "_basis", "_intdata")
 
     def __init__(self, n: int, rows, *, allow_dependent: bool = False):
         if isinstance(rows, RatMatrix):
@@ -110,19 +120,23 @@ class Subspace:
                 and all(type(x) is int for x in rows[0])):
             # One nonzero integer row: its line's canonical row.
             canon = (line_key(rows[0]),)
+            given = None
         else:
-            ints = [primitive_int_row(r) for r in rows]
+            ints = tuple(primitive_int_row(r) for r in rows)
             for r in ints:
                 if len(r) != n:
                     raise ValueError(f"rows have {len(r)} columns, ambient is {n}")
             canon = int_rref(ints, n)
             if not allow_dependent and len(canon) != len(ints):
                 raise ValueError("basis rows are linearly dependent")
+            given = (ints if len(canon) >= 3 and len(ints) == len(canon)
+                     and ints != canon else None)
         if not canon:
             raise ValueError("subspace must have positive dimension")
         self.n = n
         self.m = len(canon)
         self.rows = canon
+        self._given = given
         self._basis = None
         self._intdata = None
 
@@ -210,11 +224,17 @@ def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     Gram matrix of the ambient basis; sigma values are scale invariant, so
     any positive integer multiple of the true Gram works.
     """
+    return _intdata(*metric_rows(coords, gram_int))
+
+
+def metric_rows(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
+    """(G Y^T rows, Y) for the coordinate rows Y and the integer Gram G: the
+    left and right rows of `intdata_from_coords`, all that the m >= 3 pair
+    engine reads, with no Gram adjugate formed."""
     n = len(gram_int)
     coords = tuple(tuple(r) for r in coords)
-    gy = tuple(tuple(sum(r[a] * gram_int[a][b] for a in range(n) if r[a])
-                     for b in range(n)) for r in coords)
-    return _intdata(gy, coords)
+    return tuple(tuple(sum(r[a] * gram_int[a][b] for a in range(n) if r[a])
+                       for b in range(n)) for r in coords), coords
 
 
 def _mul_int(a, b):
@@ -786,19 +806,24 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     """The exact pair distribution and its sigma-power totals over all
     ordered pairs.
 
-    `points` may be Subspace instances or raw int-data tuples.  Lines and
+    `points` may be Subspace instances or raw int-data tuples; for m >= 3
+    only their left and right rows are read (`metric_rows`).  Lines and
     planes take the packed engine (`_packed_counts`), serially.  For m >= 3
-    every point's rows (a Subspace's canonical rows: no adjugate is formed)
-    are first made orthogonal in its own metric (`_orthogonal`), and the
-    packed cross engine (`_cross_rows`) keys each
-    pair from its cross entries C_ab = u_a . v_b and the weights w_a = l /
-    g_a of the diagonal Grams:
+    every point's rows are first made orthogonal in its own metric
+    (`_orthogonal`); a Subspace hands over the rows it was given in when it
+    keeps them (`Subspace._given`), its canonical rows otherwise, and forms
+    no adjugate.  The basis only changes W by a similarity, so no key
+    moves.  The packed cross engine (`_cross_rows`) keys each pair from its
+    cross entries C_ab = u_a . v_b and the weights w_a = l / g_a of the
+    diagonal Grams:
 
         H_ac = sum_b w'_b C_ab C_cb,  tr W = sum_a w_a H_aa,
         tr W^2 = sum_{a,c} w_a w_c H_ac^2,  den = l_p l_q.
 
     With at least 64 points its rows i = s mod workers run in a pool of
-    min(`default_workers()`, points) processes when that is more than one.
+    min(`default_workers()`, points) processes when that is more than one
+    (two workers start to win between 48 and 64 points of k4w2 at m = 4 on
+    a 2-CPU host, rotated or not).
     Exact; the reduction order is irrelevant, so the worker count never
     changes the result.
 
@@ -822,7 +847,8 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     m = points[0].m if isinstance(points[0], Subspace) else len(points[0][0])
     if m >= 3:
         # Only the rows enter, so a Subspace forms no adjugate here.
-        data = [_orthogonal((p.rows, p.rows) if isinstance(p, Subspace) else p)
+        data = [_orthogonal(((r := p._given or p.rows), r)
+                            if isinstance(p, Subspace) else p)
                 for p in points]
     else:
         data = [p.int_data() if isinstance(p, Subspace) else p for p in points]

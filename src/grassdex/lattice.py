@@ -26,7 +26,8 @@ from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str, saturate_rows,
                        solve_nonneg_combination, verify_combination)
 from .grassmann import (Configuration, DesignReport, Subspace, adj_product,
-                        design_report, intdata_from_coords, line_key)
+                        design_report, intdata_from_coords, line_key,
+                        metric_rows)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -55,14 +56,25 @@ class Lattice:
         self.n = mat.cols
         if self.rank == 0 or self.rank > self.n:
             raise ValueError("basis must have 1 <= rank <= ambient dimension")
-        self.gram = mat @ mat.transpose()
         self.name = name
-        self._table = _ldl(self.gram)        # also certifies positive definiteness
-        self._gram_int, self._gram_scale = _int_scaled(self.gram)
         self._basis_int, self._basis_den = _int_scaled(mat)
+        # G = B_int B_int^T / den^2, kept as its lowest integer multiple.
+        raw = [[sum(map(mul, a, b)) for b in self._basis_int]
+               for a in self._basis_int]
+        den2 = self._basis_den ** 2
+        g = gcd(den2, *(x for row in raw for x in row))
+        self._gram_int = [[x // g for x in row] for row in raw]
+        self._gram_scale = den2 // g
+        self._table = _ldl(self._gram_int)   # also certifies positive definiteness
         self._min: Optional[Rational] = None
         self._min_vectors: List[Tuple[int, ...]] = []
         self._automorphisms: List[RatMatrix] = []
+
+    @cached_property
+    def gram(self) -> RatMatrix:
+        """The Gram matrix B B^T, as Fractions."""
+        s = self._gram_scale
+        return RatMatrix([[Fraction(x, s) for x in row] for row in self._gram_int])
 
     def det(self) -> Rational:
         # det(s G) is the last leading minor of the table.
@@ -88,8 +100,9 @@ def _int_scaled(mat: RatMatrix) -> Tuple[List[List[int]], int]:
     return [[int(x * scale) for x in row] for row in mat.entries], scale
 
 
-def _ldl(gram: RatMatrix):
-    """Fraction-free Fincke-Pohst table of the integer Gram s*G.
+def _ldl(gram_int):
+    """Fraction-free Fincke-Pohst table of the integer Gram s*G, from its
+    integer rows (left unchanged).
 
     Bareiss elimination without pivots gives rows M with M[i][i] = D_i, the
     leading minors (D_{-1} = 1), and with U_i = sum_{j>i} M[i][j] x_j
@@ -101,7 +114,7 @@ def _ldl(gram: RatMatrix):
     ValueError unless every D_i > 0, which certifies positive definiteness
     (Sylvester).
     """
-    a, _ = _int_scaled(gram)
+    a = [list(row) for row in gram_int]
     n = len(a)
     prev = 1
     for k in range(n):
@@ -515,12 +528,18 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
     than the full pair engine, runs that engine on the spans, with the
     same result.  A
     lattice with no candidate generators keeps the full engine on the
-    integer coordinate records, with the Gram metric.  Either way the
-    verdicts are taken in dimension rank, so rank-deficient embeddings are
-    judged intrinsically.
+    integer coordinate records, with the Gram metric; for m >= 3 only their
+    rows (`metric_rows`), since that engine forms no adjugate.  Either way
+    the verdicts are taken in dimension rank, so rank-deficient embeddings
+    are judged intrinsically.
     """
     gens = automorphism_generators(lattice)
-    points = section_subspaces(lattice, sections) if gens else sections.records
+    if gens:
+        points = section_subspaces(lattice, sections)
+    elif sections.m >= 3:
+        points = [metric_rows(c, sections.gram_int) for c in sections.coords]
+    else:
+        points = sections.records
     return design_report(points, sections.m, lattice.rank, tmax,
                          generators=gens)
 

@@ -731,6 +731,102 @@ def test_pair_stats_refuses_no_points():
         pair_stats([])
 
 
+def turned(rows, rot):
+    """The rows times the matrix rot, as they are: not canonicalized."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*rot)]
+            for row in rows]
+
+
+@st.composite
+def given_bases(draw):
+    """(n, bases) for m = 3..5 subspaces of R^n, n up to 12, each written in
+    a basis other than its canonical rows: a unimodular mix of small rows,
+    scaled rows of an integer Householder product (an orthogonal basis), or
+    small rows turned by one."""
+    m = draw(st.integers(3, 5))
+    n = draw(st.integers(m + 1, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    small = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                     min_size=m, max_size=m)
+    bases = []
+    kinds = st.sampled_from(("mix", "orthogonal", "turned"))
+    for kind in draw(st.lists(kinds, min_size=2, max_size=6)):
+        if kind == "mix":
+            rows = draw(small)
+            for _ in range(draw(st.integers(1, 6))):
+                a, b = rng.sample(range(m), 2)
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+        elif kind == "orthogonal":
+            rot = householder_rotation(rng, n, draw(st.integers(1, 3)))
+            rows = [[rng.randint(1, 5) * x for x in rot[i]]
+                    for i in rng.sample(range(n), m)]
+        else:
+            rows = turned(draw(small), householder_rotation(rng, n, 2))
+        bases.append(rows)
+    bases += draw(st.lists(st.sampled_from(bases), max_size=2))
+    return n, bases
+
+
+@settings(max_examples=40, deadline=None)
+@given(given_bases())
+def test_given_rows_leave_every_pair_key(case):
+    # The m >= 3 engine orthogonalizes the rows a point was given in; the
+    # same points rebuilt from their canonical rows, and the _pair_w loop,
+    # give the same keys.
+    n, bases = case
+    try:
+        points = [Subspace(n, b) for b in bases]
+    except ValueError:
+        assume(False)
+    assume(any(p._given is not None for p in points))
+    canonical = [Subspace(n, p.rows) for p in points]
+    assert all(p == q and hash(p) == hash(q) and q._given is None
+               for p, q in zip(points, canonical))
+    stats = pair_stats(points, tmax=4)
+    rebuilt = pair_stats(canonical, tmax=4)
+    dist, sums = triple_reference(points, 4)
+    assert stats.distribution == rebuilt.distribution == dist
+    assert stats.sigma_pow == rebuilt.sigma_pow == sums
+    orth = [grassmann._orthogonal((p._given or p.rows,) * 2) for p in points]
+    loop = pair_loop([p.int_data() for p in points])
+    assert _count_chunk(orth, 0, 1) == loop
+    assert _count_chunk(orth, 0, 2) + _count_chunk(orth, 1, 2) == loop
+
+
+def test_given_rows_serve_the_orbit_rows():
+    # A turned basis and its images under the cyclic shift of R^8, each
+    # point kept in its shifted basis: one certified orbit row.
+    rng = random.Random(3)
+    rows = turned([[1, 2, 0, -1, 0, 0, 1, 0], [0, 1, 1, 0, 2, 0, 0, -1],
+                   [1, 0, 0, 0, 1, 1, 0, 2]], householder_rotation(rng, 8, 2))
+    shift = [[int(j == (i + 1) % 8) for j in range(8)] for i in range(8)]
+    points = []
+    for _ in range(8):
+        points.append(Subspace(8, rows))
+        rows = turned(rows, shift)
+    assert all(p._given is not None for p in points)
+    stats = pair_stats(points, tmax=3, generators=[shift])
+    assert stats.orbits == 1
+    rebuilt = pair_stats([Subspace(8, p.rows) for p in points], tmax=3)
+    assert stats.distribution == rebuilt.distribution
+    assert stats.sigma_pow == rebuilt.sigma_pow
+
+
+def test_only_independent_given_rows_are_kept():
+    rows = [[1, 2, 0, 0, 1, 0], [0, 1, 3, 0, 0, 0], [2, 0, 0, 1, 0, 1]]
+    assert Subspace.span(6, rows)._given == tuple(map(tuple, rows))
+    # A dependent span, a canonical basis and lines or planes keep none.
+    extra = [sum(col) for col in zip(*rows)]
+    span = Subspace.span(6, rows + [extra])
+    assert span._given is None and span == Subspace(6, rows)
+    assert Subspace(6, Subspace(6, rows).rows)._given is None
+    assert Subspace(6, rows[:2])._given is None
+    # Primitive rows: scaling a given row changes nothing.
+    halves = [[F(x, 2) for x in rows[0]]] + rows[1:]
+    assert Subspace(6, halves)._given == Subspace(6, rows)._given
+
+
 JSON_ENTRIES = st.one_of(
     st.integers(-2 ** 70, 2 ** 70).map(str),
     st.tuples(st.integers(-99, 99), st.integers(1, 99)).map("{0[0]}/{0[1]}".format),

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from operator import mul
 
 import pytest
@@ -54,6 +54,29 @@ def test_catalog_invariants(d4, e8):
         catalog("K12")
 
 
+GRAM_CASES = {
+    **{name: (lambda name=name: catalog(name))
+       for name in ("Z1", "Z5", "D4", "E6", "E7", "E8", "BW16")},
+    "BW8-raw": lambda: barnes_wall(3),
+    "BW8": lambda: barnes_wall(3, normalized=True),
+    "BW16-raw": lambda: barnes_wall(4),
+    "rational": lambda: Lattice([[F(1, 2), F(1, 3), 0], [0, F(2, 3), F(1, 6)],
+                                 [1, 0, F(5, 4)]]),
+}
+
+
+@pytest.mark.parametrize("name", list(GRAM_CASES))
+def test_gram_from_the_integer_basis(name):
+    # B_int B_int^T / den^2, reduced by gcd(content, den^2), against the
+    # Gram multiplied out in Fractions and scaled by its denominators' lcm.
+    lat = GRAM_CASES[name]()
+    gram = lat.basis @ lat.basis.transpose()
+    scale = lcm(*(x.denominator for row in gram.entries for x in row))
+    assert lat.gram == gram
+    assert lat._gram_scale == scale
+    assert lat._gram_int == [[int(x * scale) for x in row] for row in gram.entries]
+
+
 def test_lattice_requires_positive_definite():
     with pytest.raises(ValueError):
         Lattice([[1, 0], [1, 0]])
@@ -93,7 +116,7 @@ def test_short_vectors_random_bases_against_certified_box():
     import random
     from fractions import Fraction
     from math import isqrt
-    from grassdex.lattice import _ldl
+    from grassdex.lattice import _int_scaled, _ldl
 
     rng = random.Random(55)
     trials = 0
@@ -108,7 +131,7 @@ def test_short_vectors_random_bases_against_certified_box():
             shifted = RatMatrix([[lat.gram[i, j] - (cand if i == j else 0)
                                   for j in range(3)] for i in range(3)])
             try:
-                _ldl(shifted)
+                _ldl(_int_scaled(shifted)[0])
                 lower = cand
             except ValueError:
                 break

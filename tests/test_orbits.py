@@ -1,6 +1,7 @@
 """The orbit-reduced trace path: the certificate that a group permutes a
 configuration, and the pair distribution summed over its orbits."""
 
+import json
 import os
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from grassdex.grassmann import (IntAction, Subspace, _count_rows,
                                 certified_orbits, design_report, line_key,
                                 pair_stats)
 from grassdex import grassmann, lattice as lattice_mod
+from grassdex.cli import main
 from grassdex.lattice import (_simple_roots, automorphism_generators, catalog,
                               minimal_sections, section_design_report,
                               section_subspaces)
@@ -340,6 +342,39 @@ def test_generator_free_lattice_keeps_the_records():
     assert automorphism_generators(lat) == []
     report = section_design_report(lat, secs, tmax=2)
     assert (report.generators, report.orbits, report.examined) == (0, None, 0)
+
+
+def test_generator_free_sections_at_m3_read_only_rows(monkeypatch, tmp_path,
+                                                    capsys):
+    # The lattice of the Fano plane's lines in Z^7: norm 3, inner products
+    # 1, so no minimal vector is a root.  Its 35 minimal 3-sections go to
+    # the cross engine as (G Y^T, Y) rows, with no adjugate formed; the
+    # verdicts are the ones read from the coordinate records.
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
+            (2, 4, 5)]
+    rows = [[int(j in line) for j in range(7)] for line in fano]
+    lat = lattice_mod.Lattice(rows)
+    secs = minimal_sections(lat, 3)
+    assert automorphism_generators(lat) == [] and len(secs) == 35
+    monkeypatch.setattr(grassmann, "adjugate", None)
+    report = section_design_report(lat, secs, tmax=2)
+    assert "records" not in vars(secs)
+    monkeypatch.undo()
+    assert report.to_json_dict() == design_report(
+        secs.records, 3, 7, 2).to_json_dict()
+    # The command line on a basis file, against the verdicts recorded from
+    # the records path.
+    path = tmp_path / "fano.json"
+    path.write_text(json.dumps({"basis": rows}), encoding="utf-8")
+    assert main(["lattice", str(path), "--m", "3", "--sections",
+                 "--t", "2"]) == 0
+    design = json.loads(capsys.readouterr().out)["results"]["section_design"]
+    assert design == {
+        "n": 7, "m": 3, "size": 35, "tmax": 2,
+        "t": {"1": {"average": "249/175", "c": "9/7", "is_design": False},
+              "2": {"average": "52299/21875", "c": "37/21",
+                    "is_design": False}},
+        "zonal_sums": {"(1)": "98", "(1,1)": "0", "(2)": "173593/625"}}
 
 
 def _reflection(v):

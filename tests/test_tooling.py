@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from grassdex.cli import build_parser, main
 from grassdex.lattice import catalog, minimal_sections
 
@@ -60,16 +62,17 @@ def test_benchmark_digests_in_process(capsys):
         assert run.results_digest(report["results"]) == expected[key]["digest"], key
 
 
-def test_rotated_benchmark_inputs_keep_their_digests(capsys, tmp_path):
-    # `verify` on the seed-1 rotations of both `verify-rotated` bases: the
-    # rotated records are what the m >= 3 cross engine and the shared
-    # scales of the packed engine see in the benchmark.
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rotated_benchmark_inputs_keep_their_digests(capsys, tmp_path, seed):
+    # `verify` on two seeded rotations of both `verify-rotated` bases: the
+    # rotated rows are what the m >= 3 cross engine and the shared scales
+    # of the packed engine see in the benchmark.
     run = _load_run()
     expected = json.loads(run.EXPECTED.read_text(encoding="utf-8"))
     for base, (fname, t, _) in run.ROTATED.items():
-        path = tmp_path / f"rotated-{base}-seed1.json"
+        path = tmp_path / f"rotated-{base}-seed{seed}.json"
         run.rotate.write(run.rotate.rotate_config(
-            run.rotate.load(run.DATA / fname), 1), path)
+            run.rotate.load(run.DATA / fname), seed), path)
         key = f"verify-rotated/{base}"
         code = main(["verify", str(path), "--t", str(t)])
         report = json.loads(capsys.readouterr().out)
