@@ -12,8 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from grassdex.cli import build_parser, main
 from grassdex.lattice import catalog, minimal_sections
 
