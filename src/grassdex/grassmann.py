@@ -73,7 +73,9 @@ When a group G permutes the configuration X, the ordered-pair distribution
 is a sum over G-orbits O of |O| times one row, a representative of O
 against all of X (Goethals and Seidel 1981).  `pair_stats` takes generator
 matrices for G and certifies the invariance exactly before it uses the
-identity (`certified_orbits`); any failed check leaves the full engine.
+identity (`certified_orbits`); any failed check leaves the full engine.  It
+also takes orbits a caller has certified, such as the closure of the
+lattice section search.
 """
 
 from __future__ import annotations
@@ -230,11 +232,11 @@ def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
 def metric_rows(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     """(G Y^T rows, Y) for the coordinate rows Y and the integer Gram G: the
     left and right rows of `intdata_from_coords`, all that the m >= 3 pair
-    engine reads, with no Gram adjugate formed."""
-    n = len(gram_int)
+    engine reads, with no Gram adjugate formed.  G is symmetric, so entry
+    b of G y^T is row b of G dotted with y."""
     coords = tuple(tuple(r) for r in coords)
-    return tuple(tuple(sum(r[a] * gram_int[a][b] for a in range(n) if r[a])
-                       for b in range(n)) for r in coords), coords
+    return tuple(tuple(sum(map(mul, r, g)) for g in gram_int)
+                 for r in coords), coords
 
 
 def _mul_int(a, b):
@@ -802,7 +804,8 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
+def pair_stats(points: Sequence, tmax: int = 3, generators=(),
+               orbits: Optional[Dict[int, int]] = None) -> PairStats:
     """The exact pair distribution and its sigma-power totals over all
     ordered pairs.
 
@@ -832,14 +835,18 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
     row of one point of O against all points: sigma is invariant under
     orthogonal maps, and G permutes the columns of every row.
     `certified_orbits` checks that G permutes the points with their
-    multiplicities, exactly, on the generators up to one orbit; then the
-    orbit rows are counted serially, if they count fewer pairs than the
-    full engine and, for lines and planes, are no more than
+    multiplicities, exactly, on the generators up to one orbit.  A caller
+    that has certified the orbits itself passes them as `orbits`, {list
+    index of a point of the orbit: its size, multiplicity counted}, and no
+    certificate runs: `lattice.minimal_sections` builds its sections as
+    the closure of certified automorphisms, so the closure's orbits are
+    exact.  Then the orbit rows are counted serially, if they count fewer
+    pairs than the full engine and, for lines and planes, are no more than
     `_SERIAL_ROWS`.  Lines and planes run the rows as the pair loop
     (packing would first lift every point, which costs more than a few
     rows); m >= 3 runs them through the cross engine.  When any check
-    fails, the rows would cost more, or the points are raw int data, the
-    full engine runs, with the same result.
+    fails, the rows would cost more, or the points are raw int data with
+    no `orbits`, the full engine runs, with the same result.
     """
     if not points:
         raise ValueError("pair_stats needs at least one point")
@@ -852,8 +859,9 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=()) -> PairStats:
                 for p in points]
     else:
         data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
-    found = _certify(points, generators) if generators else None
-    orbits, examined = found or (None, 0)
+    examined = 0
+    if orbits is None and generators:
+        orbits, examined = _certify(points, generators) or (None, 0)
     # n |O| ordered pairs against the full engine's n (n - 1) / 2.
     if orbits is not None and (2 * len(orbits) >= n - 1 or
                                (m <= 2 and len(orbits) > _SERIAL_ROWS)):
@@ -1022,9 +1030,9 @@ def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
 
 
 def design_report(data: Sequence, m: int, n: int, tmax: int,
-                  generators=()) -> DesignReport:
+                  generators=(), orbits=None) -> DesignReport:
     """Design verdicts for the points `data` in G(m, n), Subspace instances
-    or their pair-engine data; `generators` go to `pair_stats`.
+    or their pair-engine data; `generators` and `orbits` go to `pair_stats`.
 
     Equality at t forces equality at every t' < t (the sigma^t expansions
     have positive coefficients); this monotonicity, nonnegativity of every
@@ -1035,7 +1043,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         raise ValueError(f"tmax must be between 1 and {MAX_T}")
     if 2 * m > n:
         raise ValueError("design criteria require m <= n/2")
-    stats = pair_stats(data, tmax=tmax, generators=generators)
+    stats = pair_stats(data, tmax=tmax, generators=generators, orbits=orbits)
     size2 = Fraction(len(data)) ** 2
     t_stats = {}
     for t in range(1, tmax + 1):

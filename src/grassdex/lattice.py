@@ -7,9 +7,11 @@ matrix, and their integer multiples; Fincke-Pohst enumeration runs in
 integers on a fraction-free (Bareiss) table of the Gram.  Full-rank
 constructions use r = n; rank-deficient embeddings (E6, E7 inside R^8) are
 supported.  A section is its integer coordinate rows, judged intrinsically
-in dimension r; its ambient span is built for the design verdicts, whose
-pair distribution is summed over certified automorphism orbits (root
-reflections, or generators a construction attaches).
+in dimension r.  Design verdicts sum the pair distribution over certified
+automorphism orbits (root reflections, or generators a construction
+attaches): for m >= 2 the section search runs over those orbits and its
+closure certifies them; minimal lines go to the ambient certificate as
+spans.
 """
 
 from __future__ import annotations
@@ -18,16 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import exp, gcd, isqrt, lcm, log, prod
-from operator import mul, sub
+from operator import mul, neg, sub
 from typing import Dict, List, Optional, Set, Tuple
 
 from .clifford import clifford_generators
 from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
-                       exact_nth_root, hnf, int_det, rat, rat_str, saturate_rows,
-                       solve_nonneg_combination, verify_combination)
-from .grassmann import (Configuration, DesignReport, Subspace, adj_product,
-                        design_report, intdata_from_coords, line_key,
-                        metric_rows)
+                       exact_nth_root, hnf, int_det, inverse, rat, rat_str,
+                       saturate_rows, solve_nonneg_combination,
+                       verify_combination)
+from .grassmann import (Configuration, DesignReport, IntAction, Subspace,
+                        adj_product, design_report, intdata_from_coords,
+                        line_key, metric_rows)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -198,7 +201,17 @@ def short_vectors_with_norms(lattice: Lattice, bound, half: bool = False):
 class SectionSet:
     """Minimal m-sections, each a basis of integer coordinate rows (`coords`)
     whose Gram determinant is delta.  `gram_int` is the lattice's integer
-    Gram multiple, from which `records` are built."""
+    Gram multiple, from which `records` are built.
+
+    For m >= 2 the search also reports how it went: `generators` candidate
+    automorphisms (`coordinate_automorphisms`), of which the first
+    `examined` were applied, left `line_orbits` orbits on the `lines`
+    candidate vectors, and `tuples` m-tuples were considered.  When the
+    candidates passed the exact gate, `orbits` holds the orbits of the
+    examined group on the sections, {index of an orbit's first section:
+    its size}: the closure of `minimal_sections` built them, so they are
+    certified, and `section_design_report` sums one row per orbit.  None
+    for lines, a lattice with no candidate, or a refused one."""
 
     m: int
     delta: Rational
@@ -207,6 +220,12 @@ class SectionSet:
     complete: bool
     norm_cap: Optional[Rational]
     gram_int: List[List[int]]
+    orbits: Optional[Dict[int, int]] = None
+    generators: int = 0
+    examined: int = 0
+    lines: int = 0
+    line_orbits: int = 0
+    tuples: int = 0
 
     def __len__(self):
         return len(self.coords)
@@ -253,6 +272,25 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     (product of the m smallest basis norms) / min^(m-1), which bounds that
     cap in advance (Hadamard), so a huge bound costs no more than the cap;
     search_bound and completeness still refer to the requested bound.
+
+    For m >= 2 the search runs over orbits.  The candidate automorphisms
+    (`coordinate_automorphisms`) that pass the exact gate are applied in
+    order to the lines of the candidate vectors, merging orbits by
+    union-find, until the orbits are as few as the distinct norms or no
+    candidate is left; a candidate vector mapped outside the set refuses
+    them all.  Only the tuples through each orbit's first vector are
+    considered, the other vectors drawn from that orbit and the orbits
+    after it.  Each section S is then reached up to the examined group H:
+    the vectors of a spanning tuple all pass the pruning, and an h in H
+    moves the one in the earliest orbit to that orbit's first vector.  The
+    sections found are closed under the examined matrices, each image
+    keyed by its HNF, and the closure is the exact gate: an image of a
+    minimal section under an integer A with A G A^T = G is a minimal
+    section, and every minimal section is the image of a section found, so
+    the closure is exactly the minimal sections, its trees are the
+    H-orbits, and it certifies the orbit rows of `section_design_report`.
+    With no candidate, or a refused one, every vector is its own orbit and
+    this is the exhaustive search, with no closure.
     """
     r = lattice.rank
     if not (1 <= m and 2 * m <= r):
@@ -292,15 +330,60 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
 
     gvecs = [gvec(c) for c in cvecs]
 
+    # Orbits of the candidate lines under the candidates, in order.  A
+    # root is its orbit's least index, so orbits are processed in the
+    # order of their first vectors.
+    count, autos = coordinate_automorphisms(lattice)
+    autos = autos or None   # no candidate, or a refused one: no closure
+    parent = list(range(nv))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # path halving
+        return x
+
+    left, distinct = nv, len(set(norms))
+    index = {c: i for i, c in enumerate(cvecs)}
+    examined = 0
+    # The examined matrices that move some line, with the images of the
+    # candidate vectors of either sign, for the closure.  One that fixes
+    # every candidate line fixes every section, each the saturated span of
+    # candidate vectors, so the closure skips it.
+    moves: List[tuple] = []
+    for a in autos or ():
+        if left == distinct:
+            break
+        imgs = list(map(tuple, _rows_times(cvecs, a)))
+        image = [index.get(_half_key(v)) for v in imgs]
+        if None in image:
+            autos = None
+            parent = list(range(nv))
+            examined, moves = 0, []
+            break
+        examined += 1
+        if image == list(range(nv)):
+            continue
+        table = dict(zip(cvecs, imgs))
+        table.update((tuple(map(neg, c)), tuple(map(neg, v)))
+                     for c, v in zip(cvecs, imgs))
+        moves.append((a, table))
+        for x, y in enumerate(image):
+            x, y = root(x), root(y)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+                left -= 1
+    firsts = [i for i in range(nv) if root(i) == i]
+
     # Determinants below are of integer Grams, s^m times the true ones; the
     # norm cap is floor(s * cap), compared with the integer norms.
-    state = {"delta": None, "cap": None}
+    state = {"delta": None, "cap": None, "tuples": 0}
     # HNF of the saturated coordinates -> coordinates, for the sections at
     # the smallest determinant so far; the HNF names the section, and the
     # last candidate spanning it is kept.
     best: Dict[Tuple, list] = {}
 
     def consider(idxs: Tuple[int, ...]):
+        state["tuples"] += 1
         raw = int_det([[sum(map(mul, gvecs[a], cvecs[b])) for b in idxs] for a in idxs])
         if raw == 0:
             return
@@ -330,28 +413,86 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
                 state["cap"] = cap.numerator // cap.denominator
         best[tuple(map(tuple, hnf(sat)))] = sat
 
-    def choose(start: int, chosen: List[int]):
+    def choose(pool: List[int], start: int, chosen: List[int]):
         if len(chosen) == m:
             consider(tuple(chosen))
             return
-        for i in range(start, nv):
+        for pos in range(start, len(pool)):
+            i = pool[pos]
             cap = state["cap"]
             if cap is not None and norms[i] > cap:
                 break
             chosen.append(i)
-            choose(i + 1, chosen)
+            choose(pool, pos + 1, chosen)
             chosen.pop()
 
-    choose(0, [])
+    # No vector of an orbit precedes its first, so the pool of the orbit
+    # of f is the vectors after f whose orbit's first is not before f.
+    for f in firsts:
+        cap = state["cap"]
+        if cap is not None and norms[f] > cap:
+            break
+        choose([j for j in range(f + 1, nv) if root(j) >= f], 0, [f])
     if not best:
         raise ValueError(f"no {m}-section: the vectors of norm at most "
                          f"{rat_str(bound)} span fewer than {m} dimensions; "
                          "pass a larger search_bound")
-    coords = [tuple(map(tuple, best[key])) for key in sorted(best)]
+    orbits = None
+    if autos is not None:
+        # The closure: HNF -> (coordinates, HNF of its orbit's seed).
+        seen: Dict[Tuple, tuple] = {}
+        for key, sat in best.items():
+            if key in seen:
+                continue
+            seen[key] = (sat, key)
+            stack = [sat]
+            while stack:
+                y = stack.pop()
+                for a, table in moves:
+                    img = [table.get(row) or tuple(_rows_times([row], a)[0])
+                           for row in y]
+                    k = tuple(map(tuple, hnf(img)))
+                    if k not in seen:
+                        seen[k] = (img, key)
+                        stack.append(img)
+        keys = sorted(seen)
+        coords = [tuple(map(tuple, seen[k][0])) for k in keys]
+        orbits, first = {}, {}
+        for i, k in enumerate(keys):
+            head = first.setdefault(seen[k][1], i)
+            orbits[head] = orbits.get(head, 0) + 1
+    else:
+        coords = [tuple(map(tuple, best[key])) for key in sorted(best)]
     delta = Fraction(state["delta"], s ** m)
     cap = hermite * delta / lam ** (m - 1) if hermite else None
     complete = cap is not None and bound >= cap
-    return SectionSet(m, delta, coords, bound, complete, cap, gi)
+    return SectionSet(m, delta, coords, bound, complete, cap, gi,
+                      orbits=orbits, generators=count,
+                      examined=examined, lines=nv,
+                      line_orbits=len(firsts), tuples=state["tuples"])
+
+
+def _half_key(vec) -> Tuple[int, ...]:
+    """The vector of the pair +-vec (nonzero) that `_enumerate` keeps with
+    half=True: the one whose outermost (last) nonzero coordinate is
+    positive."""
+    if next(filter(None, reversed(vec))) > 0:
+        return tuple(vec)
+    return tuple(map(neg, vec))
+
+
+def _rows_times(a, b) -> List[List[int]]:
+    """The integer matrix product a b, row i the combination of the rows of
+    b with coefficients a[i], zero coefficients skipped: about r^2 steps
+    for a reflection or a short vector, whose entries are mostly zero."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def _sections_of(lattice: Lattice, m: int,
@@ -498,12 +639,88 @@ def _simple_roots(lattice: Lattice) -> List[Tuple[int, ...]]:
             if not any(tuple(map(sub, r, p)) in positive for p in roots)]
 
 
+def coordinate_automorphisms(
+        lattice: Lattice) -> Tuple[int, Optional[List[List[List[int]]]]]:
+    """(number of candidates, their integer coordinate matrices or None).
+
+    The candidates act on coordinate rows as c -> c A: first those a
+    construction attached (`_automorphisms`), each g mapped through the
+    basis, A = B g^T B^T (B B^T)^-1 / sqrt(c) for the primitive integer
+    multiple of g with g g^T = c I; then the reflections in the simple roots
+    r (`_simple_roots`), built from r and the integer Gram G,
+
+        A = I - (2 / r G r^T) (G r^T) r,
+
+    integer by the root test.  With two or more, their product comes first:
+    for the simple reflections of a root system it is a Coxeter element
+    (Humphreys 1990, 3.16), a cheap extra generator.  Every A must be an
+    integer matrix with A G A^T = G, which makes it an automorphism of the
+    lattice (det A = +-1); if any is not, the matrices are None, so the
+    refusal is all-or-nothing.  The gate is plain comparisons, so it also
+    holds under python -O.
+    """
+    lattice.minimum()   # the roots are among the minimal vectors
+    gi = lattice._gram_int
+    mats: List[Optional[List[List[int]]]] = []
+    if lattice._automorphisms:
+        bi = lattice._basis_int
+        inv = inverse(RatMatrix([[sum(map(mul, a, b)) for b in bi] for a in bi]))
+        pinv, pden = _int_scaled(RatMatrix(list(zip(*bi))) @ inv)
+        pcols = list(zip(*pinv))
+        for g in lattice._automorphisms:
+            mats.append(_coordinate_map(g, bi, pcols, pden))
+    for v in _simple_roots(lattice):
+        gv = [sum(map(mul, row, v)) for row in gi]
+        q = sum(map(mul, gv, v))
+        mats.append([[int(i == j) - (2 * a // q) * b for j, b in enumerate(v)]
+                     for i, a in enumerate(gv)])
+    count = len(mats) + (len(mats) > 1)
+    if None in mats:
+        return count, None
+    if len(mats) > 1:
+        # A_1 ... A_k, multiplied from the right so that the sparse factor
+        # is on the left.
+        product = mats[-1]
+        for a in reversed(mats[:-1]):
+            product = _rows_times(a, product)
+        mats.insert(0, product)
+    # A G A^T = A (A G)^T, G symmetric.
+    if any(_rows_times(a, list(zip(*_rows_times(a, gi)))) != gi for a in mats):
+        return count, None
+    return count, mats
+
+
+def _coordinate_map(g, basis_int, pcols, pden) -> Optional[List[List[int]]]:
+    """The integer coordinate matrix of the ambient map g / sqrt(c), g g^T =
+    c I, on the lattice with integer basis rows `basis_int` (right inverse
+    `pcols` / pden, as columns), or None when g is no orthogonal map up to a
+    square scalar or the matrix is not integral."""
+    try:
+        act = IntAction(g)
+    except ValueError:
+        return None
+    side = isqrt(act.scale)
+    if act.n != len(basis_int[0]) or side * side != act.scale:
+        return None
+    den = pden * side
+    out = []
+    for b in basis_int:
+        img = act.image(b)
+        row = [sum(map(mul, img, col)) for col in pcols]
+        if any(x % den for x in row):
+            return None
+        out.append([x // den for x in row])
+    return out
+
+
 def automorphism_generators(lattice: Lattice) -> List:
     """Candidate generators of the automorphism group in ambient
     coordinates, each with g g^T = c I: those a construction attached
     (`barnes_wall`), then the reflections (v.v) I - 2 v v^T in the simple
     roots v (`_simple_roots`, as integer ambient rows).  They are only
-    candidates: `pair_stats` certifies every one it examines."""
+    candidates: `pair_stats` certifies every one it examines.  The design
+    verdicts of minimal lines use them; sections use the same candidates
+    as coordinate matrices (`coordinate_automorphisms`)."""
     out = list(lattice._automorphisms)
     for v in _ambient_rows(lattice, _simple_roots(lattice)):
         q = sum(x * x for x in v)
@@ -518,30 +735,37 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
 
     Every automorphism of the lattice permutes its minimal m-sections, so
     the pair distribution can be summed over orbits, one row per orbit
-    (Goethals and Seidel 1981).  The ambient spans of the sections go to
-    `design_report` with `automorphism_generators`: for a root lattice the
-    reflections in its simple roots, for Barnes-Wall the generators of the
-    rational Clifford subgroup `barnes_wall` attached.  `pair_stats`
-    certifies exactly that the generators it examines permute the spans
-    with their multiplicities (g g^T = c I, exact image keys) before it
-    uses the identity; a failed check, or orbit rows that would cost more
-    than the full pair engine, runs that engine on the spans, with the
-    same result.  A
-    lattice with no candidate generators keeps the full engine on the
-    integer coordinate records, with the Gram metric; for m >= 3 only their
-    rows (`metric_rows`), since that engine forms no adjugate.  Either way
-    the verdicts are taken in dimension rank, so rank-deficient embeddings
-    are judged intrinsically.
+    (Goethals and Seidel 1981).  For m >= 2 the closure of
+    `minimal_sections` is the exact gate: its `orbits` are orbits of
+    certified integer automorphisms on exactly the minimal sections, so
+    the rows run on the integer coordinate `records` (for m >= 3 only their
+    rows, `metric_rows`, since the cross engine forms no adjugate), with no
+    ambient span and no further certificate.  Lines have no tuple search
+    and no closure: their ambient spans go to `design_report` with
+    `automorphism_generators` (for a root lattice the reflections in its
+    simple roots, for Barnes-Wall the generators of the rational Clifford
+    subgroup `barnes_wall` attached), and `pair_stats` certifies exactly
+    that the generators it examines permute the spans with their
+    multiplicities (g g^T = c I, exact image keys) before it uses the
+    identity.  A refused candidate, no candidate at all, or orbit rows that
+    would cost more than the full pair engine run that engine, with the
+    same result.  Either way the verdicts are taken in dimension rank, so
+    rank-deficient embeddings are judged intrinsically.
     """
-    gens = automorphism_generators(lattice)
-    if gens:
-        points = section_subspaces(lattice, sections)
-    elif sections.m >= 3:
+    m = sections.m
+    if m == 1:
+        gens = automorphism_generators(lattice)
+        if gens:
+            return design_report(section_subspaces(lattice, sections), m,
+                                 lattice.rank, tmax, generators=gens)
+    if m >= 3:
         points = [metric_rows(c, sections.gram_int) for c in sections.coords]
     else:
         points = sections.records
-    return design_report(points, sections.m, lattice.rank, tmax,
-                         generators=gens)
+    report = design_report(points, m, lattice.rank, tmax,
+                           orbits=sections.orbits)
+    report.generators, report.examined = sections.generators, sections.examined
+    return report
 
 
 # -- constructions -----------------------------------------------------------

@@ -78,7 +78,9 @@ def test_lattice_notes_the_design_path(tmp_path, capsys):
     code = main(["lattice", "D4", "--m", "2", "--sections"])
     err = capsys.readouterr().err
     assert code == 0
-    assert "design path: 1 orbit row(s) under 4 generators (4 examined)" in err
+    # The four simple reflections and their product; the search examined
+    # the product and three reflections, which leave one orbit of lines.
+    assert "design path: 1 orbit row(s) under 5 generators (4 examined)" in err
     rootless = tmp_path / "rootless.json"
     rootless.write_text(json.dumps({"basis": [["1", "1", "1", "0", "0"],
                                               ["1", "0", "0", "1", "1"]]}))

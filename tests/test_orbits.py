@@ -17,8 +17,8 @@ from grassdex.grassmann import (IntAction, Subspace, _count_rows,
 from grassdex import grassmann, lattice as lattice_mod
 from grassdex.cli import main
 from grassdex.lattice import (_simple_roots, automorphism_generators, catalog,
-                              minimal_sections, section_design_report,
-                              section_subspaces)
+                              coordinate_automorphisms, minimal_sections,
+                              section_design_report, section_subspaces)
 
 from test_grassmann import _run_python
 
@@ -308,11 +308,14 @@ def test_barnes_wall_attaches_clifford_generators():
 def test_costly_orbit_rows_take_the_full_engine(m):
     # The sign changes of Z^8 fix every coordinate m-space: one orbit per
     # point, so orbit rows would count more pairs than the full engine,
-    # which runs on the spans instead.
+    # which runs instead.  Lines take the 8 reflections on the spans; the
+    # section search adds their product, -I, and examines all 9.
     lat = catalog("Z8")
     secs = minimal_sections(lat, m)
     report = section_design_report(lat, secs, tmax=3)
-    assert (report.generators, report.orbits, report.examined) == (8, None, 8)
+    count = 8 if m == 1 else 9
+    assert (report.generators, report.orbits, report.examined) == (
+        count, None, count)
     assert report.to_json_dict() == design_report(
         secs.records, m, 8, 3).to_json_dict()
 
@@ -433,13 +436,16 @@ def test_lattice_refusals_hold_under_optimize():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_section_report_falls_back_on_a_refused_generator(monkeypatch):
+def test_section_report_falls_back_on_a_refused_generator():
+    # The search certifies the candidates, so the reflection in (1, 1, 1,
+    # 0), no automorphism of D4, is attached before it: it refuses them
+    # all, with the product, and the full engine runs.
     d4 = catalog("D4")
+    real, _ = coordinate_automorphisms(d4)
+    d4._automorphisms = [_reflection([1, 1, 1, 0])]
     secs = minimal_sections(d4, 2)
-    real = automorphism_generators(d4)
-    monkeypatch.setattr(lattice_mod, "automorphism_generators",
-                        lambda lat: [_reflection([1, 1, 1, 0])] + real)
     report = section_design_report(d4, secs, tmax=3)
-    assert (report.generators, report.orbits) == (len(real) + 1, None)
+    assert (report.generators, report.orbits, report.examined) == (
+        real + 1, None, 0)
     assert report.to_json_dict() == design_report(
         secs.records, 2, 4, 3).to_json_dict()

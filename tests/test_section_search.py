@@ -1,0 +1,259 @@
+"""The orbit-reduced minimal-section search: candidate automorphisms as
+certified integer coordinate matrices, one tuple search per orbit of
+candidate lines, and the closure that returns every section with its orbit.
+Each reduced search is checked against the exhaustive one."""
+
+import hashlib
+import json
+import os
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grassdex import lattice as lattice_mod
+from grassdex.cli import main
+from grassdex.exactalg import hnf
+from grassdex.grassmann import design_report
+from grassdex.lattice import (Lattice, automorphism_generators, catalog,
+                              coordinate_automorphisms, minimal_sections,
+                              section_design_report, section_subspaces)
+
+from test_grassmann import _run_python
+from test_tooling import _load_run
+
+
+def _keys(secs):
+    return [tuple(hnf(c)) for c in secs.coords]
+
+
+def _exhaustive(lat, m, bound=None):
+    """The search with no candidate: every vector its own orbit."""
+    real = lattice_mod.coordinate_automorphisms
+    lattice_mod.coordinate_automorphisms = lambda lat: (0, None)
+    try:
+        return minimal_sections(lat, m, search_bound=bound)
+    finally:
+        lattice_mod.coordinate_automorphisms = real
+
+
+def _unimodular(rows, seed):
+    """rows under a seeded product of elementary integer row operations."""
+    rng = random.Random(seed)
+    rows = [list(r) for r in rows]
+    for _ in range(8):
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.choice([-1, 1, 2])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def _basis(name):
+    lat = catalog(name)
+    return [list(lat.basis.row(i)) for i in range(lat.rank)]
+
+
+# A basis with a single simple root, found by a seeded search over small
+# integer bases: its reflection, the one candidate (no product), merges 10
+# candidate lines into 7 orbits and two of the 5 minimal 2-sections into
+# one orbit.
+ONE_ROOT = [[0, 1, 2, 0, 0], [1, 0, 1, 0, 2], [-1, 1, 1, -1, 1],
+            [0, 2, 0, 0, 0], [2, -1, 0, -1, 0]]
+
+CASES = [
+    ("D4", lambda: catalog("D4"), 2, None),
+    ("E6", lambda: catalog("E6"), 2, None),
+    ("E6", lambda: catalog("E6"), 3, None),
+    ("E7", lambda: catalog("E7"), 2, None),
+    ("E7", lambda: catalog("E7"), 3, None),
+    ("E8", lambda: catalog("E8"), 2, None),
+    ("E8 bound 4", lambda: catalog("E8"), 2, 4),
+    ("Z6", lambda: catalog("Z6"), 3, None),
+    ("one root", lambda: Lattice(ONE_ROOT), 2, None),
+    ("D4 unimodular", lambda: Lattice(_unimodular(_basis("D4"), 5)), 2, None),
+    ("E6 unimodular", lambda: Lattice(_unimodular(_basis("E6"), 7)), 2, None),
+    ("E6 unimodular", lambda: Lattice(_unimodular(_basis("E6"), 7)), 3, None),
+]
+
+
+@pytest.mark.parametrize("name,build,m,bound", CASES,
+                         ids=[f"{c[0]}-m{c[2]}" for c in CASES])
+def test_reduced_search_equals_exhaustive(name, build, m, bound):
+    lat = build()
+    reduced = minimal_sections(lat, m, search_bound=bound)
+    full = _exhaustive(build(), m, bound)
+    assert reduced.orbits is not None and full.orbits is None
+    assert reduced.tuples <= full.tuples
+    assert reduced.line_orbits <= full.line_orbits == full.lines
+    assert (reduced.delta, reduced.complete, reduced.search_bound) == (
+        full.delta, full.complete, full.search_bound)
+    assert _keys(reduced) == _keys(full)
+    assert sum(reduced.orbits.values()) == len(reduced)
+    # The design reference is the route that certifies the ambient spans
+    # of the exhaustive sections (or the full engine, if it fails).
+    spans = section_subspaces(lat, full)
+    ref = design_report(spans, m, lat.rank, 3,
+                        generators=automorphism_generators(lat))
+    got = section_design_report(lat, reduced, tmax=3)
+    assert got.to_json_dict() == ref.to_json_dict()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["D4", "E6"]), st.integers(0, 10 ** 6))
+def test_reduced_search_on_random_unimodular_bases(name, seed):
+    # Any basis of the lattice gives the same sections, whatever its
+    # coordinate automorphisms look like.
+    rows = _unimodular(_basis(name), seed)
+    reduced = minimal_sections(Lattice(rows), 2)
+    full = _exhaustive(Lattice(rows), 2)
+    assert reduced.orbits is not None
+    assert (reduced.delta, reduced.complete, _keys(reduced)) == (
+        full.delta, full.complete, _keys(full))
+
+
+def test_one_root_basis_has_one_candidate():
+    lat = Lattice(ONE_ROOT)
+    assert [len(a) for a in coordinate_automorphisms(lat)[1]] == [5]
+    secs = minimal_sections(lat, 2)
+    assert (secs.generators, secs.examined) == (1, 1)
+    assert (secs.lines, secs.line_orbits, len(secs)) == (10, 7, 5)
+    assert sorted(secs.orbits.values()) == [1, 1, 1, 2]
+
+
+def test_rootless_lattice_keeps_the_exhaustive_search():
+    # The Fano-plane lattice has no root and nothing attached: every
+    # vector is its own orbit, and no closure runs.
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+            (2, 3, 6), (2, 4, 5)]
+    lat = Lattice([[int(j in line) for j in range(7)] for line in fano])
+    assert coordinate_automorphisms(lat) == (0, [])
+    secs = minimal_sections(lat, 2)
+    assert (secs.orbits, secs.generators, secs.examined) == (None, 0, 0)
+    assert secs.line_orbits == secs.lines
+
+
+def test_e8_three_sections_match_the_recorded_exhaustive_search():
+    # Recorded from the exhaustive search (5 s); the reduced search examines
+    # the Coxeter element and one reflection.
+    lat = catalog("E8")
+    secs = minimal_sections(lat, 3)
+    assert (secs.delta, secs.complete, len(secs)) == (4, True, 7560)
+    assert hashlib.sha256(repr(_keys(secs)).encode()).hexdigest() == (
+        "ab545e91373beb75121e9beab1d7cac328cc612895894acca55d35a03bc36c83")
+    report = section_design_report(lat, secs, tmax=3)
+    assert report.orbits is not None
+    assert report.to_json_dict() == {
+        "n": 8, "m": 3, "size": 7560, "tmax": 3,
+        "t": {"1": {"average": "9/8", "c": "9/8", "is_design": True},
+              "2": {"average": "153/112", "c": "153/112", "is_design": True},
+              "3": {"average": "113/64", "c": "113/64", "is_design": True}},
+        "zonal_sums": {"(1)": "0", "(1,1)": "0", "(2)": "0"}}
+
+
+def test_barnes_wall_generators_map_to_coordinate_automorphisms():
+    # The 19 attached generators of G_4 and their product, all integral on
+    # the triangular basis and all preserving the Gram.
+    count, mats = coordinate_automorphisms(catalog("BW16"))
+    assert count == 20 and len(mats) == 20
+
+
+def _reflection(v):
+    q = sum(x * x for x in v)
+    return [[(q if i == j else 0) - 2 * a * b for j, b in enumerate(v)]
+            for i, a in enumerate(v)]
+
+
+def _search_refusals():
+    """(name, whether the exact check A G A^T = G refused as it should,
+    reduced SectionSet, exhaustive SectionSet) for candidates the gates
+    must refuse."""
+    out = []
+    # An attached reflection that is no automorphism of D4: its coordinate
+    # matrix is not integral.
+    d4 = catalog("D4")
+    d4._automorphisms = [_reflection([1, 1, 1, 0])]
+    out.append(("attached non-automorphism",
+                coordinate_automorphisms(d4)[1] is None,
+                minimal_sections(d4, 2), _exhaustive(catalog("D4"), 2)))
+    # An integral candidate that does not keep the Gram: the minimal
+    # vectors of a rootless lattice taken for roots.  The lattice of the
+    # Fano plane's lines has norm 3 and inner products 1, so the integer
+    # "reflection" I - (2 (G r^T) // 3) r is no isometry.
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
+            (2, 4, 5)]
+    rows = [[int(j in line) for j in range(7)] for line in fano]
+    real = lattice_mod._simple_roots
+    lattice_mod._simple_roots = lambda lat: list(lat._min_vectors)
+    try:
+        fano_lat = Lattice(rows)
+        out.append(("integral non-isometry",
+                    coordinate_automorphisms(fano_lat)[1] is None,
+                    minimal_sections(fano_lat, 2), _exhaustive(Lattice(rows), 2)))
+    finally:
+        lattice_mod._simple_roots = real
+    # A candidate vector mapped outside the candidates: one D4 minimal line
+    # hidden from the search; the exact check passes the candidates.
+    real = lattice_mod.short_vectors_with_norms
+    lattice_mod.short_vectors_with_norms = lambda *a, **k: real(*a, **k)[:-1]
+    try:
+        out.append(("image outside the set",
+                    coordinate_automorphisms(catalog("D4"))[1] is not None,
+                    minimal_sections(catalog("D4"), 2),
+                    _exhaustive(catalog("D4"), 2)))
+    finally:
+        lattice_mod.short_vectors_with_norms = real
+    return out
+
+
+def _search_unrefused():
+    """Names of the refusal cases that were not refused, or whose search
+    differs from the exhaustive one; empty when all hold."""
+    bad = []
+    for name, gate, secs, full in _search_refusals():
+        if (not gate or secs.orbits is not None or secs.examined
+                or not secs.generators or secs.tuples != full.tuples
+                or (secs.delta, _keys(secs), secs.coords)
+                != (full.delta, _keys(full), full.coords)):
+            bad.append(name)
+    return bad
+
+
+def test_search_refuses_non_automorphisms():
+    assert _search_unrefused() == []
+
+
+def test_search_refusals_hold_under_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "if __debug__: sys.exit(4)\n"
+            "from test_section_search import _search_unrefused\n"
+            "bad = _search_unrefused()\n"
+            "print(bad)\n"
+            "sys.exit(3 if bad else 0)\n")
+    proc = _run_python(code, "-O", path=here)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_search_note_counts_orbits_and_tuples(capsys):
+    # The note goes to stderr; `results` holds no search counters.
+    assert main(["lattice", "D4", "--m", "2", "--sections"]) == 0
+    out, err = capsys.readouterr()
+    assert ("section search: 1 orbit(s) on 12 candidate lines under 5 "
+            "generators (4 examined), 11 of 66 2-tuples considered") in err
+    assert set(json.loads(out)["results"]) == {
+        "name", "rank", "ambient", "det", "min", "delta_m", "section_count",
+        "search_bound", "complete", "section_design"}
+
+
+@pytest.mark.parametrize("name,t,digest", [
+    ("E7", 2, "2fafeb9e8e41f146d2a77b0828f4fcf6273198b4a7a03c3356a323285e894654"),
+    ("E6", 3, "16baf5b82d8a988d86e3c409fd1fe288d0ed5ac293b212635c2b93b96f18b3a1"),
+])
+def test_readme_three_section_runs_keep_their_digests(capsys, name, t, digest):
+    # Recorded from the exhaustive search and the ambient certificate.
+    run = _load_run()
+    assert main(["lattice", name, "--m", "3", "--sections", "--rankin",
+                 "--perfection", "--t", str(t)]) == 0
+    out = capsys.readouterr().out
+    assert run.results_digest(json.loads(out)["results"]) == digest
