@@ -80,7 +80,6 @@ lattice section search.
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -313,14 +312,6 @@ def _count_rows(data, rows) -> Counter:
     return counts
 
 
-def _count_chunk(orth, start, stride):
-    """Counts of the `_pair_key`s over pairs i < j with i = start mod
-    stride, from the records `orth` (`_orthogonal`) by the packed cross
-    engine; a pool worker returns one entry per angle class."""
-    return _cross_rows(orth, ((i, i + 1, 1)
-                              for i in range(start, len(orth), stride)))
-
-
 # Bytes of column slots per packed integer, so that one multiply-add costs
 # about the same whatever the slot width: 2048 one-byte slots, 512 of four
 # bytes, 85 of 24.  The block a row starts in is computed whole but read
@@ -433,8 +424,8 @@ def _packed_pairs(fields, row_keys, col_keys):
 
 
 def _packed_counts(data) -> Counter:
-    """`_count_chunk(data, 0, 1)` for m <= 2, from packed inner products:
-    each distinct slot is decoded once and keyed by `_pair_key`.
+    """`_count_rows` over all pairs i < j for m <= 2, from packed inner
+    products: each distinct slot is decoded once and keyed by `_pair_key`.
 
     Every field is scaled per square class of Gram determinants, or per
     point when that packs a narrower slot, one decision for the whole
@@ -724,6 +715,31 @@ class IntAction:
         return int_rref([self.image(r) for r in rows], self.n)
 
 
+class UnionFind:
+    """Orbits of maps on 0..n-1 by union-find with path halving: a root is
+    its orbit's least element, and `left` counts the orbits."""
+
+    __slots__ = ("parent", "left")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.left = n
+
+    def root(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # path halving
+        return x
+
+    def merge(self, image) -> None:
+        """Joins the orbits of x and image[x] for every x."""
+        for x, y in enumerate(image):
+            x, y = self.root(x), self.root(y)
+            if x != y:
+                self.parent[max(x, y)] = min(x, y)
+                self.left -= 1
+
+
 def certified_orbits(points: Sequence, generators) -> Optional[Dict[int, int]]:
     """The orbits of a group generated by `generators` on the multiset
     `points`, certified exactly, or None when a check fails.
@@ -761,29 +777,17 @@ def _certify(points: Sequence, generators):
             first.append(i)
             mult.append(0)
         mult[d] += 1
-    # Union-find over the distinct points; a root is its orbit's least id.
-    parent = list(range(len(first)))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]   # path halving
-        return x
-
-    left, examined = len(first), 0
-    while left > 1 and examined < len(actions):
+    found, examined = UnionFind(len(first)), 0
+    while found.left > 1 and examined < len(actions):
         image = [ids.get(actions[examined].key(rows)) for rows in ids]
         if (None in image or len(set(image)) < len(image)
                 or [mult[e] for e in image] != mult):
             return None
         examined += 1
-        for x, y in enumerate(image):
-            x, y = root(x), root(y)
-            if x != y:
-                parent[max(x, y)] = min(x, y)
-                left -= 1
+        found.merge(image)
     orbits: Dict[int, int] = {}
     for d in range(len(first)):
-        key = first[root(d)]
+        key = first[found.root(d)]
         orbits[key] = orbits.get(key, 0) + mult[d]
     return orbits, examined
 
@@ -797,13 +801,6 @@ def _certify(points: Sequence, generators):
 _SERIAL_ROWS = 6
 
 
-def default_workers() -> int:
-    """CPUs this process may run on: the affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def pair_stats(points: Sequence, tmax: int = 3, generators=(),
                orbits: Optional[Dict[int, int]] = None) -> PairStats:
     """The exact pair distribution and its sigma-power totals over all
@@ -811,24 +808,13 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=(),
 
     `points` may be Subspace instances or raw int-data tuples; for m >= 3
     only their left and right rows are read (`metric_rows`).  Lines and
-    planes take the packed engine (`_packed_counts`), serially.  For m >= 3
-    every point's rows are first made orthogonal in its own metric
-    (`_orthogonal`); a Subspace hands over the rows it was given in when it
-    keeps them (`Subspace._given`), its canonical rows otherwise, and forms
-    no adjugate.  The basis only changes W by a similarity, so no key
-    moves.  The packed cross engine (`_cross_rows`) keys each pair from its
-    cross entries C_ab = u_a . v_b and the weights w_a = l / g_a of the
-    diagonal Grams:
-
-        H_ac = sum_b w'_b C_ab C_cb,  tr W = sum_a w_a H_aa,
-        tr W^2 = sum_{a,c} w_a w_c H_ac^2,  den = l_p l_q.
-
-    With at least 64 points its rows i = s mod workers run in a pool of
-    min(`default_workers()`, points) processes when that is more than one
-    (two workers start to win between 48 and 64 points of k4w2 at m = 4 on
-    a 2-CPU host, rotated or not).
-    Exact; the reduction order is irrelevant, so the worker count never
-    changes the result.
+    planes take the packed engine (`_packed_counts`).  For m >= 3 every
+    point's rows are first made orthogonal in its own metric
+    (`_orthogonal`), from the rows a Subspace was given in when it keeps
+    them (`Subspace._given`) and its canonical rows otherwise, and the
+    packed cross engine (`_cross_rows`) keys every pair.  The module
+    docstring gives both engines' identities, and why no key depends on
+    the basis a point starts from.  Every engine runs in this process.
 
     With generator matrices of a group G that permutes the points (g g^T =
     c I each), the distribution is the sum over G-orbits O of |O| times the
@@ -840,7 +826,7 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=(),
     index of a point of the orbit: its size, multiplicity counted}, and no
     certificate runs: `lattice.minimal_sections` builds its sections as
     the closure of certified automorphisms, so the closure's orbits are
-    exact.  Then the orbit rows are counted serially, if they count fewer
+    exact.  Then only the orbit rows are counted, if they count fewer
     pairs than the full engine and, for lines and planes, are no more than
     `_SERIAL_ROWS`.  Lines and planes run the rows as the pair loop
     (packing would first lift every point, which costs more than a few
@@ -871,20 +857,8 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=(),
         rows = [(i, 0, w) for i, w in orbits.items()]
         keys = _count_rows(data, rows) if m <= 2 else _cross_rows(data, rows)
     else:
-        workers = min(default_workers(), n) if m >= 3 and n >= 64 else 1
-        if m <= 2:
-            half = _packed_counts(data)
-        elif workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                futs = [ex.submit(_count_chunk, data, s, workers)
-                        for s in range(workers)]
-                half = Counter()
-                for f in futs:
-                    half.update(f.result())
-        else:
-            half = _count_chunk(data, 0, 1)
+        half = (_packed_counts(data) if m <= 2 else
+                _cross_rows(data, ((i, i + 1, 1) for i in range(n))))
         # Pairs i < j stand for both orders; on the diagonal every principal
         # cosine is 1.
         keys = Counter({(m, 1, m, 1): n})

@@ -29,8 +29,8 @@ from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
                        saturate_rows, solve_nonneg_combination,
                        verify_combination)
 from .grassmann import (Configuration, DesignReport, IntAction, Subspace,
-                        adj_product, design_report, intdata_from_coords,
-                        line_key, metric_rows)
+                        UnionFind, adj_product, design_report,
+                        intdata_from_coords, line_key, metric_rows)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -335,14 +335,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     # order of their first vectors.
     count, autos = coordinate_automorphisms(lattice)
     autos = autos or None   # no candidate, or a refused one: no closure
-    parent = list(range(nv))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]   # path halving
-        return x
-
-    left, distinct = nv, len(set(norms))
+    lines, distinct = UnionFind(nv), len(set(norms))
     index = {c: i for i, c in enumerate(cvecs)}
     examined = 0
     # The examined matrices that move some line, with the images of the
@@ -351,13 +344,13 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     # candidate vectors, so the closure skips it.
     moves: List[tuple] = []
     for a in autos or ():
-        if left == distinct:
+        if lines.left == distinct:
             break
         imgs = list(map(tuple, _rows_times(cvecs, a)))
         image = [index.get(_half_key(v)) for v in imgs]
         if None in image:
             autos = None
-            parent = list(range(nv))
+            lines = UnionFind(nv)
             examined, moves = 0, []
             break
         examined += 1
@@ -367,12 +360,8 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         table.update((tuple(map(neg, c)), tuple(map(neg, v)))
                      for c, v in zip(cvecs, imgs))
         moves.append((a, table))
-        for x, y in enumerate(image):
-            x, y = root(x), root(y)
-            if x != y:
-                parent[max(x, y)] = min(x, y)
-                left -= 1
-    firsts = [i for i in range(nv) if root(i) == i]
+        lines.merge(image)
+    firsts = [i for i in range(nv) if lines.root(i) == i]
 
     # Determinants below are of integer Grams, s^m times the true ones; the
     # norm cap is floor(s * cap), compared with the integer norms.
@@ -432,7 +421,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         cap = state["cap"]
         if cap is not None and norms[f] > cap:
             break
-        choose([j for j in range(f + 1, nv) if root(j) >= f], 0, [f])
+        choose([j for j in range(f + 1, nv) if lines.root(j) >= f], 0, [f])
     if not best:
         raise ValueError(f"no {m}-section: the vectors of norm at most "
                          f"{rat_str(bound)} span fewer than {m} dimensions; "

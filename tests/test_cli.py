@@ -178,7 +178,7 @@ def test_verify_results_are_rotation_invariant(tmp_path, capsys, source):
 
 
 def test_workers_option_is_a_usage_error(capsys):
-    # The pool size follows the CPU affinity mask; there is no option for it.
+    # Every engine runs in one process; there is no worker option.
     for argv in (["verify", "cfg.json"], ["lattice", "D4"],
                  ["clifford", "--k", "2", "--w", "1"]):
         with pytest.raises(SystemExit) as exc:

@@ -16,8 +16,8 @@ from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_
                                rref, trace_pow)
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
-                                _count_chunk, _count_rows, _packed_counts,
-                                average_sigma_power, default_workers,
+                                _count_rows, _cross_rows, _packed_counts,
+                                average_sigma_power,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
                                 zonal_positivity)
@@ -27,6 +27,12 @@ from grassdex.zonal import P0, P1, Partition
 def pair_loop(data):
     """`_pair_key` counts over pairs i < j from the per-pair W loop."""
     return _count_rows(data, [(i, i + 1, 1) for i in range(len(data))])
+
+
+def cross_sweep(orth):
+    """The same counts from the packed cross engine, over the records
+    `orth` (`_orthogonal`): the full sweep of `pair_stats` at m >= 3."""
+    return _cross_rows(orth, [(i, i + 1, 1) for i in range(len(orth))])
 
 
 def naive_sigma(p: Subspace, q: Subspace):
@@ -270,18 +276,6 @@ def test_subspace_rejects_irrational_rows():
         Subspace(3, [[1, 0]])
 
 
-def test_pair_stats_worker_independence(monkeypatch):
-    # m = 3 and 70 points: the cross engine runs serially with one worker
-    # and in a pool of three processes with three.
-    rng = random.Random(9)
-    pts = [random_subspace(rng, 6, 3) for _ in range(70)]
-    monkeypatch.setattr(grassmann, "default_workers", lambda: 1)
-    s1 = pair_stats(pts, tmax=3)
-    monkeypatch.setattr(grassmann, "default_workers", lambda: 3)
-    s2 = pair_stats(pts, tmax=3)
-    assert s1.sigma_pow == s2.sigma_pow and s1.power2 == s2.power2
-
-
 def test_average_sigma_power_high_t():
     cfg = lines_config(2, [[1, 0], [0, 1], [1, 1], [1, -1]])
     # 4 lines at 45 degrees: sigma values 1 or 1/2.
@@ -310,66 +304,6 @@ def test_configuration_json_rejects_mismatched_m():
     data = {"n": 3, "m": 2, "points": [[["1", "0", "0"]]]}
     with pytest.raises(ValueError):
         Configuration.from_json_dict(data)
-
-
-def test_default_workers_follow_affinity():
-    if hasattr(os, "sched_getaffinity"):
-        assert default_workers() == len(os.sched_getaffinity(0))
-    else:
-        assert default_workers() == (os.cpu_count() or 1)
-
-
-def recording_pool(sizes):
-    """A stand-in for ProcessPoolExecutor that appends its size to `sizes`
-    and runs each task in this process, so no process is started whatever
-    the faked CPU count."""
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    return RecordingPool
-
-
-def test_pair_stats_sizes_its_pool(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        recording_pool(sizes))
-    rng = random.Random(9)
-    lines = [random_subspace(rng, 6, 1) for _ in range(70)]
-    planes = [random_subspace(rng, 6, 2) for _ in range(70)]
-    solids = [random_subspace(rng, 6, 3) for _ in range(70)]
-    gens = signed_permutation_generators(6)
-    orbit = group_closure([Subspace(6, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
-                                        [0, 0, 0, 0, 1, 1]])], gens)
-    assert len(orbit) >= 64
-    # Packed engine (m <= 2), too few points, and the orbit rows: serial
-    # however many CPUs there are.
-    monkeypatch.setattr(grassmann, "default_workers", lambda: 1000)
-    pair_stats(lines)
-    pair_stats(planes)
-    pair_stats(solids[:63])
-    assert pair_stats(orbit, generators=gens).orbits == 1
-    assert sizes == []
-    reference = None
-    for cpus in (1, 2, 1000):
-        monkeypatch.setattr(grassmann, "default_workers", lambda c=cpus: c)
-        stats = pair_stats(solids)
-        assert sizes == ([min(cpus, len(solids))] if cpus > 1 else [])
-        reference = reference or stats.distribution
-        assert stats.distribution == reference
-        sizes.clear()
 
 
 def projector_reference(points, tmax):
@@ -426,13 +360,10 @@ def test_pair_engine_matches_projector_reference(data):
         points = [p.int_data() for p in cfg.points]
         assert _packed_counts(points) == pair_loop(points)
     sums, power2 = projector_reference(cfg.points, 5)
-    for workers in (1, 2):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(grassmann, "default_workers", lambda w=workers: w)
-            stats = pair_stats(cfg.points, tmax=5)
-        assert {t: stats.sigma_pow[t] for t in sums} == sums
-        assert stats.power2 == power2
-        assert sum(stats.distribution.values()) == len(cfg) ** 2
+    stats = pair_stats(cfg.points, tmax=5)
+    assert {t: stats.sigma_pow[t] for t in sums} == sums
+    assert stats.power2 == power2
+    assert sum(stats.distribution.values()) == len(cfg) ** 2
     assert average_sigma_power(cfg, 4) == sums[4] / len(cfg) ** 2
     assert average_sigma_power(cfg, 5) == sums[5] / len(cfg) ** 2
 
@@ -584,12 +515,10 @@ def test_one_scale_decision_for_two_square_classes(monkeypatch):
 
 def assert_cross_matches_loop(data, rows):
     """The packed cross engine against the per-pair W loop, key for key:
-    the full sweep, the two chunks of a two-worker pool, and `rows`."""
+    the full sweep and `rows`."""
     orth = [grassmann._orthogonal(rec) for rec in data]
-    loop = pair_loop(data)
-    assert _count_chunk(orth, 0, 1) == loop
-    assert _count_chunk(orth, 0, 2) + _count_chunk(orth, 1, 2) == loop
-    assert grassmann._cross_rows(orth, rows) == _count_rows(data, rows)
+    assert cross_sweep(orth) == pair_loop(data)
+    assert _cross_rows(orth, rows) == _count_rows(data, rows)
 
 
 @st.composite
@@ -711,17 +640,16 @@ def test_cross_engine_slots_pass_64_bits(monkeypatch):
 
 
 def test_cross_engine_pool_matches_pair_loop(monkeypatch):
-    # 70 m = 4 points, three of them repeated, in a two-worker pool whose
-    # chunks run in this process.
-    sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        recording_pool(sizes))
-    monkeypatch.setattr(grassmann, "default_workers", lambda: 2)
+    # 70 m = 4 points, three of them repeated: the cross engine sweeps them
+    # in this process, and starting a process pool fails the test.
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair_stats started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     rng = random.Random(5)
     points = [random_subspace(rng, 8, 4) for _ in range(67)]
     points += points[:3]
     stats = pair_stats(points, tmax=3)
-    assert sizes == [2]
     dist, sums = triple_reference(points, 3)
     assert stats.distribution == dist and stats.sigma_pow == sums
 
@@ -789,9 +717,7 @@ def test_given_rows_leave_every_pair_key(case):
     assert stats.distribution == rebuilt.distribution == dist
     assert stats.sigma_pow == rebuilt.sigma_pow == sums
     orth = [grassmann._orthogonal((p._given or p.rows,) * 2) for p in points]
-    loop = pair_loop([p.int_data() for p in points])
-    assert _count_chunk(orth, 0, 1) == loop
-    assert _count_chunk(orth, 0, 2) + _count_chunk(orth, 1, 2) == loop
+    assert cross_sweep(orth) == pair_loop([p.int_data() for p in points])
 
 
 def test_given_rows_serve_the_orbit_rows():
@@ -930,8 +856,7 @@ def group_closure(seeds, generators):
 
 
 def _rotated_cases():
-    """(unrotated points, rotation, generators or None); m = 3 has n >= 64
-    points, so two CPUs run the pool."""
+    """(unrotated points, rotation, generators or None)."""
     rng = random.Random(11)
     gens = signed_permutation_generators(4)
     lines = group_closure([Subspace.line(v) for v in
@@ -944,12 +869,11 @@ def _rotated_cases():
             pytest.param(planes, householder_rotation(rng, 4), None, id="planes"),
             pytest.param(lines, householder_rotation(rng, 4), gens, id="orbit-lines"),
             pytest.param(planes, householder_rotation(rng, 4), gens, id="orbit-planes"),
-            pytest.param(solids, householder_rotation(rng, 6), None, id="pool-m3")]
+            pytest.param(solids, householder_rotation(rng, 6), None, id="solids")]
 
 
 @pytest.mark.parametrize("points, rot, gens", _rotated_cases())
-def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens,
-                                                          monkeypatch):
+def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens):
     rotated = [p.transform(RatMatrix(rot)) for p in points]
     kwargs = {}
     if gens is not None:
@@ -958,7 +882,6 @@ def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens,
         kwargs["generators"] = [
             [[sum(ri[a] * g[a][b] * rj[b] for a in n for b in n) for rj in rot]
              for ri in rot] for g in gens]
-    monkeypatch.setattr(grassmann, "default_workers", lambda: 2)
     stats = pair_stats(rotated, tmax=4, **kwargs)
     dist, sums = triple_reference(rotated, 4)
     assert stats.distribution == dist
@@ -970,7 +893,7 @@ def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens,
     # the rotated Gram determinants differ.
     data = [p.int_data() for p in rotated]
     counts = (_packed_counts(data) if rotated[0].m <= 2 else
-              _count_chunk([grassmann._orthogonal(r) for r in data], 0, 1))
+              cross_sweep([grassmann._orthogonal(r) for r in data]))
     assert len(counts) <= len(dist)
     assert all(gcd(a, b) == gcd(c, d) == 1 and b > 0 and d > 0
                for a, b, c, d in counts)
