@@ -251,22 +251,26 @@ def null_space(m: RatMatrix) -> RatMatrix:
 
 
 def adjugate(mat) -> tuple:
-    """Adjugate of a square integer matrix, adj(M) M = det(M) I, as row tuples."""
+    """Adjugate of a square integer matrix, adj(M) M = det(M) I, as row tuples.
+
+    For m >= 3, Faddeev-LeVerrier: with N_1 = I and N_k = N_{k-1} M + c_k I,
+    c_k = -tr(N_{k-1} M) / (k - 1), the characteristic polynomial's
+    coefficients are integers, so every division is exact, and by
+    Cayley-Hamilton adj(M) = (-1)^(m+1) N_m, singular M included.  It takes
+    m - 1 matrix products, against m^2 determinants of minors."""
     m = len(mat)
     if m == 1:
         return ((1,),)
     if m == 2:
         return ((mat[1][1], -mat[0][1]), (-mat[1][0], mat[0][0]))
-    adj = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            minor = [[mat[r][c] for c in range(m) if c != i]
-                     for r in range(m) if r != j]
-            v = int_det(minor)
-            row.append(v if (i + j) % 2 == 0 else -v)
-        adj.append(tuple(row))
-    return tuple(adj)
+    cols = list(zip(*mat))
+    acc = [[int(i == j) for j in range(m)] for i in range(m)]
+    for k in range(1, m):
+        acc = [[sum(map(mul, row, col)) for col in cols] for row in acc]
+        c = -sum(acc[i][i] for i in range(m)) // k
+        for i in range(m):
+            acc[i][i] += c
+    return tuple(tuple(x if m % 2 else -x for x in row) for row in acc)
 
 
 # -- integer matrices (lattice plumbing) -----------------------------------

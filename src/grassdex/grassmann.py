@@ -163,7 +163,7 @@ class Subspace:
         ambient subspaces both factors are the canonical integer rows.
         """
         if self._intdata is None:
-            self._intdata = _intdata(self.rows, self.rows)
+            self._intdata = intdata(self.rows, self.rows)
         return self._intdata
 
     def projector(self) -> RatMatrix:
@@ -193,8 +193,9 @@ class Subspace:
         return self.basis.to_json()
 
 
-def _intdata(left, right):
-    """(left, right, adj G, det G) for the integer Gram G = left @ right^T."""
+def intdata(left, right):
+    """(left, right, adj G, det G) for the integer Gram G = left @ right^T:
+    the record the pair engine reads for m <= 2."""
     m = len(left)
     g = [[sum(map(mul, left[i], right[j])) for j in range(m)] for i in range(m)]
     adj = adjugate(g)
@@ -225,7 +226,7 @@ def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     Gram matrix of the ambient basis; sigma values are scale invariant, so
     any positive integer multiple of the true Gram works.
     """
-    return _intdata(*metric_rows(coords, gram_int))
+    return intdata(*metric_rows(coords, gram_int))
 
 
 def metric_rows(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
@@ -297,10 +298,34 @@ def _pair_key(trw: int, trw2: int, den: int) -> Tuple[int, int, int, int]:
 
 def _count_rows(data, rows) -> Counter:
     """Counts of the `_pair_key`s of the pairs (i, j), j >= start, of each
-    row spec (i, start, weight), each counted weight times."""
+    row spec (i, start, weight), each counted weight times.
+
+    For planes a pair takes the 4 dot products of C = L_p R_q^T and then
+    only 2 x 2 integer arithmetic: tr W = <adj(G_p) C adj(G_q), C>
+    (Frobenius) and tr W^2 = (tr W)^2 - 2 det G_p det G_q (det C)^2 (module
+    docstring), the values `_pair_w` gives.  Other m run `_pair_w`."""
     counts = Counter()
     n = len(data)
-    rng = range(len(data[0][0]))
+    m = len(data[0][0])
+    if m == 2:
+        for i, start, weight in rows:
+            (l0, l1), _, ((p00, p01), (p10, p11)), di = data[i]
+            for j in range(start, n):
+                _, (r0, r1), ((b00, b01), (b10, b11)), dj = data[j]
+                c00, c01 = sum(map(mul, l0, r0)), sum(map(mul, l0, r1))
+                c10, c11 = sum(map(mul, l1, r0)), sum(map(mul, l1, r1))
+                # adj(G_p) C
+                m00, m01 = p00 * c00 + p01 * c10, p00 * c01 + p01 * c11
+                m10, m11 = p10 * c00 + p11 * c10, p10 * c01 + p11 * c11
+                trw = ((m00 * b00 + m01 * b10) * c00
+                       + (m00 * b01 + m01 * b11) * c01
+                       + (m10 * b00 + m11 * b10) * c10
+                       + (m10 * b01 + m11 * b11) * c11)
+                den, detc = di * dj, c00 * c11 - c01 * c10
+                key = _pair_key(trw, trw * trw - 2 * den * detc * detc, den)
+                counts[key] = counts.get(key, 0) + weight
+        return counts
+    rng = range(m)
     for i, start, weight in rows:
         di = data[i]
         for j in range(start, n):
@@ -793,11 +818,12 @@ def _certify(points: Sequence, generators):
 
 
 # Certified orbit rows of lines and planes up to this many run the serial
-# loop; with more, the packed full engine is faster.  The serial rows cost
-# about 6-40 times as much per pair, so the crossover grows with the point
-# count: 3 rows on the D4 minimal planes (16 points), 8 on the E8 minimal
-# lines (120) and E7 planes (336), 13 on the E8 planes (1120), 40 on the
-# BW16 minimal lines (2160).
+# loop (`_count_rows`); with more, the packed full engine can be faster.
+# The serial rows cost more per pair, so the crossover grows with the point
+# count: 6 rows on the D4 and E8 minimal lines (12 and 120 points), 35 on
+# the BW16 minimal lines (2160).  Planes, with the 2 x 2 row kernel, cross
+# over later: 22 rows on the D4 minimal planes (16), 45 on the E7 planes
+# (336), 74 on the E8 planes (1120).
 _SERIAL_ROWS = 6
 
 

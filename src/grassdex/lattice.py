@@ -16,21 +16,21 @@ spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import exp, gcd, isqrt, lcm, log, prod
-from operator import mul, neg, sub
+from operator import itemgetter, mul, neg, sub
 from typing import Dict, List, Optional, Set, Tuple
 
 from .clifford import clifford_generators
-from .exactalg import (RatMatrix, Rational, bit_span, bit_subspaces,
-                       exact_nth_root, hnf, int_det, inverse, rat, rat_str,
+from .exactalg import (RatMatrix, Rational, adjugate, bit_span, bit_subspaces,
+                       exact_nth_root, hnf, int_det, rat, rat_str,
                        saturate_rows, solve_nonneg_combination,
                        verify_combination)
 from .grassmann import (Configuration, DesignReport, IntAction, Subspace,
-                        UnionFind, adj_product, design_report,
-                        intdata_from_coords, line_key, metric_rows)
+                        UnionFind, adj_product, design_report, intdata,
+                        line_key)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -201,7 +201,9 @@ def short_vectors_with_norms(lattice: Lattice, bound, half: bool = False):
 class SectionSet:
     """Minimal m-sections, each a basis of integer coordinate rows (`coords`)
     whose Gram determinant is delta.  `gram_int` is the lattice's integer
-    Gram multiple, from which `records` are built.
+    Gram multiple, from which `records` are built.  For m >= 2, `gvecs`
+    maps each candidate vector of the search, of either sign, to its row
+    G c^T, which the search formed; `records` read them there.
 
     For m >= 2 the search also reports how it went: `generators` candidate
     automorphisms (`coordinate_automorphisms`), of which the first
@@ -226,16 +228,29 @@ class SectionSet:
     lines: int = 0
     line_orbits: int = 0
     tuples: int = 0
+    gvecs: Dict[Tuple[int, ...], Tuple[int, ...]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.coords)
 
+    def metric_rows(self, coords) -> tuple:
+        """`grassmann.metric_rows(coords, gram_int)`, (G Y^T rows, Y), with
+        each row G y^T read from `gvecs` when y is a candidate vector (every
+        section row of the catalog lattices is one, up to sign) and formed
+        otherwise."""
+        gi, known = self.gram_int, self.gvecs
+        return tuple(known.get(y) or tuple(sum(map(mul, row, y)) for row in gi)
+                     for y in coords), coords
+
     @cached_property
     def records(self) -> List[tuple]:
-        """One pair-engine record per section, `intdata_from_coords`: (G Y^T
-        rows, coordinate rows Y, adj(Y G Y^T), det(Y G Y^T)) with G the
-        integer Gram, so det is delta * s^m.  Built once, on first read."""
-        return [intdata_from_coords(c, self.gram_int) for c in self.coords]
+        """One pair-engine record per section, equal to
+        `intdata_from_coords(coords, gram_int)`: (G Y^T rows, coordinate
+        rows Y, adj(Y G Y^T), det(Y G Y^T)) with G the integer Gram, so det
+        is delta * s^m, the rows G Y^T from `metric_rows`.  Built once, on
+        first read."""
+        return [intdata(*self.metric_rows(c)) for c in self.coords]
 
 
 def _ambient_rows(lattice: Lattice, coords) -> List[List[int]]:
@@ -283,14 +298,19 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     after it.  Each section S is then reached up to the examined group H:
     the vectors of a spanning tuple all pass the pruning, and an h in H
     moves the one in the earliest orbit to that orbit's first vector.  The
-    sections found are closed under the examined matrices, each image
-    keyed by its HNF, and the closure is the exact gate: an image of a
-    minimal section under an integer A with A G A^T = G is a minimal
-    section, and every minimal section is the image of a section found, so
-    the closure is exactly the minimal sections, its trees are the
-    H-orbits, and it certifies the orbit rows of `section_design_report`.
-    With no candidate, or a refused one, every vector is its own orbit and
-    this is the exhaustive search, with no closure.
+    sections found are closed under the examined matrices (`_closure`),
+    each image keyed by the sorted indices of the candidate lines in its
+    span: a seed's are enumerated once from its own m x m Gram, an image's
+    are the seed's mapped through the line permutations the union-find
+    already computed, and one HNF per section gives the final order.  The
+    closure is the exact gate: an image of a minimal section under an
+    integer A with A G A^T = G is a minimal section, and every minimal
+    section is the image of a section found, so the closure is exactly the
+    minimal sections, its trees are the H-orbits, and it certifies the
+    orbit rows of `section_design_report`.  With no candidate, or a
+    refused one, every vector is its own orbit and this is the exhaustive
+    search, with no closure.  The rows G c^T the search formed go to
+    `SectionSet.gvecs`.
     """
     r = lattice.rank
     if not (1 <= m and 2 * m <= r):
@@ -325,8 +345,8 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     nv = len(cvecs)
     lam_q = int(lam * s)
 
-    def gvec(c) -> List[int]:
-        return [sum(map(mul, row, c)) for row in gi]
+    def gvec(c) -> Tuple[int, ...]:
+        return tuple(sum(map(mul, row, c)) for row in gi)
 
     gvecs = [gvec(c) for c in cvecs]
 
@@ -339,9 +359,10 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     index = {c: i for i, c in enumerate(cvecs)}
     examined = 0
     # The examined matrices that move some line, with the images of the
-    # candidate vectors of either sign, for the closure.  One that fixes
-    # every candidate line fixes every section, each the saturated span of
-    # candidate vectors, so the closure skips it.
+    # candidate vectors of either sign and the permutation of the candidate
+    # lines, for the closure.  One that fixes every candidate line fixes
+    # every section, each the saturated span of candidate vectors, so the
+    # closure skips it.
     moves: List[tuple] = []
     for a in autos or ():
         if lines.left == distinct:
@@ -356,10 +377,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         examined += 1
         if image == list(range(nv)):
             continue
-        table = dict(zip(cvecs, imgs))
-        table.update((tuple(map(neg, c)), tuple(map(neg, v)))
-                     for c, v in zip(cvecs, imgs))
-        moves.append((a, table))
+        moves.append((a, _signed(zip(cvecs, imgs)), image))
         lines.merge(image)
     firsts = [i for i in range(nv) if lines.root(i) == i]
 
@@ -428,28 +446,16 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
                          "pass a larger search_bound")
     orbits = None
     if autos is not None:
-        # The closure: HNF -> (coordinates, HNF of its orbit's seed).
-        seen: Dict[Tuple, tuple] = {}
-        for key, sat in best.items():
-            if key in seen:
-                continue
-            seen[key] = (sat, key)
-            stack = [sat]
-            while stack:
-                y = stack.pop()
-                for a, table in moves:
-                    img = [table.get(row) or tuple(_rows_times([row], a)[0])
-                           for row in y]
-                    k = tuple(map(tuple, hnf(img)))
-                    if k not in seen:
-                        seen[k] = (img, key)
-                        stack.append(img)
-        keys = sorted(seen)
-        coords = [tuple(map(tuple, seen[k][0])) for k in keys]
-        orbits, first = {}, {}
-        for i, k in enumerate(keys):
-            head = first.setdefault(seen[k][1], i)
-            orbits[head] = orbits.get(head, 0) + 1
+        def lines_of(sat) -> Tuple[int, ...]:
+            # The lattice points of the saturated section are L meet its
+            # span, so its vectors up to the largest candidate norm, taken
+            # from its own m x m Gram, are exactly its candidate vectors.
+            gram = [[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)]
+            return tuple(sorted(
+                index[_half_key(_rows_times([x], sat)[0])]
+                for x, _ in _enumerate(_ldl(gram), norms[-1], half=True)))
+
+        coords, orbits = _closure(list(best.values()), moves, lines_of)
     else:
         coords = [tuple(map(tuple, best[key])) for key in sorted(best)]
     delta = Fraction(state["delta"], s ** m)
@@ -458,7 +464,52 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     return SectionSet(m, delta, coords, bound, complete, cap, gi,
                       orbits=orbits, generators=count,
                       examined=examined, lines=nv,
-                      line_orbits=len(firsts), tuples=state["tuples"])
+                      line_orbits=len(firsts), tuples=state["tuples"],
+                      gvecs=_signed(zip(cvecs, gvecs)))
+
+
+def _signed(pairs) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """{c: v} for pairs (c, v) of integer vectors, with {-c: -v} as well."""
+    out = dict(pairs)
+    out.update([(tuple(map(neg, c)), tuple(map(neg, v))) for c, v in out.items()])
+    return out
+
+
+def _closure(seeds, moves, lines_of) -> Tuple[list, Dict[int, int]]:
+    """(coordinates of every image of the seed sections under the moves, in
+    the order of their HNFs; {index of an orbit's first section: its size}).
+
+    `moves` are (A, images of the candidate vectors of either sign, the
+    permutation of the candidate lines) and `lines_of(seed)` the sorted
+    indices of the candidate lines in the seed's span.  Each seed holds m
+    independent candidate lines and every A permutes the candidates, so
+    every image does too, and two saturated sections that share m
+    independent lines have one span: the sorted line indices key an image
+    exactly, the seed's mapped through each move's permutation, with no
+    HNF.  One HNF per section, at the end, gives the order."""
+    seen: Dict[Tuple[int, ...], tuple] = {}   # line key -> (coords, seed)
+    for s, sat in enumerate(seeds):
+        key = lines_of(sat)
+        if key in seen:
+            continue
+        seen[key] = (sat, s)
+        stack = [(sat, key)]
+        while stack:
+            y, lk = stack.pop()
+            for a, table, image in moves:
+                k = tuple(sorted([image[i] for i in lk]))
+                if k not in seen:
+                    img = [table.get(row) or tuple(_rows_times([row], a)[0])
+                           for row in y]
+                    seen[k] = (img, s)
+                    stack.append((img, k))
+    ordered = sorted(((hnf(y), y, s) for y, s in seen.values()),
+                     key=itemgetter(0))
+    orbits, first = {}, {}
+    for i, (_, _, s) in enumerate(ordered):
+        head = first.setdefault(s, i)
+        orbits[head] = orbits.get(head, 0) + 1
+    return [tuple(map(tuple, y)) for _, y, _ in ordered], orbits
 
 
 def _half_key(vec) -> Tuple[int, ...]:
@@ -635,8 +686,10 @@ def coordinate_automorphisms(
     The candidates act on coordinate rows as c -> c A: first those a
     construction attached (`_automorphisms`), each g mapped through the
     basis, A = B g^T B^T (B B^T)^-1 / sqrt(c) for the primitive integer
-    multiple of g with g g^T = c I; then the reflections in the simple roots
-    r (`_simple_roots`), built from r and the integer Gram G,
+    multiple of g with g g^T = c I, the right inverse B^T (B B^T)^-1 taken
+    from the integer adjugate (`_right_inverse`); then the reflections in
+    the simple roots r (`_simple_roots`), built from r and the integer Gram
+    G,
 
         A = I - (2 / r G r^T) (G r^T) r,
 
@@ -653,9 +706,7 @@ def coordinate_automorphisms(
     mats: List[Optional[List[List[int]]]] = []
     if lattice._automorphisms:
         bi = lattice._basis_int
-        inv = inverse(RatMatrix([[sum(map(mul, a, b)) for b in bi] for a in bi]))
-        pinv, pden = _int_scaled(RatMatrix(list(zip(*bi))) @ inv)
-        pcols = list(zip(*pinv))
+        pcols, pden = _right_inverse(bi)
         for g in lattice._automorphisms:
             mats.append(_coordinate_map(g, bi, pcols, pden))
     for v in _simple_roots(lattice):
@@ -677,6 +728,19 @@ def coordinate_automorphisms(
     if any(_rows_times(a, list(zip(*_rows_times(a, gi)))) != gi for a in mats):
         return count, None
     return count, mats
+
+
+def _right_inverse(basis_int) -> Tuple[List[List[int]], int]:
+    """(columns, den): B^T (B B^T)^-1 = columns^T / den in lowest terms, for
+    integer rows B of full rank, from the integer adjugate, adj(B B^T) B /
+    det(B B^T), with its common factor divided out (B B^T is symmetric, so
+    the columns are the rows of adj(B B^T) B)."""
+    bbt = [[sum(map(mul, a, b)) for b in basis_int] for a in basis_int]
+    adj = adjugate(bbt)
+    d = sum(map(mul, bbt[0], (row[0] for row in adj)))
+    cols = _rows_times(adj, basis_int)
+    g = gcd(d, *(x for col in cols for x in col))
+    return [[x // g for x in col] for col in cols], d // g
 
 
 def _coordinate_map(g, basis_int, pcols, pden) -> Optional[List[List[int]]]:
@@ -728,17 +792,17 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
     `minimal_sections` is the exact gate: its `orbits` are orbits of
     certified integer automorphisms on exactly the minimal sections, so
     the rows run on the integer coordinate `records` (for m >= 3 only their
-    rows, `metric_rows`, since the cross engine forms no adjugate), with no
-    ambient span and no further certificate.  Lines have no tuple search
-    and no closure: their ambient spans go to `design_report` with
-    `automorphism_generators` (for a root lattice the reflections in its
-    simple roots, for Barnes-Wall the generators of the rational Clifford
-    subgroup `barnes_wall` attached), and `pair_stats` certifies exactly
-    that the generators it examines permute the spans with their
-    multiplicities (g g^T = c I, exact image keys) before it uses the
-    identity.  A refused candidate, no candidate at all, or orbit rows that
-    would cost more than the full pair engine run that engine, with the
-    same result.  Either way the verdicts are taken in dimension rank, so
+    rows, `SectionSet.metric_rows`, since the cross engine forms no
+    adjugate), with no ambient span and no further certificate.  Lines
+    have no tuple search and no closure: their ambient spans go to
+    `design_report` with `automorphism_generators` (for a root lattice the
+    reflections in its simple roots, for Barnes-Wall the generators of the
+    rational Clifford subgroup `barnes_wall` attached), and `pair_stats`
+    certifies exactly that the generators it examines permute the spans
+    with their multiplicities (g g^T = c I, exact image keys) before it
+    uses the identity.  A refused candidate, no candidate at all, or orbit
+    rows that would cost more than the full pair engine run that engine,
+    with the same result.  Either way the verdicts are taken in dimension rank, so
     rank-deficient embeddings are judged intrinsically.
     """
     m = sections.m
@@ -748,7 +812,7 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
             return design_report(section_subspaces(lattice, sections), m,
                                  lattice.rank, tmax, generators=gens)
     if m >= 3:
-        points = [metric_rows(c, sections.gram_int) for c in sections.coords]
+        points = [sections.metric_rows(c) for c in sections.coords]
     else:
         points = sections.records
     report = design_report(points, m, lattice.rank, tmax,

@@ -305,15 +305,30 @@ def test_integer_saturation_matches_fraction_reference(rows):
     assert hnf(got + [tuple(r) for r in rows]) == hnf(got)
 
 
+def _adjugate_reference(mat):
+    """The adjugate by cofactors, one determinant per minor: the reference
+    for `adjugate`."""
+    m = len(mat)
+    if m == 1:
+        return ((1,),)
+    return tuple(tuple((-1) ** (i + j) * int(det(RatMatrix(
+        [[mat[r][c] for c in range(m) if c != i] for r in range(m) if r != j])))
+        for j in range(m)) for i in range(m))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4).flatmap(
+@given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_integer_adjugate(mat):
-    # adj(M) M = det(M) I, singular M included.
+                       min_size=n, max_size=n)), st.integers(0, 2))
+def test_integer_adjugate(mat, dependent):
+    # adj(M) M = det(M) I, and the cofactors agree, singular M included:
+    # the last `dependent` rows are made multiples of the first.
     n = len(mat)
+    for r in range(max(1, n - dependent), n):
+        mat[r] = [(r + 1) * x for x in mat[0]]
     adj = adjugate(mat)
     d = det(RatMatrix(mat))
+    assert adj == _adjugate_reference(mat)
     for i in range(n):
         for j in range(n):
             assert sum(adj[i][k] * mat[k][j] for k in range(n)) == (d if i == j else 0)

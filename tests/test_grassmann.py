@@ -24,9 +24,24 @@ from grassdex.grassmann import (Configuration, Subspace,
 from grassdex.zonal import P0, P1, Partition
 
 
+def w_loop(data, rows):
+    """`_pair_key` counts of the row specs (i, start, weight), pairs (i, j)
+    with j >= start counted weight times, each pair from its W
+    (`_pair_w`): the reference of every count site."""
+    counts = Counter()
+    rng = range(len(data[0][0]))
+    for i, start, weight in rows:
+        for j in range(start, len(data)):
+            w, den = grassmann._pair_w(data[i], data[j])
+            counts[grassmann._pair_key(
+                sum(w[a][a] for a in rng),
+                sum(w[a][b] * w[b][a] for a in rng for b in rng), den)] += weight
+    return counts
+
+
 def pair_loop(data):
     """`_pair_key` counts over pairs i < j from the per-pair W loop."""
-    return _count_rows(data, [(i, i + 1, 1) for i in range(len(data))])
+    return w_loop(data, [(i, i + 1, 1) for i in range(len(data))])
 
 
 def cross_sweep(orth):
@@ -400,6 +415,54 @@ def test_packed_engine_matches_pair_loop_on_metric_data(data):
     points = [intdata_from_coords(c, gram) for c in coords]
     assume(all(d for _, _, _, d in points))
     assert _packed_counts(points) == pair_loop(points)
+
+
+@st.composite
+def wide_plane_rows(draw):
+    """(records, row specs): planes in lattice coordinates under the Gram
+    A A^T + I, with coordinates s 2^200 + t (0 < |s| <= 3, |t| < 2^60), so
+    entries of 200 bits and more of both signs, and rows (i, start, weight)
+    at random starts and weights."""
+    n = draw(st.integers(2, 5))
+    a = draw(matrices(n, n))
+    gram = [[sum(x * y for x, y in zip(r, c)) + (i == j) for j, c in enumerate(a)]
+            for i, r in enumerate(a)]
+    wide = st.builds(lambda s, t: (s << 200) + t,
+                     st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                     st.integers(-(1 << 60), 1 << 60))
+    coords = draw(st.lists(st.lists(st.lists(wide, min_size=n, max_size=n),
+                                    min_size=2, max_size=2),
+                           min_size=1, max_size=6))
+    size = len(coords)
+    rows = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                   st.integers(0, size),
+                                   st.integers(1, 10 ** 6)), min_size=1,
+                         max_size=4))
+    return [intdata_from_coords(c, gram) for c in coords], rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_plane_rows())
+def test_plane_row_kernel_matches_the_w_loop(case):
+    data, rows = case
+    assume(all(d > 0 for _, _, _, d in data))
+    assume(any(adj[0][1] for _, _, adj, _ in data))
+    assert _count_rows(data, rows) == w_loop(data, rows)
+
+
+def test_plane_row_kernel_on_sections_and_eigenspaces():
+    from grassdex.binquad import enumerate_isotropic
+    from grassdex.clifford import build_design
+    from grassdex.lattice import catalog, minimal_sections
+    # The E8 minimal 2-sections, as the section report hands them over,
+    # and the Subspace planes of `clifford --k 3 --w 2`.
+    e8 = minimal_sections(catalog("E8"), 2).records
+    planes = [p.int_data()
+              for p in build_design(enumerate_isotropic(3, 2)).config.points]
+    for data in (e8, planes):
+        n = len(data)
+        rows = [(0, 0, n), (5, 0, 1), (n // 2, n // 3, 7), (n - 1, n - 1, 2)]
+        assert _count_rows(data, rows) == w_loop(data, rows)
 
 
 def test_packed_slots_pass_64_bits(monkeypatch):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from grassdex import lattice as lattice_mod
 from grassdex.exactalg import (RatMatrix, det, hnf, inverse, saturate_rows,
                                verify_combination)
-from grassdex.grassmann import (Configuration, Subspace, intdata_from_coords,
-                                verify_design)
+from grassdex.grassmann import (Configuration, Subspace, intdata,
+                                intdata_from_coords, verify_design)
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
                               minimal_line_keys, minimal_sections, rankin, section_design_report,
@@ -361,9 +361,10 @@ def test_section_records_and_spans(monkeypatch, name, m):
 
     def counting(*args):
         calls.append(args)
-        return intdata_from_coords(*args)
+        return intdata(*args)
 
-    monkeypatch.setattr(lattice_mod, "intdata_from_coords", counting)
+    # Records are built by `intdata` on rows G Y^T taken from the search.
+    monkeypatch.setattr(lattice_mod, "intdata", counting)
     secs = minimal_sections(lat, m)
     rankin(lat, m, secs)
     assert not calls and "records" not in vars(secs)

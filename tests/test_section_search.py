@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from grassdex import lattice as lattice_mod
 from grassdex.cli import main
-from grassdex.exactalg import hnf
+from grassdex.exactalg import RatMatrix, hnf, inverse
 from grassdex.grassmann import design_report
 from grassdex.lattice import (Lattice, automorphism_generators, catalog,
                               coordinate_automorphisms, minimal_sections,
@@ -257,3 +258,120 @@ def test_readme_three_section_runs_keep_their_digests(capsys, name, t, digest):
                  "--perfection", "--t", str(t)]) == 0
     out = capsys.readouterr().out
     assert run.results_digest(json.loads(out)["results"]) == digest
+
+
+def _hnf_closure(seeds, moves, lines_of):
+    """The closure with every image keyed by its HNF: the reference for
+    `lattice._closure`, which keys images by their candidate lines."""
+    seen = {}
+    for sat in seeds:
+        key = tuple(hnf(sat))
+        if key in seen:
+            continue
+        seen[key] = (sat, key)
+        stack = [sat]
+        while stack:
+            y = stack.pop()
+            for a, table, _ in moves:
+                img = [table.get(row) or tuple(lattice_mod._rows_times([row], a)[0])
+                       for row in y]
+                k = tuple(hnf(img))
+                if k not in seen:
+                    seen[k] = (img, key)
+                    stack.append(img)
+    keys = sorted(seen)
+    orbits, first = {}, {}
+    for i, k in enumerate(keys):
+        head = first.setdefault(seen[k][1], i)
+        orbits[head] = orbits.get(head, 0) + 1
+    return [tuple(map(tuple, seen[k][0])) for k in keys], orbits
+
+
+def _hnf_keyed(lat, m):
+    """The search with the HNF-keyed reference closure."""
+    real = lattice_mod._closure
+    lattice_mod._closure = _hnf_closure
+    try:
+        return minimal_sections(lat, m)
+    finally:
+        lattice_mod._closure = real
+
+
+def _assert_closures_agree(build, m):
+    got, ref = minimal_sections(build(), m), _hnf_keyed(build(), m)
+    assert got.orbits is not None
+    assert _keys(got) == _keys(ref) and got.coords == ref.coords
+    assert (got.orbits, got.examined) == (ref.orbits, ref.examined)
+
+
+@pytest.mark.parametrize("name,m", [("D4", 2), ("E6", 2), ("E7", 2),
+                                    ("E8", 2), ("E6", 3), ("E7", 3),
+                                    ("one root", 2)])
+def test_line_key_closure_matches_the_hnf_closure(name, m):
+    # The one-root basis has candidate lines of several norms, so its keys
+    # need the seed's lines up to the largest candidate norm.
+    _assert_closures_agree(
+        lambda: Lattice(ONE_ROOT) if name == "one root" else catalog(name), m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["D4", "E6"]), st.integers(0, 10 ** 6))
+def test_line_key_closure_on_random_unimodular_bases(name, seed):
+    rows = _unimodular(_basis(name), seed)
+    _assert_closures_agree(lambda: Lattice(rows), 2)
+
+
+def test_image_outside_the_candidates_runs_no_closure(monkeypatch):
+    # One D4 minimal line hidden from the search: a candidate maps a line
+    # onto it, so all candidates are refused and no closure runs.
+    calls = []
+    real_closure = lattice_mod._closure
+    monkeypatch.setattr(lattice_mod, "_closure",
+                        lambda *a: calls.append(a) or real_closure(*a))
+    real = lattice_mod.short_vectors_with_norms
+    monkeypatch.setattr(lattice_mod, "short_vectors_with_norms",
+                        lambda *a, **k: real(*a, **k)[:-1])
+    secs = minimal_sections(catalog("D4"), 2)
+    full = _exhaustive(catalog("D4"), 2)
+    assert not calls
+    assert (secs.orbits, secs.examined, secs.generators) == (None, 0, 5)
+    assert (secs.delta, secs.coords, secs.tuples) == (
+        full.delta, full.coords, full.tuples)
+
+
+def _fraction_right_inverse(basis_int):
+    """B^T (B B^T)^-1 over Fractions, as the columns and the denominator of
+    its lowest integer multiple: the reference for `_right_inverse`."""
+    bbt = RatMatrix([[sum(map(mul, a, b)) for b in basis_int] for a in basis_int])
+    pinv, pden = lattice_mod._int_scaled(RatMatrix(list(zip(*basis_int)))
+                                         @ inverse(bbt))
+    return [list(col) for col in zip(*pinv)], pden
+
+
+def _reflections_attached(name):
+    # The ambient root reflections attached, so that they go through the
+    # right inverse as well.
+    lat = catalog(name)
+    lat._automorphisms = automorphism_generators(lat)
+    return lat
+
+
+def _bw16_unimodular():
+    lat = Lattice(_unimodular(_basis("BW16"), 3))
+    lat._automorphisms = catalog("BW16")._automorphisms
+    return lat
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _reflections_attached("D4"), lambda: _reflections_attached("E6"),
+    lambda: _reflections_attached("E7"), lambda: _reflections_attached("E8"),
+    lambda: catalog("BW16"), _bw16_unimodular,
+], ids=["D4", "E6", "E7", "E8", "BW16", "BW16-unimodular"])
+def test_integer_right_inverse_keeps_the_coordinate_matrices(monkeypatch, build):
+    lat = build()
+    bi = lat._basis_int
+    assert lattice_mod._right_inverse(bi) == _fraction_right_inverse(bi)
+    got = coordinate_automorphisms(lat)
+    assert got[1] is not None and got[0] > len(lat._automorphisms)
+    monkeypatch.setattr(lattice_mod, "_right_inverse", _fraction_right_inverse)
+    assert coordinate_automorphisms(lat) == got
