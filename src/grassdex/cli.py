@@ -100,11 +100,10 @@ def cmd_lattice(args, res: dict, caveats: list) -> int:
     _note(f"searching minimal {args.m}-sections of {lat.name or 'lattice'}")
     bound = rat(args.bound) if args.bound else None
     secs = lattice.minimal_sections(lat, args.m, search_bound=bound)
-    if secs.m >= 2:
-        _note(f"section search: {secs.line_orbits} orbit(s) on {secs.lines} "
-              f"candidate lines under {secs.generators} generators "
-              f"({secs.examined} examined), {secs.tuples} of "
-              f"{comb(secs.lines, secs.m)} {secs.m}-tuples considered")
+    _note(f"section search: {secs.line_orbits} orbit(s) on {secs.lines} "
+          f"candidate lines under {secs.generators} generators "
+          f"({secs.examined} examined), {secs.tuples} of "
+          f"{comb(secs.lines, secs.m)} {secs.m}-tuples considered")
     res["delta_m"] = rat_str(secs.delta)
     res["section_count"] = len(secs)
     res["search_bound"] = rat_str(secs.search_bound)

@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 from .binquad import IsoSubspace, SigmaSet, intersection_moment
 from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
                        rat_str, solve_linear)
-from .grassmann import Configuration, IntAction, Subspace, design_report
+from .grassmann import (Configuration, IntAction, Subspace, certified_orbits,
+                        design_report)
 from .zonal import MAX_T
 
 
@@ -262,15 +263,16 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     the explicit subspaces; both are compared exactly and judged against the
     invariant constant.
 
-    The trace path hands `clifford_generators(k)`, `h_first` = S (x) I
-    included, to `pair_stats`, `cycle`, `transvect_01` and `h_first` first
-    (for 2 <= k <= 4 they leave one orbit on every "all" set, so the
-    certificate stops there).  When the configuration is invariant under the
-    real Clifford group, the pair distribution is summed over its orbits,
-    one row per orbit; the invariance is certified exactly (g g^T = c I,
-    exact image keys and multiplicities), and a configuration that fails any
-    check, such as a spread, takes the full pair engine.  A tmax outside
-    1..MAX_T raises ValueError before anything is built.
+    The trace path certifies the orbits of `clifford_generators(k)`,
+    `h_first` = S (x) I included, by `certified_orbits`, `cycle`,
+    `transvect_01` and `h_first` first (for 2 <= k <= 4 they leave one orbit
+    on every "all" set, so the certificate stops there).  When the
+    configuration is invariant under the real Clifford group, the pair
+    distribution is summed over its orbits, one row per orbit; the
+    invariance is certified exactly (g g^T = c I, exact image keys and
+    multiplicities), and a configuration that fails any check, such as a
+    spread, takes the full pair engine.  A tmax outside 1..MAX_T raises
+    ValueError before anything is built.
     """
     if not 1 <= tmax <= MAX_T:
         raise ValueError(f"tmax must be between 1 and {MAX_T}")
@@ -287,8 +289,9 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     first = ("cycle", "transvect_01", "h_first")
     generators = [g.matrix for g in sorted(clifford_generators(k),
                                            key=lambda g: g.name not in first)]
+    orbits, examined = certified_orbits(config.points, generators)
     design = design_report(config.points, config.m, config.n, tmax,
-                           generators=generators)
+                           orbits=orbits)
     report: Dict[int, TTStat] = {}
     for t, st in design.t_stats.items():
         fast = Fraction(2) ** ((2 * sp - k) * t) * intersection_moment(sigma, t - 1)
@@ -298,7 +301,7 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     return TTReport(k=k, w=w, s_param=sp, sigma_size=len(sigma.members),
                     config_size=len(build.config), collisions=build.collisions,
                     stats=report, generators=len(generators),
-                    orbits=design.orbits, examined=design.examined)
+                    orbits=design.orbits, examined=examined)
 
 
 # -- generators of the operator normalizer group ----------------------------

@@ -71,11 +71,10 @@ point gives its C_ab against a whole block at once.
 
 When a group G permutes the configuration X, the ordered-pair distribution
 is a sum over G-orbits O of |O| times one row, a representative of O
-against all of X (Goethals and Seidel 1981).  `pair_stats` takes generator
-matrices for G and certifies the invariance exactly before it uses the
-identity (`certified_orbits`); any failed check leaves the full engine.  It
-also takes orbits a caller has certified, such as the closure of the
-lattice section search.
+against all of X (Goethals and Seidel 1981).  `pair_stats` takes only
+orbits its caller has certified: `certified_orbits` checks ambient
+generator matrices exactly (the Clifford trace path), and the lattice
+section search certifies integer automorphisms itself.
 """
 
 from __future__ import annotations
@@ -270,10 +269,8 @@ class PairStats:
     # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included;
     # one entry per distinct `_pair_key` of the count sites.
     distribution: Dict[Tuple[Rational, Rational], int]
-    # Certified group orbits when the orbit identity was used, and the
-    # generators the certificate examined.
+    # The number of certified group orbits when the orbit identity was used.
     orbits: Optional[int] = None
-    examined: int = 0
 
     @property
     def power2(self) -> Rational:
@@ -691,19 +688,39 @@ def line_key(vec) -> Tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-class IntAction:
+class IndexMap:
+    """An integer matrix g acting on integer rows as row -> g row, compiled
+    to index maps: term k of output coordinate i is coefs_k[i] *
+    row[index_k[i]].  A signed permutation is one layer (a signed index
+    map), S (x) I two and the two-factor rotation four (butterflies)."""
+
+    __slots__ = ("layers",)
+
+    def __init__(self, g):
+        terms = [[(j, x) for j, x in enumerate(r) if x] for r in g]
+        width = max(map(len, terms))
+        # Rows with fewer terms are padded with 0 * row[0].
+        padded = [t + [(0, 0)] * (width - len(t)) for t in terms]
+        self.layers = [(itemgetter(*(t[k][0] for t in padded)),
+                        tuple(t[k][1] for t in padded)) for k in range(width)]
+
+    def image(self, row) -> Tuple[int, ...]:
+        get, coefs = self.layers[0]
+        out = map(mul, get(row), coefs)
+        for get, coefs in self.layers[1:]:
+            out = map(add, out, map(mul, get(row), coefs))
+        return tuple(out)
+
+
+class IntAction(IndexMap):
     """A matrix g with g g^T = c I, c > 0, acting on integer rows.
 
     The matrix is scaled to a primitive integer matrix, which acts on
     subspaces as g does, and the equality g g^T = c I is checked exactly;
-    ValueError otherwise.  The action is compiled to index maps: term k of
-    output coordinate i is coefs_k[i] * row[index_k[i]], with one term per
-    coordinate for a signed permutation (a signed index map), two for
-    S (x) I and four for the two-factor rotation (butterflies).  Rows map
-    as `Subspace.transform` maps them: row -> g row.
+    ValueError otherwise.  Rows map as `Subspace.transform` maps them.
     """
 
-    __slots__ = ("n", "scale", "layers")
+    __slots__ = ("n", "scale")
 
     def __init__(self, matrix):
         rows = matrix.entries if isinstance(matrix, RatMatrix) else matrix
@@ -718,19 +735,7 @@ class IntAction:
             raise ValueError("generator is not orthogonal up to a scalar")
         self.n = n
         self.scale = c
-        terms = [[(j, x) for j, x in enumerate(r) if x] for r in g]
-        width = max(map(len, terms))
-        # Rows with fewer terms are padded with 0 * row[0].
-        padded = [t + [(0, 0)] * (width - len(t)) for t in terms]
-        self.layers = [(itemgetter(*(t[k][0] for t in padded)),
-                        tuple(t[k][1] for t in padded)) for k in range(width)]
-
-    def image(self, row) -> Tuple[int, ...]:
-        get, coefs = self.layers[0]
-        out = map(mul, get(row), coefs)
-        for get, coefs in self.layers[1:]:
-            out = map(add, out, map(mul, get(row), coefs))
-        return tuple(out)
+        super().__init__(g)
 
     def key(self, rows) -> Tuple[Tuple[int, ...], ...]:
         """Canonical rows (`Subspace.rows`) of the image of the subspace
@@ -765,34 +770,29 @@ class UnionFind:
                 self.left -= 1
 
 
-def certified_orbits(points: Sequence, generators) -> Optional[Dict[int, int]]:
-    """The orbits of a group generated by `generators` on the multiset
-    `points`, certified exactly, or None when a check fails.
+def certified_orbits(points: Sequence, generators) -> tuple:
+    """(orbits, examined): the orbits of a group generated by `generators`
+    on the multiset of Subspaces `points`, certified exactly, and the number
+    of generators examined; (None, 0) when a check fails.
 
     Each generator must compile to an `IntAction` on R^n (g g^T = c I).
     They are examined in order, merging orbits, until one orbit is left
     (the orbit identity needs only some group transitive on the points).
     An examined generator must map the distinct points bijectively onto
     themselves with their multiplicities (exact image keys), so it permutes
-    a finite set and its inverse is one of its powers.  Returns {list index
-    of the orbit's first point: number of points in the orbit, multiplicity
-    counted}.
+    a finite set and its inverse is one of its powers.  The orbits are
+    {list index of the orbit's first point: number of points in the orbit,
+    multiplicity counted}, as `pair_stats` takes them.
     """
-    found = _certify(points, generators)
-    return None if found is None else found[0]
-
-
-def _certify(points: Sequence, generators):
-    """(`certified_orbits`, the number of generators examined), or None."""
     if not points or not all(isinstance(p, Subspace) for p in points):
-        return None
+        return None, 0
     n = points[0].n
     try:
         actions = [IntAction(g) for g in generators]
     except ValueError:
-        return None
+        return None, 0
     if any(a.n != n for a in actions):
-        return None
+        return None, 0
     ids: Dict[tuple, int] = {}
     first: List[int] = []
     mult: List[int] = []
@@ -807,7 +807,7 @@ def _certify(points: Sequence, generators):
         image = [ids.get(actions[examined].key(rows)) for rows in ids]
         if (None in image or len(set(image)) < len(image)
                 or [mult[e] for e in image] != mult):
-            return None
+            return None, 0
         examined += 1
         found.merge(image)
     orbits: Dict[int, int] = {}
@@ -827,7 +827,7 @@ def _certify(points: Sequence, generators):
 _SERIAL_ROWS = 6
 
 
-def pair_stats(points: Sequence, tmax: int = 3, generators=(),
+def pair_stats(points: Sequence, tmax: int = 3,
                orbits: Optional[Dict[int, int]] = None) -> PairStats:
     """The exact pair distribution and its sigma-power totals over all
     ordered pairs.
@@ -842,23 +842,20 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=(),
     docstring gives both engines' identities, and why no key depends on
     the basis a point starts from.  Every engine runs in this process.
 
-    With generator matrices of a group G that permutes the points (g g^T =
-    c I each), the distribution is the sum over G-orbits O of |O| times the
-    row of one point of O against all points: sigma is invariant under
-    orthogonal maps, and G permutes the columns of every row.
-    `certified_orbits` checks that G permutes the points with their
-    multiplicities, exactly, on the generators up to one orbit.  A caller
-    that has certified the orbits itself passes them as `orbits`, {list
-    index of a point of the orbit: its size, multiplicity counted}, and no
-    certificate runs: `lattice.minimal_sections` builds its sections as
-    the closure of certified automorphisms, so the closure's orbits are
-    exact.  Then only the orbit rows are counted, if they count fewer
-    pairs than the full engine and, for lines and planes, are no more than
-    `_SERIAL_ROWS`.  Lines and planes run the rows as the pair loop
-    (packing would first lift every point, which costs more than a few
-    rows); m >= 3 runs them through the cross engine.  When any check
-    fails, the rows would cost more, or the points are raw int data with
-    no `orbits`, the full engine runs, with the same result.
+    `orbits`, {list index of a point of the orbit: its size, multiplicity
+    counted}, are the orbits of a group G that permutes the points and
+    keeps sigma, certified by the caller: `certified_orbits` for ambient
+    generator matrices (`clifford.verify_tt`), the line union-find and the
+    closure of `lattice.minimal_sections` for integer automorphisms of a
+    lattice.  Then the distribution is the sum over G-orbits O of |O|
+    times the row of one point of O against all points, since G permutes
+    the columns of every row, and only the orbit rows are counted, if they
+    count fewer pairs than the full engine and, for lines and planes, are
+    no more than `_SERIAL_ROWS`.  Lines and planes run the rows as the
+    pair loop (packing would first lift every point, which costs more than
+    a few rows); m >= 3 runs them through the cross engine.  With no
+    orbits, or rows that would cost more, the full engine runs, with the
+    same result.
     """
     if not points:
         raise ValueError("pair_stats needs at least one point")
@@ -871,9 +868,6 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=(),
                 for p in points]
     else:
         data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
-    examined = 0
-    if orbits is None and generators:
-        orbits, examined = _certify(points, generators) or (None, 0)
     # n |O| ordered pairs against the full engine's n (n - 1) / 2.
     if orbits is not None and (2 * len(orbits) >= n - 1 or
                                (m <= 2 and len(orbits) > _SERIAL_ROWS)):
@@ -896,8 +890,7 @@ def pair_stats(points: Sequence, tmax: int = 3, generators=(),
     sums = {t: sum(c * s ** t for (s, _), c in dist.items())
             for t in range(1, max(tmax, 3) + 1)}
     return PairStats(size=n, m=m, sigma_pow=sums, distribution=dist,
-                     orbits=None if orbits is None else len(orbits),
-                     examined=examined)
+                     orbits=None if orbits is None else len(orbits))
 
 
 class Configuration:
@@ -995,9 +988,9 @@ class DesignReport:
     tmax: int
     t_stats: Dict[int, TDesignStat]
     zonal_sums: Dict[str, Rational]
-    # Generators handed to `pair_stats`, the certified group orbits the pair
-    # distribution was summed over (None for the full engine) and the
-    # generators examined to certify them; not part of the JSON.
+    # The certified group orbits the pair distribution was summed over (None
+    # for the full engine); the candidate generators and those examined to
+    # certify the orbits, which the caller sets; not part of the JSON.
     generators: int = 0
     orbits: Optional[int] = None
     examined: int = 0
@@ -1030,9 +1023,10 @@ def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
 
 
 def design_report(data: Sequence, m: int, n: int, tmax: int,
-                  generators=(), orbits=None) -> DesignReport:
+                  orbits=None) -> DesignReport:
     """Design verdicts for the points `data` in G(m, n), Subspace instances
-    or their pair-engine data; `generators` and `orbits` go to `pair_stats`.
+    or their pair-engine data; `orbits`, certified by the caller, go to
+    `pair_stats`.
 
     Equality at t forces equality at every t' < t (the sigma^t expansions
     have positive coefficients); this monotonicity, nonnegativity of every
@@ -1043,7 +1037,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
         raise ValueError(f"tmax must be between 1 and {MAX_T}")
     if 2 * m > n:
         raise ValueError("design criteria require m <= n/2")
-    stats = pair_stats(data, tmax=tmax, generators=generators, orbits=orbits)
+    stats = pair_stats(data, tmax=tmax, orbits=orbits)
     size2 = Fraction(len(data)) ** 2
     t_stats = {}
     for t in range(1, tmax + 1):
@@ -1065,8 +1059,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
             raise AssertionError("zonal sum must vanish at certified strength")
     return DesignReport(n=n, m=m, size=len(data), tmax=tmax,
                         t_stats=t_stats, zonal_sums=zsums,
-                        generators=len(generators), orbits=stats.orbits,
-                        examined=stats.examined)
+                        orbits=stats.orbits)
 
 
 def zonal_positivity(config: Configuration, mu: Partition) -> Rational:

@@ -9,13 +9,15 @@ constructions use r = n; rank-deficient embeddings (E6, E7 inside R^8) are
 supported.  A section is its integer coordinate rows, judged intrinsically
 in dimension r.  Design verdicts sum the pair distribution over certified
 automorphism orbits (root reflections, or generators a construction
-attaches): for m >= 2 the section search runs over those orbits and its
-closure certifies them; minimal lines go to the ambient certificate as
-spans.
+attaches), all taken as integer coordinate matrices A with A G A^T = G:
+their union-find orbits on the minimal vectors are the orbits of the
+minimal lines, and for m >= 2 the section search runs over the orbits of
+its candidate lines and its closure certifies the section orbits.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,9 +30,9 @@ from .exactalg import (RatMatrix, Rational, adjugate, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str,
                        saturate_rows, solve_nonneg_combination,
                        verify_combination)
-from .grassmann import (Configuration, DesignReport, IntAction, Subspace,
-                        UnionFind, adj_product, design_report, intdata,
-                        line_key)
+from .grassmann import (Configuration, DesignReport, IndexMap, IntAction,
+                        Subspace, UnionFind, adj_product, design_report,
+                        intdata, line_key)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -46,8 +48,8 @@ class Lattice:
     """A positive definite lattice with a rational basis, also held as the
     integers `_basis_int / _basis_den` and `_gram_int / _gram_scale`, from
     which norms, ambient spans and determinants are taken.  `minimum()`
-    keeps the minimal vectors it enumerates, for `minimal_sections(m=1)`
-    and the root search of `automorphism_generators`; a lattice built by
+    keeps the minimal vectors it enumerates, for `short_vectors_with_norms`
+    and the root search of `coordinate_automorphisms`; a lattice built by
     rescaling another one's basis may be handed them instead (see
     `barnes_wall`).  `_automorphisms` holds candidate automorphisms in
     ambient coordinates that a construction attaches, none by default."""
@@ -188,32 +190,37 @@ def short_vectors(lattice: Lattice, bound, half: bool = False) -> List[Tuple[int
 
 
 def short_vectors_with_norms(lattice: Lattice, bound, half: bool = False):
-    """`short_vectors` with each norm; a half=True query at the minimum
-    returns the vectors `Lattice.minimum` kept, without enumerating again."""
-    if half and rat(bound) == lattice._min:
-        return [(c, lattice._min) for c in lattice._min_vectors]
-    s = lattice._gram_scale
-    return [(c, Fraction(q, s))
-            for c, q in _enumerate(lattice._table, _limit(lattice, bound), half)]
+    """`short_vectors` with each norm.  A half=True query below the next
+    norm after the minimum returns the vectors `Lattice.minimum` kept: the
+    integer form's values are multiples of the gcd of its diagonal and
+    doubled off-diagonal entries, so none lies between min and min + gcd."""
+    limit, s = _limit(lattice, bound), lattice._gram_scale
+    if half and lattice._min is not None:
+        gi = lattice._gram_int
+        q = int(lattice._min * s)
+        if q <= limit < q + gcd(*(gi[i][i] for i in range(lattice.rank)),
+                                *(2 * x for row in gi for x in row)):
+            return [(c, lattice._min) for c in lattice._min_vectors]
+    return [(c, Fraction(q, s)) for c, q in _enumerate(lattice._table, limit, half)]
 
 
 @dataclass
 class SectionSet:
     """Minimal m-sections, each a basis of integer coordinate rows (`coords`)
     whose Gram determinant is delta.  `gram_int` is the lattice's integer
-    Gram multiple, from which `records` are built.  For m >= 2, `gvecs`
-    maps each candidate vector of the search, of either sign, to its row
-    G c^T, which the search formed; `records` read them there.
+    Gram multiple, from which `records` are built.  `gvecs` maps each
+    candidate vector of the search, of either sign, to its row G c^T;
+    `records` read them there.
 
-    For m >= 2 the search also reports how it went: `generators` candidate
+    The search also reports how it went: `generators` candidate
     automorphisms (`coordinate_automorphisms`), of which the first
     `examined` were applied, left `line_orbits` orbits on the `lines`
-    candidate vectors, and `tuples` m-tuples were considered.  When the
-    candidates passed the exact gate, `orbits` holds the orbits of the
-    examined group on the sections, {index of an orbit's first section:
-    its size}: the closure of `minimal_sections` built them, so they are
-    certified, and `section_design_report` sums one row per orbit.  None
-    for lines, a lattice with no candidate, or a refused one."""
+    candidate vectors, and `tuples` m-tuples were considered (none for
+    lines).  When the candidates passed the exact gate, `orbits` holds the
+    certified orbits of the examined group on the sections, {index of an
+    orbit's first section: its size}, the line orbits for lines and the
+    closure's for m >= 2, and `section_design_report` sums one row per
+    orbit.  None for a lattice with no candidate, or a refused one."""
 
     m: int
     delta: Rational
@@ -283,17 +290,20 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     gamma_m^m * delta / min^(m-1); the result is certified complete when the
     search bound covers that cap (always true for the default bound m * min
     at desk scale), and reported relative to the bound otherwise.  For
-    m <= 8 the enumeration stops at the smaller of the bound and gamma_m^m *
-    (product of the m smallest basis norms) / min^(m-1), which bounds that
-    cap in advance (Hadamard), so a huge bound costs no more than the cap;
-    search_bound and completeness still refer to the requested bound.
+    2 <= m <= 8 the enumeration stops at the smaller of the bound and
+    gamma_m^m * (product of the m smallest basis norms) / min^(m-1), which
+    bounds that cap in advance (Hadamard), so a huge bound costs no more
+    than the cap; search_bound and completeness still refer to the
+    requested bound.  Lines are complete, with search bound min.
 
-    For m >= 2 the search runs over orbits.  The candidate automorphisms
+    The search runs over orbits.  The candidate automorphisms
     (`coordinate_automorphisms`) that pass the exact gate are applied in
     order to the lines of the candidate vectors, merging orbits by
     union-find, until the orbits are as few as the distinct norms or no
     candidate is left; a candidate vector mapped outside the set refuses
-    them all.  Only the tuples through each orbit's first vector are
+    them all (`_line_orbits`).  For m = 1 those lines are the sections, so
+    their orbits, certified by A G A^T = G alone, need no closure.  For
+    m >= 2 only the tuples through each orbit's first vector are
     considered, the other vectors drawn from that orbit and the orbits
     after it.  Each section S is then reached up to the examined group H:
     the vectors of a spanning tuple all pass the pruning, and an h in H
@@ -320,65 +330,45 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     if bound <= 0:
         raise ValueError("search_bound must be positive")
     gi = lattice._gram_int
-
+    s = lattice._gram_scale
+    hermite = _HERMITE_POW.get(m)
     if m == 1:
         # delta_1 = min(L) by definition; the minimum-norm enumeration is
         # complete regardless of the requested bound.  Every minimal vector
         # is primitive (c = g c' would give |c'|^2 = lam / g^2 < lam), and
         # half=True keeps one vector per line.
-        coords = [(c,) for c, _ in short_vectors_with_norms(lattice, lam, half=True)]
-        return SectionSet(1, lam, coords, lam, complete=True, norm_cap=lam, gram_int=gi)
-
-    s = lattice._gram_scale
-    hermite = _HERMITE_POW.get(m)
-    reach = bound
-    if hermite is not None:
+        reach = lam
+    elif hermite is not None:
         # Hadamard: delta_m is at most the product of the m smallest basis
         # norms, so no minimal section needs a vector past this cap (never
         # below those m norms).
         diag = sorted(gi[i][i] for i in range(r))[:m]
         reach = min(bound, hermite * Fraction(prod(diag), s ** m) / lam ** (m - 1))
-    vecs = sorted(short_vectors_with_norms(lattice, reach, half=True),
-                  key=lambda cn: cn[1])
-    norms = [int(nrm * s) for _, nrm in vecs]
-    cvecs = [c for c, _ in vecs]
+    else:
+        reach = bound
+    # Integer norms s * v.v, in increasing order (a stable sort).
+    vecs = sorted(((nrm.numerator * s // nrm.denominator, c) for c, nrm
+                   in short_vectors_with_norms(lattice, reach, half=True)),
+                  key=itemgetter(0))
+    norms = [q for q, _ in vecs]
+    cvecs = [c for _, c in vecs]
     nv = len(cvecs)
     lam_q = int(lam * s)
-
-    def gvec(c) -> Tuple[int, ...]:
-        return tuple(sum(map(mul, row, c)) for row in gi)
-
-    gvecs = [gvec(c) for c in cvecs]
-
+    # G c^T for each candidate c (G symmetric).
+    gvecs = list(map(tuple, _rows_times(cvecs, gi)))
     # Orbits of the candidate lines under the candidates, in order.  A
     # root is its orbit's least index, so orbits are processed in the
-    # order of their first vectors.
-    count, autos = coordinate_automorphisms(lattice)
-    autos = autos or None   # no candidate, or a refused one: no closure
-    lines, distinct = UnionFind(nv), len(set(norms))
-    index = {c: i for i, c in enumerate(cvecs)}
-    examined = 0
-    # The examined matrices that move some line, with the images of the
-    # candidate vectors of either sign and the permutation of the candidate
-    # lines, for the closure.  One that fixes every candidate line fixes
-    # every section, each the saturated span of candidate vectors, so the
-    # closure skips it.
-    moves: List[tuple] = []
-    for a in autos or ():
-        if lines.left == distinct:
-            break
-        imgs = list(map(tuple, _rows_times(cvecs, a)))
-        image = [index.get(_half_key(v)) for v in imgs]
-        if None in image:
-            autos = None
-            lines = UnionFind(nv)
-            examined, moves = 0, []
-            break
-        examined += 1
-        if image == list(range(nv)):
-            continue
-        moves.append((a, _signed(zip(cvecs, imgs)), image))
-        lines.merge(image)
+    # order of their first vectors.  Lines need no closure tables.
+    count, lines, examined, moves = _line_orbits(
+        lattice, cvecs, len(set(norms)), tables=m >= 2)
+    if m == 1:
+        # The lines are the sections: their orbits are the section orbits.
+        orbits = (None if moves is None
+                  else dict(Counter(map(lines.root, range(nv)))))
+        return SectionSet(1, lam, [(c,) for c in cvecs], lam, True, lam, gi,
+                          orbits=orbits, generators=count, examined=examined,
+                          lines=nv, line_orbits=lines.left,
+                          gvecs=_signed(zip(cvecs, gvecs)))
     firsts = [i for i in range(nv) if lines.root(i) == i]
 
     # Determinants below are of integer Grams, s^m times the true ones; the
@@ -409,7 +399,8 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
             sat, d2 = [cvecs[i] for i in idxs], raw
         else:
             sat = saturate_rows([cvecs[i] for i in idxs], r)
-            d2 = int_det([[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)])
+            d2 = int_det([[sum(map(mul, ga, b)) for b in sat]
+                          for ga in _rows_times(sat, gi)])
         if delta is not None and d2 > delta:
             return
         if delta is None or d2 < delta:
@@ -445,12 +436,15 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
                          f"{rat_str(bound)} span fewer than {m} dimensions; "
                          "pass a larger search_bound")
     orbits = None
-    if autos is not None:
+    if moves is not None:
+        index = {c: i for i, c in enumerate(cvecs)}
+
         def lines_of(sat) -> Tuple[int, ...]:
             # The lattice points of the saturated section are L meet its
             # span, so its vectors up to the largest candidate norm, taken
             # from its own m x m Gram, are exactly its candidate vectors.
-            gram = [[sum(map(mul, ga, b)) for b in sat] for ga in map(gvec, sat)]
+            gram = [[sum(map(mul, ga, b)) for b in sat]
+                    for ga in _rows_times(sat, gi)]
             return tuple(sorted(
                 index[_half_key(_rows_times([x], sat)[0])]
                 for x, _ in _enumerate(_ldl(gram), norms[-1], half=True)))
@@ -473,6 +467,42 @@ def _signed(pairs) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
     out = dict(pairs)
     out.update([(tuple(map(neg, c)), tuple(map(neg, v))) for c, v in out.items()])
     return out
+
+
+def _line_orbits(lattice: Lattice, cvecs, distinct: int, tables: bool):
+    """(number of candidates, `UnionFind` of the lines of the candidate
+    vectors `cvecs`, kept as `_enumerate` keeps them with half=True,
+    examined, closure moves).
+
+    The candidates (`coordinate_automorphisms`) that pass the exact gate
+    merge the line orbits in order until they are as few as `distinct`.
+    With no candidate, or a candidate vector mapped outside `cvecs`, which
+    refuses them all, every line is its own orbit and the moves are None.
+    With `tables`, each examined A that moves some line is kept as (A, the
+    images of the candidates of either sign, the line permutation); one
+    that fixes every candidate line fixes every section, so the closure
+    skips it."""
+    count, autos = coordinate_automorphisms(lattice)
+    nv = len(cvecs)
+    if not autos:
+        return count, UnionFind(nv), 0, None
+    lines, fixed = UnionFind(nv), list(range(nv))
+    index = {c: i for i, c in enumerate(cvecs)}
+    examined, moves = 0, []
+    for a in autos:
+        if lines.left == distinct:
+            break
+        # c A, one term per nonzero of a column of A.
+        imgs = list(map(IndexMap(list(zip(*a))).image, cvecs))
+        image = [index.get(_half_key(v)) for v in imgs]
+        if None in image:
+            return count, UnionFind(nv), 0, None
+        examined += 1
+        if image != fixed:
+            if tables:
+                moves.append((a, _signed(zip(cvecs, imgs)), image))
+            lines.merge(image)
+    return count, lines, examined, moves
 
 
 def _closure(seeds, moves, lines_of) -> Tuple[list, Dict[int, int]]:
@@ -527,11 +557,12 @@ def _rows_times(a, b) -> List[List[int]]:
     for a reflection or a short vector, whose entries are mostly zero."""
     out = []
     for row in a:
-        acc = [0] * len(b[0])
+        acc = None
         for x, brow in zip(row, b):
             if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(acc)
+                acc = ([x * y for y in brow] if acc is None
+                       else [s + x * y for s, y in zip(acc, brow)])
+        out.append(acc or [0] * len(b[0]))
     return out
 
 
@@ -693,13 +724,13 @@ def coordinate_automorphisms(
 
         A = I - (2 / r G r^T) (G r^T) r,
 
-    integer by the root test.  With two or more, their product comes first:
-    for the simple reflections of a root system it is a Coxeter element
-    (Humphreys 1990, 3.16), a cheap extra generator.  Every A must be an
-    integer matrix with A G A^T = G, which makes it an automorphism of the
-    lattice (det A = +-1); if any is not, the matrices are None, so the
-    refusal is all-or-nothing.  The gate is plain comparisons, so it also
-    holds under python -O.
+    integer by the root test.  With two or more reflections, their product
+    comes before all others: a Coxeter element of the root system (Humphreys 1990,
+    3.16), a cheap extra generator.  Every A must be an integer matrix with
+    A G A^T = G, which makes it an automorphism of the lattice (det A =
+    +-1); if any is not, the matrices are None, so the refusal is
+    all-or-nothing.  The gate is plain comparisons, so it also holds under
+    python -O.
     """
     lattice.minimum()   # the roots are among the minimal vectors
     gi = lattice._gram_int
@@ -709,21 +740,23 @@ def coordinate_automorphisms(
         pcols, pden = _right_inverse(bi)
         for g in lattice._automorphisms:
             mats.append(_coordinate_map(g, bi, pcols, pden))
+    reflections = []
     for v in _simple_roots(lattice):
         gv = [sum(map(mul, row, v)) for row in gi]
         q = sum(map(mul, gv, v))
-        mats.append([[int(i == j) - (2 * a // q) * b for j, b in enumerate(v)]
-                     for i, a in enumerate(gv)])
-    count = len(mats) + (len(mats) > 1)
-    if None in mats:
-        return count, None
-    if len(mats) > 1:
+        reflections.append([[int(i == j) - (2 * a // q) * b
+                             for j, b in enumerate(v)] for i, a in enumerate(gv)])
+    if len(reflections) > 1:
         # A_1 ... A_k, multiplied from the right so that the sparse factor
         # is on the left.
-        product = mats[-1]
-        for a in reversed(mats[:-1]):
+        product = reflections[-1]
+        for a in reversed(reflections[:-1]):
             product = _rows_times(a, product)
         mats.insert(0, product)
+    mats += reflections
+    count = len(mats)
+    if None in mats:
+        return count, None
     # A G A^T = A (A G)^T, G symmetric.
     if any(_rows_times(a, list(zip(*_rows_times(a, gi)))) != gi for a in mats):
         return count, None
@@ -756,30 +789,11 @@ def _coordinate_map(g, basis_int, pcols, pden) -> Optional[List[List[int]]]:
     if act.n != len(basis_int[0]) or side * side != act.scale:
         return None
     den = pden * side
-    out = []
-    for b in basis_int:
-        img = act.image(b)
-        row = [sum(map(mul, img, col)) for col in pcols]
-        if any(x % den for x in row):
-            return None
-        out.append([x // den for x in row])
-    return out
-
-
-def automorphism_generators(lattice: Lattice) -> List:
-    """Candidate generators of the automorphism group in ambient
-    coordinates, each with g g^T = c I: those a construction attached
-    (`barnes_wall`), then the reflections (v.v) I - 2 v v^T in the simple
-    roots v (`_simple_roots`, as integer ambient rows).  They are only
-    candidates: `pair_stats` certifies every one it examines.  The design
-    verdicts of minimal lines use them; sections use the same candidates
-    as coordinate matrices (`coordinate_automorphisms`)."""
-    out = list(lattice._automorphisms)
-    for v in _ambient_rows(lattice, _simple_roots(lattice)):
-        q = sum(x * x for x in v)
-        out.append([[(q if i == j else 0) - 2 * a * b for j, b in enumerate(v)]
-                    for i, a in enumerate(v)])
-    return out
+    # Row i is (g b_i) times the right inverse, zero entries skipped.
+    rows = _rows_times([act.image(b) for b in basis_int], list(zip(*pcols)))
+    if any(x % den for row in rows for x in row):
+        return None
+    return [[x // den for x in row] for row in rows]
 
 
 def section_design_report(lattice: Lattice, sections: SectionSet,
@@ -788,29 +802,18 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
 
     Every automorphism of the lattice permutes its minimal m-sections, so
     the pair distribution can be summed over orbits, one row per orbit
-    (Goethals and Seidel 1981).  For m >= 2 the closure of
-    `minimal_sections` is the exact gate: its `orbits` are orbits of
-    certified integer automorphisms on exactly the minimal sections, so
-    the rows run on the integer coordinate `records` (for m >= 3 only their
-    rows, `SectionSet.metric_rows`, since the cross engine forms no
-    adjugate), with no ambient span and no further certificate.  Lines
-    have no tuple search and no closure: their ambient spans go to
-    `design_report` with `automorphism_generators` (for a root lattice the
-    reflections in its simple roots, for Barnes-Wall the generators of the
-    rational Clifford subgroup `barnes_wall` attached), and `pair_stats`
-    certifies exactly that the generators it examines permute the spans
-    with their multiplicities (g g^T = c I, exact image keys) before it
-    uses the identity.  A refused candidate, no candidate at all, or orbit
-    rows that would cost more than the full pair engine run that engine,
-    with the same result.  Either way the verdicts are taken in dimension rank, so
-    rank-deficient embeddings are judged intrinsically.
+    (Goethals and Seidel 1981).  The `orbits` of `minimal_sections` are
+    orbits of certified integer automorphisms on exactly the minimal
+    sections (the line union-find for lines, its closure for m >= 2), so
+    the rows run on the integer coordinate `records` (for m >= 3 only
+    their rows, `SectionSet.metric_rows`, since the cross engine forms no
+    adjugate), with no ambient span and no further certificate.  A refused
+    candidate, no candidate at all, or orbit rows that would cost more than
+    the full pair engine run that engine, with the same result.  Either
+    way the verdicts are taken in dimension rank, so rank-deficient
+    embeddings are judged intrinsically.
     """
     m = sections.m
-    if m == 1:
-        gens = automorphism_generators(lattice)
-        if gens:
-            return design_report(section_subspaces(lattice, sections), m,
-                                 lattice.rank, tmax, generators=gens)
     if m >= 3:
         points = [sections.metric_rows(c) for c in sections.coords]
     else:

@@ -88,11 +88,12 @@ def test_lattice_notes_the_design_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 0
     assert "design path: full pair engine (no generators)" in err
-    # Z8's sign changes fix every line: 8 orbit rows cost more.
+    # Z8's eight sign changes and their product, -I, fix every line: 8
+    # orbit rows cost more.
     code = main(["lattice", "Z8", "--m", "1", "--sections"])
     err = capsys.readouterr().err
     assert code == 0
-    assert ("design path: full pair engine (orbit rows under 8 generators "
+    assert ("design path: full pair engine (orbit rows under 9 generators "
             "would cost more)") in err
 
 

@@ -17,7 +17,7 @@ from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
                                 _count_rows, _cross_rows, _packed_counts,
-                                average_sigma_power,
+                                average_sigma_power, certified_orbits,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
                                 zonal_positivity)
@@ -795,7 +795,8 @@ def test_given_rows_serve_the_orbit_rows():
         points.append(Subspace(8, rows))
         rows = turned(rows, shift)
     assert all(p._given is not None for p in points)
-    stats = pair_stats(points, tmax=3, generators=[shift])
+    stats = pair_stats(points, tmax=3,
+                       orbits=certified_orbits(points, [shift])[0])
     assert stats.orbits == 1
     rebuilt = pair_stats([Subspace(8, p.rows) for p in points], tmax=3)
     assert stats.distribution == rebuilt.distribution
@@ -938,14 +939,14 @@ def _rotated_cases():
 @pytest.mark.parametrize("points, rot, gens", _rotated_cases())
 def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens):
     rotated = [p.transform(RatMatrix(rot)) for p in points]
-    kwargs = {}
+    orbits = None
     if gens is not None:
         # The rotated points are permuted by the conjugates R g R^T.
         n = range(len(rot))
-        kwargs["generators"] = [
+        orbits, _ = certified_orbits(rotated, [
             [[sum(ri[a] * g[a][b] * rj[b] for a in n for b in n) for rj in rot]
-             for ri in rot] for g in gens]
-    stats = pair_stats(rotated, tmax=4, **kwargs)
+             for ri in rot] for g in gens])
+    stats = pair_stats(rotated, tmax=4, orbits=orbits)
     dist, sums = triple_reference(rotated, 4)
     assert stats.distribution == dist
     assert stats.sigma_pow == sums

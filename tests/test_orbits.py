@@ -16,7 +16,7 @@ from grassdex.grassmann import (IntAction, Subspace, _count_rows,
                                 pair_stats)
 from grassdex import grassmann, lattice as lattice_mod
 from grassdex.cli import main
-from grassdex.lattice import (_simple_roots, automorphism_generators, catalog,
+from grassdex.lattice import (_ambient_rows, _simple_roots, catalog,
                               coordinate_automorphisms, minimal_sections,
                               section_design_report, section_subspaces)
 
@@ -55,21 +55,22 @@ def test_orbit_reduced_distribution_equals_full_engine(k, w):
     full = pair_stats(points, tmax=3)
     assert full.orbits is None
     for gens in (_generators(k), _tt_order(k)):
-        reduced = pair_stats(points, tmax=3, generators=gens)
+        orbits, examined = certified_orbits(points, gens)
+        reduced = pair_stats(points, tmax=3, orbits=orbits)
         assert reduced.orbits is not None
         assert reduced.distribution == full.distribution
         assert reduced.sigma_pow == full.sigma_pow
         assert reduced.size == full.size == len(points)
     # In `verify_tt`'s order three generators leave one orbit; the
     # certificate examines nothing after them.
-    assert (reduced.orbits, reduced.examined) == (1, 3)
+    assert (reduced.orbits, examined) == (1, 3)
 
 
 def test_all_sets_are_single_orbits():
     # The real Clifford group is transitive on each "all" configuration.
     for k, w in [(2, 1), (3, 2), (3, 3)]:
         points = _all_points(k, w)
-        assert certified_orbits(points, _generators(k)) == {0: len(points)}
+        assert certified_orbits(points, _generators(k))[0] == {0: len(points)}
 
 
 def test_multiplicities_enter_the_orbit_weights():
@@ -77,8 +78,9 @@ def test_multiplicities_enter_the_orbit_weights():
     # and duplicate pairs are counted as the full engine counts them.
     points = _all_points(2, 1)
     doubled = points + points
-    assert certified_orbits(doubled, _generators(2)) == {0: 2 * len(points)}
-    reduced = pair_stats(doubled, tmax=3, generators=_generators(2))
+    orbits, _ = certified_orbits(doubled, _generators(2))
+    assert orbits == {0: 2 * len(points)}
+    reduced = pair_stats(doubled, tmax=3, orbits=orbits)
     full = pair_stats(doubled, tmax=3)
     assert reduced.orbits == 1
     assert reduced.distribution == full.distribution
@@ -97,10 +99,10 @@ def test_several_orbits_are_summed():
             if g.name in ("translate_0", "h2_first")]
     for gens, count, route in ((diag, 51, None), (diag + more, 6, 6)):
         gens = [g.matrix for g in gens]
-        orbits = certified_orbits(points, gens)
+        orbits, examined = certified_orbits(points, gens)
         assert len(orbits) == count and sum(orbits.values()) == len(points)
-        reduced = pair_stats(points, tmax=3, generators=gens)
-        assert (reduced.orbits, reduced.examined) == (route, len(gens))
+        reduced = pair_stats(points, tmax=3, orbits=orbits)
+        assert (reduced.orbits, examined) == (route, len(gens))
         assert reduced.distribution == full
 
 
@@ -119,8 +121,9 @@ def test_early_stop_on_k4_w2_planes_matches_sampled_rows():
     # a transitive configuration has the same distribution, so the one
     # orbit row must equal the rows of points the certificate never chose.
     points = _all_points(4, 2)
-    reduced = pair_stats(points, tmax=3, generators=_tt_order(4))
-    assert (reduced.orbits, reduced.examined) == (1, 3)
+    orbits, examined = certified_orbits(points, _tt_order(4))
+    reduced = pair_stats(points, tmax=3, orbits=orbits)
+    assert (reduced.orbits, examined) == (1, 3)
     for i in random.Random(7).sample(range(1, len(points)), 2):
         assert reduced.distribution == _row(points, i)
 
@@ -131,28 +134,27 @@ def test_generator_after_one_orbit_is_not_examined():
     points = _all_points(3, 3)
     gens = _tt_order(3)
     gens[3:3] = [_index_swap(8, 0, 1)]
-    stats = pair_stats(points, tmax=3, generators=gens)
-    assert certified_orbits(points, gens) == {0: len(points)}
-    assert (stats.orbits, stats.examined) == (1, 3)
+    orbits, examined = certified_orbits(points, gens)
+    assert (orbits, examined) == ({0: len(points)}, 3)
+    stats = pair_stats(points, tmax=3, orbits=orbits)
+    assert stats.orbits == 1
     assert stats.distribution == pair_stats(points, tmax=3).distribution
 
 
 def test_same_generator_first_is_refused():
     points = _all_points(3, 3)
     gens = [_index_swap(8, 0, 1)] + _tt_order(3)
-    stats = pair_stats(points, tmax=3, generators=gens)
-    assert certified_orbits(points, gens) is None
-    assert (stats.orbits, stats.examined) == (None, 0)
-    assert stats.distribution == pair_stats(points, tmax=3).distribution
+    assert certified_orbits(points, gens) == (None, 0)
 
 
 def test_two_orbits_examine_every_generator():
     # Without H the 240 lines at (3, 3) fall into two orbits of 120.
     points = _all_points(3, 3)
     gens = [g.matrix for g in clifford_generators(3) if g.in_gk]
-    stats = pair_stats(points, tmax=3, generators=gens)
-    assert certified_orbits(points, gens) == {0: 120, 8: 120}
-    assert (stats.orbits, stats.examined) == (2, len(gens))
+    orbits, examined = certified_orbits(points, gens)
+    assert (orbits, examined) == ({0: 120, 8: 120}, len(gens))
+    stats = pair_stats(points, tmax=3, orbits=orbits)
+    assert stats.orbits == 2
     assert stats.distribution == pair_stats(points, tmax=3).distribution
 
 
@@ -180,10 +182,10 @@ def _unrefused():
     fallback differs from the full engine; empty when all hold."""
     bad = []
     for name, points, gens in _refusals():
-        stats = pair_stats(points, tmax=3, generators=gens)
+        orbits, examined = certified_orbits(points, gens)
+        stats = pair_stats(points, tmax=3, orbits=orbits)
         full = pair_stats(points, tmax=3)
-        if (certified_orbits(points, gens) is not None
-                or stats.orbits is not None
+        if (orbits is not None or examined or stats.orbits is not None
                 or stats.distribution != full.distribution
                 or stats.sigma_pow != full.sigma_pow):
             bad.append(name)
@@ -260,12 +262,11 @@ LATTICE_SECTIONS = [("D4", 1), ("D4", 2), ("E6", 2), ("E6", 3), ("E7", 1),
 
 @pytest.mark.parametrize("name,m", LATTICE_SECTIONS)
 def test_lattice_orbit_route_equals_full_engine(name, m):
-    # The spans with the lattice's generators against the full engine on
-    # the coordinate records: one orbit, the same distribution.
+    # The search's certified orbits against the full engine on the
+    # coordinate records: one orbit, the same distribution.
     lat = catalog(name)
     secs = minimal_sections(lat, m)
-    reduced = pair_stats(section_subspaces(lat, secs), tmax=3,
-                         generators=automorphism_generators(lat))
+    reduced = pair_stats(secs.records, tmax=3, orbits=secs.orbits)
     full = pair_stats(secs.records, tmax=3)
     assert reduced.orbits == 1 and full.orbits is None
     assert reduced.distribution == full.distribution
@@ -280,7 +281,8 @@ def test_lattice_orbit_route_equals_full_engine(name, m):
                                         ("E8", 8), ("Z3", 3), ("BW16", 0)])
 def test_simple_roots(name, count):
     # A root system of rank r has r simple roots; Z^n has the n orthogonal
-    # A1 roots, and BW16's minimal vectors (norm 4) are no roots.
+    # A1 roots, and BW16's minimal vectors (norm 4) are no roots.  The
+    # candidates are their reflections and the product of these.
     lat = catalog(name)
     lat.minimum()
     roots = _simple_roots(lat)
@@ -290,7 +292,7 @@ def test_simple_roots(name, count):
         assert sum(a * gi[i][j] * b for i, a in enumerate(r)
                    for j, b in enumerate(r)) == q
     if count:
-        assert len(automorphism_generators(lat)) == count
+        assert coordinate_automorphisms(lat)[0] == count + 1
 
 
 def test_barnes_wall_attaches_clifford_generators():
@@ -300,22 +302,21 @@ def test_barnes_wall_attaches_clifford_generators():
     want = [gens.pop(name) for name in ("cycle", "transvect_01", "h2_first")]
     del gens["h_first"]
     want += list(gens.values())
-    assert automorphism_generators(catalog("BW16")) == want
-    assert automorphism_generators(lattice_mod.barnes_wall(4)) == want
+    assert catalog("BW16")._automorphisms == want
+    assert lattice_mod.barnes_wall(4)._automorphisms == want
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_costly_orbit_rows_take_the_full_engine(m):
     # The sign changes of Z^8 fix every coordinate m-space: one orbit per
     # point, so orbit rows would count more pairs than the full engine,
-    # which runs instead.  Lines take the 8 reflections on the spans; the
-    # section search adds their product, -I, and examines all 9.
+    # which runs instead.  The search takes the 8 reflections and their
+    # product, -I, and examines all 9.
     lat = catalog("Z8")
     secs = minimal_sections(lat, m)
     report = section_design_report(lat, secs, tmax=3)
-    count = 8 if m == 1 else 9
     assert (report.generators, report.orbits, report.examined) == (
-        count, None, count)
+        9, None, 9)
     assert report.to_json_dict() == design_report(
         secs.records, m, 8, 3).to_json_dict()
 
@@ -327,12 +328,13 @@ def test_orbit_rows_of_lines_stop_past_the_serial_limit():
     lat = catalog("E8")
     lines = minimal_sections(lat, 1)
     spans = section_subspaces(lat, lines)
-    gens = automorphism_generators(lat)
-    assert len(certified_orbits(spans, gens[:6])) == 7 > grassmann._SERIAL_ROWS
+    gens = _ambient_reflections(lat)
+    assert len(certified_orbits(spans, gens[:6])[0]) == 7 > grassmann._SERIAL_ROWS
     full = pair_stats(lines.records, tmax=3)
     for count, orbits in ((6, None), (7, 3)):
-        stats = pair_stats(spans, tmax=3, generators=gens[:count])
-        assert (stats.orbits, stats.examined) == (orbits, count)
+        certified, examined = certified_orbits(spans, gens[:count])
+        stats = pair_stats(spans, tmax=3, orbits=certified)
+        assert (stats.orbits, examined) == (orbits, count)
         assert stats.distribution == full.distribution
         assert stats.sigma_pow == full.sigma_pow
 
@@ -342,7 +344,7 @@ def test_generator_free_lattice_keeps_the_records():
     # vector is a root, and the report runs the full engine.
     lat = lattice_mod.Lattice([[1, 1, 1, 0, 0], [1, 0, 0, 1, 1]])
     secs = minimal_sections(lat, 1)
-    assert automorphism_generators(lat) == []
+    assert coordinate_automorphisms(lat) == (0, [])
     report = section_design_report(lat, secs, tmax=2)
     assert (report.generators, report.orbits, report.examined) == (0, None, 0)
 
@@ -358,7 +360,7 @@ def test_generator_free_sections_at_m3_read_only_rows(monkeypatch, tmp_path,
     rows = [[int(j in line) for j in range(7)] for line in fano]
     lat = lattice_mod.Lattice(rows)
     secs = minimal_sections(lat, 3)
-    assert automorphism_generators(lat) == [] and len(secs) == 35
+    assert coordinate_automorphisms(lat) == (0, []) and len(secs) == 35
     monkeypatch.setattr(grassmann, "adjugate", None)
     report = section_design_report(lat, secs, tmax=2)
     assert "records" not in vars(secs)
@@ -386,10 +388,18 @@ def _reflection(v):
             for i, a in enumerate(v)]
 
 
+def _ambient_reflections(lat):
+    """The reflections (v.v) I - 2 v v^T in the simple roots v of `lat`, as
+    integer ambient rows."""
+    lat.minimum()
+    return [_reflection(v) for v in _ambient_rows(lat, _simple_roots(lat))]
+
+
 def _lattice_refusals():
     """(name, spans, generators, records) whose certificate must fail: a
     reflection that is no automorphism of D4, and H = S (x) I on the BW16
-    lines, each placed first so that it is examined."""
+    lines, each placed first so that it is examined, before the root
+    reflections of D4 and the generators BW16 attaches."""
     d4 = catalog("D4")
     planes = minimal_sections(d4, 2)
     bw16 = catalog("BW16")
@@ -398,10 +408,10 @@ def _lattice_refusals():
                    if g.name == "h_first")
     return [
         ("non-root reflection", section_subspaces(d4, planes),
-         [_reflection([1, 1, 1, 0])] + automorphism_generators(d4),
+         [_reflection([1, 1, 1, 0])] + _ambient_reflections(d4),
          planes.records),
         ("h_first", section_subspaces(bw16, lines),
-         [h_first] + automorphism_generators(bw16), lines.records),
+         [h_first] + bw16._automorphisms, lines.records),
     ]
 
 
@@ -410,10 +420,10 @@ def _lattice_unrefused():
     whose fallback differs from the full engine; empty when all hold."""
     bad = []
     for name, spans, gens, records in _lattice_refusals():
-        stats = pair_stats(spans, tmax=3, generators=gens)
+        orbits, examined = certified_orbits(spans, gens)
+        stats = pair_stats(spans, tmax=3, orbits=orbits)
         full = pair_stats(records, tmax=3)
-        if (certified_orbits(spans, gens) is not None
-                or stats.orbits is not None
+        if (orbits is not None or examined
                 or stats.distribution != full.distribution
                 or stats.sigma_pow != full.sigma_pow):
             bad.append(name)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -17,9 +18,8 @@ from grassdex import lattice as lattice_mod
 from grassdex.cli import main
 from grassdex.exactalg import RatMatrix, hnf, inverse
 from grassdex.grassmann import design_report
-from grassdex.lattice import (Lattice, automorphism_generators, catalog,
-                              coordinate_automorphisms, minimal_sections,
-                              section_design_report, section_subspaces)
+from grassdex.lattice import (Lattice, catalog, coordinate_automorphisms,
+                              minimal_sections, section_design_report)
 
 from test_grassmann import _run_python
 from test_tooling import _load_run
@@ -91,11 +91,11 @@ def test_reduced_search_equals_exhaustive(name, build, m, bound):
         full.delta, full.complete, full.search_bound)
     assert _keys(reduced) == _keys(full)
     assert sum(reduced.orbits.values()) == len(reduced)
-    # The design reference is the route that certifies the ambient spans
-    # of the exhaustive sections (or the full engine, if it fails).
-    spans = section_subspaces(lat, full)
-    ref = design_report(spans, m, lat.rank, 3,
-                        generators=automorphism_generators(lat))
+    # The design reference is the full pair engine on the exhaustive
+    # sections, which uses no group.
+    points = (full.records if m <= 2 else
+              [full.metric_rows(c) for c in full.coords])
+    ref = design_report(points, m, lat.rank, 3)
     got = section_design_report(lat, reduced, tmax=3)
     assert got.to_json_dict() == ref.to_json_dict()
 
@@ -153,10 +153,10 @@ def test_e8_three_sections_match_the_recorded_exhaustive_search():
 
 
 def test_barnes_wall_generators_map_to_coordinate_automorphisms():
-    # The 19 attached generators of G_4 and their product, all integral on
-    # the triangular basis and all preserving the Gram.
+    # The 19 attached generators of G_4, all integral on the triangular
+    # basis and all preserving the Gram; BW16 has no roots, so no product.
     count, mats = coordinate_automorphisms(catalog("BW16"))
-    assert count == 20 and len(mats) == 20
+    assert count == 19 and len(mats) == 19
 
 
 def _reflection(v):
@@ -167,55 +167,62 @@ def _reflection(v):
 
 def _search_refusals():
     """(name, whether the exact check A G A^T = G refused as it should,
-    reduced SectionSet, exhaustive SectionSet) for candidates the gates
-    must refuse."""
+    the lattice, reduced SectionSet, exhaustive SectionSet) for candidates
+    the gates must refuse, on lines and planes."""
     out = []
-    # An attached reflection that is no automorphism of D4: its coordinate
-    # matrix is not integral.
-    d4 = catalog("D4")
-    d4._automorphisms = [_reflection([1, 1, 1, 0])]
-    out.append(("attached non-automorphism",
-                coordinate_automorphisms(d4)[1] is None,
-                minimal_sections(d4, 2), _exhaustive(catalog("D4"), 2)))
-    # An integral candidate that does not keep the Gram: the minimal
-    # vectors of a rootless lattice taken for roots.  The lattice of the
-    # Fano plane's lines has norm 3 and inner products 1, so the integer
-    # "reflection" I - (2 (G r^T) // 3) r is no isometry.
     fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
             (2, 4, 5)]
     rows = [[int(j in line) for j in range(7)] for line in fano]
-    real = lattice_mod._simple_roots
-    lattice_mod._simple_roots = lambda lat: list(lat._min_vectors)
-    try:
-        fano_lat = Lattice(rows)
-        out.append(("integral non-isometry",
-                    coordinate_automorphisms(fano_lat)[1] is None,
-                    minimal_sections(fano_lat, 2), _exhaustive(Lattice(rows), 2)))
-    finally:
-        lattice_mod._simple_roots = real
+    for m in (1, 2):
+        # An attached reflection that is no automorphism of D4: its
+        # coordinate matrix is not integral.
+        d4 = catalog("D4")
+        d4._automorphisms = [_reflection([1, 1, 1, 0])]
+        out.append((f"attached non-automorphism, m = {m}",
+                    coordinate_automorphisms(d4)[1] is None, d4,
+                    minimal_sections(d4, m), _exhaustive(catalog("D4"), m)))
+        # An integral candidate that does not keep the Gram: the minimal
+        # vectors of a rootless lattice taken for roots.  The lattice of
+        # the Fano plane's lines has norm 3 and inner products 1, so the
+        # integer "reflection" I - (2 (G r^T) // 3) r is no isometry.
+        real = lattice_mod._simple_roots
+        lattice_mod._simple_roots = lambda lat: list(lat._min_vectors)
+        try:
+            fano_lat = Lattice(rows)
+            out.append((f"integral non-isometry, m = {m}",
+                        coordinate_automorphisms(fano_lat)[1] is None, fano_lat,
+                        minimal_sections(fano_lat, m),
+                        _exhaustive(Lattice(rows), m)))
+        finally:
+            lattice_mod._simple_roots = real
     # A candidate vector mapped outside the candidates: one D4 minimal line
     # hidden from the search; the exact check passes the candidates.
     real = lattice_mod.short_vectors_with_norms
     lattice_mod.short_vectors_with_norms = lambda *a, **k: real(*a, **k)[:-1]
     try:
+        d4 = catalog("D4")
         out.append(("image outside the set",
                     coordinate_automorphisms(catalog("D4"))[1] is not None,
-                    minimal_sections(catalog("D4"), 2),
-                    _exhaustive(catalog("D4"), 2)))
+                    d4, minimal_sections(d4, 2), _exhaustive(catalog("D4"), 2)))
     finally:
         lattice_mod.short_vectors_with_norms = real
     return out
 
 
 def _search_unrefused():
-    """Names of the refusal cases that were not refused, or whose search
-    differs from the exhaustive one; empty when all hold."""
+    """Names of the refusal cases that were not refused, or whose search or
+    design verdicts differ from the exhaustive search and the full pair
+    engine; empty when all hold."""
     bad = []
-    for name, gate, secs, full in _search_refusals():
+    for name, gate, lat, secs, full in _search_refusals():
+        report = section_design_report(lat, secs, tmax=3)
+        ref = design_report(full.records, secs.m, lat.rank, 3)
         if (not gate or secs.orbits is not None or secs.examined
                 or not secs.generators or secs.tuples != full.tuples
                 or (secs.delta, _keys(secs), secs.coords)
-                != (full.delta, _keys(full), full.coords)):
+                != (full.delta, _keys(full), full.coords)
+                or report.orbits is not None
+                or report.to_json_dict() != ref.to_json_dict()):
             bad.append(name)
     return bad
 
@@ -237,14 +244,87 @@ def test_search_refusals_hold_under_optimize():
 
 
 def test_search_note_counts_orbits_and_tuples(capsys):
-    # The note goes to stderr; `results` holds no search counters.
-    assert main(["lattice", "D4", "--m", "2", "--sections"]) == 0
-    out, err = capsys.readouterr()
-    assert ("section search: 1 orbit(s) on 12 candidate lines under 5 "
-            "generators (4 examined), 11 of 66 2-tuples considered") in err
-    assert set(json.loads(out)["results"]) == {
-        "name", "rank", "ambient", "det", "min", "delta_m", "section_count",
-        "search_bound", "complete", "section_design"}
+    # The note goes to stderr; `results` holds no search counters.  Lines
+    # are the minimal vectors, so their search considers no tuple.
+    for m, tuples in ((1, "0 of 12 1-tuples"), (2, "11 of 66 2-tuples")):
+        assert main(["lattice", "D4", "--m", str(m), "--sections"]) == 0
+        out, err = capsys.readouterr()
+        assert ("section search: 1 orbit(s) on 12 candidate lines under 5 "
+                f"generators (4 examined), {tuples} considered") in err
+        assert set(json.loads(out)["results"]) == {
+            "name", "rank", "ambient", "det", "min", "delta_m",
+            "section_count", "search_bound", "complete", "section_design"}
+
+
+def test_lines_ignore_a_bound_below_the_minimum(capsys):
+    # delta_1 is the minimum whatever bound is asked for: the lines are
+    # complete, with search bound min.
+    assert main(["lattice", "D4", "--m", "1", "--sections", "--bound", "1"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["search_bound"], res["complete"], res["section_count"]) == (
+        "2", True, 12)
+
+
+@pytest.mark.parametrize("name", ["D4", "E6", "E7", "E8", "BW16"])
+def test_line_orbits_match_the_full_engine(name):
+    # One certified orbit of minimal lines under the coordinate
+    # automorphisms, and the verdicts of the full engine, which uses none.
+    lat = catalog(name)
+    secs = minimal_sections(lat, 1)
+    assert secs.orbits == {0: len(secs)} and secs.line_orbits == 1
+    report = section_design_report(lat, secs, tmax=3)
+    assert report.orbits == 1
+    assert report.to_json_dict() == design_report(
+        secs.records, 1, lat.rank, 3).to_json_dict()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["D4", "E6"]), st.integers(0, 10 ** 6))
+def test_line_orbits_on_random_unimodular_bases(name, seed):
+    lat = Lattice(_unimodular(_basis(name), seed))
+    secs = minimal_sections(lat, 1)
+    assert secs.orbits is not None and sum(secs.orbits.values()) == len(secs)
+    assert section_design_report(lat, secs, tmax=3).to_json_dict() == (
+        design_report(secs.records, 1, lat.rank, 3).to_json_dict())
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name,m,reused", [
+    ("D4", 2, True), ("E6", 2, True), ("E7", 2, True), ("E8", 2, True),
+    ("BW16", 2, True), ("E8", 3, False)])
+def test_minimal_vectors_serve_reaches_below_the_next_norm(monkeypatch, name,
+                                                           m, reused):
+    # The norms of D4, E6, E7, E8 (min 2) and BW16 (min 4) step by 2.  Each
+    # m = 2 reach, the Hadamard cap 4/3 min, lies below min + 2, so the
+    # search reads the vectors `Lattice.minimum` kept; the E8 m = 3 reach,
+    # 4, is enumerated.  Either way the list is a fresh enumeration's.
+    lat = catalog(name)
+    lat.minimum()
+    real_query, real_enum = (lattice_mod.short_vectors_with_norms,
+                             lattice_mod._enumerate)
+    seen, enumerated = [], []
+
+    def query(*args, **kwargs):
+        seen.append((args[1], real_query(*args, **kwargs)))
+        raise _Reached   # no search is needed past the query
+
+    def enum(table, *args, **kwargs):
+        enumerated.append(table is lat._table)
+        return real_enum(table, *args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "short_vectors_with_norms", query)
+    monkeypatch.setattr(lattice_mod, "_enumerate", enum)
+    with pytest.raises(_Reached):
+        minimal_sections(lat, m)
+    monkeypatch.undo()
+    (reach, got), = seen
+    assert enumerated == ([] if reused else [True])
+    s = lat._gram_scale
+    assert got == [(c, Fraction(q, s)) for c, q in lattice_mod._enumerate(
+        lat._table, lattice_mod._limit(lat, reach), half=True)]
 
 
 @pytest.mark.parametrize("name,t,digest", [
@@ -352,7 +432,9 @@ def _reflections_attached(name):
     # The ambient root reflections attached, so that they go through the
     # right inverse as well.
     lat = catalog(name)
-    lat._automorphisms = automorphism_generators(lat)
+    lat.minimum()
+    lat._automorphisms = [_reflection(v) for v in lattice_mod._ambient_rows(
+        lat, lattice_mod._simple_roots(lat))]
     return lat
 
 
@@ -372,6 +454,6 @@ def test_integer_right_inverse_keeps_the_coordinate_matrices(monkeypatch, build)
     bi = lat._basis_int
     assert lattice_mod._right_inverse(bi) == _fraction_right_inverse(bi)
     got = coordinate_automorphisms(lat)
-    assert got[1] is not None and got[0] > len(lat._automorphisms)
+    assert got[1] is not None and len(got[1]) == got[0] >= len(lat._automorphisms)
     monkeypatch.setattr(lattice_mod, "_right_inverse", _fraction_right_inverse)
     assert coordinate_automorphisms(lat) == got
