@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from grassdex.cli import build_parser, main
 from grassdex.lattice import catalog, minimal_sections
 
@@ -90,6 +92,23 @@ def test_readme_clifford_k4_w2_all_keeps_its_digest(capsys):
     assert "trace path: 1 orbit row(s) under 20 generators (3 examined)" in err
     assert run.results_digest(json.loads(out)["results"]) == (
         "3edce2781461878a603e95d7dc34e0fa2a584a44aba801fe6ee36863922f0e76")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["lattice", "BW16", "--m", "2", "--sections", "--t", "3"],
+     "02a0cd5f2903ae909f125c505efa2daecdbbfe68f74a1d90c1d21f527e346be3"),
+    (["lattice", "E8", "--m", "3", "--sections", "--rankin", "--perfection",
+      "--t", "2"],
+     "94921bfdd6aee42cc3f07709366813c0807a83c338494835f7b338fbbaa7b3ec"),
+])
+def test_readme_lattice_section_runs_keep_their_digests(capsys, argv, digest):
+    # The README's section runs that no benchmark workload covers: the
+    # BW16 6-design planes and the E8 3-sections.  The digests were
+    # recorded while sections came in HNF order.
+    run = _load_run()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert run.results_digest(json.loads(out)["results"]) == digest
 
 
 def test_traced_entry_points_resolve():
