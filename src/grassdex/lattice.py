@@ -209,8 +209,8 @@ class SectionSet:
     """Minimal m-sections, each a basis of integer coordinate rows (`coords`)
     whose Gram determinant is delta.  `gram_int` is the lattice's integer
     Gram multiple, from which `records` are built.  `gvecs` maps each
-    candidate vector of the search, of either sign, to its row G c^T;
-    `records` read them there.
+    candidate vector of the search (for m >= 2 of either sign, as images
+    and saturated rows may be negated) to its row G c^T for `records`.
 
     The search also reports how it went: `generators` candidate
     automorphisms (`coordinate_automorphisms`), of which the first
@@ -283,9 +283,9 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     saturated (intersected with the lattice exactly) before its Gram
     determinant is taken, unless Hermite's bound caps its index below 2,
     when the candidate rows already are a basis of the saturation.  The
-    coordinates kept are some basis of each section, not a fixed one; for
-    m >= 2 sections come in the order of their HNFs, lines in enumeration
-    order.  Completeness: every delta-achieving section is spanned by
+    coordinates kept are some basis of each section, not a fixed one, in
+    the order of their line keys (`_section_lines`): enumeration order for
+    lines.  Completeness: every delta-achieving section is spanned by
     vectors realizing its successive minima, whose norms are at most
     gamma_m^m * delta / min^(m-1); the result is certified complete when the
     search bound covers that cap (always true for the default bound m * min
@@ -309,17 +309,14 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     the vectors of a spanning tuple all pass the pruning, and an h in H
     moves the one in the earliest orbit to that orbit's first vector.  The
     sections found are closed under the examined matrices (`_closure`),
-    each image keyed by the sorted indices of the candidate lines in its
-    span: a seed's are enumerated once from its own m x m Gram, an image's
-    are the seed's mapped through the line permutations the union-find
-    already computed, and one HNF per section gives the final order.  The
-    closure is the exact gate: an image of a minimal section under an
-    integer A with A G A^T = G is a minimal section, and every minimal
-    section is the image of a section found, so the closure is exactly the
-    minimal sections, its trees are the H-orbits, and it certifies the
-    orbit rows of `section_design_report`.  With no candidate, or a
-    refused one, every vector is its own orbit and this is the exhaustive
-    search, with no closure.  The rows G c^T the search formed go to
+    keyed by their line keys.  The closure is the exact gate: an image of
+    a minimal section under an integer A with A G A^T = G is a minimal
+    section, and every minimal section is the image of a section found,
+    so the closure is exactly the minimal sections, its trees are the
+    H-orbits, and it certifies the orbit rows of `section_design_report`.
+    With no candidate, or a refused one, every vector is its own orbit,
+    the closure has no matrix to apply, and this is the exhaustive search,
+    with `orbits` None.  The rows G c^T the search formed go to
     `SectionSet.gvecs`.
     """
     r = lattice.rank
@@ -368,7 +365,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         return SectionSet(1, lam, [(c,) for c in cvecs], lam, True, lam, gi,
                           orbits=orbits, generators=count, examined=examined,
                           lines=nv, line_orbits=lines.left,
-                          gvecs=_signed(zip(cvecs, gvecs)))
+                          gvecs=dict(zip(cvecs, gvecs)))
     firsts = [i for i in range(nv) if lines.root(i) == i]
 
     # Determinants below are of integer Grams, s^m times the true ones; the
@@ -435,31 +432,29 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         raise ValueError(f"no {m}-section: the vectors of norm at most "
                          f"{rat_str(bound)} span fewer than {m} dimensions; "
                          "pass a larger search_bound")
-    orbits = None
-    if moves is not None:
-        index = {c: i for i, c in enumerate(cvecs)}
-
-        def lines_of(sat) -> Tuple[int, ...]:
-            # The lattice points of the saturated section are L meet its
-            # span, so its vectors up to the largest candidate norm, taken
-            # from its own m x m Gram, are exactly its candidate vectors.
-            gram = [[sum(map(mul, ga, b)) for b in sat]
-                    for ga in _rows_times(sat, gi)]
-            return tuple(sorted(
-                index[_half_key(_rows_times([x], sat)[0])]
-                for x, _ in _enumerate(_ldl(gram), norms[-1], half=True)))
-
-        coords, orbits = _closure(list(best.values()), moves, lines_of)
-    else:
-        coords = [tuple(map(tuple, best[key])) for key in sorted(best)]
+    index = {c: i for i, c in enumerate(cvecs)}
+    coords, orbits = _closure(list(best.values()), moves or [],
+                              lambda y: _section_lines(y, gi, index, norms[-1]))
     delta = Fraction(state["delta"], s ** m)
     cap = hermite * delta / lam ** (m - 1) if hermite else None
     complete = cap is not None and bound >= cap
     return SectionSet(m, delta, coords, bound, complete, cap, gi,
-                      orbits=orbits, generators=count,
+                      orbits=None if moves is None else orbits, generators=count,
                       examined=examined, lines=nv,
                       line_orbits=len(firsts), tuples=state["tuples"],
                       gvecs=_signed(zip(cvecs, gvecs)))
+
+
+def _section_lines(sat, gram_int, index, top) -> Tuple[int, ...]:
+    """The line key of the saturated section `sat`: the sorted `index`es
+    of its vectors up to integer norm `top`, from its own m x m Gram, that
+    are candidates.  With `top` the largest candidate norm these are all
+    the candidate lines in its span, as the section is L meet its span."""
+    gram = [[sum(map(mul, ga, b)) for b in sat]
+            for ga in _rows_times(sat, gram_int)]
+    found = (index.get(_half_key(_rows_times([x], sat)[0]))
+             for x, _ in _enumerate(_ldl(gram), top, half=True))
+    return tuple(sorted(i for i in found if i is not None))
 
 
 def _signed(pairs) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
@@ -507,16 +502,15 @@ def _line_orbits(lattice: Lattice, cvecs, distinct: int, tables: bool):
 
 def _closure(seeds, moves, lines_of) -> Tuple[list, Dict[int, int]]:
     """(coordinates of every image of the seed sections under the moves, in
-    the order of their HNFs; {index of an orbit's first section: its size}).
+    the order of their line keys; {index of an orbit's first section: its
+    size}).
 
     `moves` are (A, images of the candidate vectors of either sign, the
-    permutation of the candidate lines) and `lines_of(seed)` the sorted
-    indices of the candidate lines in the seed's span.  Each seed holds m
-    independent candidate lines and every A permutes the candidates, so
-    every image does too, and two saturated sections that share m
-    independent lines have one span: the sorted line indices key an image
-    exactly, the seed's mapped through each move's permutation, with no
-    HNF.  One HNF per section, at the end, gives the order."""
+    permutation of the candidate lines) and `lines_of` is `_section_lines`.
+    Each seed holds m independent candidate lines and every A permutes the
+    candidates, so every image does too, and two saturated sections that
+    share m independent lines have one span: the line key names an image
+    exactly, the seed's mapped through each move's permutation."""
     seen: Dict[Tuple[int, ...], tuple] = {}   # line key -> (coords, seed)
     for s, sat in enumerate(seeds):
         key = lines_of(sat)
@@ -533,13 +527,12 @@ def _closure(seeds, moves, lines_of) -> Tuple[list, Dict[int, int]]:
                            for row in y]
                     seen[k] = (img, s)
                     stack.append((img, k))
-    ordered = sorted(((hnf(y), y, s) for y, s in seen.values()),
-                     key=itemgetter(0))
+    ordered = [seen[k] for k in sorted(seen)]
     orbits, first = {}, {}
-    for i, (_, _, s) in enumerate(ordered):
+    for i, (_, s) in enumerate(ordered):
         head = first.setdefault(s, i)
         orbits[head] = orbits.get(head, 0) + 1
-    return [tuple(map(tuple, y)) for _, y, _ in ordered], orbits
+    return [tuple(map(tuple, y)) for y, _ in ordered], orbits
 
 
 def _half_key(vec) -> Tuple[int, ...]:

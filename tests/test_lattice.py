@@ -24,6 +24,8 @@ from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               section_subspaces, short_vectors,
                               short_vectors_with_norms, similar_to, theta_shells)
 
+from test_section_search import _in_line_key_order, _searched
+
 
 def coord_norm(lat, coords):
     """x^T G x for the coordinate vector x, from the rational Gram matrix."""
@@ -365,7 +367,7 @@ def test_section_records_and_spans(monkeypatch, name, m):
 
     # Records are built by `intdata` on rows G Y^T taken from the search.
     monkeypatch.setattr(lattice_mod, "intdata", counting)
-    secs = minimal_sections(lat, m)
+    secs, line_key, _ = _searched(lat, m)
     rankin(lat, m, secs)
     assert not calls and "records" not in vars(secs)
     reference = {Subspace.span(lat.n, RatMatrix([list(r) for r in saturate_rows(c, lat.rank)])
@@ -378,9 +380,7 @@ def test_section_records_and_spans(monkeypatch, name, m):
     check_perfection(lat, m, secs)
     check_eutaxy(lat, m, secs)
     assert len(calls) == len(secs)
-    if m >= 2:
-        keys = [hnf(c) for c in secs.coords]
-        assert keys == sorted(keys)
+    assert _in_line_key_order(secs, line_key)
 
 
 def test_delta_invariant_under_unimodular_change(d4):

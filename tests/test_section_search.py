@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from grassdex import lattice as lattice_mod
 from grassdex.cli import main
-from grassdex.exactalg import RatMatrix, hnf, inverse
+from grassdex.exactalg import RatMatrix, hnf, int_det, inverse
 from grassdex.grassmann import design_report
 from grassdex.lattice import (Lattice, catalog, coordinate_automorphisms,
                               minimal_sections, section_design_report)
@@ -27,6 +27,51 @@ from test_tooling import _load_run
 
 def _keys(secs):
     return [tuple(hnf(c)) for c in secs.coords]
+
+
+def _searched(lat, m, bound=None, search=minimal_sections):
+    """(search(lat, m, bound), the line key of a section's coordinate rows,
+    the candidate vectors): the candidates are those the search passed to
+    `_line_orbits`."""
+    cands = []
+    real = lattice_mod._line_orbits
+    lattice_mod._line_orbits = lambda lat, cvecs, *a, **k: (
+        cands.append(list(cvecs)) or real(lat, cvecs, *a, **k))
+    try:
+        secs = search(lat, m, bound)
+    finally:
+        lattice_mod._line_orbits = real
+    cvecs, gi = cands[0], lat._gram_int
+    index = {c: i for i, c in enumerate(cvecs)}
+    top = max(sum(x * sum(map(mul, row, c)) for row, x in zip(gi, c))
+              for c in cvecs)
+    return secs, lambda y: lattice_mod._section_lines(y, gi, index, top), cvecs
+
+
+def _in_line_key_order(secs, line_key):
+    keys = [line_key(c) for c in secs.coords]
+    return all(len(k) >= secs.m for k in keys) and all(
+        a < b for a, b in zip(keys, keys[1:]))
+
+
+def _assert_one_order(reduced, line_key, cvecs, full, full_key):
+    # Reduced and refused searches give the same sections in the same
+    # order, the order of their line keys, though their bases may differ;
+    # a key is the set of candidate lines in the span, checked by rank.
+    assert _in_line_key_order(reduced, line_key)
+    assert _in_line_key_order(full, full_key)
+    keys = [line_key(c) for c in reduced.coords]
+    assert keys == [full_key(c) for c in full.coords]
+    gi = reduced.gram_int
+
+    def in_span(y, c):
+        rows = [*y, c]
+        return int_det([[sum(map(mul, a, b)) for b in rows]
+                        for a in lattice_mod._rows_times(rows, gi)]) == 0
+
+    step = len(keys) // 60 + 1   # about 60 sections
+    for y, key in zip(reduced.coords[::step], keys[::step]):
+        assert key == tuple(i for i, c in enumerate(cvecs) if in_span(y, c))
 
 
 def _exhaustive(lat, m, bound=None):
@@ -82,14 +127,15 @@ CASES = [
                          ids=[f"{c[0]}-m{c[2]}" for c in CASES])
 def test_reduced_search_equals_exhaustive(name, build, m, bound):
     lat = build()
-    reduced = minimal_sections(lat, m, search_bound=bound)
-    full = _exhaustive(build(), m, bound)
+    reduced, line_key, cvecs = _searched(lat, m, bound)
+    full, full_key, _ = _searched(build(), m, bound, _exhaustive)
     assert reduced.orbits is not None and full.orbits is None
     assert reduced.tuples <= full.tuples
     assert reduced.line_orbits <= full.line_orbits == full.lines
     assert (reduced.delta, reduced.complete, reduced.search_bound) == (
         full.delta, full.complete, full.search_bound)
     assert _keys(reduced) == _keys(full)
+    _assert_one_order(reduced, line_key, cvecs, full, full_key)
     assert sum(reduced.orbits.values()) == len(reduced)
     # The design reference is the full pair engine on the exhaustive
     # sections, which uses no group.
@@ -106,11 +152,12 @@ def test_reduced_search_on_random_unimodular_bases(name, seed):
     # Any basis of the lattice gives the same sections, whatever its
     # coordinate automorphisms look like.
     rows = _unimodular(_basis(name), seed)
-    reduced = minimal_sections(Lattice(rows), 2)
-    full = _exhaustive(Lattice(rows), 2)
+    reduced, line_key, cvecs = _searched(Lattice(rows), 2)
+    full, full_key, _ = _searched(Lattice(rows), 2, None, _exhaustive)
     assert reduced.orbits is not None
     assert (reduced.delta, reduced.complete, _keys(reduced)) == (
         full.delta, full.complete, _keys(full))
+    _assert_one_order(reduced, line_key, cvecs, full, full_key)
 
 
 def test_one_root_basis_has_one_candidate():
@@ -138,10 +185,12 @@ def test_e8_three_sections_match_the_recorded_exhaustive_search():
     # Recorded from the exhaustive search (5 s); the reduced search examines
     # the Coxeter element and one reflection.
     lat = catalog("E8")
-    secs = minimal_sections(lat, 3)
+    secs, line_key, _ = _searched(lat, 3)
     assert (secs.delta, secs.complete, len(secs)) == (4, True, 7560)
-    assert hashlib.sha256(repr(_keys(secs)).encode()).hexdigest() == (
+    # The recorded digest is of the HNFs in sorted order.
+    assert hashlib.sha256(repr(sorted(_keys(secs))).encode()).hexdigest() == (
         "ab545e91373beb75121e9beab1d7cac328cc612895894acca55d35a03bc36c83")
+    assert _in_line_key_order(secs, line_key)
     report = section_design_report(lat, secs, tmax=3)
     assert report.orbits is not None
     assert report.to_json_dict() == {
@@ -342,7 +391,8 @@ def test_readme_three_section_runs_keep_their_digests(capsys, name, t, digest):
 
 def _hnf_closure(seeds, moves, lines_of):
     """The closure with every image keyed by its HNF: the reference for
-    `lattice._closure`, which keys images by their candidate lines."""
+    `lattice._closure`, which keys images by their candidate lines.  Its
+    output is ordered by `lines_of`, as the closure's is."""
     seen = {}
     for sat in seeds:
         key = tuple(hnf(sat))
@@ -359,7 +409,7 @@ def _hnf_closure(seeds, moves, lines_of):
                 if k not in seen:
                     seen[k] = (img, key)
                     stack.append(img)
-    keys = sorted(seen)
+    keys = sorted(seen, key=lambda k: lines_of(seen[k][0]))
     orbits, first = {}, {}
     for i, k in enumerate(keys):
         head = first.setdefault(seen[k][1], i)
@@ -401,9 +451,10 @@ def test_line_key_closure_on_random_unimodular_bases(name, seed):
     _assert_closures_agree(lambda: Lattice(rows), 2)
 
 
-def test_image_outside_the_candidates_runs_no_closure(monkeypatch):
+def test_image_outside_the_candidates_closes_with_no_moves(monkeypatch):
     # One D4 minimal line hidden from the search: a candidate maps a line
-    # onto it, so all candidates are refused and no closure runs.
+    # onto it, so all candidates are refused and the closure applies no
+    # matrix.  The line keys skip the hidden vector.
     calls = []
     real_closure = lattice_mod._closure
     monkeypatch.setattr(lattice_mod, "_closure",
@@ -413,7 +464,7 @@ def test_image_outside_the_candidates_runs_no_closure(monkeypatch):
                         lambda *a, **k: real(*a, **k)[:-1])
     secs = minimal_sections(catalog("D4"), 2)
     full = _exhaustive(catalog("D4"), 2)
-    assert not calls
+    assert calls and all(moves == [] for _, moves, _ in calls)
     assert (secs.orbits, secs.examined, secs.generators) == (None, 0, 5)
     assert (secs.delta, secs.coords, secs.tuples) == (
         full.delta, full.coords, full.tuples)

@@ -103,8 +103,7 @@ def test_readme_clifford_k4_w2_all_keeps_its_digest(capsys):
 ])
 def test_readme_lattice_section_runs_keep_their_digests(capsys, argv, digest):
     # The README's section runs that no benchmark workload covers: the
-    # BW16 6-design planes and the E8 3-sections.  The digests were
-    # recorded while sections came in HNF order.
+    # BW16 6-design planes and the E8 3-sections.
     run = _load_run()
     assert main(argv) == 0
     out = capsys.readouterr().out
