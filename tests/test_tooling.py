@@ -95,6 +95,22 @@ def test_readme_clifford_k4_w2_all_keeps_its_digest(capsys):
 
 
 @pytest.mark.parametrize("argv,digest", [
+    (["clifford", "--k", "4", "--w", "3", "--sigma", "all", "--t", "3"],
+     "be1b3ffb142f2f2f97312fd9afaf7a4d0286868c96395ffe6f6ff0ff06eab58e"),
+    (["clifford", "--k", "4", "--w", "2", "--sigma", "spread", "--t", "2"],
+     "67a10c5d0a213ebaecefeda7179dd16576a98e96643b736dd761da4e3ce6ec96"),
+])
+def test_readme_clifford_runs_keep_their_digests(capsys, argv, digest):
+    # The README's other k = 4 runs: the orbit path on the 16,200 planes of
+    # the 2025 isotropic 3-spaces, and the full pair engine on the m = 4
+    # eigenspaces of a spread of isotropic 2-spaces.
+    run = _load_run()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert run.results_digest(json.loads(out)["results"]) == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
     (["lattice", "BW16", "--m", "2", "--sections", "--t", "3"],
      "02a0cd5f2903ae909f125c505efa2daecdbbfe68f74a1d90c1d21f527e346be3"),
     (["lattice", "E8", "--m", "3", "--sections", "--rankin", "--perfection",
