@@ -150,10 +150,20 @@ def enumerate_isotropic(k: int, w: int) -> SigmaSet:
         raise ValueError("need 1 <= w <= k")
     if k > 5:
         raise ValueError("desk scale is k <= 5")
-    space = QuadSpace(k)
+    # Tables over the 2^(2k) words: q(v), and v with its halves swapped,
+    # so that B(u, v) = parity(u & swapped(v)).
+    mask = (1 << k) - 1
+    singular = [(v & (v >> k)).bit_count() & 1 for v in range(1 << 2 * k)]
+    swapped = [(v >> k) | ((v & mask) << k) for v in range(1 << 2 * k)]
 
     def isotropic(rows, v):
-        return space.q(v) == 0 and not any(space.bform(v, r) for r in rows)
+        if singular[v]:
+            return False
+        sv = swapped[v]
+        for r in rows:
+            if (r & sv).bit_count() & 1:
+                return False
+        return True
 
     return SigmaSet(k, w, tuple(IsoSubspace(k, words) for words in
                                 bit_subspaces(2 * k, w, isotropic)))

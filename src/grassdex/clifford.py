@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .binquad import IsoSubspace, SigmaSet, intersection_moment
@@ -105,6 +106,13 @@ def stabilizer_lift(s: IsoSubspace) -> StabilizerLift:
     return StabilizerLift(s)
 
 
+@lru_cache(maxsize=None)
+def _characters(w: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row chi holds chi(c) = (-1)^parity(chi & c) for c < 2^w."""
+    return tuple(tuple(-1 if (chi & c).bit_count() & 1 else 1
+                       for c in range(1 << w)) for chi in range(1 << w))
+
+
 def eigenspaces(s: IsoSubspace) -> Configuration:
     """The joint eigenspace decomposition induced by an isotropic subspace.
 
@@ -119,6 +127,16 @@ def eigenspaces(s: IsoSubspace) -> Configuration:
     disjoint supports.  So the nonzero columns at coset representatives
     are a basis of the image, found without elimination; their count, the
     dimension, is checked against 2^s, also under `python -O`.
+
+    Each lift is applied once per representative u, giving a table of
+    (index, sign) pairs that every character reads.  A column is formed
+    only when its u-entry, 2^w e_u^T P e_u = 2^w |P e_u|^2, is nonzero, so
+    it vanishes exactly when the whole column does.  That entry is the sum
+    of chi(z) s_z over the lifts g_z e_u = s_z e_u with X-part 0, a
+    character of the group they form: it is 0, or their number when
+    chi(z) s_z = 1 for each of them.  Then g_c and g_c g_z give equal
+    terms, and one lift per X-part gives the column up to that factor,
+    with entries +-1.
     """
     lift = stabilizer_lift(s)
     k = s.k
@@ -126,26 +144,28 @@ def eigenspaces(s: IsoSubspace) -> Configuration:
     n = 1 << k
     dim_expected = 1 << (k - w)
     ops = [lift.lift(c) for c in range(1 << w)]
-    reps = []
+    diagonal = [c for c, g in enumerate(ops) if not g.a]
+    xparts = {g.a: c for c, g in enumerate(ops)}
+    chars = _characters(w)
+    dchars = [[signs[c] for c in diagonal] for signs in chars]
+    cols: List[List[List[int]]] = [[] for _ in chars]
     covered = set()
     for u in range(n):
-        if u not in covered:
-            reps.append(u)
-            covered.update(u ^ g.a for g in ops)
-    out = []
-    for chi in range(1 << w):
-        cols = []
-        for u in reps:
-            col = [0] * n
-            for c, g in enumerate(ops):
-                v, sgn = g.apply_index(u)
-                col[v] += -sgn if (chi & c).bit_count() & 1 else sgn
-            if any(col):
-                cols.append(col)
-        if len(cols) != dim_expected:
-            raise AssertionError("eigenspace has unexpected dimension")
-        out.append(Subspace(n, cols))
-    return Configuration(n, out)
+        if u in covered:
+            continue
+        table = [g.apply_index(u) for g in ops]
+        covered.update(v for v, _ in table)
+        dsigns = [table[c][1] for c in diagonal]
+        for chi, signs in enumerate(chars):
+            if sum(map(mul, dchars[chi], dsigns)):
+                col = [0] * n
+                for c in xparts.values():
+                    v, sgn = table[c]
+                    col[v] = signs[c] * sgn
+                cols[chi].append(col)
+    if any(len(c) != dim_expected for c in cols):
+        raise AssertionError("eigenspace has unexpected dimension")
+    return Configuration(n, [Subspace(n, c) for c in cols])
 
 
 @dataclass

@@ -83,7 +83,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, compress, cycle, repeat
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, neg
 from struct import calcsize
@@ -108,6 +108,12 @@ class Subspace:
     alone: sigma does not depend on the basis, and a given basis is often
     far smaller after Gram-Schmidt than the RREF one (an orthogonal one
     stays as it is).  Nothing else reads them.
+
+    Nonzero integer rows with pairwise disjoint supports, such as the
+    eigenspace bases of `clifford.eigenspaces`, skip elimination: their
+    canonical rows are their line keys sorted by pivot (`disjoint_keys`).
+    Those are the given rows, scaled and reordered, and orthogonal, so
+    such a point keeps no other rows.
     """
 
     __slots__ = ("n", "m", "rows", "_given", "_basis", "_intdata")
@@ -116,12 +122,13 @@ class Subspace:
         if isinstance(rows, RatMatrix):
             rows = rows.entries
         rows = list(rows)
-        if (len(rows) == 1 and len(rows[0]) == n and any(rows[0])
-                and all(type(x) is int for x in rows[0])):
-            # One nonzero integer row: its line's canonical row.
-            canon = (line_key(rows[0]),)
-            given = None
-        else:
+        canon = given = None
+        if (n and set(map(len, rows)) == {n} and type(rows[0][0]) is int
+                and set(map(type, chain.from_iterable(rows))) == {int}):
+            # Nonzero integer rows with disjoint supports (one row, say)
+            # are orthogonal, and their line keys are their canonical rows.
+            canon = disjoint_keys(rows, n)
+        if canon is None:
             ints = tuple(primitive_int_row(r) for r in rows)
             for r in ints:
                 if len(r) != n:
@@ -688,6 +695,24 @@ def line_key(vec) -> Tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
+def disjoint_keys(rows, n: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """Canonical rows (`int_rref`) of nonzero integer rows of length n whose
+    supports are pairwise disjoint: their line keys sorted by pivot.  None
+    when a row is zero or two supports meet.
+
+    Each key is zero on every other row's pivot, so the keys are the
+    RREF rows.  A key is positive at its pivot and zero before it, so
+    keys sort by pivot in decreasing lexicographic order.
+    """
+    if len(rows) == 1:
+        return (line_key(rows[0]),) if any(rows[0]) else None
+    # The columns of the nonzero entries, row after row.
+    support = tuple(compress(cycle(range(n)), chain.from_iterable(rows)))
+    if len(set(support)) != len(support) or not all(map(any, rows)):
+        return None
+    return tuple(sorted(map(line_key, rows), reverse=True))
+
+
 class IndexMap:
     """An integer matrix g acting on integer rows as row -> g row, compiled
     to index maps: term k of output coordinate i is coefs_k[i] *
@@ -739,10 +764,13 @@ class IntAction(IndexMap):
 
     def key(self, rows) -> Tuple[Tuple[int, ...], ...]:
         """Canonical rows (`Subspace.rows`) of the image of the subspace
-        with canonical rows `rows`."""
+        with canonical rows `rows`.  Images whose supports are disjoint,
+        as a signed permutation leaves disjoint rows, take their sorted
+        line keys (`disjoint_keys`); any other image is eliminated."""
         if len(rows) == 1:
             return (line_key(self.image(rows[0])),)
-        return int_rref([self.image(r) for r in rows], self.n)
+        images = [self.image(r) for r in rows]
+        return disjoint_keys(images, self.n) or int_rref(images, self.n)
 
 
 class UnionFind:

@@ -74,6 +74,21 @@ def test_isotropic_counts_closed_form():
             assert words == sorted(set(words))
 
 
+@pytest.mark.parametrize("k,w", [(k, w) for k in range(1, 5)
+                                 for w in range(1, k + 1)] + [(5, 1), (5, 2)])
+def test_enumeration_tables_match_the_form(k, w):
+    # The isotropy test reads tables of q and of half-swapped words; the
+    # members and their order are those of the QuadSpace predicate.
+    space = QuadSpace(k)
+
+    def isotropic(rows, v):
+        return space.q(v) == 0 and not any(space.bform(v, r) for r in rows)
+
+    expect = [IsoSubspace(k, words)
+              for words in bit_subspaces(2 * k, w, isotropic)]
+    assert list(enumerate_isotropic(k, w).members) == expect
+
+
 def _digest(rows):
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 

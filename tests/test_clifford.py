@@ -23,6 +23,8 @@ from grassdex.exactalg import RatMatrix, rref
 from grassdex.grassmann import (Subspace, principal_power_sums,
                                 verify_design)
 
+from test_grassmann import _run_python
+
 
 def test_pauli_composition_and_square():
     rng = random.Random(3)
@@ -116,6 +118,67 @@ def _assert_eigenspaces_match_reference(s):
 def test_eigenspaces_match_projector_reference(k, w):
     for s in enumerate_isotropic(k, w).members:
         _assert_eigenspaces_match_reference(s)
+
+
+def per_character_eigenspaces(s):
+    """Eigenspace bases by the loop `eigenspaces` replaced: every lift
+    applied again for each character, and every column at a coset
+    representative formed in full, kept when it is nonzero."""
+    lift = StabilizerLift(s)
+    n = 1 << s.k
+    ops = [lift.lift(c) for c in range(1 << s.w)]
+    reps, covered = [], set()
+    for u in range(n):
+        if u not in covered:
+            reps.append(u)
+            covered.update(u ^ g.a for g in ops)
+    out = []
+    for chi in range(1 << s.w):
+        cols = []
+        for u in reps:
+            col = [0] * n
+            for c, g in enumerate(ops):
+                v, sgn = g.apply_index(u)
+                col[v] += -sgn if (chi & c).bit_count() & 1 else sgn
+            if any(col):
+                cols.append(col)
+        assert len(cols) == 1 << (s.k - s.w)
+        out.append(Subspace(n, [[F(x) for x in col] for col in cols]))
+    return out
+
+
+@pytest.mark.parametrize("k,w", [(3, 3), (4, 4), (4, 3)])
+def test_eigenspaces_match_per_character_loop(k, w):
+    # Every member: the columns skipped by their diagonal entry are exactly
+    # the vanishing ones, and the kept ones give the same points.  The
+    # reference takes Fraction rows, so its points come from elimination.
+    for s in enumerate_isotropic(k, w).members:
+        assert eigenspaces(s).points == per_character_eigenspaces(s), s
+
+
+def test_eigenspaces_dimension_check_survives_optimize():
+    # A forged zero sign for the identity at e_0 makes the diagonal entry
+    # of a live column vanish.  For S = <X(1), X(2)> the lifts' X-parts
+    # cover F_2^2, so e_0 is the one representative and every character
+    # loses its only column: the dimension check must raise under -O.
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import sys\n"
+        "if __debug__: sys.exit(4)\n"
+        "from grassdex import clifford\n"
+        "from grassdex.binquad import IsoSubspace\n"
+        "apply_index = clifford.PauliOp.apply_index\n"
+        "def forged(op, u):\n"
+        "    v, sgn = apply_index(op, u)\n"
+        "    return (v, 0) if (op.a, op.b, u) == (0, 0, 0) else (v, sgn)\n"
+        "clifford.PauliOp.apply_index = forged\n"
+        "try:\n"
+        "    clifford.eigenspaces(IsoSubspace(2, [0b0001, 0b0010]))\n"
+        "except AssertionError as exc:\n"
+        "    sys.exit(0 if 'unexpected dimension' in str(exc) else 3)\n"
+        "sys.exit(5)\n")
+    proc = _run_python(code, "-O", path=here)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 4])

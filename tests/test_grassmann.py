@@ -7,11 +7,13 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from grassdex.clifford import clifford_generators
 from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_row,
                                rref, trace_pow)
 from grassdex import grassmann
@@ -858,6 +860,141 @@ def test_one_integer_row_is_its_line_key(vec):
     assert line.rows == int_rref([primitive_int_row(vec)], n)
     assert Subspace(n, [[F(x) for x in vec]]) == line
     assert Subspace(n, [[str(x) for x in vec]]) == line
+
+
+@st.composite
+def disjoint_support_rows(draw, n=None):
+    """(n, rows): integer rows whose supports are pairwise disjoint, as
+    `clifford.eigenspaces` builds them.  Each column belongs to one row or
+    to none; entries take either sign, so pivots may be negative, and a row
+    that owns no column is zero."""
+    if n is None:
+        n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
+    entry = st.integers(-2 ** 70, 2 ** 70).filter(bool)
+    rows = [[draw(entry) if owner[j] == i else 0 for j in range(n)]
+            for i in range(m)]
+    return n, rows
+
+
+def _subspace_or_error(n, rows, **kwargs):
+    try:
+        return Subspace(n, rows, **kwargs).rows
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@example((3, [[0, 0, -4], [-6, 0, 0]]), random.Random(0))
+@example((4, [[0, 2, 0, -2], [0, 0, 0, 0], [1, 0, 0, 0]]), random.Random(0))
+@given(disjoint_support_rows(), st.randoms(use_true_random=False))
+def test_disjoint_support_rows_take_sorted_line_keys(case, rng):
+    n, rows = case
+    ref = int_rref([primitive_int_row(r) for r in rows], n)
+    zero = not all(map(any, rows))
+    assert grassmann.disjoint_keys(rows, n) == (None if zero else ref)
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    for order in (rows, shuffled):
+        with mock.patch.object(grassmann, "int_rref", wraps=int_rref) as spy:
+            # Zero rows take elimination, which drops them for a span and
+            # refuses them otherwise.
+            if ref:
+                assert Subspace.span(n, order).rows == ref
+            else:
+                with pytest.raises(ValueError, match="positive dimension"):
+                    Subspace.span(n, order)
+            if zero:
+                with pytest.raises(ValueError):
+                    Subspace(n, order)
+            else:
+                point = Subspace(n, order)
+                assert point.rows == ref and point._given is None
+        assert spy.called == zero
+    # Fraction and string entries pay nothing for the fast path: they
+    # take elimination and give the same rows or the same refusal.
+    for conv in (F, str):
+        converted = [[conv(x) for x in r] for r in rows]
+        with mock.patch.object(grassmann, "int_rref", wraps=int_rref) as spy:
+            assert (_subspace_or_error(n, converted, allow_dependent=True)
+                    == _subspace_or_error(n, rows, allow_dependent=True))
+        assert spy.called
+    # Rows of the wrong length are refused as before.
+    with pytest.raises(ValueError, match="columns"):
+        Subspace(n + 1, rows)
+    if n > 1:
+        with pytest.raises(ValueError, match="columns"):
+            Subspace(n, rows[:-1] + [rows[-1][:-1]])
+
+
+@settings(max_examples=100, deadline=None)
+@example((3, [[1, 0, 0], [0, 0, 0], [-2, 3, 0]]), 0, 0)
+@given(disjoint_support_rows().filter(lambda c: len(c[1]) > 1),
+       st.integers(0, 7), st.integers(0, 3))
+def test_overlapping_supports_take_elimination(case, col, other):
+    # One more nonzero entry in another row's column makes two supports
+    # meet; elimination then gives the canonical rows.
+    n, rows = case
+    col %= n
+    owner = next((i for i, r in enumerate(rows) if r[col]), 0)
+    other = (owner + 1 + other % (len(rows) - 1)) % len(rows)
+    rows[owner][col] = rows[owner][col] or 1
+    rows[other][col] = -3
+    assert grassmann.disjoint_keys(rows, n) is None
+    ref = int_rref([primitive_int_row(r) for r in rows], n)
+    with mock.patch.object(grassmann, "int_rref", wraps=int_rref) as spy:
+        assert Subspace.span(n, rows).rows == ref
+        assert _subspace_or_error(n, rows) == (
+            ref if len(ref) == len(rows) else "basis rows are linearly dependent")
+    assert spy.call_count == 2
+
+
+def _h_first(k):
+    """`h_first` of `clifford_generators(k)`: S (x) I with S = [[1, 1],
+    [1, -1]], a two-layer butterfly."""
+    return next(g.matrix for g in clifford_generators(k)
+                if g.name == "h_first")
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_support_rows(n=8).filter(lambda c: any(map(any, c[1]))),
+       st.permutations(range(8)),
+       st.lists(st.sampled_from((1, -1)), min_size=8, max_size=8))
+def test_int_action_key_takes_line_keys_of_disjoint_images(case, perm, signs):
+    n, rows = case
+    rows = Subspace.span(n, rows).rows
+    signed = RatMatrix([[signs[i] if j == perm[i] else 0 for j in range(n)]
+                        for i in range(n)])
+    for g in (signed, _h_first(3)):
+        act = grassmann.IntAction(g)
+        images = [act.image(r) for r in rows]
+        expect = int_rref(images, n)
+        assert expect == Subspace(n, rows).transform(g).rows
+        keys = grassmann.disjoint_keys(images, n)
+        # A signed permutation keeps supports disjoint; the butterfly may
+        # not, and then the key falls back to elimination.
+        if g is signed:
+            assert keys == expect
+        else:
+            assert keys in (None, expect)
+        with mock.patch.object(grassmann, "int_rref", wraps=int_rref) as spy:
+            assert act.key(rows) == expect
+        assert spy.called == (keys is None and len(rows) > 1)
+        # An image that is zero falls back too.
+        if len(rows) > 1:
+            with mock.patch.object(grassmann, "int_rref",
+                                   wraps=int_rref) as spy:
+                assert act.key(rows + ((0,) * n,)) == expect
+            assert spy.called
+
+
+def test_int_action_key_overlapping_butterfly_image():
+    # h_first maps e_0 and e_4 to e_0 + e_4 and e_0 - e_4, which overlap.
+    act = grassmann.IntAction(_h_first(3))
+    rows = ((1,) + (0,) * 7, (0,) * 4 + (1,) + (0,) * 3)
+    assert grassmann.disjoint_keys([act.image(r) for r in rows], 8) is None
+    assert act.key(rows) == rows
 
 
 def triple_reference(points, tmax):
