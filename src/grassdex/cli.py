@@ -72,6 +72,12 @@ def cmd_verify(args, res: dict, caveats: list) -> int:
     _note(f"verifying {len(config)} points in G({config.m},{config.n}) "
           f"up to t={args.t}")
     report = grassmann.verify_design(config, tmax=args.t)
+    if report.frame:
+        rank, classes = report.frame
+        _note(f"pair engine in an orthogonal frame: rank {rank}, "
+              f"{classes} square class(es)")
+    else:
+        _note("frame declined: coordinates would be wider")
     res.update(report.to_json_dict())
     return 0 if report.is_design(args.t) else 1
 

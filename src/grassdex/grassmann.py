@@ -50,6 +50,17 @@ W / den is T_p^-T (W / den of the old bases) T_p^T, a similar matrix, so
 tr W / den = sigma and tr W^2 / den^2 = sum y_i^2 are unchanged and so is
 every pair key, whichever basis a point starts from.
 
+A Subspace keeps the rows it was given in for every m, and `verify_design`
+first rewrites a configuration in an exact orthogonal frame of its own span
+(`_frame_data`): frame vectors taken greedily from the given rows and made
+orthogonal by the same Gram-Schmidt, scaled to one norm per square class,
+and every row as its primitive integer coordinate row in them, with a
+diagonal metric.  sigma and sum y_i^2 are invariant under an isometry and a
+global scale of the metric, so every pair key stays the same, and a
+rationally rotated configuration returns to coordinates as small as its
+unrotated ones.  The frame is taken only when it narrows the rows the
+engine would read, and the verdict constants stay those of the ambient n.
+
 Every count site keys a pair by `_pair_key`: sigma = tr W / den and
 sum y_i^2 = tr W^2 / den^2 as gcd-reduced integer numerators and
 denominators.  Pairs at one angle share one key however their Gram
@@ -103,11 +114,12 @@ class Subspace:
     without any inner-product normalization.  `basis` is the same RREF
     basis as Fractions.
 
-    For m >= 3 a point built from m independent rows other than `rows` also
-    keeps them, as primitive integer rows (`_given`), for the pair engine
-    alone: sigma does not depend on the basis, and a given basis is often
-    far smaller after Gram-Schmidt than the RREF one (an orthogonal one
-    stays as it is).  Nothing else reads them.
+    A point built from m independent rows other than `rows`, for every m,
+    also keeps them, as primitive integer rows (`_given`), for the pair
+    engine alone: sigma does not depend on the basis, and a given basis is
+    often far smaller after Gram-Schmidt than the RREF one (an orthogonal
+    one stays as it is).  The m >= 3 engine and the orthogonal frame of
+    `verify_design` (`_frame_data`) read them; nothing else does.
 
     Nonzero integer rows with pairwise disjoint supports, such as the
     eigenspace bases of `clifford.eigenspaces`, skip elimination: their
@@ -136,8 +148,7 @@ class Subspace:
             canon = int_rref(ints, n)
             if not allow_dependent and len(canon) != len(ints):
                 raise ValueError("basis rows are linearly dependent")
-            given = (ints if len(canon) >= 3 and len(ints) == len(canon)
-                     and ints != canon else None)
+            given = ints if len(ints) == len(canon) and ints != canon else None
         if not canon:
             raise ValueError("subspace must have positive dimension")
         self.n = n
@@ -514,20 +525,29 @@ def _orthogonal(rec) -> tuple:
     same = left is right
     us, vs, gs = [], [], []
     for u, v in zip(left, right):
-        for ub, vb, gb in zip(us, vs, gs):
-            c = sum(map(mul, u, vb))
-            if c:
-                u = [gb * x - c * y for x, y in zip(u, ub)]
-                v = u if same else [gb * x - c * y for x, y in zip(v, vb)]
-                h = gcd(*u) if same else gcd(*u, *v)
-                if h > 1:
-                    u = [x // h for x in u]
-                    v = u if same else [x // h for x in v]
+        u, v = _reduce(u, v, us, vs, gs, same)
         us.append(u)
         vs.append(v)
         gs.append(sum(map(mul, u, v)))
     scale = lcm(*gs)
     return us, vs, [scale // g for g in gs], scale
+
+
+def _reduce(u, v, us, vs, gs, same: bool):
+    """(u, v) made orthogonal to the rows vs, us (u_b . v_b = g_b), one
+    fraction-free Gram-Schmidt step per earlier row, each dividing the pair
+    by its common content; v is u throughout when `same`.  The result is
+    zero exactly when u lies in the span of us."""
+    for ub, vb, gb in zip(us, vs, gs):
+        c = sum(map(mul, u, vb))
+        if c:
+            u = [gb * x - c * y for x, y in zip(u, ub)]
+            v = u if same else [gb * x - c * y for x, y in zip(v, vb)]
+            h = gcd(*u) if same else gcd(*u, *v)
+            if h > 1:
+                u = [x // h for x in u]
+                v = u if same else [x // h for x in v]
+    return u, v
 
 
 def _cross_rows(orth, rows) -> Counter:
@@ -1022,6 +1042,9 @@ class DesignReport:
     generators: int = 0
     orbits: Optional[int] = None
     examined: int = 0
+    # (rank, square classes) of the orthogonal frame `verify_design` ran the
+    # pair engine in, None when it kept the points; not part of the JSON.
+    frame: Optional[Tuple[int, int]] = None
 
     def is_design(self, t: int) -> bool:
         return self.t_stats[t].is_design
@@ -1045,9 +1068,90 @@ class DesignReport:
         }
 
 
+def _frame_coords(u, frame, mults) -> Tuple[List[int], int]:
+    """(y, h): the primitive integer coordinate row y of the row u in the
+    scaled frame (`_frame_data`), y_i = (u . f_i) mults_i / h, and the
+    content h divided out."""
+    z = [sum(map(mul, u, f)) * k for f, k in zip(frame, mults)]
+    h = gcd(*z)
+    return [x // h for x in z], h
+
+
+def _frame_data(config: Configuration) -> tuple:
+    """(data, frame): the points of `config` as the pair engine reads them,
+    with frame = (rank, square classes) when they are rewritten in an exact
+    orthogonal frame of their span, and the points as they are with frame
+    None otherwise.
+
+    The frame takes independent rows greedily from the rows each point was
+    given in (`Subspace._given`, else its canonical rows) and makes them
+    orthogonal by the fraction-free Gram-Schmidt of `_orthogonal`
+    (`_reduce`), until the rank is n or the rows run out.  A frame vector
+    f_i of norm N_i in the square class (`_square_classes`) with first
+    norm N_G stands for e_i = f_i sqrt(N_G / N_i), a rational multiple of
+    norm N_G.  A row u has the coordinates y_i = (u . f_i) / s_i in the
+    e_i, s_i = sqrt(N_i N_G) an integer, taken times L = lcm(s) and
+    divided by their content h; the metric is diag(N_G) over the gcd g of
+    the class norms.  Every row is certified by the Bessel equality
+    sum y_i^2 M_i g h^2 = |u|^2 L^2, which holds exactly when u lies in the
+    frame's span; a failure raises ArithmeticError.
+
+    sigma and sum y_i^2 do not change under an isometry, a global scale of
+    the metric or the scale of a row, so every `_pair_key` is the one the
+    points give.  The frame is used only when its coordinates and metric
+    have fewer bits than the widest entry of the rows the engine reads
+    otherwise (the given rows for m >= 3, the canonical rows for m <= 2);
+    ties keep the points.  A rationally rotated configuration so returns to
+    coordinates as small as its unrotated ones.
+    """
+    points = config.points
+    given = [p._given or p.rows for p in points]
+    frame, norms = [], []
+    for u in chain.from_iterable(given):
+        if len(frame) == config.n:
+            break
+        f, _ = _reduce(u, u, frame, frame, norms, True)
+        if any(f):
+            frame.append(f)
+            norms.append(sum(map(mul, f, f)))
+    classes = _square_classes(norms)
+    first = {i: g for g, members in classes.items() for i in members}
+    firsts = [first[i] for i in range(len(norms))]
+    roots = [isqrt(a * b) for a, b in zip(norms, firsts)]
+    scale = lcm(*roots)
+    g = gcd(*classes)
+    metric = [first // g for first in firsts]
+    mults = [scale // s for s in roots]
+    coords = []
+    for rows in given:
+        ys = []
+        for u in rows:
+            y, h = _frame_coords(u, frame, mults)
+            if (sum(x * x * a for x, a in zip(y, metric)) * g * h * h
+                    != sum(map(mul, u, u)) * scale * scale):
+                raise ArithmeticError("a row leaves the orthogonal frame")
+            ys.append(y)
+        coords.append(ys)
+    engine = given if config.m >= 3 else [p.rows for p in points]
+    width = max(abs(x).bit_length() for rows in engine for r in rows for x in r)
+    if max(abs(x).bit_length() for ys in coords for y in ys
+           for x in chain(y, metric)) >= width:
+        return points, None
+    r = len(frame)
+    gram = [[a if i == j else 0 for j in range(r)] for i, a in enumerate(metric)]
+    build = intdata_from_coords if config.m <= 2 else metric_rows
+    return [build(ys, gram) for ys in coords], (r, len(classes))
+
+
 def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
-    """Certify 2t-design status for each t <= tmax by exact pair averages."""
-    return design_report(config.points, config.m, config.n, tmax)
+    """Certify 2t-design status for each t <= tmax by exact pair averages,
+    with the points in an orthogonal frame of their span when that makes
+    them narrower (`_frame_data`; the report's `frame` says which).  The
+    verdict constants stay those of G(m, n) for the ambient n."""
+    data, frame = _frame_data(config)
+    report = design_report(data, config.m, config.n, tmax)
+    report.frame = frame
+    return report
 
 
 def design_report(data: Sequence, m: int, n: int, tmax: int,
@@ -1095,10 +1199,10 @@ def zonal_positivity(config: Configuration, mu: Partition) -> Rational:
     if mu.degree == 0:
         return Fraction(len(config)) ** 2
     poly = jacobi_p(mu, config.m, config.n)
-    return pair_stats(config.points, tmax=2).zonal_sum(poly)
+    return pair_stats(_frame_data(config)[0], tmax=2).zonal_sum(poly)
 
 
 def average_sigma_power(config: Configuration, t: int) -> Rational:
     """Exact pair average of sigma^t for arbitrary t >= 1."""
-    stats = pair_stats(config.points, tmax=t)
+    stats = pair_stats(_frame_data(config)[0], tmax=t)
     return stats.sigma_pow[t] / len(config) ** 2

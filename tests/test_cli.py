@@ -178,6 +178,24 @@ def test_verify_results_are_rotation_invariant(tmp_path, capsys, source):
         json.dumps(turned["results"], sort_keys=True)
 
 
+def test_verify_notes_the_frame(tmp_path, capsys):
+    # stderr says whether the pair engine ran in an orthogonal frame of the
+    # configuration's span; the note stays out of the report.
+    from test_grassmann import d4_line_vectors, householder_rotation, lines_config
+    cfg = lines_config(4, d4_line_vectors())
+    rot = RatMatrix(householder_rotation(random.Random(5), 4, factors=3))
+    rotated = Configuration(4, [p.transform(rot) for p in cfg.points])
+    path = tmp_path / "lines.json"
+    for c, note in ((cfg, "frame declined: coordinates would be wider"),
+                    (rotated, "pair engine in an orthogonal frame: rank 4, "
+                              "2 square class(es)")):
+        path.write_text(json.dumps(c.to_json_dict()), encoding="utf-8")
+        assert main(["verify", str(path), "--t", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert note in err.splitlines()
+        assert note not in out
+
+
 def test_workers_option_is_a_usage_error(capsys):
     # Every engine runs in one process; there is no worker option.
     for argv in (["verify", "cfg.json"], ["lattice", "D4"],

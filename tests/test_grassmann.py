@@ -18,8 +18,9 @@ from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_
                                rref, trace_pow)
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
-                                _count_rows, _cross_rows, _packed_counts,
-                                average_sigma_power, certified_orbits,
+                                _count_rows, _cross_rows, _frame_data,
+                                _packed_counts, average_sigma_power,
+                                certified_orbits, design_report,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
                                 zonal_positivity)
@@ -808,12 +809,12 @@ def test_given_rows_serve_the_orbit_rows():
 def test_only_independent_given_rows_are_kept():
     rows = [[1, 2, 0, 0, 1, 0], [0, 1, 3, 0, 0, 0], [2, 0, 0, 1, 0, 1]]
     assert Subspace.span(6, rows)._given == tuple(map(tuple, rows))
-    # A dependent span, a canonical basis and lines or planes keep none.
+    # A dependent span and a canonical basis keep none; planes keep theirs.
     extra = [sum(col) for col in zip(*rows)]
     span = Subspace.span(6, rows + [extra])
     assert span._given is None and span == Subspace(6, rows)
     assert Subspace(6, Subspace(6, rows).rows)._given is None
-    assert Subspace(6, rows[:2])._given is None
+    assert Subspace(6, rows[:2])._given == tuple(map(tuple, rows[:2]))
     # Primitive rows: scaling a given row changes nothing.
     halves = [[F(x, 2) for x in rows[0]]] + rows[1:]
     assert Subspace(6, halves)._given == Subspace(6, rows)._given
@@ -1177,4 +1178,118 @@ def test_cli_and_pair_engine_leave_numpy_unimported():
         "pair_stats(planes)\n"
         "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
     proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@st.composite
+def frame_configurations(draw):
+    """(n, bases, rotation): bases of points of G(m, n), m = 1..4, with small
+    entries in their first r coordinates, m <= r <= n, so that the span can
+    have rank below n, some of them repeated; the rotation, an integer
+    Householder product or None, turns every point."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * m, 8))
+    r = draw(st.integers(m, n))
+    rows = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    bases = [[row + [0] * (n - r) for row in
+              draw(st.lists(rows, min_size=m, max_size=m))]
+             for _ in range(draw(st.integers(1, 4)))]
+    bases += draw(st.lists(st.sampled_from(bases), max_size=2))
+    rotation = None
+    if draw(st.booleans()):
+        rotation = householder_rotation(random.Random(draw(st.integers(0, 2 ** 16))),
+                                        n, draw(st.integers(1, 3)))
+    return n, bases, rotation
+
+
+def frame_taken(config, tmax=3) -> bool:
+    """Asserts that the frame data give the points' pair statistics and that
+    `verify_design` and `average_sigma_power` give their design report and
+    averages; True when the frame was taken."""
+    data, frame = _frame_data(config)
+    ours, theirs = pair_stats(data, tmax), pair_stats(config.points, tmax)
+    assert ours.distribution == theirs.distribution
+    assert ours.sigma_pow == theirs.sigma_pow
+    assert (average_sigma_power(config, tmax)
+            == theirs.sigma_pow[tmax] / len(config) ** 2)
+    report = verify_design(config, tmax)
+    assert report.frame == frame
+    assert report.to_json_dict() == design_report(
+        config.points, config.m, config.n, tmax).to_json_dict()
+    return frame is not None
+
+
+def test_frame_keeps_every_pair_statistic():
+    taken = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(frame_configurations())
+    def check(case):
+        n, bases, rotation = case
+        try:
+            points = [Subspace(n, b) for b in bases]
+        except ValueError:
+            assume(False)
+        if rotation:
+            points = [p.transform(RatMatrix(rotation)) for p in points]
+        taken.add(frame_taken(Configuration(n, points)))
+
+    check()
+    assert taken == {False, True}
+
+
+def test_frame_declines_two_square_classes(monkeypatch):
+    # Gram-Schmidt turns the lines' rows into frame norms 3, 6 and 1, three
+    # square classes; the metric diag(3, 6, 1) / 1 is wider than the rows'
+    # single bit, so the points stay as they are.
+    found = []
+    classes = grassmann._square_classes
+    monkeypatch.setattr(grassmann, "_square_classes",
+                        lambda dets: found.append(classes(dets)) or found[-1])
+    cfg = lines_config(6, [[1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+                           [0, 0, 0, 1, 0, 0], [1, 0, 0, 1, 0, 0]] * 2)
+    assert not frame_taken(cfg)
+    assert len(found[0]) == 3
+
+
+def test_frame_ties_keep_the_points():
+    # The axes are their own frame: coordinates and metric as narrow as
+    # the rows, so the points stay as they are.
+    cfg = lines_config(4, [[int(i == j) for j in range(4)] for i in range(4)])
+    data, frame = _frame_data(cfg)
+    assert frame is None and data is cfg.points
+
+
+def _corrupted_frame_raises() -> bool:
+    """True when `verify_design` raises ArithmeticError on a frame whose
+    coordinate rows are each one off in their first entry."""
+    coords = grassmann._frame_coords
+
+    def corrupted(u, frame, mults):
+        y, h = coords(u, frame, mults)
+        return [y[0] + 1] + y[1:], h
+
+    rot = RatMatrix(householder_rotation(random.Random(5), 4, factors=3))
+    cfg = lines_config(4, d4_line_vectors())
+    rotated = Configuration(4, [p.transform(rot) for p in cfg.points])
+    assert verify_design(rotated).frame
+    with mock.patch.object(grassmann, "_frame_coords", corrupted):
+        try:
+            verify_design(rotated)
+        except ArithmeticError:
+            return True
+    return False
+
+
+def test_frame_certificate_raises():
+    assert _corrupted_frame_raises()
+
+
+def test_frame_certificate_raises_under_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "if __debug__: sys.exit(4)\n"
+            "from test_grassmann import _corrupted_frame_raises\n"
+            "sys.exit(0 if _corrupted_frame_raises() else 3)\n")
+    proc = _run_python(code, "-O", path=here)
     assert proc.returncode == 0, proc.stderr

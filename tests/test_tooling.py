@@ -63,9 +63,9 @@ def test_benchmark_digests_in_process(capsys):
 
 
 def test_rotated_benchmark_inputs_keep_their_digests(capsys, tmp_path):
-    # `verify` on two seeded rotations of both `verify-rotated` bases: the
-    # rotated rows are what the m >= 3 cross engine and the shared scales
-    # of the packed engine see in the benchmark.
+    # `verify` on two seeded rotations of both `verify-rotated` bases, as
+    # the benchmark runs them; stderr must show that the pair engine ran in
+    # the orthogonal frame that returns them to small coordinates.
     run = _load_run()
     expected = json.loads(run.EXPECTED.read_text(encoding="utf-8"))
     for seed in (1, 2):
@@ -75,7 +75,9 @@ def test_rotated_benchmark_inputs_keep_their_digests(capsys, tmp_path):
                 run.rotate.load(run.DATA / fname), seed), path)
             key = f"verify-rotated/{base}"
             code = main(["verify", str(path), "--t", str(t)])
-            report = json.loads(capsys.readouterr().out)
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            assert "pair engine in an orthogonal frame" in err, (key, seed)
             assert code == expected[key]["exit"], (key, seed)
             assert run.results_digest(report["results"]) == (
                 expected[key]["digest"]), (key, seed)
