@@ -27,18 +27,12 @@ divided by r_p, the rational square root of d_p / d_G for the class's
 first determinant d_G; then each field is divided by its content over the
 class.  This writes sigma = <P_p, P_q> (Conway, Hardin and Sloane 1996)
 over a shared denominator, so pairs at one angle give equal integers.  The
-decision is one per configuration: if sharing would pack a wider slot than
-per-point scales, every point keeps its own scale instead.  The scales
-re-enter once per pair of scales and distinct value, when the pair is
-keyed.
+scales re-enter once per pair of classes and distinct value, when the pair
+is keyed.
 
 For m >= 3 each point's rows are first made orthogonal in the record's own
 metric by a fraction-free Gram-Schmidt (integer only, content divided out
-at each step; `_orthogonal`).  A Subspace hands over the rows it was given
-in, as primitive integer rows, when they are m independent rows, and its
-canonical rows otherwise: Gram-Schmidt about doubles the bit size of a
-basis far from orthogonal, such as RREF rows of a rotated space, and keeps
-an orthogonal one as it is.  The new rows u_a, v_a have a diagonal Gram
+at each step; `_orthogonal`).  The new rows u_a, v_a have a diagonal Gram
 g_a, so adj(G) / det G becomes diag(w) / l with l = lcm(g) and weights
 w_a = l / g_a.  With the cross entries C_ab = u_a(p) . v_b(q):
 
@@ -50,8 +44,14 @@ W / den is T_p^-T (W / den of the old bases) T_p^T, a similar matrix, so
 tr W / den = sigma and tr W^2 / den^2 = sum y_i^2 are unchanged and so is
 every pair key, whichever basis a point starts from.
 
-A Subspace keeps the rows it was given in for every m, and `verify_design`
-first rewrites a configuration in an exact orthogonal frame of its own span
+Every engine reads a Subspace in the rows it was given in, as primitive
+integer rows, when they are m independent rows, and in its canonical rows
+otherwise (`Subspace.int_data`).  No key depends on the basis: the m <= 2
+fields are P_p and the top wedge over sqrt d_p, which a new basis keeps up
+to sign, and the m >= 3 W is similar.  Gram-Schmidt about doubles the bit
+size of a basis far from orthogonal, such as RREF rows of a rotated space,
+and keeps an orthogonal one as it is.  `verify_design` first rewrites a
+configuration in an exact orthogonal frame of its own span
 (`_frame_data`): frame vectors taken greedily from the given rows and made
 orthogonal by the same Gram-Schmidt, scaled to one norm per square class,
 and every row as its primitive integer coordinate row in them, with a
@@ -114,12 +114,12 @@ class Subspace:
     without any inner-product normalization.  `basis` is the same RREF
     basis as Fractions.
 
-    A point built from m independent rows other than `rows`, for every m,
-    also keeps them, as primitive integer rows (`_given`), for the pair
-    engine alone: sigma does not depend on the basis, and a given basis is
-    often far smaller after Gram-Schmidt than the RREF one (an orthogonal
-    one stays as it is).  The m >= 3 engine and the orthogonal frame of
-    `verify_design` (`_frame_data`) read them; nothing else does.
+    A point built from m independent rows other than `rows` also keeps
+    them, as primitive integer rows (`_given`), for the pair engine alone:
+    sigma does not depend on the basis, and a given basis is often far
+    smaller after Gram-Schmidt than the RREF one (an orthogonal one stays
+    as it is).  Every engine (`int_data`, the m >= 3 rows of `pair_stats`)
+    and the orthogonal frame of `verify_design` (`_frame_data`) read them.
 
     Nonzero integer rows with pairwise disjoint supports, such as the
     eigenspace bases of `clifford.eigenspaces`, skip elimination: their
@@ -177,10 +177,12 @@ class Subspace:
         """(left rows, right rows, adjugate of Gram, det Gram), all integer.
 
         The pair engine forms cross matrices as left_i @ right_j^T; for
-        ambient subspaces both factors are the canonical integer rows.
+        ambient subspaces both factors are the given rows, else the
+        canonical ones.
         """
         if self._intdata is None:
-            self._intdata = intdata(self.rows, self.rows)
+            rows = self._given or self.rows
+            self._intdata = intdata(rows, rows)
         return self._intdata
 
     def projector(self) -> RatMatrix:
@@ -384,12 +386,10 @@ class _PackedColumns:
 
     Each point carries one integer vector per field and a class index, the
     index of its scale (`_shared_scales`: one per square class of Gram
-    determinants, or one per point throughout the configuration if sharing
-    would widen the slot).
-    Slot j of sum_k x[k] * col_k + base holds, for each field f,
-    x_f . y_f(j) + 2^(bits_f - 1) in bits [shift_f, shift_f + bits_f), and
-    class j above the fields, so a row's pairs at equal values against one
-    class give equal slots.  Over the rows the engine will use,
+    determinants).  Slot j of sum_k x[k] * col_k + base holds, for each
+    field f, x_f . y_f(j) + 2^(bits_f - 1) in bits [shift_f, shift_f +
+    bits_f), and class j above the fields, so a row's pairs at equal values
+    against one class give equal slots.  Over the rows the engine will use,
     |x_f . y_f| <= max|x_f| max|y_f| < 2^(bits_f - 1) (Euclidean norms), so
     each field stays in its bits.  A block holds whole groups of `group`
     consecutive columns, so a point's m columns share one block.
@@ -467,12 +467,11 @@ def _packed_counts(data) -> Counter:
     """`_count_rows` over all pairs i < j for m <= 2, from packed inner
     products: each distinct slot is decoded once and keyed by `_pair_key`.
 
-    Every field is scaled per square class of Gram determinants, or per
-    point when that packs a narrower slot, one decision for the whole
-    configuration (`_shared_scales`).  Within a class pairs at one angle
-    share one slot, and the scales re-enter once per slot, with its row and
-    column classes, before the pair is keyed.  Needs the cross matrices
-    symmetric in the pair (L_p R_q^T = (L_q R_p^T)^T), as for all data from
+    Every field is scaled per square class of Gram determinants
+    (`_shared_scales`).  Within a class pairs at one angle share one slot,
+    and the scales re-enter once per slot, with its row and column classes,
+    before the pair is keyed.  Needs the cross matrices symmetric in the
+    pair (L_p R_q^T = (L_q R_p^T)^T), as for all data from
     `Subspace.int_data` and `intdata_from_coords`, and every det G > 0.
     """
     counts = Counter()
@@ -609,11 +608,8 @@ def _square_classes(dets) -> Dict[int, List[int]]:
 
 
 def _shared_scales(sides, dets):
-    """One (vectors, scales) pair per side of the packed engine, from one
-    decision per configuration: each square class of points
-    (`_square_classes`) shares one scale, unless that packs a wider slot
-    than per-point scales (`_slot_layout` on both; ties go to sharing), and
-    then every point keeps its own.
+    """One (vectors, scales) pair per side of the packed engine, in which
+    each square class of points (`_square_classes`) shares one scale.
 
     `sides[s][p]` holds point p's integer field vectors on side s (rows,
     columns): its projector field (value v / d_p) first for planes, its top
@@ -624,18 +620,13 @@ def _shared_scales(sides, dets):
     is a rational square, the top wedge is taken as v / r_p.  D is the lcm
     of the class's denominators and k the content of the scaled field over
     the class, so equal values give equal vectors.
-
-    A point's own scale is that form for a class of one point: with g_f the
-    content of field f, (d_p, ((g_0 / h, d_p / h), (g_1, 1))) for planes,
-    h = gcd(g_0, d_p), and (d_p, ((g, 1),)) for lines.
     """
-    prims = [[[_content(v) for v in lift] for lift in side] for side in sides]
-    vectors = [[[v for v, _ in point] for point in prim] for prim in prims]
     wedge = len(sides[0][0]) - 1
     classes = _square_classes(dets)
-    # Per side and point: (multiplier per field, the class's scale).
-    shared = [[None] * len(dets) for _ in sides]
-    for prim, out in zip(prims, shared):
+    out = []
+    for side in sides:
+        prim = [[_content(v) for v in lift] for lift in side]
+        vectors, scales = [None] * len(dets), [None] * len(dets)
         for dg, points in classes.items():
             mults, scale = [], []
             for f in range(wedge + 1):
@@ -653,32 +644,11 @@ def _shared_scales(sides, dets):
                 mults.append([x // k for x in m])
                 scale.append((k, big))
             for p, ms in zip(points, zip(*mults)):
-                out[p] = ms, (dg, tuple(scale))
-    if any(x != 1 for side in shared for ms, _ in side for x in ms):
-        # Lengths are read only here: with every multiplier 1 the shared
-        # slot packs the per-point vectors in no more column classes.
-        lengths = [[[sum(map(mul, v, v)) for v in point] for point in side]
-                   for side in vectors]
-        grown = [[[n * x * x for n, x in zip(point, ms)]
-                  for point, (ms, _) in zip(side, found)]
-                 for side, found in zip(lengths, shared)]
-        own = [[(d, tuple((g, 1) if f == wedge else
-                          (g // gcd(g, d), d // gcd(g, d))
-                          for f, (_, g) in enumerate(point)))
-                for d, point in zip(dets, prim)] for prim in prims]
-
-        def width(norms, keys):
-            return _slot_layout(*([max(f) for f in zip(*side)] for side in norms),
-                                len(set(keys)))[1]
-
-        if width(grown, [key for _, key in shared[1]]) > width(lengths, own[1]):
-            return list(zip(vectors, own))
-        vectors = [[[v if x == 1 else [x * y for y in v]
-                     for v, x in zip(point, ms)]
-                    for point, (ms, _) in zip(side, found)]
-                   for side, found in zip(vectors, shared)]
-    return [(side, [key for _, key in found])
-            for side, found in zip(vectors, shared)]
+                vectors[p] = [v if x == 1 else [x * y for y in v]
+                              for (v, _), x in zip(prim[p], ms)]
+                scales[p] = dg, tuple(scale)
+        out.append((vectors, scales))
+    return out
 
 
 def _content(vec) -> Tuple[List[int], int]:
@@ -880,15 +850,15 @@ def pair_stats(points: Sequence, tmax: int = 3,
     """The exact pair distribution and its sigma-power totals over all
     ordered pairs.
 
-    `points` may be Subspace instances or raw int-data tuples; for m >= 3
-    only their left and right rows are read (`metric_rows`).  Lines and
-    planes take the packed engine (`_packed_counts`).  For m >= 3 every
-    point's rows are first made orthogonal in its own metric
-    (`_orthogonal`), from the rows a Subspace was given in when it keeps
-    them (`Subspace._given`) and its canonical rows otherwise, and the
-    packed cross engine (`_cross_rows`) keys every pair.  The module
-    docstring gives both engines' identities, and why no key depends on
-    the basis a point starts from.  Every engine runs in this process.
+    `points` may be Subspace instances, read in the rows they were given
+    in (`Subspace._given`, else their canonical rows), or raw int-data
+    tuples; for m >= 3 only their left and right rows are read
+    (`metric_rows`).  Lines and planes take the packed engine
+    (`_packed_counts`).  For m >= 3 every point's rows are first made
+    orthogonal in its own metric (`_orthogonal`), and the packed cross
+    engine (`_cross_rows`) keys every pair.  The module docstring gives
+    both engines' identities, and why no key depends on the basis a point
+    starts from.  Every engine runs in this process.
 
     `orbits`, {list index of a point of the orbit: its size, multiplicity
     counted}, are the orbits of a group G that permutes the points and
@@ -1099,10 +1069,9 @@ def _frame_data(config: Configuration) -> tuple:
     sigma and sum y_i^2 do not change under an isometry, a global scale of
     the metric or the scale of a row, so every `_pair_key` is the one the
     points give.  The frame is used only when its coordinates and metric
-    have fewer bits than the widest entry of the rows the engine reads
-    otherwise (the given rows for m >= 3, the canonical rows for m <= 2);
-    ties keep the points.  A rationally rotated configuration so returns to
-    coordinates as small as its unrotated ones.
+    have fewer bits than the widest entry of the same given rows, which the
+    engine reads otherwise; ties keep the points.  A rationally rotated
+    configuration so returns to coordinates as small as its unrotated ones.
     """
     points = config.points
     given = [p._given or p.rows for p in points]
@@ -1132,8 +1101,7 @@ def _frame_data(config: Configuration) -> tuple:
                 raise ArithmeticError("a row leaves the orthogonal frame")
             ys.append(y)
         coords.append(ys)
-    engine = given if config.m >= 3 else [p.rows for p in points]
-    width = max(abs(x).bit_length() for rows in engine for r in rows for x in r)
+    width = max(abs(x).bit_length() for rows in given for r in rows for x in r)
     if max(abs(x).bit_length() for ys in coords for y in ys
            for x in chain(y, metric)) >= width:
         return points, None

@@ -209,8 +209,8 @@ class SectionSet:
     """Minimal m-sections, each a basis of integer coordinate rows (`coords`)
     whose Gram determinant is delta.  `gram_int` is the lattice's integer
     Gram multiple, from which `records` are built.  `gvecs` maps each
-    candidate vector of the search (for m >= 2 of either sign, as images
-    and saturated rows may be negated) to its row G c^T for `records`.
+    candidate vector of an m >= 2 search, of either sign (images and
+    saturated rows may be negated), to its row G c^T for `records`.
 
     The search also reports how it went: `generators` candidate
     automorphisms (`coordinate_automorphisms`), of which the first
@@ -316,7 +316,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     H-orbits, and it certifies the orbit rows of `section_design_report`.
     With no candidate, or a refused one, every vector is its own orbit,
     the closure has no matrix to apply, and this is the exhaustive search,
-    with `orbits` None.  The rows G c^T the search formed go to
+    with `orbits` None.  The rows G c^T an m >= 2 search formed go to
     `SectionSet.gvecs`.
     """
     r = lattice.rank
@@ -351,8 +351,6 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     cvecs = [c for _, c in vecs]
     nv = len(cvecs)
     lam_q = int(lam * s)
-    # G c^T for each candidate c (G symmetric).
-    gvecs = list(map(tuple, _rows_times(cvecs, gi)))
     # Orbits of the candidate lines under the candidates, in order.  A
     # root is its orbit's least index, so orbits are processed in the
     # order of their first vectors.  Lines need no closure tables.
@@ -364,9 +362,10 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
                   else dict(Counter(map(lines.root, range(nv)))))
         return SectionSet(1, lam, [(c,) for c in cvecs], lam, True, lam, gi,
                           orbits=orbits, generators=count, examined=examined,
-                          lines=nv, line_orbits=lines.left,
-                          gvecs=dict(zip(cvecs, gvecs)))
+                          lines=nv, line_orbits=lines.left)
     firsts = [i for i in range(nv) if lines.root(i) == i]
+    # G c^T for each candidate c (G symmetric).
+    gvecs = list(map(tuple, _rows_times(cvecs, gi)))
 
     # Determinants below are of integer Grams, s^m times the true ones; the
     # norm cap is floor(s * cap), compared with the integer norms.

@@ -540,43 +540,30 @@ def test_equal_angles_share_one_slot(monkeypatch):
     assert len(decoded) <= 2 * len(counts)
 
 
-def test_shared_scale_never_widens_the_slot(monkeypatch):
-    # Square norms 5^2, 7^2, 13^2, 17^2: one square class, but a shared
-    # scale multiplies the vectors by 1547, 1105, 595 and 455.  Per point
-    # the slot holds |x . y| <= 289 in 10 bits and 4 classes in 2 bits.
-    widths = []
+def scales_of(data):
+    """The scales `_shared_scales` gives the columns of line data."""
+    lines = [[left[0]] for left, *_ in data]
+    return grassmann._shared_scales([lines, lines], [d for *_, d in data])[1][1]
 
-    class Recording(grassmann._PackedColumns):
-        def __init__(self, fields, classes):
-            super().__init__(fields, classes)
-            widths.append(8 * self.nbytes)
 
-    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+def test_shared_scale_multiplies_one_square_class():
+    # Square norms 5^2, 7^2, 13^2, 17^2: one square class, whose shared
+    # scale multiplies the vectors by 1547, 1105, 595 and 455.
     data = [Subspace.line(v).int_data()
             for v in ([3, 4, 0], [2, 3, 6], [5, 0, 12], [8, 9, 12])]
     assert _packed_counts(data) == pair_loop(data)
-    assert widths == [16]
+    assert len(set(scales_of(data))) == 1
 
 
-def test_one_scale_decision_for_two_square_classes(monkeypatch):
-    # The four lines above, whose shared scale would widen the slot, and
-    # three lines of norm 2, a second square class that shares without a
-    # multiplier.  One decision covers both classes: per point the slot
-    # holds |x . y| <= 289 in 10 bits and 5 classes in 3 bits.
-    widths = []
-
-    class Recording(grassmann._PackedColumns):
-        def __init__(self, fields, classes):
-            super().__init__(fields, classes)
-            widths.append(8 * self.nbytes)
-
-    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+def test_two_square_classes_keep_two_scales():
+    # The four lines above and three lines of norm 2, a second square class
+    # that shares without a multiplier: one scale per class.
     data = [Subspace.line(v).int_data()
             for v in ([3, 4, 0], [1, 1, 0], [2, 3, 6], [5, 0, 12], [1, 0, -1],
                       [8, 9, 12], [0, 1, 1])]
     assert len(grassmann._square_classes([d for *_, d in data])) == 2
     assert _packed_counts(data) == pair_loop(data)
-    assert widths == [16]
+    assert len(set(scales_of(data))) == 2
 
 
 def assert_cross_matches_loop(data, rows):
@@ -733,11 +720,12 @@ def turned(rows, rot):
 
 @st.composite
 def given_bases(draw):
-    """(n, bases) for m = 3..5 subspaces of R^n, n up to 12, each written in
+    """(n, bases) for m = 1..5 subspaces of R^n, n up to 12, each written in
     a basis other than its canonical rows: a unimodular mix of small rows,
     scaled rows of an integer Householder product (an orthogonal basis), or
-    small rows turned by one."""
-    m = draw(st.integers(3, 5))
+    small rows turned by one.  A line's integer row is read as its line
+    key, so lines come as Fractions, which keep a negative pivot."""
+    m = draw(st.integers(1, 5))
     n = draw(st.integers(m + 1, 12))
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
     small = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
@@ -747,7 +735,7 @@ def given_bases(draw):
     for kind in draw(st.lists(kinds, min_size=2, max_size=6)):
         if kind == "mix":
             rows = draw(small)
-            for _ in range(draw(st.integers(1, 6))):
+            for _ in range(draw(st.integers(1, 6)) if m > 1 else 0):
                 a, b = rng.sample(range(m), 2)
                 c = rng.choice((-3, -2, -1, 1, 2, 3))
                 rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
@@ -759,21 +747,24 @@ def given_bases(draw):
             rows = turned(draw(small), householder_rotation(rng, n, 2))
         bases.append(rows)
     bases += draw(st.lists(st.sampled_from(bases), max_size=2))
+    if m == 1:
+        bases = [[[F(x) for x in row] for row in rows] for rows in bases]
     return n, bases
 
 
 @settings(max_examples=40, deadline=None)
 @given(given_bases())
 def test_given_rows_leave_every_pair_key(case):
-    # The m >= 3 engine orthogonalizes the rows a point was given in; the
-    # same points rebuilt from their canonical rows, and the _pair_w loop,
-    # give the same keys.
+    # Every engine reads the rows a point was given in (the m >= 3 one
+    # orthogonalizes them); the same points rebuilt from their canonical
+    # rows, and the _pair_w loop, give the same keys.
     n, bases = case
     try:
         points = [Subspace(n, b) for b in bases]
     except ValueError:
         assume(False)
     assume(any(p._given is not None for p in points))
+    assert all(p.int_data()[0] == (p._given or p.rows) for p in points)
     canonical = [Subspace(n, p.rows) for p in points]
     assert all(p == q and hash(p) == hash(q) and q._given is None
                for p, q in zip(points, canonical))

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from grassdex.cli import build_parser, main
+from grassdex.grassmann import Configuration
 from grassdex.lattice import catalog, minimal_sections
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +128,27 @@ def test_readme_lattice_section_runs_keep_their_digests(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert run.results_digest(json.loads(out)["results"]) == digest
+
+
+def test_verify_on_given_plane_rows_keeps_its_digest(capsys, tmp_path):
+    # Twelve random planes in R^6 with entries in [-2, 2]: each point keeps
+    # its given rows, which are not its canonical ones, and the frame would
+    # widen them, so the pair engine reads the points themselves.  The
+    # digest was recorded when the m <= 2 engine read the canonical rows.
+    rng = random.Random(1)
+    points = [[[rng.randint(-2, 2) for _ in range(6)] for _ in range(2)]
+              for _ in range(12)]
+    path = tmp_path / "planes.json"
+    path.write_text(json.dumps({"n": 6, "m": 2, "points": points}),
+                    encoding="utf-8")
+    config = Configuration.from_json_dict({"n": 6, "m": 2, "points": points})
+    assert all(p._given is not None for p in config)
+    run = _load_run()
+    assert main(["verify", str(path), "--t", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "frame declined" in err
+    assert run.results_digest(json.loads(out)["results"]) == (
+        "7d325d56f7632d64e02af909a36be07c0553afac4f32e8cc3c458bfd09886224")
 
 
 def test_traced_entry_points_resolve():
