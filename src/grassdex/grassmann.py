@@ -77,8 +77,14 @@ the next and every count is exact.  Planes pack tr W and det C, and every
 slot also holds its column point's class, so one integer per pair is
 counted: pairs at one angle between two classes share one slot, which
 `Counter.update` counts in C and which is decoded and keyed once.  For
-m >= 3 the columns are the m rows v_b of each point, so each row u_a of a
-point gives its C_ab against a whole block at once.
+m >= 3 the columns are the m rows v_b of each point, each slot holding the
+point's weight class (w, l), so each row u_a of p gives its C_ab against a
+whole block at once, as one byte record of m slots per column point q.
+The m records of a pair, zipped, are one record of all of C and q's class:
+`Counter.update` counts one record per pair in C, with one counter per
+row class (w_p, l_p), and each distinct record is decoded and keyed once.
+Pairs at one angle often share C, as integer data of one angle class do on
+the m <= 2 side, so far fewer records than pairs are keyed.
 
 When a group G permutes the configuration X, the ordered-pair distribution
 is a sum over G-orbits O of |O| times one row, a representative of O
@@ -97,7 +103,7 @@ from fractions import Fraction
 from itertools import chain, compress, cycle, repeat
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, neg
-from struct import calcsize
+from struct import Struct, calcsize
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import (RatMatrix, Rational, adjugate, int_rref, json_rows,
@@ -384,9 +390,9 @@ class _PackedColumns:
     """Column points packed so that one multiply-add per coordinate gives a
     row's inner products with a whole block of them.
 
-    Each point carries one integer vector per field and a class index, the
-    index of its scale (`_shared_scales`: one per square class of Gram
-    determinants).  Slot j of sum_k x[k] * col_k + base holds, for each
+    Each point carries one integer vector per field and a class index: for
+    m <= 2 the index of its scale (`_shared_scales`: one per square class
+    of Gram determinants), for m >= 3 of its weights (w, l).  Slot j of sum_k x[k] * col_k + base holds, for each
     field f, x_f . y_f(j) + 2^(bits_f - 1) in bits [shift_f, shift_f +
     bits_f), and class j above the fields, so a row's pairs at equal values
     against one class give equal slots.  Over the rows the engine will use,
@@ -425,17 +431,24 @@ class _PackedColumns:
             self.blocks.append((j0, cols, base, len(block)))
 
     def row(self, x, start: int):
-        """The slots of columns j >= start, one sequence per block; x is the
-        row's field vectors concatenated."""
+        """The slots of columns j >= start as little-endian bytes, `nbytes`
+        per slot, one memoryview per block; x is the row's field vectors
+        concatenated.  `slots` reads them as integers; the m >= 3 engine
+        cuts them into records of m slots, one per column point, and
+        decodes only the distinct ones."""
         nb = self.nbytes
         for j0, cols, base, size in self.blocks[start // self.per_block:]:
             raw = sum(map(mul, x, cols), base).to_bytes(size * nb, "little")
-            lo = max(start - j0, 0)
-            if self.fmt:
-                yield memoryview(raw).cast(self.fmt)[lo:]
-            else:
-                yield [int.from_bytes(raw[o:o + nb], "little")
-                       for o in range(lo * nb, size * nb, nb)]
+            yield memoryview(raw)[max(start - j0, 0) * nb:]
+
+    def slots(self, raw):
+        """The slot integers of packed bytes: read in place when the slot
+        width is a native format, else one `int.from_bytes` per slot."""
+        if self.fmt:
+            return memoryview(raw).cast(self.fmt)
+        nb = self.nbytes
+        return [int.from_bytes(raw[o:o + nb], "little")
+                for o in range(0, len(raw), nb)]
 
     def decode(self, slot: int) -> Tuple[int, List[int]]:
         """(class, field values) of a slot."""
@@ -454,8 +467,8 @@ def _packed_pairs(fields, row_keys, col_keys):
     for i in range(len(row_keys) - 1):
         x = [v for xs, _ in fields for v in xs[i]]
         counter = by_row[row_keys[i]]
-        for slots in packed.row(x, i + 1):
-            counter.update(slots)
+        for raw in packed.row(x, i + 1):
+            counter.update(packed.slots(raw))
     kinds = list(classes)
     for key, counter in by_row.items():
         for slot, k in counter.items():
@@ -551,45 +564,65 @@ def _reduce(u, v, us, vs, gs, same: bool):
 
 def _cross_rows(orth, rows) -> Counter:
     """`_count_rows` for the records `orth` (`_orthogonal`), from packed
-    cross entries C_ab = u_a(p) . v_b(q).
+    cross entries C_ab = u_a(p) . v_b(q): one record counted per pair, each
+    distinct record keyed once.
 
-    Column (q, b) holds v_b(q), so one multiply-add per coordinate gives
-    C_ab against a block of points for each row a of p; each pair then
-    takes H, tr W and tr W^2 by the identities of the module docstring and
-    `_pair_key` gives the loop's keys.  Needs U_q V_p^T = (U_p V_q^T)^T, a
-    symmetric metric, as for all data from `Subspace.int_data` and
-    `intdata_from_coords`.
+    Column (q, b) holds v_b(q) and q's weight class, the index of (w_q,
+    l_q), so one multiply-add per coordinate gives C_ab against a block of
+    points for each row a of p.  Each of the m byte strings is cut into
+    records of m slots, one per q; zipped over a they give one record per
+    pair, all of C with q's class, which `Counter.update` counts in C, one
+    counter per row class (w_p, l_p) and a row of weight k counted k times.
+    Each distinct record is then decoded exactly, takes H, tr W and tr W^2
+    by the identities of the module docstring, and `_pair_key` gives the
+    loop's keys.  Needs U_q V_p^T = (U_p V_q^T)^T, a symmetric metric, as
+    for all data from `Subspace.int_data` and `intdata_from_coords`.
     """
-    counts = Counter()
     n = len(orth)
     m = len(orth[0][2])
+    kinds: Dict = {}
+    classes = [kinds.setdefault((tuple(w), l), len(kinds))
+               for _, _, w, l in orth]
     packed = _PackedColumns([([u for us, _, _, _ in orth for u in us],
                               [v for _, vs, _, _ in orth for v in vs])],
-                            [0] * (n * m), m)
-    off = 1 << (packed.fields[0][1] - 1)
+                            [c for c in classes for _ in range(m)], m)
+    records = Struct(f"{m * packed.nbytes}s").iter_unpack
+    by_class = defaultdict(Counter)
+    for i, start, weight in rows:
+        if start >= n:
+            continue
+        pairs = zip(*(chain.from_iterable(map(records, packed.row(u, start * m)))
+                      for u in orth[i][0]))
+        counter = by_class[classes[i]]
+        if weight == 1:
+            counter.update(pairs)
+        else:
+            for record, k in Counter(pairs).items():
+                counter[record] += k * weight
+    counts = Counter()
+    weights = list(kinds)
+    # The one field sits below the class.
+    shift = packed.class_shift
+    mask, off = (1 << shift) - 1, 1 << (shift - 1)
     # H's diagonal first, then its upper triangle.
     tri = ([(a, a) for a in range(m)]
            + [(a, c) for a in range(m) for c in range(a + 1, m)])
     first, second = [a for a, _ in tri], [c for _, c in tri]
-    for i, start, weight in rows:
-        if start >= n:
-            continue
-        us, _, wp, lp = orth[i]
+    for cls, counter in by_class.items():
+        wp, lp = weights[cls]
         # w_a w_c, counted twice off the diagonal.
         ww = [wp[a] * wp[c] * (1 + (a < c)) for a, c in tri]
-        q = start
-        for block in zip(*(packed.row(u, start * m) for u in us)):
-            vals = [[x - off for x in slots] for slots in block]
-            for k in range(0, len(vals[0]), m):
-                cr = [v[k:k + m] for v in vals]
-                _, _, wq, lq = orth[q]
-                q += 1
-                x = [list(map(mul, row, wq)) for row in cr]
-                h = list(map(sum, map(map, repeat(mul), map(x.__getitem__, first),
-                                      map(cr.__getitem__, second))))
-                key = _pair_key(sum(map(mul, wp, h)),
-                                sum(map(mul, ww, map(mul, h, h))), lp * lq)
-                counts[key] = counts.get(key, 0) + weight
+        for record, k in counter.items():
+            slots = packed.slots(b"".join(chain.from_iterable(record)))
+            wq, lq = weights[slots[0] >> shift]
+            vals = [(s & mask) - off for s in slots]
+            cr = [vals[a:a + m] for a in range(0, m * m, m)]
+            x = [list(map(mul, row, wq)) for row in cr]
+            h = list(map(sum, map(map, repeat(mul), map(x.__getitem__, first),
+                                  map(cr.__getitem__, second))))
+            key = _pair_key(sum(map(mul, wp, h)),
+                            sum(map(mul, ww, map(mul, h, h))), lp * lq)
+            counts[key] += k
     return counts
 
 
@@ -856,7 +889,9 @@ def pair_stats(points: Sequence, tmax: int = 3,
     (`metric_rows`).  Lines and planes take the packed engine
     (`_packed_counts`).  For m >= 3 every point's rows are first made
     orthogonal in its own metric (`_orthogonal`), and the packed cross
-    engine (`_cross_rows`) keys every pair.  The module docstring gives
+    engine (`_cross_rows`) counts one record per pair, its cross matrix
+    and the column point's weight class, and keys each distinct record
+    once.  The module docstring gives
     both engines' identities, and why no key depends on the basis a point
     starts from.  Every engine runs in this process.
 

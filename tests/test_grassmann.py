@@ -568,18 +568,35 @@ def test_two_square_classes_keep_two_scales():
 
 def assert_cross_matches_loop(data, rows):
     """The packed cross engine against the per-pair W loop, key for key:
-    the full sweep and `rows`."""
+    the full sweep and `rows`.  Returns the weight classes (w, l) of the
+    points and the slot widths in bits of the engine's packed columns:
+    a native width (8, 16, 32 or 64) is decoded in place, a wider one
+    slot by slot."""
+    widths = []
+
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, fields, classes, group=1):
+            super().__init__(fields, classes, group)
+            widths.append(8 * self.nbytes)
+            assert (self.fmt is None) == (widths[-1] > 64)
+
     orth = [grassmann._orthogonal(rec) for rec in data]
-    assert cross_sweep(orth) == pair_loop(data)
-    assert _cross_rows(orth, rows) == _count_rows(data, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grassmann, "_PackedColumns", Recording)
+        assert cross_sweep(orth) == pair_loop(data)
+        assert _cross_rows(orth, rows) == _count_rows(data, rows)
+    return {(tuple(w), l) for _, _, w, l in orth}, widths
 
 
 @st.composite
 def row_specs(draw, size):
-    """Row specs (i, start, weight) of the engine, starts anywhere."""
-    return draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                   st.integers(0, size),
-                                   st.integers(1, 3)), max_size=4))
+    """Row specs (i, start, weight) of the engine, starts anywhere, weights
+    1 to 3, some specs drawn twice: a row point counted more than once."""
+    specs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                    st.integers(0, size),
+                                    st.integers(1, 3)), max_size=4))
+    return specs + draw(st.lists(st.sampled_from(specs), max_size=2)
+                        if specs else st.just([]))
 
 
 @st.composite
@@ -675,21 +692,80 @@ def test_cross_engine_matches_pair_loop_on_metric_data(case):
     assert_cross_matches_loop(data, rows)
 
 
-def test_cross_engine_slots_pass_64_bits(monkeypatch):
-    widths = []
+@st.composite
+def sparse_solids(draw):
+    """m = 3 or 4 subspaces of R^n, n = m + 1..7, of sparse rows with
+    entries up to 4000: Gram-Schmidt leaves sparse rows nearly as they
+    are, so points fall into a few weight classes (w, l), while the wide
+    entries push the packed slots past 64 bits.  Some points are repeated."""
+    m = draw(st.integers(3, 4))
+    n = draw(st.integers(m + 1, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                      st.integers(-4000, 4000))
+    sparse = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=m, max_size=m)
+    bases = [draw(sparse) for _ in range(draw(st.integers(2, 5)))]
+    bases += draw(st.lists(st.sampled_from(bases), max_size=3))
+    return n, bases, draw(row_specs(len(bases)))
 
-    class Recording(grassmann._PackedColumns):
-        def __init__(self, fields, classes, group=1):
-            super().__init__(fields, classes, group)
-            widths.append(8 * self.nbytes)
 
-    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+# Slots wider than 64 bits, with no native format: rows found by Hypothesis
+# when the engine decoded records only by `memoryview.cast`.
+WIDE_ROWS = [[0, 0, 1, 1], [0, 568, 0, 3], [3311, 0, 0, 477]]
+
+
+@settings(max_examples=40, deadline=None)
+@example((4, [WIDE_ROWS, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+              [[0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]], WIDE_ROWS],
+          [(0, 0, 2), (1, 1, 1), (3, 0, 3), (0, 0, 2)]))
+@given(sparse_solids())
+def test_cross_engine_matches_pair_loop_on_sparse_rows(case):
+    n, bases, rows = case
+    try:
+        data = [Subspace(n, b).int_data() for b in bases]
+    except ValueError:
+        assume(False)
+    assert_cross_matches_loop(data, rows)
+
+
+def test_cross_engine_slots_pass_64_bits():
+    # Wide slots are decoded slot by slot, narrow ones in place; both sides
+    # of each pair span several weight classes, a point is repeated and the
+    # row specs repeat a point with weights 1 to 3.
     big = [[2 ** 40 + 1, 3, 0, 7, 0, 1], [5, -2 ** 41, 1, 0, 2, 0],
            [0, 1, 2 ** 39, 0, 0, -3]]
     small = [[1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]]
-    data = [Subspace(6, big).int_data(), Subspace(6, small).int_data()]
-    assert_cross_matches_loop(data, [(0, 0, 1)])
-    assert min(widths) > 64
+    skew = [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
+    narrow = [[1, 2, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]]
+    rows = [(0, 0, 1), (1, 0, 3), (0, 1, 2), (3, 2, 1)]
+    for first, wide in ((big, True), (narrow, False)):
+        data = [Subspace(6, b).int_data() for b in (first, small, skew, first)]
+        classes, widths = assert_cross_matches_loop(data, rows)
+        assert len(classes) == 3
+        assert {w > 64 for w in widths} == {wide}
+    data = [Subspace(4, b).int_data()
+            for b in (WIDE_ROWS, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])]
+    classes, widths = assert_cross_matches_loop(data, [(0, 0, 2), (1, 0, 1)])
+    assert len(classes) == 2 and min(widths) > 64
+
+
+def test_cross_engine_keys_each_distinct_record_once(monkeypatch):
+    # The 180 eigenspaces of the (4, 2) spread: 16,110 pairs i < j, but
+    # pairs at one angle share their cross matrix, so the sweep keys
+    # far fewer records than pairs, with the per-pair loop's counts.
+    from grassdex import binquad, clifford
+    config = clifford.build_design(binquad.spread(4, 2)).config
+    assert (len(config), config.m) == (180, 4)
+    calls = []
+    key = grassmann._pair_key
+    monkeypatch.setattr(grassmann, "_pair_key",
+                        lambda *args: calls.append(args) or key(*args))
+    orth = [grassmann._orthogonal((p._given or p.rows,) * 2) for p in config]
+    counts = cross_sweep(orth)
+    monkeypatch.undo()
+    assert sum(counts.values()) == 16110
+    assert len(calls) < 16110 // 10
+    assert counts == pair_loop([p.int_data() for p in config])
 
 
 def test_cross_engine_pool_matches_pair_loop(monkeypatch):

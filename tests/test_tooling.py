@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from grassdex.cli import build_parser, main
+from grassdex import grassmann
 from grassdex.grassmann import Configuration
 from grassdex.lattice import catalog, minimal_sections
 
@@ -149,6 +150,38 @@ def test_verify_on_given_plane_rows_keeps_its_digest(capsys, tmp_path):
     assert "frame declined" in err
     assert run.results_digest(json.loads(out)["results"]) == (
         "7d325d56f7632d64e02af909a36be07c0553afac4f32e8cc3c458bfd09886224")
+
+
+def test_verify_on_wide_solid_rows_keeps_its_digest(capsys, monkeypatch,
+                                                   tmp_path):
+    # Ten random 3-spaces in R^7 with entries in [-99, 99]: the frame would
+    # widen them, so the m >= 3 engine reads the given rows, ten weight
+    # classes (w, l) wide, in slots past 64 bits.  The digest was recorded
+    # when that engine keyed every pair on its own.
+    rng = random.Random(1)
+    points = [[[rng.randint(-99, 99) for _ in range(7)] for _ in range(3)]
+              for _ in range(10)]
+    path = tmp_path / "solids.json"
+    path.write_text(json.dumps({"n": 7, "m": 3, "points": points}),
+                    encoding="utf-8")
+    config = Configuration.from_json_dict({"n": 7, "m": 3, "points": points})
+    orth = [grassmann._orthogonal((p._given,) * 2) for p in config]
+    assert len({(tuple(w), l) for _, _, w, l in orth}) == 10
+    widths = []
+
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, fields, classes, group=1):
+            super().__init__(fields, classes, group)
+            widths.append(8 * self.nbytes)
+
+    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+    run = _load_run()
+    assert main(["verify", str(path), "--t", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "frame declined" in err
+    assert widths and min(widths) > 64
+    assert run.results_digest(json.loads(out)["results"]) == (
+        "1b35447cb28ecbd6873f1e4af575df3c04b89010737139684ccc470aa215735b")
 
 
 def test_traced_entry_points_resolve():
