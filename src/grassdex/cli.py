@@ -7,6 +7,10 @@ the report (v, command, inputs, results, caveats, timing_s), or on exit 2
 fields are exact rational strings.  Exit codes: 0 certified / success,
 1 refuted, 2 input or usage error; a malformed or out-of-range input is
 always 2, never 1 or a traceback.
+
+Only `grassmann`, `exactalg` and `zonal` load with this module; each
+command imports the other layers it uses (`lattice`, `clifford`,
+`binquad`) when it runs, so a `verify` run never loads them.
 """
 
 from __future__ import annotations
@@ -18,11 +22,15 @@ import sys
 import time
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from . import binquad, clifford, grassmann, lattice
+from . import grassmann
 from .exactalg import RatMatrix, rat, rat_str
 from .grassmann import Configuration
 from .zonal import MAX_T, constant_c
+
+if TYPE_CHECKING:
+    from . import clifford, lattice
 
 SCHEMA_VERSION = 1
 T_CHOICES = range(1, MAX_T + 1)
@@ -83,6 +91,7 @@ def cmd_verify(args, res: dict, caveats: list) -> int:
 
 
 def _lattice_from_json(data) -> lattice.Lattice:
+    from . import lattice
     if "basis" in data:
         return lattice.Lattice(RatMatrix.from_json(data["basis"]),
                                name=data.get("name"))
@@ -92,12 +101,14 @@ def _lattice_from_json(data) -> lattice.Lattice:
 
 
 def _load_lattice(target: str) -> lattice.Lattice:
+    from . import lattice
     if os.path.exists(target):
         return _read(target, "lattice", _lattice_from_json)
     return lattice.catalog(target)
 
 
 def cmd_lattice(args, res: dict, caveats: list) -> int:
+    from . import lattice
     lat = _load_lattice(args.target)
     res.update(name=lat.name, rank=lat.rank, ambient=lat.n,
                det=rat_str(lat.det()), min=rat_str(lat.minimum()))
@@ -163,6 +174,7 @@ def cmd_clifford(args, res: dict, caveats: list) -> int:
 
 
 def _clifford_run(args, res: dict, caveats: list) -> int:
+    from . import binquad, clifford
     if args.sigma == "all":
         sigma = binquad.enumerate_isotropic(args.k, args.w)
     else:
@@ -201,6 +213,7 @@ def _clifford_run(args, res: dict, caveats: list) -> int:
 def _family_split_report(build: clifford.BuildResult) -> dict:
     """Minimal-line matches of the eigenspaces of each generator family,
     read off the full build (its members are exactly the two families)."""
+    from . import binquad, lattice
     k = build.sigma.k
     fam0, fam1 = binquad.generator_families(k)
     out = {"sizes": [len(fam0), len(fam1)]}
@@ -222,6 +235,7 @@ def cmd_constants(args, res: dict, caveats: list) -> int:
     elif args.k is not None and args.w is not None:
         if args.t < 0:
             raise InputError("t must be >= 0")
+        from . import binquad
         d = binquad.d_constant(args.k, args.w, args.t)
         res["d"] = rat_str(d)
         s = args.k - args.w

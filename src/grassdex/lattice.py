@@ -25,14 +25,13 @@ from math import exp, gcd, isqrt, lcm, log, prod
 from operator import itemgetter, mul, neg, sub
 from typing import Dict, List, Optional, Set, Tuple
 
-from .clifford import clifford_generators
 from .exactalg import (RatMatrix, Rational, adjugate, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str,
                        saturate_rows, solve_nonneg_combination,
                        verify_combination)
 from .grassmann import (Configuration, DesignReport, IndexMap, IntAction,
                         Subspace, UnionFind, adj_product, design_report,
-                        intdata, line_key)
+                        intdata, line_key, pair_stats)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -642,32 +641,42 @@ def check_eutaxy(lattice: Lattice, m: int,
                  sections: Optional[SectionSet] = None) -> EutaxyResult:
     """Strictly positive projector combination reaching the identity.
 
-    Uniform weights are tried first (an orbit shortcut: any section set that
-    averages like a 2-design has a uniform eutaxy witness); otherwise the
-    exact phase-1 solver `solve_nonneg_combination` decides strict eutaxy,
-    and its weights, some strict vertex certificate rather than a canonical
-    one, are re-checked exactly (AssertionError, also under python -O).
-    A given section set must hold m-sections of this lattice (ValueError
-    otherwise), as for `rankin` and `check_perfection`.
+    Uniform weights are decided first, from the pair engine alone.  The
+    projectors P_p of the N sections are self-adjoint in the Gram metric,
+    so S = sum P_p has real eigenvalues and, by Cauchy-Schwarz,
+
+        sum_{p,q} tr(P_p P_q) = tr(S^2) >= (tr S)^2 / r = (m N)^2 / r,
+
+    with equality exactly when S = (m N / r) I, the uniform witness
+    (equivalently, the sections form a Grassmannian 2-design).  The left
+    side is the sigma sum of `pair_stats`, exact and summed over the
+    search's certified orbits, so the uniform verdict costs one orbit row
+    and no projector.  Otherwise the exact phase-1 solver
+    `solve_nonneg_combination` decides strict eutaxy on the integer
+    projector multiples, and its weights, some strict vertex certificate
+    rather than a canonical one, are re-checked exactly (AssertionError,
+    also under python -O).  The sections must share one Gram determinant,
+    and a given section set must hold m-sections of this lattice
+    (ValueError otherwise), as for `rankin` and `check_perfection`.
     """
     sections = _sections_of(lattice, m, sections)
     r = lattice.rank
     nsec = len(sections)
-    ints = [adj_product(gy, adj, y) for gy, y, adj, _ in sections.records]
-    # Each multiple is det(Gram of the section) times the projector, so equal
-    # minimal determinants give one trace tr = m * det; the uniform sum is
-    # then sum P = (m * nsec / r) I, i.e. r * sum P_int = nsec * tr * I.
-    traces = {sum(p[i][i] for i in range(r)) for p in ints}
-    if len(traces) != 1:
+    records = sections.records
+    dets = {d for *_, d in records}
+    if len(dets) != 1:
         raise ValueError("minimal sections must share one Gram determinant")
-    tr = traces.pop()
-    if all(r * sum(p[i][j] for p in ints) == (nsec * tr if i == j else 0)
-           for i in range(r) for j in range(r)):
+    # For m >= 3 the engine reads only a record's rows, its metric rows.
+    stats = pair_stats(records, tmax=1, orbits=sections.orbits)
+    if stats.sigma_pow[1] * r == (m * nsec) ** 2:
         w = Fraction(r, m * nsec)
         return EutaxyResult(True, [w] * nsec, uniform=True)
-    # Normalize each to the true projector (trace m) for the exact solver.
-    projs = [RatMatrix([[Fraction(m * x, tr) for x in row] for row in p])
-             for p in ints]
+    # Each multiple is det times the projector, of trace tr = m * det;
+    # normalize each to the true projector (trace m) for the exact solver.
+    tr = m * dets.pop()
+    projs = [RatMatrix([[Fraction(m * x, tr) for x in row]
+                        for row in adj_product(gy, adj, y)])
+             for gy, y, adj, _ in records]
     ident = RatMatrix.identity(r)
     weights = solve_nonneg_combination(projs, ident)
     if weights is None:
@@ -868,6 +877,7 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     # 2001); H = `h_first` is not in it.  `cycle`, `transvect_01` and
     # `h2_first` come first, which leave one orbit on the minimal lines and
     # 2-sections of BW16.
+    from .clifford import clifford_generators
     first = ("cycle", "transvect_01", "h2_first")
     lat._automorphisms = [g.matrix for g in sorted(
         clifford_generators(k), key=lambda g: g.name not in first)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from math import isqrt, lcm, prod
 from operator import mul
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from grassdex import lattice as lattice_mod
 from grassdex.exactalg import (RatMatrix, det, hnf, inverse, saturate_rows,
                                verify_combination)
-from grassdex.grassmann import (Configuration, Subspace, intdata,
+from grassdex.grassmann import (Configuration, Subspace, adj_product, intdata,
                                 intdata_from_coords, verify_design)
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
@@ -425,13 +426,17 @@ def test_eutaxy(d4):
     assert eu4.is_eutactic and eu4.weights == [F(1, 3)] * 12
 
 
+def _e7_plus_a1():
+    e7 = catalog("E7")
+    return Lattice([list(e7.basis.row(i)) + [0, 0] for i in range(7)]
+                   + [[0] * 8 + [1, 1]])
+
+
 def test_eutaxy_non_uniform_e7_plus_a1(monkeypatch):
     # E7 + A1: 63 + 1 minimal lines in rank 8.  Each summand is eutactic on
     # its own span (weights 1/9 and 1), so no uniform witness exists and the
     # solver decides; its weights go through the exact re-check.
-    e7 = catalog("E7")
-    rows = [list(e7.basis.row(i)) + [0, 0] for i in range(7)] + [[0] * 8 + [1, 1]]
-    lat = Lattice(rows)
+    lat = _e7_plus_a1()
     checks = []
 
     def counting(*args):
@@ -444,6 +449,64 @@ def test_eutaxy_non_uniform_e7_plus_a1(monkeypatch):
     assert time.perf_counter() - start < 10
     assert eu.is_eutactic and not eu.uniform and len(eu.weights) == 64
     assert all(w > 0 for w in eu.weights) and len(checks) == 1
+
+
+def _uniform_projector_sum(lat, secs) -> bool:
+    """The direct uniform test on the integer projector multiples P_int =
+    det * P of trace tr = m * det: r * sum P_int == nsec * tr * I."""
+    r, nsec = lat.rank, len(secs)
+    ints = [adj_product(gy, adj, y) for gy, y, adj, _ in secs.records]
+    tr = secs.m * secs.records[0][3]
+    return all(r * sum(p[i][j] for p in ints) == (nsec * tr if i == j else 0)
+               for i in range(r) for j in range(r))
+
+
+def _assert_uniform_verdicts_agree(lat, secs, orbit_free: bool = True) -> bool:
+    """check_eutaxy's uniform verdict, which it reads from the pair sum,
+    equals the direct projector-sum test, with the search's certified
+    orbits and, when `orbit_free`, with none; returns that verdict."""
+    expected = _uniform_projector_sum(lat, secs)
+    givens = [secs, replace(secs, orbits=None)] if orbit_free else [secs]
+    for given in givens:
+        eu = check_eutaxy(lat, secs.m, given)
+        assert eu.uniform == expected
+        if expected:
+            assert eu.weights == [F(lat.rank, secs.m * len(secs))] * len(secs)
+    return expected
+
+
+@pytest.mark.parametrize("name, m, uniform", [
+    *((name, m, True) for name in ("D4", "E6", "E7", "E8") for m in (1, 2)),
+    ("Z3", 1, True), ("E8", 3, True), ("BW16", 1, True),
+    ("E7+A1", 1, False)])
+def test_uniform_eutaxy_from_the_pair_sum(name, m, uniform):
+    lat = _e7_plus_a1() if name == "E7+A1" else catalog(name)
+    secs = minimal_sections(lat, m)
+    # With no orbits, E8's 7560 3-sections would take the full engine's
+    # 28.6M pairs.
+    orbit_free = len(secs) < 5000
+    assert _assert_uniform_verdicts_agree(lat, secs, orbit_free) is uniform
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(2, 4), extra=st.integers(0, 1), data=st.data())
+def test_uniform_eutaxy_matches_projector_sum(rank, extra, data):
+    # Small integer bases of rank 2-4, in R^rank or R^(rank + 1): the pair
+    # sum and the projector sum give one uniform verdict, orbits or not.
+    n = rank + extra
+    m = data.draw(st.integers(1, rank // 2))
+    rows = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                              min_size=rank, max_size=rank))
+    gram = RatMatrix(rows) @ RatMatrix(rows).transpose()
+    assume(det(gram) != 0)
+    lat = Lattice(rows)
+    try:
+        secs = minimal_sections(lat, m)
+    except ValueError:
+        # The vectors up to the default bound m * min span fewer than m
+        # dimensions.
+        assume(False)
+    _assert_uniform_verdicts_agree(lat, secs)
 
 
 def test_section_analyses_reject_mismatched_sections(d4, e8):

@@ -131,6 +131,24 @@ def test_readme_lattice_section_runs_keep_their_digests(capsys, argv, digest):
     assert run.results_digest(json.loads(out)["results"]) == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["lattice", "D4", "--m", "2", "--perfection"],
+     "ca6f8fdc2f4db50847a74fc8d0f9499cb7790db787286d01219d3c1e30b6048e"),
+    (["lattice", "E7", "--m", "2", "--perfection"],
+     "1f0188c1201c8b7f565a6ff14f4664dc471dd0ccbdaf19e0b48a5143d482f47e"),
+    (["lattice", "Z8", "--m", "3", "--perfection"],
+     "e76e25411186d2a68483a2e34d6aa9c71872f0c238483b419d92df2210d49764"),
+])
+def test_perfection_runs_keep_their_digests(capsys, argv, digest):
+    # Perfection and eutaxy outside E8: planes under one orbit row, and
+    # Z8's 3-sections, which leave the orbit rows for the full engine.  The
+    # digests were recorded when eutaxy summed the projectors directly.
+    run = _load_run()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert run.results_digest(json.loads(out)["results"]) == digest
+
+
 def test_verify_on_given_plane_rows_keeps_its_digest(capsys, tmp_path):
     # Twelve random planes in R^6 with entries in [-2, 2]: each point keeps
     # its given rows, which are not its canonical ones, and the frame would
