@@ -149,6 +149,24 @@ def test_perfection_runs_keep_their_digests(capsys, argv, digest):
     assert run.results_digest(json.loads(out)["results"]) == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["lattice", "E8", "--m", "1", "--sections", "--rankin", "--perfection",
+      "--t", "3"],
+     "8db95e66add15a250634b4064defb12f28b154a77e7763d447fab6619d007c8e"),
+    (["lattice", "Z8", "--m", "1", "--sections", "--rankin", "--perfection",
+      "--t", "2"],
+     "3a4d7ef8b4e46ba58050b608aef21af0312254d09304c1fd17a659164c9b785f"),
+])
+def test_line_section_runs_keep_their_digests(capsys, argv, digest):
+    # Line records read two ways: E8's one orbit row beside perfection and
+    # eutaxy, which read every record, and Z8's singleton orbits, which
+    # leave the rows for the full engine.
+    run = _load_run()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert run.results_digest(json.loads(out)["results"]) == digest
+
+
 def test_verify_on_given_plane_rows_keeps_its_digest(capsys, tmp_path):
     # Twelve random planes in R^6 with entries in [-2, 2]: each point keeps
     # its given rows, which are not its canonical ones, and the frame would
