@@ -100,7 +100,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, repeat
+from itertools import chain, compress, cycle, islice, repeat
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, neg
 from struct import Struct, calcsize
@@ -321,41 +321,42 @@ def _pair_key(trw: int, trw2: int, den: int) -> Tuple[int, int, int, int]:
 
 def _count_rows(data, rows) -> Counter:
     """Counts of the `_pair_key`s of the pairs (i, j), j >= start, of each
-    row spec (i, start, weight), each counted weight times.
+    row spec (i, start, weight), each counted weight times, for lines and
+    planes; only a row point's left rows are read.
 
+    For lines a pair takes c = L_p . R_q, so tr W = c^2 and tr W^2 = c^4:
+    each row counts its distinct (c, det G_q) first and keys each once.
     For planes a pair takes the 4 dot products of C = L_p R_q^T and then
     only 2 x 2 integer arithmetic: tr W = <adj(G_p) C adj(G_q), C>
     (Frobenius) and tr W^2 = (tr W)^2 - 2 det G_p det G_q (det C)^2 (module
-    docstring), the values `_pair_w` gives.  Other m run `_pair_w`."""
+    docstring), the values `_pair_w` gives."""
     counts = Counter()
     n = len(data)
-    m = len(data[0][0])
-    if m == 2:
+    if len(data[0][0]) == 1:
         for i, start, weight in rows:
-            (l0, l1), _, ((p00, p01), (p10, p11)), di = data[i]
-            for j in range(start, n):
-                _, (r0, r1), ((b00, b01), (b10, b11)), dj = data[j]
-                c00, c01 = sum(map(mul, l0, r0)), sum(map(mul, l0, r1))
-                c10, c11 = sum(map(mul, l1, r0)), sum(map(mul, l1, r1))
-                # adj(G_p) C
-                m00, m01 = p00 * c00 + p01 * c10, p00 * c01 + p01 * c11
-                m10, m11 = p10 * c00 + p11 * c10, p10 * c01 + p11 * c11
-                trw = ((m00 * b00 + m01 * b10) * c00
-                       + (m00 * b01 + m01 * b11) * c01
-                       + (m10 * b00 + m11 * b10) * c10
-                       + (m10 * b01 + m11 * b11) * c11)
-                den, detc = di * dj, c00 * c11 - c01 * c10
-                key = _pair_key(trw, trw * trw - 2 * den * detc * detc, den)
-                counts[key] = counts.get(key, 0) + weight
+            (x,), _, _, di = data[i]
+            pairs = Counter((sum(map(mul, x, r)), dj)
+                            for _, (r,), _, dj in islice(data, start, None))
+            for (c, dj), k in pairs.items():
+                c2 = c * c
+                key = _pair_key(c2, c2 * c2, di * dj)
+                counts[key] = counts.get(key, 0) + k * weight
         return counts
-    rng = range(m)
     for i, start, weight in rows:
-        di = data[i]
+        (l0, l1), _, ((p00, p01), (p10, p11)), di = data[i]
         for j in range(start, n):
-            w, den = _pair_w(di, data[j])
-            key = _pair_key(sum(w[a][a] for a in rng),
-                            sum(w[a][b] * w[b][a] for a in rng for b in rng),
-                            den)
+            _, (r0, r1), ((b00, b01), (b10, b11)), dj = data[j]
+            c00, c01 = sum(map(mul, l0, r0)), sum(map(mul, l0, r1))
+            c10, c11 = sum(map(mul, l1, r0)), sum(map(mul, l1, r1))
+            # adj(G_p) C
+            m00, m01 = p00 * c00 + p01 * c10, p00 * c01 + p01 * c11
+            m10, m11 = p10 * c00 + p11 * c10, p10 * c01 + p11 * c11
+            trw = ((m00 * b00 + m01 * b10) * c00
+                   + (m00 * b01 + m01 * b11) * c01
+                   + (m10 * b00 + m11 * b10) * c10
+                   + (m10 * b01 + m11 * b11) * c11)
+            den, detc = di * dj, c00 * c11 - c01 * c10
+            key = _pair_key(trw, trw * trw - 2 * den * detc * detc, den)
             counts[key] = counts.get(key, 0) + weight
     return counts
 
@@ -871,10 +872,10 @@ def certified_orbits(points: Sequence, generators) -> tuple:
 # Certified orbit rows of lines and planes up to this many run the serial
 # loop (`_count_rows`); with more, the packed full engine can be faster.
 # The serial rows cost more per pair, so the crossover grows with the point
-# count: 6 rows on the D4 and E8 minimal lines (12 and 120 points), 35 on
-# the BW16 minimal lines (2160).  Planes, with the 2 x 2 row kernel, cross
-# over later: 22 rows on the D4 minimal planes (16), 45 on the E7 planes
-# (336), 74 on the E8 planes (1120).
+# count: with the line kernel, 12 rows on the D4 minimal lines (12 points),
+# 20 on the E8 lines (120) and 94 on the BW16 lines (2160).  Planes, with
+# the 2 x 2 row kernel, cross over at 22 rows on the D4 minimal planes
+# (16), 45 on the E7 planes (336), 74 on the E8 planes (1120).
 _SERIAL_ROWS = 6
 
 

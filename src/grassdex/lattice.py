@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import exp, gcd, isqrt, lcm, log, prod
 from operator import itemgetter, mul, neg, sub
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .exactalg import (RatMatrix, Rational, adjugate, bit_span, bit_subspaces,
                        exact_nth_root, hnf, int_det, rat, rat_str,
@@ -48,7 +48,7 @@ class Lattice:
     integers `_basis_int / _basis_den` and `_gram_int / _gram_scale`, from
     which norms, ambient spans and determinants are taken.  `minimum()`
     keeps the minimal vectors it enumerates, for `short_vectors_with_norms`
-    and the root search of `coordinate_automorphisms`; a lattice built by
+    and the root search of `_candidates`; a lattice built by
     rescaling another one's basis may be handed them instead (see
     `barnes_wall`).  `_automorphisms` holds candidate automorphisms in
     ambient coordinates that a construction attaches, none by default."""
@@ -212,14 +212,17 @@ class SectionSet:
     saturated rows may be negated), to its row G c^T for `records`.
 
     The search also reports how it went: `generators` candidate
-    automorphisms (`coordinate_automorphisms`), of which the first
-    `examined` were applied, left `line_orbits` orbits on the `lines`
-    candidate vectors, and `tuples` m-tuples were considered (none for
-    lines).  When the candidates passed the exact gate, `orbits` holds the
+    automorphisms (`_candidates`), of which the first `examined` were
+    drawn and applied, left `line_orbits` orbits on the `lines` candidate
+    vectors, and `tuples` m-tuples were considered (none for lines).  When
+    the examined candidates passed the exact gate, `orbits` holds the
     certified orbits of the examined group on the sections, {index of an
     orbit's first section: its size}, the line orbits for lines and the
     closure's for m >= 2, and `section_design_report` sums one row per
-    orbit.  None for a lattice with no candidate, or a refused one."""
+    orbit; `seeds` then names, for each section, the section of its orbit
+    whose Gram it shares (the union-find root for lines, the first section
+    of the closure's orbit for m >= 2).  `orbits` is None for a lattice
+    with no candidate, or a refused one."""
 
     m: int
     delta: Rational
@@ -236,6 +239,7 @@ class SectionSet:
     tuples: int = 0
     gvecs: Dict[Tuple[int, ...], Tuple[int, ...]] = field(
         default_factory=dict, repr=False, compare=False)
+    seeds: Optional[List[int]] = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.coords)
@@ -254,9 +258,45 @@ class SectionSet:
         """One pair-engine record per section, equal to
         `intdata_from_coords(coords, gram_int)`: (G Y^T rows, coordinate
         rows Y, adj(Y G Y^T), det(Y G Y^T)) with G the integer Gram, so det
-        is delta * s^m, the rows G Y^T from `metric_rows`.  Built once, on
-        first read."""
-        return [intdata(*self.metric_rows(c)) for c in self.coords]
+        is delta * s^m.  Built once, on first read.  The sections of a
+        certified orbit share adj and det, taken by `intdata` on their seed:
+        an image Y A under an integer A with A G A^T = G has the Gram
+        Y G Y^T exactly.  With `orbits` None every section is its own seed.
+        The rows G Y^T (`_MetricRows`) are formed on first read, once, so an
+        orbit row forms them for its row points alone."""
+        coords = self.coords
+        seeds = (self.seeds if self.orbits is not None and self.seeds
+                 else range(len(coords)))
+        rows = [_MetricRows(self, y) for y in coords]
+        shared = {s: intdata(rows[s], coords[s])[2:] for s in dict.fromkeys(seeds)}
+        return [(r, y, *shared[s]) for r, y, s in zip(rows, coords, seeds)]
+
+
+class _MetricRows:
+    """The rows G Y^T of one section as a sequence, formed on first read,
+    once, by `SectionSet.metric_rows`; equal to the tuple of those rows."""
+
+    __slots__ = ("_sections", "_coords", "_rows")
+
+    def __init__(self, sections: SectionSet, coords):
+        self._sections, self._coords, self._rows = sections, coords, None
+
+    def _formed(self) -> tuple:
+        if self._rows is None:
+            self._rows = self._sections.metric_rows(self._coords)[0]
+        return self._rows
+
+    def __len__(self):
+        return len(self._coords)
+
+    def __getitem__(self, i):
+        return self._formed()[i]
+
+    def __iter__(self):
+        return iter(self._formed())
+
+    def __eq__(self, other):
+        return self._formed() == other
 
 
 def _ambient_rows(lattice: Lattice, coords) -> List[List[int]]:
@@ -296,11 +336,12 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
     requested bound.  Lines are complete, with search bound min.
 
     The search runs over orbits.  The candidate automorphisms
-    (`coordinate_automorphisms`) that pass the exact gate are applied in
-    order to the lines of the candidate vectors, merging orbits by
-    union-find, until the orbits are as few as the distinct norms or no
-    candidate is left; a candidate vector mapped outside the set refuses
-    them all (`_line_orbits`).  For m = 1 those lines are the sections, so
+    (`_candidates`) are drawn in order, each passing the exact gate when
+    drawn, and applied to the lines of the candidate vectors, merging
+    orbits by union-find, until the orbits are as few as the distinct norms
+    or no candidate is left; an examined candidate that fails the gate or
+    maps a candidate vector outside the set refuses them all
+    (`_line_orbits`).  For m = 1 those lines are the sections, so
     their orbits, certified by A G A^T = G alone, need no closure.  For
     m >= 2 only the tuples through each orbit's first vector are
     considered, the other vectors drawn from that orbit and the orbits
@@ -357,11 +398,11 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
         lattice, cvecs, len(set(norms)), tables=m >= 2)
     if m == 1:
         # The lines are the sections: their orbits are the section orbits.
-        orbits = (None if moves is None
-                  else dict(Counter(map(lines.root, range(nv)))))
+        roots = [lines.root(i) for i in range(nv)]
         return SectionSet(1, lam, [(c,) for c in cvecs], lam, True, lam, gi,
-                          orbits=orbits, generators=count, examined=examined,
-                          lines=nv, line_orbits=lines.left)
+                          orbits=None if moves is None else dict(Counter(roots)),
+                          generators=count, examined=examined, lines=nv,
+                          line_orbits=lines.left, seeds=roots)
     firsts = [i for i in range(nv) if lines.root(i) == i]
     # G c^T for each candidate c (G symmetric).
     gvecs = list(map(tuple, _rows_times(cvecs, gi)))
@@ -431,8 +472,9 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
                          f"{rat_str(bound)} span fewer than {m} dimensions; "
                          "pass a larger search_bound")
     index = {c: i for i, c in enumerate(cvecs)}
-    coords, orbits = _closure(list(best.values()), moves or [],
-                              lambda y: _section_lines(y, gi, index, norms[-1]))
+    coords, orbits, seeds = _closure(
+        list(best.values()), moves or [],
+        lambda y: _section_lines(y, gi, index, norms[-1]))
     delta = Fraction(state["delta"], s ** m)
     cap = hermite * delta / lam ** (m - 1) if hermite else None
     complete = cap is not None and bound >= cap
@@ -440,7 +482,7 @@ def minimal_sections(lattice: Lattice, m: int, search_bound=None) -> SectionSet:
                       orbits=None if moves is None else orbits, generators=count,
                       examined=examined, lines=nv,
                       line_orbits=len(firsts), tuples=state["tuples"],
-                      gvecs=_signed(zip(cvecs, gvecs)))
+                      gvecs=_signed(zip(cvecs, gvecs)), seeds=seeds)
 
 
 def _section_lines(sat, gram_int, index, top) -> Tuple[int, ...]:
@@ -467,24 +509,27 @@ def _line_orbits(lattice: Lattice, cvecs, distinct: int, tables: bool):
     vectors `cvecs`, kept as `_enumerate` keeps them with half=True,
     examined, closure moves).
 
-    The candidates (`coordinate_automorphisms`) that pass the exact gate
-    merge the line orbits in order until they are as few as `distinct`.
-    With no candidate, or a candidate vector mapped outside `cvecs`, which
-    refuses them all, every line is its own orbit and the moves are None.
-    With `tables`, each examined A that moves some line is kept as (A, the
-    images of the candidates of either sign, the line permutation); one
-    that fixes every candidate line fixes every section, so the closure
-    skips it."""
-    count, autos = coordinate_automorphisms(lattice)
+    The candidates (`_candidates`) are drawn in order, each mapped and
+    gated only then, and merge the line orbits until they are as few as
+    `distinct`; a candidate never drawn is never examined.  With no
+    candidate, or an examined one that fails the gate or maps a candidate
+    vector outside `cvecs`, which refuses them all, every line is its own
+    orbit, none counts as examined and the moves are None.  With `tables`,
+    each examined A that moves some line is kept as (A, the images of the
+    candidates of either sign, the line permutation); one that fixes every
+    candidate line fixes every section, so the closure skips it."""
+    count, drawn = _candidates(lattice)
     nv = len(cvecs)
-    if not autos:
+    if not count:
         return count, UnionFind(nv), 0, None
     lines, fixed = UnionFind(nv), list(range(nv))
     index = {c: i for i, c in enumerate(cvecs)}
     examined, moves = 0, []
-    for a in autos:
-        if lines.left == distinct:
-            break
+    # Nothing is drawn once the orbits are as few as the norms.
+    while lines.left > distinct and examined < count:
+        a = next(drawn)
+        if a is None:
+            return count, UnionFind(nv), 0, None
         # c A, one term per nonzero of a column of A.
         imgs = list(map(IndexMap(list(zip(*a))).image, cvecs))
         image = [index.get(_half_key(v)) for v in imgs]
@@ -498,17 +543,19 @@ def _line_orbits(lattice: Lattice, cvecs, distinct: int, tables: bool):
     return count, lines, examined, moves
 
 
-def _closure(seeds, moves, lines_of) -> Tuple[list, Dict[int, int]]:
+def _closure(seeds, moves, lines_of) -> Tuple[list, Dict[int, int], List[int]]:
     """(coordinates of every image of the seed sections under the moves, in
     the order of their line keys; {index of an orbit's first section: its
-    size}).
+    size}; for each section the index of its orbit's first section).
 
     `moves` are (A, images of the candidate vectors of either sign, the
     permutation of the candidate lines) and `lines_of` is `_section_lines`.
     Each seed holds m independent candidate lines and every A permutes the
     candidates, so every image does too, and two saturated sections that
     share m independent lines have one span: the line key names an image
-    exactly, the seed's mapped through each move's permutation."""
+    exactly, the seed's mapped through each move's permutation.  An image
+    keeps its seed's rows times A, so every section of an orbit has its
+    seed's Gram exactly, as its first section has."""
     seen: Dict[Tuple[int, ...], tuple] = {}   # line key -> (coords, seed)
     for s, sat in enumerate(seeds):
         key = lines_of(sat)
@@ -526,11 +573,10 @@ def _closure(seeds, moves, lines_of) -> Tuple[list, Dict[int, int]]:
                     seen[k] = (img, s)
                     stack.append((img, k))
     ordered = [seen[k] for k in sorted(seen)]
-    orbits, first = {}, {}
-    for i, (_, s) in enumerate(ordered):
-        head = first.setdefault(s, i)
-        orbits[head] = orbits.get(head, 0) + 1
-    return [tuple(map(tuple, y)) for y, _ in ordered], orbits
+    first: Dict[int, int] = {}
+    heads = [first.setdefault(s, i) for i, (_, s) in enumerate(ordered)]
+    return ([tuple(map(tuple, y)) for y, _ in ordered], dict(Counter(heads)),
+            heads)
 
 
 def _half_key(vec) -> Tuple[int, ...]:
@@ -713,36 +759,49 @@ def _simple_roots(lattice: Lattice) -> List[Tuple[int, ...]]:
 
 def coordinate_automorphisms(
         lattice: Lattice) -> Tuple[int, Optional[List[List[List[int]]]]]:
-    """(number of candidates, their integer coordinate matrices or None).
+    """(number of candidates, their integer coordinate matrices, or None
+    when any fails the gate): `_candidates` with every candidate drawn."""
+    count, drawn = _candidates(lattice)
+    mats = list(drawn)
+    return count, None if None in mats else mats
 
-    The candidates act on coordinate rows as c -> c A: first those a
-    construction attached (`_automorphisms`), each g mapped through the
-    basis, A = B g^T B^T (B B^T)^-1 / sqrt(c) for the primitive integer
-    multiple of g with g g^T = c I, the right inverse B^T (B B^T)^-1 taken
-    from the integer adjugate (`_right_inverse`); then the reflections in
-    the simple roots r (`_simple_roots`), built from r and the integer Gram
-    G,
+
+def _candidates(lattice: Lattice) -> Tuple[int, Iterator]:
+    """(number of candidates, an iterator over them in order, each mapped
+    and gated only when drawn: its integer coordinate matrix, or None when
+    it fails the gate).
+
+    The candidates act on coordinate rows as c -> c A.  With two or more
+    simple roots, the product of their reflections comes first: a Coxeter
+    element of the root system (Humphreys 1990, 3.16), a cheap extra
+    generator.  Then come those a construction attached (`_automorphisms`),
+    each g mapped through the basis, A = B g^T B^T (B B^T)^-1 / sqrt(c) for
+    the primitive integer multiple of g with g g^T = c I, the right inverse
+    B^T (B B^T)^-1 taken once from the integer adjugate (`_right_inverse`);
+    then the reflections in the simple roots r (`_simple_roots`), built
+    from r and the integer Gram G,
 
         A = I - (2 / r G r^T) (G r^T) r,
 
-    integer by the root test.  With two or more reflections, their product
-    comes before all others: a Coxeter element of the root system (Humphreys 1990,
-    3.16), a cheap extra generator.  Every A must be an integer matrix with
-    A G A^T = G, which makes it an automorphism of the lattice (det A =
-    +-1); if any is not, the matrices are None, so the refusal is
-    all-or-nothing.  The gate is plain comparisons, so it also holds under
-    python -O.
+    integer by the root test.  The count needs only the attached list and
+    the roots.  The gate: A must be an integer matrix with A G A^T = G,
+    which makes it an automorphism of the lattice (det A = +-1).  It is
+    plain comparisons, so it also holds under python -O.
     """
     lattice.minimum()   # the roots are among the minimal vectors
+    roots = _simple_roots(lattice)
     gi = lattice._gram_int
-    mats: List[Optional[List[List[int]]]] = []
-    if lattice._automorphisms:
-        bi = lattice._basis_int
-        pcols, pden = _right_inverse(bi)
-        for g in lattice._automorphisms:
-            mats.append(_coordinate_map(g, bi, pcols, pden))
+    # A G A^T = A (A G)^T, G symmetric.
+    gated = (a if a is not None and _rows_times(a, list(zip(*_rows_times(a, gi)))) == gi
+             else None for a in _built(lattice, roots))
+    return len(lattice._automorphisms) + len(roots) + (len(roots) > 1), gated
+
+
+def _built(lattice: Lattice, roots) -> Iterator:
+    """The candidates of `_candidates` in order, each built when drawn."""
+    gi = lattice._gram_int
     reflections = []
-    for v in _simple_roots(lattice):
+    for v in roots:
         gv = [sum(map(mul, row, v)) for row in gi]
         q = sum(map(mul, gv, v))
         reflections.append([[int(i == j) - (2 * a // q) * b
@@ -753,15 +812,13 @@ def coordinate_automorphisms(
         product = reflections[-1]
         for a in reversed(reflections[:-1]):
             product = _rows_times(a, product)
-        mats.insert(0, product)
-    mats += reflections
-    count = len(mats)
-    if None in mats:
-        return count, None
-    # A G A^T = A (A G)^T, G symmetric.
-    if any(_rows_times(a, list(zip(*_rows_times(a, gi)))) != gi for a in mats):
-        return count, None
-    return count, mats
+        yield product
+    if lattice._automorphisms:
+        bi = lattice._basis_int
+        pcols, pden = _right_inverse(bi)
+        for g in lattice._automorphisms:
+            yield _coordinate_map(g, bi, pcols, pden)
+    yield from reflections
 
 
 def _right_inverse(basis_int) -> Tuple[List[List[int]], int]:
@@ -806,9 +863,10 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
     (Goethals and Seidel 1981).  The `orbits` of `minimal_sections` are
     orbits of certified integer automorphisms on exactly the minimal
     sections (the line union-find for lines, its closure for m >= 2), so
-    the rows run on the integer coordinate `records` (for m >= 3 only
-    their rows, `SectionSet.metric_rows`, since the cross engine forms no
-    adjugate), with no ambient span and no further certificate.  A refused
+    the rows run on the integer coordinate `records`, which form G Y^T for
+    the row points alone (for m >= 3 only their rows,
+    `SectionSet.metric_rows`, since the cross engine forms no adjugate),
+    with no ambient span and no further certificate.  A refused
     candidate, no candidate at all, or orbit rows that would cost more than
     the full pair engine run that engine, with the same result.  Either
     way the verdicts are taken in dimension rank, so rank-deficient
@@ -841,7 +899,8 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
 
     The raw span has minimum 2^k; `normalized=True` rescales so the minimum
     becomes 2^floor(k/2) and raises when that similarity is irrational
-    (coordinate factor sqrt 2, e.g. k = 2).
+    (coordinate factor sqrt 2, e.g. k = 2).  Both attach the generators of
+    G_k from `generators`, which loads neither `clifford` nor `binquad`.
     """
     if not 2 <= k <= 4:
         raise ValueError("desk scale is 2 <= k <= 4")
@@ -877,7 +936,7 @@ def barnes_wall(k: int, normalized: bool = False) -> Lattice:
     # 2001); H = `h_first` is not in it.  `cycle`, `transvect_01` and
     # `h2_first` come first, which leave one orbit on the minimal lines and
     # 2-sections of BW16.
-    from .clifford import clifford_generators
+    from .generators import clifford_generators
     first = ("cycle", "transvect_01", "h2_first")
     lat._automorphisms = [g.matrix for g in sorted(
         clifford_generators(k), key=lambda g: g.name not in first)

@@ -468,6 +468,21 @@ def test_plane_row_kernel_on_sections_and_eigenspaces():
         assert _count_rows(data, rows) == w_loop(data, rows)
 
 
+def test_line_row_kernel_matches_the_w_loop():
+    # Lines of several norms, and the BW16 minimal lines as the section
+    # report hands them over: each row counts its distinct (c, det G_q)
+    # once.
+    from grassdex.lattice import catalog, minimal_sections
+    rng = random.Random(5)
+    vecs = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(40)]
+    mixed = [Subspace.line(v).int_data() for v in vecs if any(v)]
+    bw16 = minimal_sections(catalog("BW16"), 1).records
+    for data in (mixed, bw16):
+        n = len(data)
+        rows = [(0, 0, n), (5, 0, 1), (n // 2, n // 3, 7), (n - 1, n - 1, 2)]
+        assert _count_rows(data, rows) == w_loop(data, rows)
+
+
 def test_packed_slots_pass_64_bits(monkeypatch):
     # The explicit examples above do reach the byte-by-byte slot reader.
     widths = []
@@ -584,7 +599,7 @@ def assert_cross_matches_loop(data, rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grassmann, "_PackedColumns", Recording)
         assert cross_sweep(orth) == pair_loop(data)
-        assert _cross_rows(orth, rows) == _count_rows(data, rows)
+        assert _cross_rows(orth, rows) == w_loop(data, rows)
     return {(tuple(w), l) for _, _, w, l in orth}, widths
 
 

@@ -353,35 +353,78 @@ def test_minimal_sections_saturation():
     assert coord_plane in section_subspaces(z2, s)
 
 
+def _counting_records(monkeypatch):
+    """(seeds, formed): the `intdata` calls that take a seed's adj and det,
+    and the coordinates whose rows G Y^T `SectionSet.metric_rows` formed."""
+    seeds, formed = [], []
+    real = lattice_mod.SectionSet.metric_rows
+
+    def counting(*args):
+        seeds.append(args)
+        return intdata(*args)
+
+    def rows(self, coords):
+        formed.append(coords)
+        return real(self, coords)
+
+    monkeypatch.setattr(lattice_mod, "intdata", counting)
+    monkeypatch.setattr(lattice_mod.SectionSet, "metric_rows", rows)
+    return seeds, formed
+
+
 @pytest.mark.parametrize("name", ["D4", "E6", "E7", "E8", "Z4"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_section_records_and_spans(monkeypatch, name, m):
-    # One integer record per section, built once when first read; ambient
-    # spans only from section_subspaces, checked against spans built from
-    # the saturated coordinates and the rational basis.
+    # One integer record per section, built once when first read, with its
+    # adj and det taken once per orbit seed and its rows G Y^T formed only
+    # when an engine reads them, once; ambient spans only from
+    # section_subspaces, checked against spans built from the saturated
+    # coordinates and the rational basis.
     lat = catalog(name)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return intdata(*args)
-
-    # Records are built by `intdata` on rows G Y^T taken from the search.
-    monkeypatch.setattr(lattice_mod, "intdata", counting)
+    seeds, formed = _counting_records(monkeypatch)
     secs, line_key, _ = _searched(lat, m)
     rankin(lat, m, secs)
-    assert not calls and "records" not in vars(secs)
+    assert not seeds and not formed and "records" not in vars(secs)
     reference = {Subspace.span(lat.n, RatMatrix([list(r) for r in saturate_rows(c, lat.rank)])
                                @ lat.basis) for c in secs.coords}
     assert set(section_subspaces(lat, secs)) == reference and len(reference) == len(secs)
+    report = section_design_report(lat, secs, tmax=1)
+    records = secs.records
+    assert len(seeds) == len(secs.orbits)
+    # An orbit row reads the rows of its row points, the orbit seeds, alone.
+    assert len(formed) == (len(secs) if report.orbits is None
+                           else len(secs.orbits))
+    check_perfection(lat, m, secs)
+    check_eutaxy(lat, m, secs)
+    assert secs.records is records and len(seeds) == len(secs.orbits)
+    # Perfection stops at full rank, and uniform eutaxy reads an orbit row.
+    assert len(set(formed)) == len(formed)
     for coords, rec in zip(secs.coords, secs.records):
         assert rec == intdata_from_coords(coords, lat._gram_int)
         assert rec[3] == secs.delta * lat._gram_scale ** m
-    section_design_report(lat, secs, tmax=1)
-    check_perfection(lat, m, secs)
-    check_eutaxy(lat, m, secs)
-    assert len(calls) == len(secs)
+    assert sorted(formed) == sorted(secs.coords)
     assert _in_line_key_order(secs, line_key)
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for name in
+                                    ("D4", "E6", "E7", "E8", "Z4")
+                                    for m in (1, 2)] + [("BW16", 1)])
+def test_records_share_their_seed_gram(monkeypatch, name, m):
+    # Each record equals the one built from its own coordinates, whether
+    # it shares its orbit seed's adj and det or, with no certified orbits,
+    # takes its own.
+    lat = catalog(name)
+    secs = minimal_sections(lat, m)
+    seeds, formed = _counting_records(monkeypatch)
+    section_design_report(lat, secs, tmax=1)
+    if name == "BW16":
+        # One orbit: its one row forms G y^T for its row point alone.
+        assert secs.orbits == {0: 2160} and len(seeds) == len(formed) == 1
+    alone = replace(secs, orbits=None)
+    for s in (secs, alone):
+        for coords, rec in zip(s.coords, s.records):
+            assert rec == intdata_from_coords(coords, lat._gram_int)
+    assert len(seeds) == len(secs.orbits) + len(secs)
 
 
 def test_delta_invariant_under_unimodular_change(d4):

@@ -11,16 +11,15 @@ import pytest
 from grassdex.binquad import enumerate_isotropic, spread
 from grassdex.clifford import build_design, clifford_generators
 from grassdex.exactalg import RatMatrix
-from grassdex.grassmann import (IntAction, Subspace, _count_rows,
-                                certified_orbits, design_report, line_key,
-                                pair_stats)
+from grassdex.grassmann import (IntAction, Subspace, certified_orbits,
+                                design_report, line_key, pair_stats)
 from grassdex import grassmann, lattice as lattice_mod
 from grassdex.cli import main
 from grassdex.lattice import (_ambient_rows, _simple_roots, catalog,
                               coordinate_automorphisms, minimal_sections,
                               section_design_report, section_subspaces)
 
-from test_grassmann import _run_python
+from test_grassmann import _run_python, w_loop
 
 
 def _all_points(k, w):
@@ -112,7 +111,7 @@ def _row(points, i):
     group permutes the points."""
     data = [p.int_data() for p in points]
     return {(Fraction(a, b), Fraction(c, d)): count
-            for (a, b, c, d), count in _count_rows(data, [(i, 0, len(points))]).items()}
+            for (a, b, c, d), count in w_loop(data, [(i, 0, len(points))]).items()}
 
 
 def test_early_stop_on_k4_w2_planes_matches_sampled_rows():

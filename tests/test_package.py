@@ -65,7 +65,8 @@ def test_unknown_name_raises_attribute_error():
 
 def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
     # Compiling a layer costs every invocation that loads it; a later eager
-    # import would bring that cost back to every command.
+    # import would bring that cost back to every command.  BW16's attached
+    # generators come from `generators`, not from the eigenspace layer.
     config = tmp_path / "lines.json"
     config.write_text(json.dumps({"n": 2, "m": 1, "points": [
         [["1", "0"]], [["0", "1"]], [["1", "1"]], [["1", "-1"]]]}),
@@ -73,14 +74,16 @@ def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
     code = (
         "import contextlib, io, json, sys\n"
         "import grassdex.cli\n"
-        "layers = ('lattice', 'clifford', 'binquad')\n"
+        "layers = ('lattice', 'generators', 'clifford', 'binquad')\n"
         "def loaded():\n"
         "    return [n for n in layers if 'grassdex.' + n in sys.modules]\n"
         "seen = {'import': loaded()}\n"
         "for key, argv in (('verify', ['verify', sys.argv[1]]),\n"
         "                  ('constants', ['constants', '--m', '2', '--n', '8',\n"
         "                                 '--t', '2']),\n"
-        "                  ('lattice', ['lattice', 'E8', '--m', '1'])):\n"
+        "                  ('lattice', ['lattice', 'E8', '--m', '1']),\n"
+        "                  ('bw16', ['lattice', 'BW16', '--m', '1',\n"
+        "                            '--sections', '--t', '1'])):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        grassdex.cli.main(argv)\n"
         "    seen[key] = loaded()\n"
@@ -90,5 +93,6 @@ def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"import": [], "verify": [],
-                                       "constants": [], "lattice": ["lattice"]}
+    assert json.loads(proc.stdout) == {
+        "import": [], "verify": [], "constants": [], "lattice": ["lattice"],
+        "bw16": ["lattice", "generators"]}

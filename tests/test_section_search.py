@@ -76,12 +76,12 @@ def _assert_one_order(reduced, line_key, cvecs, full, full_key):
 
 def _exhaustive(lat, m, bound=None):
     """The search with no candidate: every vector its own orbit."""
-    real = lattice_mod.coordinate_automorphisms
-    lattice_mod.coordinate_automorphisms = lambda lat: (0, None)
+    real = lattice_mod._candidates
+    lattice_mod._candidates = lambda lat: (0, iter(()))
     try:
         return minimal_sections(lat, m, search_bound=bound)
     finally:
-        lattice_mod.coordinate_automorphisms = real
+        lattice_mod._candidates = real
 
 
 def _unimodular(rows, seed):
@@ -214,6 +214,29 @@ def _reflection(v):
             for i, a in enumerate(v)]
 
 
+def _forged_bw16(first: bool):
+    """BW16 with a forged candidate attached first or last: the reflection
+    in (1, 2, 0, ..., 0), whose coordinate matrix is not integral."""
+    lat = catalog("BW16")
+    forged = [_reflection([1, 2] + [0] * 14)]
+    lat._automorphisms = (forged + lat._automorphisms if first
+                          else lat._automorphisms + forged)
+    return lat
+
+
+def _forgery_unexamined() -> bool:
+    """Whether a forged candidate appended after BW16's attached list,
+    which the eager view refuses, leaves the line search and its verdicts
+    as they are: the search never draws it."""
+    plain, lat = catalog("BW16"), _forged_bw16(first=False)
+    ref, secs = minimal_sections(plain, 1), minimal_sections(lat, 1)
+    return (coordinate_automorphisms(lat)[1] is None
+            and (secs.orbits, secs.examined, secs.generators)
+            == (ref.orbits, ref.examined, ref.generators + 1)
+            and section_design_report(lat, secs, tmax=3).to_json_dict()
+            == section_design_report(plain, ref, tmax=3).to_json_dict())
+
+
 def _search_refusals():
     """(name, whether the exact check A G A^T = G refused as it should,
     the lattice, reduced SectionSet, exhaustive SectionSet) for candidates
@@ -244,6 +267,12 @@ def _search_refusals():
                         _exhaustive(Lattice(rows), m)))
         finally:
             lattice_mod._simple_roots = real
+    # A forged candidate attached first on BW16: drawn first, it refuses
+    # them all.
+    bw16 = _forged_bw16(first=True)
+    out.append(("forged candidate first",
+                coordinate_automorphisms(bw16)[1] is None, bw16,
+                minimal_sections(bw16, 1), _exhaustive(catalog("BW16"), 1)))
     # A candidate vector mapped outside the candidates: one D4 minimal line
     # hidden from the search; the exact check passes the candidates.
     real = lattice_mod.short_vectors_with_norms
@@ -280,12 +309,19 @@ def test_search_refuses_non_automorphisms():
     assert _search_unrefused() == []
 
 
+def test_candidate_never_drawn_is_never_examined():
+    assert _forgery_unexamined()
+
+
 def test_search_refusals_hold_under_optimize():
     here = os.path.dirname(os.path.abspath(__file__))
     code = ("import sys\n"
             "if __debug__: sys.exit(4)\n"
-            "from test_section_search import _search_unrefused\n"
+            "from test_section_search import (_forgery_unexamined,\n"
+            "                                 _search_unrefused)\n"
             "bad = _search_unrefused()\n"
+            "if not _forgery_unexamined():\n"
+            "    bad.append('forged candidate drawn')\n"
             "print(bad)\n"
             "sys.exit(3 if bad else 0)\n")
     proc = _run_python(code, "-O", path=here)
@@ -392,7 +428,8 @@ def test_readme_three_section_runs_keep_their_digests(capsys, name, t, digest):
 def _hnf_closure(seeds, moves, lines_of):
     """The closure with every image keyed by its HNF: the reference for
     `lattice._closure`, which keys images by their candidate lines.  Its
-    output is ordered by `lines_of`, as the closure's is."""
+    output is ordered by `lines_of`, as the closure's is, and names each
+    section's orbit by its first section."""
     seen = {}
     for sat in seeds:
         key = tuple(hnf(sat))
@@ -410,11 +447,12 @@ def _hnf_closure(seeds, moves, lines_of):
                     seen[k] = (img, key)
                     stack.append(img)
     keys = sorted(seen, key=lambda k: lines_of(seen[k][0]))
-    orbits, first = {}, {}
+    orbits, first, heads = {}, {}, []
     for i, k in enumerate(keys):
         head = first.setdefault(seen[k][1], i)
         orbits[head] = orbits.get(head, 0) + 1
-    return [tuple(map(tuple, seen[k][0])) for k in keys], orbits
+        heads.append(head)
+    return [tuple(map(tuple, seen[k][0])) for k in keys], orbits, heads
 
 
 def _hnf_keyed(lat, m):
@@ -431,7 +469,8 @@ def _assert_closures_agree(build, m):
     got, ref = minimal_sections(build(), m), _hnf_keyed(build(), m)
     assert got.orbits is not None
     assert _keys(got) == _keys(ref) and got.coords == ref.coords
-    assert (got.orbits, got.examined) == (ref.orbits, ref.examined)
+    assert (got.orbits, got.examined, got.seeds) == (
+        ref.orbits, ref.examined, ref.seeds)
 
 
 @pytest.mark.parametrize("name,m", [("D4", 2), ("E6", 2), ("E7", 2),
