@@ -138,11 +138,16 @@ def test_readme_lattice_section_runs_keep_their_digests(capsys, argv, digest):
      "1f0188c1201c8b7f565a6ff14f4664dc471dd0ccbdaf19e0b48a5143d482f47e"),
     (["lattice", "Z8", "--m", "3", "--perfection"],
      "e76e25411186d2a68483a2e34d6aa9c71872f0c238483b419d92df2210d49764"),
+    (["lattice", "E7", "--m", "3", "--sections", "--perfection", "--t", "2"],
+     "3884d59a473eca3c8d4687756c0553f2885867809e9454eb871429446f2e57ac"),
 ])
 def test_perfection_runs_keep_their_digests(capsys, argv, digest):
-    # Perfection and eutaxy outside E8: planes under one orbit row, and
-    # Z8's 3-sections, which leave the orbit rows for the full engine.  The
-    # digests were recorded when eutaxy summed the projectors directly.
+    # Perfection and eutaxy outside E8: planes under one orbit row, Z8's
+    # 3-sections, which leave the orbit rows for the full engine, and E7's
+    # 3-sections in its rank-deficient embedding, where the design verdicts
+    # and eutaxy read the same pair distribution.  The first three digests
+    # were recorded when eutaxy summed the projectors directly, the E7 one
+    # when the design report and eutaxy each ran their own orbit row.
     run = _load_run()
     assert main(argv) == 0
     out = capsys.readouterr().out
