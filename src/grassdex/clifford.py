@@ -22,7 +22,7 @@ from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
 from .generators import (CliffordGenerator, GeneratorSet, _signed_map,
                          clifford_generators)
 from .grassmann import (Configuration, IntAction, Subspace, certified_orbits,
-                        design_report)
+                        design_report, pair_stats)
 from .zonal import MAX_T
 
 
@@ -272,9 +272,9 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     For each t <= tmax the sigma^t pair average is computed by the fast
     character path, which is the reduction identity
     2^((2s-k)t) * average(|S meet S'|^(t-1)), and by the trace path, which is
-    the `verify_design` core (`design_report`, zonal re-checks included) on
-    the explicit subspaces; both are compared exactly and judged against the
-    invariant constant.
+    the `verify_design` core (one `pair_stats` call that `design_report`
+    reads, zonal re-checks included) on the explicit subspaces; both are
+    compared exactly and judged against the invariant constant.
 
     The trace path certifies the orbits of `clifford_generators(k)`,
     `h_first` = S (x) I included, by `certified_orbits`, `cycle`,
@@ -303,8 +303,8 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     generators = [g.matrix for g in sorted(clifford_generators(k),
                                            key=lambda g: g.name not in first)]
     orbits, examined = certified_orbits(config.points, generators)
-    design = design_report(config.points, config.m, config.n, tmax,
-                           orbits=orbits)
+    design = design_report(pair_stats(config.points, orbits=orbits),
+                           config.n, tmax)
     report: Dict[int, TTStat] = {}
     for t, st in design.t_stats.items():
         fast = Fraction(2) ** ((2 * sp - k) * t) * intersection_moment(sigma, t - 1)

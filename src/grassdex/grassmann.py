@@ -287,16 +287,21 @@ def _pair_w(data_i, data_j):
 
 @dataclass
 class PairStats:
-    """Exact sums over all ordered point pairs of a configuration."""
+    """The exact distribution of (sigma, sum y_i^2) over all ordered pairs
+    of a configuration of `size` m-spaces.  Every design verdict, zonal sum
+    and the uniform eutaxy witness is read from it."""
 
     size: int
     m: int
-    sigma_pow: Dict[int, Rational]   # t -> sum of sigma^t, t = 1..max(tmax, 3)
     # (sigma, sum(y_i^2)) -> number of ordered pairs, the diagonal included;
     # one entry per distinct `_pair_key` of the count sites.
     distribution: Dict[Tuple[Rational, Rational], int]
     # The number of certified group orbits when the orbit identity was used.
     orbits: Optional[int] = None
+
+    def sigma_sum(self, t: int) -> Rational:
+        """Sum of sigma^t over all ordered pairs, for any t >= 1."""
+        return sum(c * s ** t for (s, _), c in self.distribution.items())
 
     @property
     def power2(self) -> Rational:
@@ -879,10 +884,10 @@ def certified_orbits(points: Sequence, generators) -> tuple:
 _SERIAL_ROWS = 6
 
 
-def pair_stats(points: Sequence, tmax: int = 3,
+def pair_stats(points: Sequence,
                orbits: Optional[Dict[int, int]] = None) -> PairStats:
-    """The exact pair distribution and its sigma-power totals over all
-    ordered pairs.
+    """The exact pair distribution over all ordered pairs; every sigma^t
+    sum and zonal sum is read from it (`PairStats`).
 
     `points` may be Subspace instances, read in the rows they were given
     in (`Subspace._given`, else their canonical rows), or raw int-data
@@ -941,9 +946,7 @@ def pair_stats(points: Sequence, tmax: int = 3,
     # Distinct reduced keys are distinct rationals.
     dist = {(Fraction(a, b), Fraction(c, d)): count
             for (a, b, c, d), count in keys.items()}
-    sums = {t: sum(c * s ** t for (s, _), c in dist.items())
-            for t in range(1, max(tmax, 3) + 1)}
-    return PairStats(size=n, m=m, sigma_pow=sums, distribution=dist,
+    return PairStats(size=n, m=m, distribution=dist,
                      orbits=None if orbits is None else len(orbits))
 
 
@@ -1153,31 +1156,31 @@ def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
     them narrower (`_frame_data`; the report's `frame` says which).  The
     verdict constants stay those of G(m, n) for the ambient n."""
     data, frame = _frame_data(config)
-    report = design_report(data, config.m, config.n, tmax)
+    report = design_report(pair_stats(data), config.n, tmax)
     report.frame = frame
     return report
 
 
-def design_report(data: Sequence, m: int, n: int, tmax: int,
-                  orbits=None) -> DesignReport:
-    """Design verdicts for the points `data` in G(m, n), Subspace instances
-    or their pair-engine data; `orbits`, certified by the caller, go to
-    `pair_stats`.
+def design_report(stats: PairStats, n: int, tmax: int) -> DesignReport:
+    """Design verdicts in G(m, n) for t <= tmax, read from the pair
+    distribution `stats` of the points alone; m, the size and the orbits
+    summed over come from `stats`.  The caller that owns the points runs
+    `pair_stats` once, so its other verdicts read the same distribution.
 
     Equality at t forces equality at every t' < t (the sigma^t expansions
     have positive coefficients); this monotonicity, nonnegativity of every
     zonal sum and its vanishing at certified strengths are re-checked, and
     a failure raises AssertionError, also under `python -O`.
     """
+    m = stats.m
     if not 1 <= tmax <= MAX_T:
         raise ValueError(f"tmax must be between 1 and {MAX_T}")
     if 2 * m > n:
         raise ValueError("design criteria require m <= n/2")
-    stats = pair_stats(data, tmax=tmax, orbits=orbits)
-    size2 = Fraction(len(data)) ** 2
+    size2 = Fraction(stats.size) ** 2
     t_stats = {}
     for t in range(1, tmax + 1):
-        avg = stats.sigma_pow[t] / size2
+        avg = stats.sigma_sum(t) / size2
         exp = constant_c(m, n, t)
         t_stats[t] = TDesignStat(avg, exp, avg == exp)
     parts = supported_partitions(m, tmax=min(tmax, 2))
@@ -1193,7 +1196,7 @@ def design_report(data: Sequence, m: int, n: int, tmax: int,
     for mu in parts:
         if t_stats[mu.degree].is_design and zsums[str(mu)] != 0:
             raise AssertionError("zonal sum must vanish at certified strength")
-    return DesignReport(n=n, m=m, size=len(data), tmax=tmax,
+    return DesignReport(n=n, m=m, size=stats.size, tmax=tmax,
                         t_stats=t_stats, zonal_sums=zsums,
                         orbits=stats.orbits)
 
@@ -1203,10 +1206,9 @@ def zonal_positivity(config: Configuration, mu: Partition) -> Rational:
     if mu.degree == 0:
         return Fraction(len(config)) ** 2
     poly = jacobi_p(mu, config.m, config.n)
-    return pair_stats(_frame_data(config)[0], tmax=2).zonal_sum(poly)
+    return pair_stats(_frame_data(config)[0]).zonal_sum(poly)
 
 
 def average_sigma_power(config: Configuration, t: int) -> Rational:
     """Exact pair average of sigma^t for arbitrary t >= 1."""
-    stats = pair_stats(_frame_data(config)[0], tmax=t)
-    return stats.sigma_pow[t] / len(config) ** 2
+    return pair_stats(_frame_data(config)[0]).sigma_sum(t) / len(config) ** 2

@@ -30,8 +30,8 @@ from .exactalg import (RatMatrix, Rational, adjugate, bit_span, bit_subspaces,
                        saturate_rows, solve_nonneg_combination,
                        verify_combination)
 from .grassmann import (Configuration, DesignReport, IndexMap, IntAction,
-                        Subspace, UnionFind, adj_product, design_report,
-                        intdata, line_key, pair_stats)
+                        PairStats, Subspace, UnionFind, adj_product,
+                        design_report, intdata, line_key, pair_stats)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -218,11 +218,12 @@ class SectionSet:
     the examined candidates passed the exact gate, `orbits` holds the
     certified orbits of the examined group on the sections, {index of an
     orbit's first section: its size}, the line orbits for lines and the
-    closure's for m >= 2, and `section_design_report` sums one row per
-    orbit; `seeds` then names, for each section, the section of its orbit
-    whose Gram it shares (the union-find root for lines, the first section
-    of the closure's orbit for m >= 2).  `orbits` is None for a lattice
-    with no candidate, or a refused one."""
+    closure's for m >= 2, and `stats` sums one row per orbit; `seeds` then
+    names, for each section, the section of its orbit whose Gram it shares
+    (the union-find root for lines, the first section of the closure's
+    orbit for m >= 2).  `orbits` is None for a lattice with no candidate,
+    or a refused one.  The design verdicts and the uniform eutaxy witness
+    both read the one pair distribution `stats`."""
 
     m: int
     delta: Rational
@@ -252,6 +253,17 @@ class SectionSet:
         gi, known = self.gram_int, self.gvecs
         return tuple(known.get(y) or tuple(sum(map(mul, row, y)) for row in gi)
                      for y in coords), coords
+
+    @cached_property
+    def stats(self) -> PairStats:
+        """The pair distribution of the sections, computed on first read,
+        once, with one row per certified orbit: every automorphism permutes
+        the minimal m-sections (Goethals and Seidel 1981).  Lines and planes
+        are read as `records`; m >= 3 as their rows alone (`metric_rows`),
+        since the cross engine forms no adjugate."""
+        points = ([self.metric_rows(c) for c in self.coords] if self.m >= 3
+                  else self.records)
+        return pair_stats(points, orbits=self.orbits)
 
     @cached_property
     def records(self) -> List[tuple]:
@@ -695,9 +707,10 @@ def check_eutaxy(lattice: Lattice, m: int,
 
     with equality exactly when S = (m N / r) I, the uniform witness
     (equivalently, the sections form a Grassmannian 2-design).  The left
-    side is the sigma sum of `pair_stats`, exact and summed over the
-    search's certified orbits, so the uniform verdict costs one orbit row
-    and no projector.  Otherwise the exact phase-1 solver
+    side is the sigma sum of the sections' pair distribution
+    (`SectionSet.stats`), the one the design verdicts read, so the
+    uniform verdict costs no projector, and no pair engine run once the
+    design report has run.  Otherwise the exact phase-1 solver
     `solve_nonneg_combination` decides strict eutaxy on the integer
     projector multiples, and its weights, some strict vertex certificate
     rather than a canonical one, are re-checked exactly (AssertionError,
@@ -712,9 +725,7 @@ def check_eutaxy(lattice: Lattice, m: int,
     dets = {d for *_, d in records}
     if len(dets) != 1:
         raise ValueError("minimal sections must share one Gram determinant")
-    # For m >= 3 the engine reads only a record's rows, its metric rows.
-    stats = pair_stats(records, tmax=1, orbits=sections.orbits)
-    if stats.sigma_pow[1] * r == (m * nsec) ** 2:
+    if sections.stats.sigma_sum(1) * r == (m * nsec) ** 2:
         w = Fraction(r, m * nsec)
         return EutaxyResult(True, [w] * nsec, uniform=True)
     # Each multiple is det times the projector, of trace tr = m * det;
@@ -856,29 +867,14 @@ def _coordinate_map(g, basis_int, pcols, pden) -> Optional[List[List[int]]]:
 
 def section_design_report(lattice: Lattice, sections: SectionSet,
                           tmax: int = 2) -> DesignReport:
-    """Design verdicts for the minimal sections, taken intrinsically.
-
-    Every automorphism of the lattice permutes its minimal m-sections, so
-    the pair distribution can be summed over orbits, one row per orbit
-    (Goethals and Seidel 1981).  The `orbits` of `minimal_sections` are
-    orbits of certified integer automorphisms on exactly the minimal
-    sections (the line union-find for lines, its closure for m >= 2), so
-    the rows run on the integer coordinate `records`, which form G Y^T for
-    the row points alone (for m >= 3 only their rows,
-    `SectionSet.metric_rows`, since the cross engine forms no adjugate),
-    with no ambient span and no further certificate.  A refused
-    candidate, no candidate at all, or orbit rows that would cost more than
-    the full pair engine run that engine, with the same result.  Either
-    way the verdicts are taken in dimension rank, so rank-deficient
-    embeddings are judged intrinsically.
+    """Design verdicts for the minimal sections, taken intrinsically: read
+    from their pair distribution `sections.stats`, summed over the orbits
+    the search certified (the line union-find for lines, its closure for
+    m >= 2), the one that `check_eutaxy` reads too.  The verdicts are
+    taken in dimension rank, so rank-deficient embeddings are judged
+    intrinsically.
     """
-    m = sections.m
-    if m >= 3:
-        points = [sections.metric_rows(c) for c in sections.coords]
-    else:
-        points = sections.records
-    report = design_report(points, m, lattice.rank, tmax,
-                           orbits=sections.orbits)
+    report = design_report(sections.stats, lattice.rank, tmax)
     report.generators, report.examined = sections.generators, sections.examined
     return report
 

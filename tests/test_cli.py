@@ -100,9 +100,11 @@ def test_lattice_notes_the_design_path(tmp_path, capsys):
 def test_lattice_d4_lines_keep_the_traced_calls(monkeypatch, capsys):
     # The benchmark's tracer counts the first `Lattice.minimum` and every
     # `short_vectors*` call as an enumeration, 2 on D4 lines, with 12
-    # vectors, and finds `pair_stats` inside `section_design_report`.  So
-    # the design path enumerates nothing more: `_enumerate` runs once, for
-    # the minimum, and `minimal_sections` reads its 12 vectors back.
+    # vectors, and finds `pair_stats` inside `section_design_report`, under
+    # either name it rebinds: `grassmann.pair_stats` and the one `lattice`
+    # imported.  So the design path enumerates nothing more: `_enumerate`
+    # runs once, for the minimum, and `minimal_sections` reads its 12
+    # vectors back.
     from grassdex import grassmann, lattice
     events, sizes = [], []
 
@@ -123,12 +125,56 @@ def test_lattice_d4_lines_keep_the_traced_calls(monkeypatch, capsys):
                  "section_design_report"):
         spy(lattice, name)
     spy(grassmann, "pair_stats")
+    spy(lattice, "pair_stats")
     code, rep = run_cli(capsys, "lattice", "D4", "--m", "1", "--sections")
     assert code == 0 and rep["results"]["section_count"] == 12
     assert events.count("> _enumerate") == 1 and sizes == [12]
     design = events[events.index("> section_design_report"):
                     events.index("< section_design_report")]
     assert "> pair_stats" in design and events.count("> pair_stats") == 1
+
+
+def _count_pair_stats(monkeypatch):
+    """The number of points of every `pair_stats` call made through either
+    name the benchmark's tracer rebinds, `grassmann.pair_stats` and the one
+    `lattice` imported, in call order."""
+    from grassdex import grassmann, lattice
+    calls = []
+    for mod in (grassmann, lattice):
+        def counted(points, *args, _real=mod.pair_stats, **kwargs):
+            calls.append(len(points))
+            return _real(points, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "pair_stats", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "E8", "--m", "2", "--sections", "--rankin", "--perfection",
+     "--t", "2"],
+    ["lattice", "E7", "--m", "3", "--sections", "--perfection", "--t", "2"],
+])
+def test_section_runs_compute_one_pair_distribution(monkeypatch, capsys, argv):
+    # The design verdicts and eutaxy read one `PairStats` of all sections.
+    calls = _count_pair_stats(monkeypatch)
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0 and rep["results"]["eutaxy"]["uniform"]
+    assert calls == [rep["results"]["section_count"]]
+
+
+@pytest.mark.parametrize("name,m", [("D4", 2), ("E6", 3)])
+def test_eutaxy_after_the_design_report_runs_no_pair_engine(monkeypatch,
+                                                            name, m):
+    from grassdex.lattice import (catalog, check_eutaxy, minimal_sections,
+                                  section_design_report)
+    lat = catalog(name)
+    secs = minimal_sections(lat, m)
+    calls = _count_pair_stats(monkeypatch)
+    report = section_design_report(lat, secs, tmax=2)
+    eutaxy = check_eutaxy(lat, m, secs)
+    assert calls == [len(secs)]
+    # The uniform witness is the t = 1 verdict of the same distribution.
+    assert eutaxy.uniform == report.is_design(1)
 
 
 def test_clifford_family_split_k3(capsys):

@@ -287,16 +287,16 @@ def test_verify_tt_full_sets():
 def test_verify_tt_trace_path_runs_design_rechecks(monkeypatch):
     # The trace path is the verify_design core: with sigma^1 sums off by one,
     # t = 1 fails while t = 2, 3 hold, which the monotonicity re-check refuses.
-    from dataclasses import replace
-    from grassdex import grassmann
-    real = grassmann.pair_stats
+    from grassdex import clifford
+    real = clifford.pair_stats
 
     def shifted(*args, **kwargs):
         stats = real(*args, **kwargs)
-        return replace(stats, sigma_pow={**stats.sigma_pow,
-                                         1: stats.sigma_pow[1] + 1})
+        sums = stats.sigma_sum
+        stats.sigma_sum = lambda t: sums(t) + (t == 1)
+        return stats
 
-    monkeypatch.setattr(grassmann, "pair_stats", shifted)
+    monkeypatch.setattr(clifford, "pair_stats", shifted)
     with pytest.raises(AssertionError, match="monotone"):
         verify_tt(enumerate_isotropic(2, 1), tmax=3)
 

@@ -53,6 +53,11 @@ def cross_sweep(orth):
     return _cross_rows(orth, [(i, i + 1, 1) for i in range(len(orth))])
 
 
+def sigma_sums(stats, tmax=3):
+    """{t: sum of sigma^t} of a `PairStats` for t = 1..tmax."""
+    return {t: stats.sigma_sum(t) for t in range(1, tmax + 1)}
+
+
 def naive_sigma(p: Subspace, q: Subspace):
     """Independent oracle: sigma via explicit projector matrices and
     Fraction Gauss-Jordan inversion (no integer fast path)."""
@@ -301,6 +306,19 @@ def test_average_sigma_power_high_t():
     assert avg4 == (4 * 1 + 8 * F(1, 16)) / 16
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sigma_sum_matches_the_principal_power_sums_loop(m):
+    # Every sigma^t sum, read from the distribution on demand, against the
+    # loop over ordered pairs; one point repeated.
+    rng = random.Random(17)
+    points = [random_subspace(rng, 6, m) for _ in range(4)]
+    points.append(points[0])
+    stats = pair_stats(points)
+    for t in range(1, 7):
+        assert stats.sigma_sum(t) == sum(principal_power_sums(p, q, 1)[0] ** t
+                                         for p in points for q in points)
+
+
 def test_verify_design_requires_small_m():
     p = Subspace(3, [[1, 0, 0], [0, 1, 0]])
     with pytest.raises(ValueError):
@@ -378,8 +396,8 @@ def test_pair_engine_matches_projector_reference(data):
         points = [p.int_data() for p in cfg.points]
         assert _packed_counts(points) == pair_loop(points)
     sums, power2 = projector_reference(cfg.points, 5)
-    stats = pair_stats(cfg.points, tmax=5)
-    assert {t: stats.sigma_pow[t] for t in sums} == sums
+    stats = pair_stats(cfg.points)
+    assert {t: stats.sigma_sum(t) for t in sums} == sums
     assert stats.power2 == power2
     assert sum(stats.distribution.values()) == len(cfg) ** 2
     assert average_sigma_power(cfg, 4) == sums[4] / len(cfg) ** 2
@@ -793,9 +811,9 @@ def test_cross_engine_pool_matches_pair_loop(monkeypatch):
     rng = random.Random(5)
     points = [random_subspace(rng, 8, 4) for _ in range(67)]
     points += points[:3]
-    stats = pair_stats(points, tmax=3)
+    stats = pair_stats(points)
     dist, sums = triple_reference(points, 3)
-    assert stats.distribution == dist and stats.sigma_pow == sums
+    assert stats.distribution == dist and sigma_sums(stats) == sums
 
 
 def test_pair_stats_refuses_no_points():
@@ -859,11 +877,11 @@ def test_given_rows_leave_every_pair_key(case):
     canonical = [Subspace(n, p.rows) for p in points]
     assert all(p == q and hash(p) == hash(q) and q._given is None
                for p, q in zip(points, canonical))
-    stats = pair_stats(points, tmax=4)
-    rebuilt = pair_stats(canonical, tmax=4)
+    stats = pair_stats(points)
+    rebuilt = pair_stats(canonical)
     dist, sums = triple_reference(points, 4)
     assert stats.distribution == rebuilt.distribution == dist
-    assert stats.sigma_pow == rebuilt.sigma_pow == sums
+    assert sigma_sums(stats, 4) == sigma_sums(rebuilt, 4) == sums
     orth = [grassmann._orthogonal((p._given or p.rows,) * 2) for p in points]
     assert cross_sweep(orth) == pair_loop([p.int_data() for p in points])
 
@@ -880,12 +898,11 @@ def test_given_rows_serve_the_orbit_rows():
         points.append(Subspace(8, rows))
         rows = turned(rows, shift)
     assert all(p._given is not None for p in points)
-    stats = pair_stats(points, tmax=3,
-                       orbits=certified_orbits(points, [shift])[0])
+    stats = pair_stats(points, orbits=certified_orbits(points, [shift])[0])
     assert stats.orbits == 1
-    rebuilt = pair_stats([Subspace(8, p.rows) for p in points], tmax=3)
+    rebuilt = pair_stats([Subspace(8, p.rows) for p in points])
     assert stats.distribution == rebuilt.distribution
-    assert stats.sigma_pow == rebuilt.sigma_pow
+    assert sigma_sums(stats) == sigma_sums(rebuilt)
 
 
 def test_only_independent_given_rows_are_kept():
@@ -1166,13 +1183,13 @@ def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens):
         orbits, _ = certified_orbits(rotated, [
             [[sum(ri[a] * g[a][b] * rj[b] for a in n for b in n) for rj in rot]
              for ri in rot] for g in gens])
-    stats = pair_stats(rotated, tmax=4, orbits=orbits)
+    stats = pair_stats(rotated, orbits=orbits)
     dist, sums = triple_reference(rotated, 4)
     assert stats.distribution == dist
-    assert stats.sigma_pow == sums
+    assert sigma_sums(stats, 4) == sums
     assert (stats.orbits is not None) == (gens is not None)
     # Rotations leave every principal angle in place.
-    assert pair_stats(points, tmax=4).distribution == dist
+    assert pair_stats(points).distribution == dist
     # The count sites key each angle class once, in lowest terms, however
     # the rotated Gram determinants differ.
     data = [p.int_data() for p in rotated]
@@ -1195,15 +1212,15 @@ def _raise_on_inconsistent_stats(d_sigma, d_power2):
     returns the AssertionError it raises (None if none)."""
     from dataclasses import replace
     cfg = lines_config(4, d4_line_vectors())
-    real = grassmann.pair_stats(cfg.points, tmax=2)
+    real = grassmann.pair_stats(cfg.points)
     # The zonal sums read the distribution: move one pair of a real class.
     dist = dict(real.distribution)
     sigma, power2 = max(dist)
     dist[(sigma, power2)] -= 1
     moved = (sigma + d_sigma, power2 + d_power2)
     dist[moved] = dist.get(moved, 0) + 1
-    fake = replace(real, distribution=dist,
-                   sigma_pow={**real.sigma_pow, 1: real.sigma_pow[1] + d_sigma})
+    fake = replace(real, distribution=dist)
+    fake.sigma_sum = lambda t: real.sigma_sum(t) + (d_sigma if t == 1 else 0)
     saved = grassmann.pair_stats
     grassmann.pair_stats = lambda *args, **kwargs: fake
     try:
@@ -1289,15 +1306,15 @@ def frame_taken(config, tmax=3) -> bool:
     `verify_design` and `average_sigma_power` give their design report and
     averages; True when the frame was taken."""
     data, frame = _frame_data(config)
-    ours, theirs = pair_stats(data, tmax), pair_stats(config.points, tmax)
+    ours, theirs = pair_stats(data), pair_stats(config.points)
     assert ours.distribution == theirs.distribution
-    assert ours.sigma_pow == theirs.sigma_pow
+    assert sigma_sums(ours, max(tmax, 3)) == sigma_sums(theirs, max(tmax, 3))
     assert (average_sigma_power(config, tmax)
-            == theirs.sigma_pow[tmax] / len(config) ** 2)
+            == theirs.sigma_sum(tmax) / len(config) ** 2)
     report = verify_design(config, tmax)
     assert report.frame == frame
     assert report.to_json_dict() == design_report(
-        config.points, config.m, config.n, tmax).to_json_dict()
+        pair_stats(config.points), config.n, tmax).to_json_dict()
     return frame is not None
 
 

@@ -4,6 +4,7 @@ configuration, and the pair distribution summed over its orbits."""
 import json
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from grassdex.lattice import (_ambient_rows, _simple_roots, catalog,
                               coordinate_automorphisms, minimal_sections,
                               section_design_report, section_subspaces)
 
-from test_grassmann import _run_python, w_loop
+from test_grassmann import _run_python, sigma_sums, w_loop
 
 
 def _all_points(k, w):
@@ -51,14 +52,14 @@ def _tt_order(k):
 @pytest.mark.parametrize("k,w", ALL_SETS)
 def test_orbit_reduced_distribution_equals_full_engine(k, w):
     points = _all_points(k, w)
-    full = pair_stats(points, tmax=3)
+    full = pair_stats(points)
     assert full.orbits is None
     for gens in (_generators(k), _tt_order(k)):
         orbits, examined = certified_orbits(points, gens)
-        reduced = pair_stats(points, tmax=3, orbits=orbits)
+        reduced = pair_stats(points, orbits=orbits)
         assert reduced.orbits is not None
         assert reduced.distribution == full.distribution
-        assert reduced.sigma_pow == full.sigma_pow
+        assert sigma_sums(reduced) == sigma_sums(full)
         assert reduced.size == full.size == len(points)
     # In `verify_tt`'s order three generators leave one orbit; the
     # certificate examines nothing after them.
@@ -79,8 +80,8 @@ def test_multiplicities_enter_the_orbit_weights():
     doubled = points + points
     orbits, _ = certified_orbits(doubled, _generators(2))
     assert orbits == {0: 2 * len(points)}
-    reduced = pair_stats(doubled, tmax=3, orbits=orbits)
-    full = pair_stats(doubled, tmax=3)
+    reduced = pair_stats(doubled, orbits=orbits)
+    full = pair_stats(doubled)
     assert reduced.orbits == 1
     assert reduced.distribution == full.distribution
 
@@ -91,7 +92,7 @@ def test_several_orbits_are_summed():
     # translate_0 and h2_first added they split into 6 unequal orbits,
     # whose rows are summed.
     points = _all_points(3, 3)
-    full = pair_stats(points, tmax=3).distribution
+    full = pair_stats(points).distribution
     diag = [g for g in clifford_generators(3)
             if g.name.startswith(("neg", "diag"))]
     more = [g for g in clifford_generators(3)
@@ -100,7 +101,7 @@ def test_several_orbits_are_summed():
         gens = [g.matrix for g in gens]
         orbits, examined = certified_orbits(points, gens)
         assert len(orbits) == count and sum(orbits.values()) == len(points)
-        reduced = pair_stats(points, tmax=3, orbits=orbits)
+        reduced = pair_stats(points, orbits=orbits)
         assert (reduced.orbits, examined) == (route, len(gens))
         assert reduced.distribution == full
 
@@ -121,7 +122,7 @@ def test_early_stop_on_k4_w2_planes_matches_sampled_rows():
     # orbit row must equal the rows of points the certificate never chose.
     points = _all_points(4, 2)
     orbits, examined = certified_orbits(points, _tt_order(4))
-    reduced = pair_stats(points, tmax=3, orbits=orbits)
+    reduced = pair_stats(points, orbits=orbits)
     assert (reduced.orbits, examined) == (1, 3)
     for i in random.Random(7).sample(range(1, len(points)), 2):
         assert reduced.distribution == _row(points, i)
@@ -135,9 +136,9 @@ def test_generator_after_one_orbit_is_not_examined():
     gens[3:3] = [_index_swap(8, 0, 1)]
     orbits, examined = certified_orbits(points, gens)
     assert (orbits, examined) == ({0: len(points)}, 3)
-    stats = pair_stats(points, tmax=3, orbits=orbits)
+    stats = pair_stats(points, orbits=orbits)
     assert stats.orbits == 1
-    assert stats.distribution == pair_stats(points, tmax=3).distribution
+    assert stats.distribution == pair_stats(points).distribution
 
 
 def test_same_generator_first_is_refused():
@@ -152,9 +153,9 @@ def test_two_orbits_examine_every_generator():
     gens = [g.matrix for g in clifford_generators(3) if g.in_gk]
     orbits, examined = certified_orbits(points, gens)
     assert (orbits, examined) == ({0: 120, 8: 120}, len(gens))
-    stats = pair_stats(points, tmax=3, orbits=orbits)
+    stats = pair_stats(points, orbits=orbits)
     assert stats.orbits == 2
-    assert stats.distribution == pair_stats(points, tmax=3).distribution
+    assert stats.distribution == pair_stats(points).distribution
 
 
 def _refusals():
@@ -182,11 +183,11 @@ def _unrefused():
     bad = []
     for name, points, gens in _refusals():
         orbits, examined = certified_orbits(points, gens)
-        stats = pair_stats(points, tmax=3, orbits=orbits)
-        full = pair_stats(points, tmax=3)
+        stats = pair_stats(points, orbits=orbits)
+        full = pair_stats(points)
         if (orbits is not None or examined or stats.orbits is not None
                 or stats.distribution != full.distribution
-                or stats.sigma_pow != full.sigma_pow):
+                or sigma_sums(stats) != sigma_sums(full)):
             bad.append(name)
     return bad
 
@@ -265,15 +266,26 @@ def test_lattice_orbit_route_equals_full_engine(name, m):
     # coordinate records: one orbit, the same distribution.
     lat = catalog(name)
     secs = minimal_sections(lat, m)
-    reduced = pair_stats(secs.records, tmax=3, orbits=secs.orbits)
-    full = pair_stats(secs.records, tmax=3)
+    reduced = pair_stats(secs.records, orbits=secs.orbits)
+    full = pair_stats(secs.records)
     assert reduced.orbits == 1 and full.orbits is None
     assert reduced.distribution == full.distribution
-    assert reduced.sigma_pow == full.sigma_pow
+    assert sigma_sums(reduced) == sigma_sums(full)
     report = section_design_report(lat, secs, tmax=3)
     assert report.orbits == 1
     assert report.to_json_dict() == design_report(
-        secs.records, m, lat.rank, 3).to_json_dict()
+        pair_stats(secs.records), lat.rank, 3).to_json_dict()
+
+
+@pytest.mark.parametrize("name,m", [("D4", 2), ("E6", 3)])
+def test_section_stats_follow_the_orbits_they_were_given(name, m):
+    # The cached distribution belongs to one section set: the same sections
+    # with no orbits compute theirs again, on the full engine.
+    secs = minimal_sections(catalog(name), m)
+    full = replace(secs, orbits=None)
+    assert secs.stats.orbits == 1 and "stats" not in vars(full)
+    assert full.stats.orbits is None
+    assert full.stats.distribution == secs.stats.distribution
 
 
 @pytest.mark.parametrize("name,count", [("D4", 4), ("E6", 6), ("E7", 7),
@@ -317,7 +329,7 @@ def test_costly_orbit_rows_take_the_full_engine(m):
     assert (report.generators, report.orbits, report.examined) == (
         9, None, 9)
     assert report.to_json_dict() == design_report(
-        secs.records, m, 8, 3).to_json_dict()
+        pair_stats(secs.records), 8, 3).to_json_dict()
 
 
 def test_orbit_rows_of_lines_stop_past_the_serial_limit():
@@ -329,13 +341,13 @@ def test_orbit_rows_of_lines_stop_past_the_serial_limit():
     spans = section_subspaces(lat, lines)
     gens = _ambient_reflections(lat)
     assert len(certified_orbits(spans, gens[:6])[0]) == 7 > grassmann._SERIAL_ROWS
-    full = pair_stats(lines.records, tmax=3)
+    full = pair_stats(lines.records)
     for count, orbits in ((6, None), (7, 3)):
         certified, examined = certified_orbits(spans, gens[:count])
-        stats = pair_stats(spans, tmax=3, orbits=certified)
+        stats = pair_stats(spans, orbits=certified)
         assert (stats.orbits, examined) == (orbits, count)
         assert stats.distribution == full.distribution
-        assert stats.sigma_pow == full.sigma_pow
+        assert sigma_sums(stats) == sigma_sums(full)
 
 
 def test_generator_free_lattice_keeps_the_records():
@@ -365,7 +377,7 @@ def test_generator_free_sections_at_m3_read_only_rows(monkeypatch, tmp_path,
     assert "records" not in vars(secs)
     monkeypatch.undo()
     assert report.to_json_dict() == design_report(
-        secs.records, 3, 7, 2).to_json_dict()
+        pair_stats(secs.records), 7, 2).to_json_dict()
     # The command line on a basis file, against the verdicts recorded from
     # the records path.
     path = tmp_path / "fano.json"
@@ -420,11 +432,11 @@ def _lattice_unrefused():
     bad = []
     for name, spans, gens, records in _lattice_refusals():
         orbits, examined = certified_orbits(spans, gens)
-        stats = pair_stats(spans, tmax=3, orbits=orbits)
-        full = pair_stats(records, tmax=3)
+        stats = pair_stats(spans, orbits=orbits)
+        full = pair_stats(records)
         if (orbits is not None or examined
                 or stats.distribution != full.distribution
-                or stats.sigma_pow != full.sigma_pow):
+                or sigma_sums(stats) != sigma_sums(full)):
             bad.append(name)
     return bad
 
@@ -457,4 +469,4 @@ def test_section_report_falls_back_on_a_refused_generator():
     assert (report.generators, report.orbits, report.examined) == (
         real + 1, None, 0)
     assert report.to_json_dict() == design_report(
-        secs.records, 2, 4, 3).to_json_dict()
+        pair_stats(secs.records), 4, 3).to_json_dict()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from grassdex import lattice as lattice_mod
 from grassdex.cli import main
 from grassdex.exactalg import RatMatrix, hnf, int_det, inverse
-from grassdex.grassmann import design_report
+from grassdex.grassmann import design_report, pair_stats
 from grassdex.lattice import (Lattice, catalog, coordinate_automorphisms,
                               minimal_sections, section_design_report)
 
@@ -141,7 +141,7 @@ def test_reduced_search_equals_exhaustive(name, build, m, bound):
     # sections, which uses no group.
     points = (full.records if m <= 2 else
               [full.metric_rows(c) for c in full.coords])
-    ref = design_report(points, m, lat.rank, 3)
+    ref = design_report(pair_stats(points), lat.rank, 3)
     got = section_design_report(lat, reduced, tmax=3)
     assert got.to_json_dict() == ref.to_json_dict()
 
@@ -294,7 +294,7 @@ def _search_unrefused():
     bad = []
     for name, gate, lat, secs, full in _search_refusals():
         report = section_design_report(lat, secs, tmax=3)
-        ref = design_report(full.records, secs.m, lat.rank, 3)
+        ref = design_report(pair_stats(full.records), lat.rank, 3)
         if (not gate or secs.orbits is not None or secs.examined
                 or not secs.generators or secs.tuples != full.tuples
                 or (secs.delta, _keys(secs), secs.coords)
@@ -360,7 +360,7 @@ def test_line_orbits_match_the_full_engine(name):
     report = section_design_report(lat, secs, tmax=3)
     assert report.orbits == 1
     assert report.to_json_dict() == design_report(
-        secs.records, 1, lat.rank, 3).to_json_dict()
+        pair_stats(secs.records), lat.rank, 3).to_json_dict()
 
 
 @settings(max_examples=25, deadline=None)
@@ -370,7 +370,7 @@ def test_line_orbits_on_random_unimodular_bases(name, seed):
     secs = minimal_sections(lat, 1)
     assert secs.orbits is not None and sum(secs.orbits.values()) == len(secs)
     assert section_design_report(lat, secs, tmax=3).to_json_dict() == (
-        design_report(secs.records, 1, lat.rank, 3).to_json_dict())
+        design_report(pair_stats(secs.records), lat.rank, 3).to_json_dict())
 
 
 class _Reached(Exception):
