@@ -172,6 +172,27 @@ def test_line_section_runs_keep_their_digests(capsys, argv, digest):
     assert run.results_digest(json.loads(out)["results"]) == digest
 
 
+@pytest.mark.parametrize("argv,digest,path", [
+    (["lattice", "Z16", "--m", "2", "--sections", "--t", "2"],
+     "d5511e62ea0c0afb6eeefb0fcd2fd61814ebefe3b741b0c46a4167d4cb52a4e1",
+     "design path: full pair engine"),
+    (["clifford", "--k", "4", "--w", "4", "--sigma", "spread", "--t", "3"],
+     "ed90ff4d1c3926d901aaa24697254ec09ede4b72c24538e56d96a11a1bb9f9b2",
+     "trace path: full pair engine"),
+])
+def test_line_and_plane_full_sweeps_keep_their_digests(capsys, argv, digest,
+                                                       path):
+    # Lines and planes with no usable orbit rows: Z16's 120 planes leave
+    # them as dearer than the full sweep, and the certificate refuses the
+    # 144 lines of a k = 4 spread.  The digests were recorded when lines and
+    # planes took the packed projector/Pluecker engine.
+    run = _load_run()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert path in err
+    assert run.results_digest(json.loads(out)["results"]) == digest
+
+
 def test_verify_on_given_plane_rows_keeps_its_digest(capsys, tmp_path):
     # Twelve random planes in R^6 with entries in [-2, 2]: each point keeps
     # its given rows, which are not its canonical ones, and the frame would
