@@ -22,8 +22,7 @@ from .exactalg import (RatMatrix, Rational, bit_rref, bit_span, bit_subspaces,
 from .generators import (CliffordGenerator, GeneratorSet, _signed_map,
                          clifford_generators)
 from .grassmann import (Configuration, IntAction, Subspace, certified_orbits,
-                        design_report, pair_stats)
-from .zonal import MAX_T
+                        check_design_range, design_report, pair_stats)
 
 
 @dataclass(frozen=True)
@@ -285,14 +284,14 @@ def verify_tt(sigma: SigmaSet, tmax: int = 3,
     invariance is certified exactly (g g^T = c I, exact image keys and
     multiplicities), and a configuration that fails any check, such as a
     spread, takes the full pair engine.  A tmax outside 1..MAX_T raises
-    ValueError before anything is built.
+    ValueError before anything is built (`check_design_range`, for the
+    2^s-dimensional eigenspaces of R^(2^k)).
     """
-    if not 1 <= tmax <= MAX_T:
-        raise ValueError(f"tmax must be between 1 and {MAX_T}")
-    if build is None:
-        build = build_design(sigma)
     k, w = sigma.k, sigma.w
     sp = k - w
+    check_design_range(2 ** sp, 2 ** k, tmax)
+    if build is None:
+        build = build_design(sigma)
     # Fast path: characters of members S, S' agree on S meet S' for exactly
     # 4^w / |S meet S'| character pairs (one solution per coset of the
     # dim(S meet S') independent parity constraints), each with sigma

@@ -10,56 +10,35 @@ For subspaces p, q with integer bases B_p, B_q and Gram matrices G_p, G_q:
 
 which the pair engine below evaluates in pure integer arithmetic.
 
-For m <= 2 the engine needs no per-pair loop.  With C = L_p R_q^T (the
-cross matrix of the engine's left and right factors) two identities give
-both traces from inner products of per-point integer vectors:
-
-    tr W = <X_p, Y_q>,  X = L^T adj(G) L,  Y = R^T adj(G) R   (Frobenius)
-    tr W^2 = (tr W)^2 - 2 det W,  det W = det G_p det G_q (det C)^2  (m = 2)
-
-with det C = <wedge^2 L_p, wedge^2 R_q> by Cauchy-Binet on Pluecker
-vectors; for lines tr W = c^2 and tr W^2 = c^4 with c = L_p . R_q.  The
-lifted vectors share one scale per square class of Gram determinants (d_p
-d_q a perfect square).  The first field becomes the upper half of D P_p,
-with P_p the projector and D the lcm of the class's projector
-denominators; the top wedge (L_p for lines, wedge^2 L_p for planes) is
-divided by r_p, the rational square root of d_p / d_G for the class's
-first determinant d_G; then each field is divided by its content over the
-class.  This writes sigma = <P_p, P_q> (Conway, Hardin and Sloane 1996)
-over a shared denominator, so pairs at one angle give equal integers.  The
-scales re-enter once per pair of classes and distinct value, when the pair
-is keyed.
-
-For m >= 3 each point's rows are first made orthogonal in the record's own
-metric by a fraction-free Gram-Schmidt (integer only, content divided out
-at each step; `_orthogonal`).  The new rows u_a, v_a have a diagonal Gram
-g_a, so adj(G) / det G becomes diag(w) / l with l = lcm(g) and weights
+Each point's rows are first made orthogonal in the record's own metric by a
+fraction-free Gram-Schmidt (integer only, content divided out at each
+step; `_orthogonal`).  The new rows u_a, v_a have a diagonal Gram g_a, so
+adj(G) / det G becomes diag(w) / l with l = lcm(g) and weights
 w_a = l / g_a.  With the cross entries C_ab = u_a(p) . v_b(q):
 
     H_ac = sum_b w'_b C_ab C_cb,  tr W = sum_a w_a H_aa,
     tr W^2 = sum_{a,c} w_a w_c H_ac^2,  den = l_p l_q
 
-for W = diag(w) C diag(w') C^T.  With new bases T_p B_p and T_q B_q this
-W / den is T_p^-T (W / den of the old bases) T_p^T, a similar matrix, so
+for W = diag(w) C diag(w') C^T; a line has w = (1) and l = |u|^2, so
+tr W = c^2 and tr W^2 = c^4 for its one cross entry c.  With new bases T_p B_p and T_q B_q this W / den is
+T_p^-T (W / den of the old bases) T_p^T, a similar matrix, so
 tr W / den = sigma and tr W^2 / den^2 = sum y_i^2 are unchanged and so is
 every pair key, whichever basis a point starts from.
 
-Every engine reads a Subspace in the rows it was given in, as primitive
+The engine reads a Subspace in the rows it was given in, as primitive
 integer rows, when they are m independent rows, and in its canonical rows
-otherwise (`Subspace.int_data`).  No key depends on the basis: the m <= 2
-fields are P_p and the top wedge over sqrt d_p, which a new basis keeps up
-to sign, and the m >= 3 W is similar.  Gram-Schmidt about doubles the bit
-size of a basis far from orthogonal, such as RREF rows of a rotated space,
-and keeps an orthogonal one as it is.  `verify_design` first rewrites a
-configuration in an exact orthogonal frame of its own span
-(`_frame_data`): frame vectors taken greedily from the given rows and made
-orthogonal by the same Gram-Schmidt, scaled to one norm per square class,
-and every row as its primitive integer coordinate row in them, with a
-diagonal metric.  sigma and sum y_i^2 are invariant under an isometry and a
-global scale of the metric, so every pair key stays the same, and a
-rationally rotated configuration returns to coordinates as small as its
-unrotated ones.  The frame is taken only when it narrows the rows the
-engine would read, and the verdict constants stay those of the ambient n.
+otherwise.  Gram-Schmidt about doubles the bit size of a basis far from
+orthogonal, such as RREF rows of a rotated space, and keeps an orthogonal
+one as it is.  `verify_design` first rewrites a configuration in an exact
+orthogonal frame of its own span (`_frame_data`): frame vectors taken
+greedily from the given rows and made orthogonal by the same Gram-Schmidt,
+scaled to one norm per square class, and every row as its primitive
+integer coordinate row in them, with a diagonal metric.  sigma and
+sum y_i^2 are invariant under an isometry and a global scale of the
+metric, so every pair key stays the same, and a rationally rotated
+configuration returns to coordinates as small as its unrotated ones.  The
+frame is taken only when it narrows the rows the engine would read, and
+the verdict constants stay those of the ambient n.
 
 Every count site keys a pair by `_pair_key`: sigma = tr W / den and
 sum y_i^2 = tr W^2 / den^2 as gcd-reduced integer numerators and
@@ -68,23 +47,20 @@ determinants differ, so the counters hold one entry per angle class and
 Fractions are built once per class, never per pair.
 
 The inner products are taken a block at a time by packing (Kronecker
-substitution): for a block of column points and each coordinate k, one
-Python integer holds y_j[k] in slot j of s bits, so one multiply-add per
+substitution): for a block of columns and each coordinate k, one Python
+integer holds y_j[k] in slot j of s bits, so one multiply-add per
 coordinate, sum_k x[k] * col_k + 2^(s-1) * ones, yields x . y_j + 2^(s-1)
 in every slot.  The slot width comes from the exact Hoelder (Cauchy-Schwarz)
 bound |x . y| <= isqrt(max|x|^2 max|y|^2) < 2^(s-1), so no slot carries into
-the next and every count is exact.  Planes pack tr W and det C, and every
-slot also holds its column point's class, so one integer per pair is
-counted: pairs at one angle between two classes share one slot, which
-`Counter.update` counts in C and which is decoded and keyed once.  For
-m >= 3 the columns are the m rows v_b of each point, each slot holding the
-point's weight class (w, l), so each row u_a of p gives its C_ab against a
-whole block at once, as one byte record of m slots per column point q.
+the next and every count is exact.  The columns are the m rows v_b of each
+point, each slot also holding the point's weight class (w, l), so each row
+u_a of p gives its C_ab against a whole block at once, as one record of m
+slots per column point q (a line's record is its one slot, read in place).
 The m records of a pair, zipped, are one record of all of C and q's class:
 `Counter.update` counts one record per pair in C, with one counter per
 row class (w_p, l_p), and each distinct record is decoded and keyed once.
-Pairs at one angle often share C, as integer data of one angle class do on
-the m <= 2 side, so far fewer records than pairs are keyed.
+Pairs at one angle often share C, so far fewer records than pairs are
+keyed.
 
 When a group G permutes the configuration X, the ordered-pair distribution
 is a sum over G-orbits O of |O| times one row, a representative of O
@@ -124,8 +100,9 @@ class Subspace:
     them, as primitive integer rows (`_given`), for the pair engine alone:
     sigma does not depend on the basis, and a given basis is often far
     smaller after Gram-Schmidt than the RREF one (an orthogonal one stays
-    as it is).  Every engine (`int_data`, the m >= 3 rows of `pair_stats`)
-    and the orthogonal frame of `verify_design` (`_frame_data`) read them.
+    as it is).  The pair engine (`pair_stats`, and `int_data` for the
+    orbit rows of lines and planes) and the orthogonal frame of
+    `verify_design` (`_frame_data`) read them.
 
     Nonzero integer rows with pairwise disjoint supports, such as the
     eigenspace bases of `clifford.eigenspaces`, skip elimination: their
@@ -182,9 +159,9 @@ class Subspace:
     def int_data(self):
         """(left rows, right rows, adjugate of Gram, det Gram), all integer.
 
-        The pair engine forms cross matrices as left_i @ right_j^T; for
-        ambient subspaces both factors are the given rows, else the
-        canonical ones.
+        The line and plane orbit-row kernel (`_count_rows`) forms cross
+        matrices as left_i @ right_j^T; for ambient subspaces both factors
+        are the given rows, else the canonical ones.
         """
         if self._intdata is None:
             rows = self._given or self.rows
@@ -220,7 +197,7 @@ class Subspace:
 
 def intdata(left, right):
     """(left, right, adj G, det G) for the integer Gram G = left @ right^T:
-    the record the pair engine reads for m <= 2."""
+    the record the line and plane orbit-row kernel reads (`_count_rows`)."""
     m = len(left)
     g = [[sum(map(mul, left[i], right[j])) for j in range(m)] for i in range(m)]
     adj = adjugate(g)
@@ -256,9 +233,9 @@ def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
 
 def metric_rows(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     """(G Y^T rows, Y) for the coordinate rows Y and the integer Gram G: the
-    left and right rows of `intdata_from_coords`, all that the m >= 3 pair
-    engine reads, with no Gram adjugate formed.  G is symmetric, so entry
-    b of G y^T is row b of G dotted with y."""
+    left and right rows of `intdata_from_coords`, all that the full sweep
+    and the m >= 3 orbit rows read, with no Gram adjugate formed.  G is
+    symmetric, so entry b of G y^T is row b of G dotted with y."""
     coords = tuple(tuple(r) for r in coords)
     return tuple(tuple(sum(map(mul, r, g)) for g in gram_int)
                  for r in coords), coords
@@ -333,8 +310,8 @@ def _count_rows(data, rows) -> Counter:
     each row counts its distinct (c, det G_q) first and keys each once.
     For planes a pair takes the 4 dot products of C = L_p R_q^T and then
     only 2 x 2 integer arithmetic: tr W = <adj(G_p) C adj(G_q), C>
-    (Frobenius) and tr W^2 = (tr W)^2 - 2 det G_p det G_q (det C)^2 (module
-    docstring), the values `_pair_w` gives."""
+    (Frobenius) and tr W^2 = (tr W)^2 - 2 det W, det W = det G_p det G_q
+    (det C)^2 for the 2 x 2 W, the values `_pair_w` gives."""
     counts = Counter()
     n = len(data)
     if len(data[0][0]) == 1:
@@ -375,13 +352,13 @@ _BLOCK_BYTES = 2048
 _SLOT_FORMATS = {8 * calcsize(c): c for c in "BHIQ"}
 
 
-def _slot_layout(xnorms, ynorms, classes: int) -> Tuple[List[int], int]:
-    """(bits per field, slot width in bits) for row and column vectors of
-    squared lengths at most xnorms[f] and ynorms[f], with `classes` column
-    classes above the fields.  By Hoelder with p = q = 2, |x . y|^2 <=
-    |x|^2 |y|^2, so x . y + 2^(bits - 1) fits in its bits."""
-    bits = [isqrt(a * b).bit_length() + 1 for a, b in zip(xnorms, ynorms)]
-    need = sum(bits) + (classes - 1).bit_length()
+def _slot_layout(xnorm: int, ynorm: int, classes: int) -> Tuple[int, int]:
+    """(value bits, slot width in bits) for row and column vectors of
+    squared lengths at most xnorm and ynorm, with `classes` column classes
+    above the value.  By Hoelder with p = q = 2, |x . y|^2 <= |x|^2 |y|^2,
+    so x . y + 2^(bits - 1) fits in its bits."""
+    bits = isqrt(xnorm * ynorm).bit_length() + 1
+    need = bits + (classes - 1).bit_length()
     fits = [w for w in sorted(_SLOT_FORMATS) if w >= need]
     return bits, fits[0] if fits else -(-need // 8) * 8
 
@@ -393,55 +370,45 @@ def _pack(values, nbytes: int) -> int:
 
 
 class _PackedColumns:
-    """Column points packed so that one multiply-add per coordinate gives a
+    """Column vectors packed so that one multiply-add per coordinate gives a
     row's inner products with a whole block of them.
 
-    Each point carries one integer vector per field and a class index: for
-    m <= 2 the index of its scale (`_shared_scales`: one per square class
-    of Gram determinants), for m >= 3 of its weights (w, l).  Slot j of sum_k x[k] * col_k + base holds, for each
-    field f, x_f . y_f(j) + 2^(bits_f - 1) in bits [shift_f, shift_f +
-    bits_f), and class j above the fields, so a row's pairs at equal values
-    against one class give equal slots.  Over the rows the engine will use,
-    |x_f . y_f| <= max|x_f| max|y_f| < 2^(bits_f - 1) (Euclidean norms), so
-    each field stays in its bits.  A block holds whole groups of `group`
-    consecutive columns, so a point's m columns share one block.
+    Column j carries an integer vector y_j and a class index, the weight
+    class (w, l) of its point in the cross engine.  Slot j of sum_k x[k] *
+    col_k + base holds x . y_j + 2^(bits - 1) in its low `bits` bits and
+    class j above them, so a row's pairs at equal values against one class
+    give equal slots.  Over the rows xs the engine will use, |x . y_j| <=
+    max|x| max|y| < 2^(bits - 1) (Euclidean norms), so the value stays in
+    its bits.  A block holds whole groups of `group` consecutive columns,
+    so a point's m columns share one block.
     """
 
-    def __init__(self, fields, classes: Sequence[int], group: int = 1):
-        bits, width = _slot_layout(
-            [max(sum(v * v for v in x) for x in xs) for xs, _ in fields],
-            [max(sum(v * v for v in y) for y in ys) for _, ys in fields],
-            max(classes) + 1)
-        self.fields = []                 # (shift, bits) per field
-        shift = 0
-        for b in bits:
-            self.fields.append((shift, b))
-            shift += b
-        self.class_shift = shift
+    def __init__(self, xs, ys, classes: Sequence[int], group: int = 1):
+        self.bits, width = _slot_layout(max(sum(v * v for v in x) for x in xs),
+                                        max(sum(v * v for v in y) for y in ys),
+                                        max(classes) + 1)
         self.nbytes = nb = width // 8
         # Slots read in place as native integers on little-endian hosts.
         self.fmt = _SLOT_FORMATS.get(width) if sys.byteorder == "little" else None
-        # Some x is nonzero, so |y[k]| < 2^(bits_f - 1): y << shift_f + half
-        # packs without a sign.
+        # Some x is nonzero, so |y[k]| < 2^(bits - 1): y + half packs
+        # without a sign.
         half = 1 << (width - 1)
-        offsets = sum(1 << (sh + bits - 1) for sh, bits in self.fields)
+        offset = 1 << (self.bits - 1)
         self.per_block = per_block = max(1, _BLOCK_BYTES // (nb * group)) * group
         self.blocks = []
         for j0 in range(0, len(classes), per_block):
             block = classes[j0:j0 + per_block]
             halves = _pack([half] * len(block), nb)
-            cols = [_pack([(v << sh) + half for v in col], nb) - halves
-                    for (_, ys), (sh, _) in zip(fields, self.fields)
+            cols = [_pack([v + half for v in col], nb) - halves
                     for col in zip(*ys[j0:j0 + per_block])]
-            base = _pack([offsets + (c << shift) for c in block], nb)
+            base = _pack([offset + (c << self.bits) for c in block], nb)
             self.blocks.append((j0, cols, base, len(block)))
 
     def row(self, x, start: int):
         """The slots of columns j >= start as little-endian bytes, `nbytes`
-        per slot, one memoryview per block; x is the row's field vectors
-        concatenated.  `slots` reads them as integers; the m >= 3 engine
-        cuts them into records of m slots, one per column point, and
-        decodes only the distinct ones."""
+        per slot, one memoryview per block.  `slots` reads them as
+        integers; the cross engine cuts them into records of m slots, one
+        per column point, when m >= 2."""
         nb = self.nbytes
         for j0, cols, base, size in self.blocks[start // self.per_block:]:
             raw = sum(map(mul, x, cols), base).to_bytes(size * nb, "little")
@@ -455,76 +422,6 @@ class _PackedColumns:
         nb = self.nbytes
         return [int.from_bytes(raw[o:o + nb], "little")
                 for o in range(0, len(raw), nb)]
-
-    def decode(self, slot: int) -> Tuple[int, List[int]]:
-        """(class, field values) of a slot."""
-        return slot >> self.class_shift, [
-            ((slot >> sh) & ((1 << bits) - 1)) - (1 << (bits - 1))
-            for sh, bits in self.fields]
-
-
-def _packed_pairs(fields, row_keys, col_keys):
-    """(row_keys[i], col_keys[j], values, count) over pairs i < j, values
-    the inner products x_f(i) . y_f(j) of every field f = (xs, ys)."""
-    classes: Dict = {}
-    packed = _PackedColumns(fields, [classes.setdefault(k, len(classes))
-                                     for k in col_keys])
-    by_row = defaultdict(Counter)
-    for i in range(len(row_keys) - 1):
-        x = [v for xs, _ in fields for v in xs[i]]
-        counter = by_row[row_keys[i]]
-        for raw in packed.row(x, i + 1):
-            counter.update(packed.slots(raw))
-    kinds = list(classes)
-    for key, counter in by_row.items():
-        for slot, k in counter.items():
-            cls, values = packed.decode(slot)
-            yield key, kinds[cls], values, k
-
-
-def _packed_counts(data) -> Counter:
-    """`_count_rows` over all pairs i < j for m <= 2, from packed inner
-    products: each distinct slot is decoded once and keyed by `_pair_key`.
-
-    Every field is scaled per square class of Gram determinants
-    (`_shared_scales`).  Within a class pairs at one angle share one slot,
-    and the scales re-enter once per slot, with its row and column classes,
-    before the pair is keyed.  Needs the cross matrices symmetric in the
-    pair (L_p R_q^T = (L_q R_p^T)^T), as for all data from
-    `Subspace.int_data` and `intdata_from_coords`, and every det G > 0.
-    """
-    counts = Counter()
-    if len(data) < 2:
-        return counts
-    if len(data[0][0]) == 1:
-        # Lines: the top wedge is the line vector itself.
-        rows = [[left[0]] for left, _, _, _ in data]
-        cols = [[right[0]] for _, right, _, _ in data]
-    else:
-        rows = [[_plane_lift(left, adj, 2), _pluecker(left)]
-                for left, _, adj, _ in data]
-        cols = [[_plane_lift(right, adj, 1), _pluecker(right)]
-                for _, right, adj, _ in data]
-    (xs, row_keys), (ys, col_keys) = _shared_scales(
-        [rows, cols], [d for _, _, _, d in data])
-    fields = [([x[f] for x in xs], [y[f] for y in ys])
-              for f in range(len(rows[0]))]
-    for (dg, row), (dh, col), values, k in _packed_pairs(fields, row_keys,
-                                                         col_keys):
-        # e / f = <top_p / sqrt d_p, top_q / sqrt d_q>^2: c^2 / den = sigma
-        # for lines (c = L_p . R_q), (det C)^2 / den for planes, with
-        # det C = <wedge^2 L_p, wedge^2 R_q>.
-        (kp, mp), (kq, mq) = row[-1], col[-1]
-        e, f = (values[-1] * kp * kq) ** 2, (mp * mq) ** 2 * dg * dh
-        if len(values) == 1:
-            counts[_pair_key(e, e * e, f)] += k
-            continue
-        # Planes: sigma = tr W / den = <X_p / d_p, Y_q / d_q> = a / b, and
-        # sum y_i^2 = tr W^2 / den^2 = sigma^2 - 2 (det C)^2 / den.
-        (kp, mp), (kq, mq) = row[0], col[0]
-        a, b = values[0] * kp * kq, mp * mq
-        counts[_pair_key(a * f, f * (a * a * f - 2 * e * b * b), b * f)] += k
-    return counts
 
 
 def _orthogonal(rec) -> tuple:
@@ -579,9 +476,10 @@ def _cross_rows(orth, rows) -> Counter:
     records of m slots, one per q; zipped over a they give one record per
     pair, all of C with q's class, which `Counter.update` counts in C, one
     counter per row class (w_p, l_p) and a row of weight k counted k times.
-    Each distinct record is then decoded exactly, takes H, tr W and tr W^2
-    by the identities of the module docstring, and `_pair_key` gives the
-    loop's keys.  Needs U_q V_p^T = (U_p V_q^T)^T, a symmetric metric, as
+    For lines the record is the one slot, read in place as an integer (a
+    one-slot byte record cost up to twice as much).  Each distinct record
+    is then decoded exactly, takes H, tr W and tr W^2 by the identities of
+    the module docstring, and `_pair_key` gives the loop's keys.  Needs U_q V_p^T = (U_p V_q^T)^T, a symmetric metric, as
     for all data from `Subspace.int_data` and `intdata_from_coords`.
     """
     n = len(orth)
@@ -589,16 +487,22 @@ def _cross_rows(orth, rows) -> Counter:
     kinds: Dict = {}
     classes = [kinds.setdefault((tuple(w), l), len(kinds))
                for _, _, w, l in orth]
-    packed = _PackedColumns([([u for us, _, _, _ in orth for u in us],
-                              [v for _, vs, _, _ in orth for v in vs])],
+    packed = _PackedColumns([u for us, _, _, _ in orth for u in us],
+                            [v for _, vs, _, _ in orth for v in vs],
                             [c for c in classes for _ in range(m)], m)
     records = Struct(f"{m * packed.nbytes}s").iter_unpack
     by_class = defaultdict(Counter)
     for i, start, weight in rows:
         if start >= n:
             continue
-        pairs = zip(*(chain.from_iterable(map(records, packed.row(u, start * m)))
-                      for u in orth[i][0]))
+        if m == 1:
+            # A record is one slot, read in place.
+            pairs = chain.from_iterable(map(packed.slots,
+                                            packed.row(orth[i][0][0], start)))
+        else:
+            pairs = zip(*(chain.from_iterable(map(records,
+                                                  packed.row(u, start * m)))
+                          for u in orth[i][0]))
         counter = by_class[classes[i]]
         if weight == 1:
             counter.update(pairs)
@@ -607,8 +511,8 @@ def _cross_rows(orth, rows) -> Counter:
                 counter[record] += k * weight
     counts = Counter()
     weights = list(kinds)
-    # The one field sits below the class.
-    shift = packed.class_shift
+    # The value sits below the class.
+    shift = packed.bits
     mask, off = (1 << shift) - 1, 1 << (shift - 1)
     # H's diagonal first, then its upper triangle.
     tri = ([(a, a) for a in range(m)]
@@ -619,7 +523,8 @@ def _cross_rows(orth, rows) -> Counter:
         # w_a w_c, counted twice off the diagonal.
         ww = [wp[a] * wp[c] * (1 + (a < c)) for a, c in tri]
         for record, k in counter.items():
-            slots = packed.slots(b"".join(chain.from_iterable(record)))
+            slots = ((record,) if m == 1 else
+                     packed.slots(b"".join(chain.from_iterable(record))))
             wq, lq = weights[slots[0] >> shift]
             vals = [(s & mask) - off for s in slots]
             cr = [vals[a:a + m] for a in range(0, m * m, m)]
@@ -644,71 +549,6 @@ def _square_classes(dets) -> Dict[int, List[int]]:
                              if (dd := d * g) > 0 and isqrt(dd) ** 2 == dd), d)
         classes[first[d]].append(p)
     return classes
-
-
-def _shared_scales(sides, dets):
-    """One (vectors, scales) pair per side of the packed engine, in which
-    each square class of points (`_square_classes`) shares one scale.
-
-    `sides[s][p]` holds point p's integer field vectors on side s (rows,
-    columns): its projector field (value v / d_p) first for planes, its top
-    wedge (value v / sqrt d_p) last.  Point p of a class with first
-    determinant d_G gets the integer vectors `vectors[p]` and the scale
-    (d_G, ((k, D) per field)): its projector field is vectors[p][0] * k / D,
-    its top wedge vectors[p][-1] * k / (D sqrt d_G).  Since d_p / d_G = r_p^2
-    is a rational square, the top wedge is taken as v / r_p.  D is the lcm
-    of the class's denominators and k the content of the scaled field over
-    the class, so equal values give equal vectors.
-    """
-    wedge = len(sides[0][0]) - 1
-    classes = _square_classes(dets)
-    out = []
-    for side in sides:
-        prim = [[_content(v) for v in lift] for lift in side]
-        vectors, scales = [None] * len(dets), [None] * len(dets)
-        for dg, points in classes.items():
-            mults, scale = [], []
-            for f in range(wedge + 1):
-                fracs = []
-                for p in points:
-                    num, den = prim[p][f][1], dets[p]
-                    if f == wedge:
-                        # 1 / r_p = d_G / sqrt(d_p d_G), an exact root in a class
-                        num, den = num * dg, isqrt(den * dg)
-                    h = gcd(num, den)
-                    fracs.append((num // h, den // h))
-                big = lcm(*(den for _, den in fracs))
-                m = [num * (big // den) for num, den in fracs]
-                k = gcd(*m)
-                mults.append([x // k for x in m])
-                scale.append((k, big))
-            for p, ms in zip(points, zip(*mults)):
-                vectors[p] = [v if x == 1 else [x * y for y in v]
-                              for (v, _), x in zip(prim[p], ms)]
-                scales[p] = dg, tuple(scale)
-        out.append((vectors, scales))
-    return out
-
-
-def _content(vec) -> Tuple[List[int], int]:
-    """(vec / g, g) with g the gcd of the entries (1 for a zero vector)."""
-    g = gcd(*vec)
-    return (vec, 1) if g < 2 else ([v // g for v in vec], g)
-
-
-def _plane_lift(rows, adj, off_diagonal: int) -> List[int]:
-    """Upper half of rows^T adj rows, off-diagonal entries times
-    `off_diagonal`."""
-    full = adj_product(rows, adj, rows)
-    return [row[l] * (off_diagonal if k < l else 1)
-            for k, row in enumerate(full) for l in range(k, len(row))]
-
-
-def _pluecker(rows) -> List[int]:
-    """The 2x2 minors of two rows."""
-    p, q = rows
-    n = len(p)
-    return [p[k] * q[l] - p[l] * q[k] for k in range(n) for l in range(k + 1, n)]
 
 
 def line_key(vec) -> Tuple[int, ...]:
@@ -875,12 +715,13 @@ def certified_orbits(points: Sequence, generators) -> tuple:
 
 
 # Certified orbit rows of lines and planes up to this many run the serial
-# loop (`_count_rows`); with more, the packed full engine can be faster.
-# The serial rows cost more per pair, so the crossover grows with the point
-# count: with the line kernel, 12 rows on the D4 minimal lines (12 points),
-# 20 on the E8 lines (120) and 94 on the BW16 lines (2160).  Planes, with
-# the 2 x 2 row kernel, cross over at 22 rows on the D4 minimal planes
-# (16), 45 on the E7 planes (336), 74 on the E8 planes (1120).
+# loop (`_count_rows`); with more, the full sweep (`_cross_rows`) can be
+# faster.  The serial rows cost more per pair, so the crossover grows with
+# the point count: with the line kernel, 6 rows on the D4 minimal lines
+# (12 points), 15 on the E8 lines (120) and 82 on the BW16 lines (2160).
+# Planes, with the 2 x 2 row kernel, cross over at 11 rows on the D4
+# minimal planes (16), 30 on the E7 planes (336), 78 on the E8 planes
+# (1120).
 _SERIAL_ROWS = 6
 
 
@@ -890,16 +731,16 @@ def pair_stats(points: Sequence,
     sum and zonal sum is read from it (`PairStats`).
 
     `points` may be Subspace instances, read in the rows they were given
-    in (`Subspace._given`, else their canonical rows), or raw int-data
-    tuples; for m >= 3 only their left and right rows are read
-    (`metric_rows`).  Lines and planes take the packed engine
-    (`_packed_counts`).  For m >= 3 every point's rows are first made
-    orthogonal in its own metric (`_orthogonal`), and the packed cross
-    engine (`_cross_rows`) counts one record per pair, its cross matrix
-    and the column point's weight class, and keys each distinct record
-    once.  The module docstring gives
-    both engines' identities, and why no key depends on the basis a point
-    starts from.  Every engine runs in this process.
+    in (`Subspace._given`, else their canonical rows), or raw records: the
+    left and right rows alone (`metric_rows`), or for lines and planes
+    with orbit rows the full `intdata` record, whose adjugate and
+    determinant the row kernel reads.  The full sweep first makes every
+    point's rows orthogonal in its own metric (`_orthogonal`); the packed
+    cross engine (`_cross_rows`) then counts one record per pair, its cross
+    matrix and the column point's weight class, and keys each distinct
+    record once.  The module docstring gives its identities, and why no key
+    depends on the basis a point starts from.  Every engine runs in this
+    process.
 
     `orbits`, {list index of a point of the orbit: its size, multiplicity
     counted}, are the orbits of a group G that permutes the points and
@@ -909,38 +750,37 @@ def pair_stats(points: Sequence,
     lattice.  Then the distribution is the sum over G-orbits O of |O|
     times the row of one point of O against all points, since G permutes
     the columns of every row, and only the orbit rows are counted, if they
-    count fewer pairs than the full engine and, for lines and planes, are
+    count fewer pairs than the full sweep and, for lines and planes, are
     no more than `_SERIAL_ROWS`.  Lines and planes run the rows as the
-    pair loop (packing would first lift every point, which costs more than
-    a few rows); m >= 3 runs them through the cross engine.  With no
-    orbits, or rows that would cost more, the full engine runs, with the
-    same result.
+    pair loop (`_count_rows`); m >= 3 runs them through the cross engine.
+    With no orbits, or rows that would cost more, the full sweep runs, with
+    the same result.
     """
     if not points:
         raise ValueError("pair_stats needs at least one point")
     n = len(points)
     m = points[0].m if isinstance(points[0], Subspace) else len(points[0][0])
-    if m >= 3:
-        # Only the rows enter, so a Subspace forms no adjugate here.
-        data = [_orthogonal(((r := p._given or p.rows), r)
-                            if isinstance(p, Subspace) else p)
-                for p in points]
-    else:
-        data = [p.int_data() if isinstance(p, Subspace) else p for p in points]
-    # n |O| ordered pairs against the full engine's n (n - 1) / 2.
+    # n |O| ordered pairs against the full sweep's n (n - 1) / 2.
     if orbits is not None and (2 * len(orbits) >= n - 1 or
                                (m <= 2 and len(orbits) > _SERIAL_ROWS)):
         orbits = None
-    if orbits is not None:
+    if orbits is None:
+        rows = ((i, i + 1, 1) for i in range(n))
+    else:
         # Ordered pairs (i, j) for every j, the diagonal included.
         rows = [(i, 0, w) for i, w in orbits.items()]
-        keys = _count_rows(data, rows) if m <= 2 else _cross_rows(data, rows)
+    if orbits is not None and m <= 2:
+        keys = _count_rows([p.int_data() if isinstance(p, Subspace) else p
+                            for p in points], rows)
     else:
-        half = (_packed_counts(data) if m <= 2 else
-                _cross_rows(data, ((i, i + 1, 1) for i in range(n))))
-        # Pairs i < j stand for both orders; on the diagonal every principal
-        # cosine is 1.
-        keys = Counter({(m, 1, m, 1): n})
+        # Only the rows enter, so a Subspace forms no adjugate here.
+        keys = _cross_rows([_orthogonal(((r := p._given or p.rows), r)
+                                        if isinstance(p, Subspace) else p)
+                            for p in points], rows)
+    if orbits is None:
+        # Pairs i < j stand for both orders; on the diagonal every
+        # principal cosine is 1.
+        half, keys = keys, Counter({(m, 1, m, 1): n})
         for key, count in half.items():
             keys[key] += 2 * count
     # Distinct reduced keys are distinct rationals.
@@ -1146,8 +986,7 @@ def _frame_data(config: Configuration) -> tuple:
         return points, None
     r = len(frame)
     gram = [[a if i == j else 0 for j in range(r)] for i, a in enumerate(metric)]
-    build = intdata_from_coords if config.m <= 2 else metric_rows
-    return [build(ys, gram) for ys in coords], (r, len(classes))
+    return [metric_rows(ys, gram) for ys in coords], (r, len(classes))
 
 
 def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
@@ -1155,10 +994,21 @@ def verify_design(config: Configuration, tmax: int = 3) -> DesignReport:
     with the points in an orthogonal frame of their span when that makes
     them narrower (`_frame_data`; the report's `frame` says which).  The
     verdict constants stay those of G(m, n) for the ambient n."""
+    check_design_range(config.m, config.n, tmax)
     data, frame = _frame_data(config)
     report = design_report(pair_stats(data), config.n, tmax)
     report.frame = frame
     return report
+
+
+def check_design_range(m: int, n: int, tmax: int) -> None:
+    """ValueError unless G(m, n) has design verdicts for t <= tmax: 1 <=
+    tmax <= MAX_T and 2m <= n.  Callers that own the points check first,
+    before any pair engine runs."""
+    if not 1 <= tmax <= MAX_T:
+        raise ValueError(f"tmax must be between 1 and {MAX_T}")
+    if 2 * m > n:
+        raise ValueError("design criteria require m <= n/2")
 
 
 def design_report(stats: PairStats, n: int, tmax: int) -> DesignReport:
@@ -1173,10 +1023,7 @@ def design_report(stats: PairStats, n: int, tmax: int) -> DesignReport:
     a failure raises AssertionError, also under `python -O`.
     """
     m = stats.m
-    if not 1 <= tmax <= MAX_T:
-        raise ValueError(f"tmax must be between 1 and {MAX_T}")
-    if 2 * m > n:
-        raise ValueError("design criteria require m <= n/2")
+    check_design_range(m, n, tmax)
     size2 = Fraction(stats.size) ** 2
     t_stats = {}
     for t in range(1, tmax + 1):

@@ -31,7 +31,8 @@ from .exactalg import (RatMatrix, Rational, adjugate, bit_span, bit_subspaces,
                        verify_combination)
 from .grassmann import (Configuration, DesignReport, IndexMap, IntAction,
                         PairStats, Subspace, UnionFind, adj_product,
-                        design_report, intdata, line_key, pair_stats)
+                        check_design_range, design_report, intdata,
+                        line_key, pair_stats)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -259,8 +260,9 @@ class SectionSet:
         """The pair distribution of the sections, computed on first read,
         once, with one row per certified orbit: every automorphism permutes
         the minimal m-sections (Goethals and Seidel 1981).  Lines and planes
-        are read as `records`; m >= 3 as their rows alone (`metric_rows`),
-        since the cross engine forms no adjugate."""
+        are read as `records`, whose shared adjugates their orbit-row kernel
+        reads; m >= 3 as their rows alone (`metric_rows`), since the cross
+        engine forms no adjugate."""
         points = ([self.metric_rows(c) for c in self.coords] if self.m >= 3
                   else self.records)
         return pair_stats(points, orbits=self.orbits)
@@ -874,6 +876,7 @@ def section_design_report(lattice: Lattice, sections: SectionSet,
     taken in dimension rank, so rank-deficient embeddings are judged
     intrinsically.
     """
+    check_design_range(sections.m, lattice.rank, tmax)
     report = design_report(sections.stats, lattice.rank, tmax)
     report.generators, report.examined = sections.generators, sections.examined
     return report

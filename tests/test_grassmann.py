@@ -19,7 +19,7 @@ from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
                                 _count_rows, _cross_rows, _frame_data,
-                                _packed_counts, average_sigma_power,
+                                average_sigma_power,
                                 certified_orbits, design_report,
                                 eval_zonal, intdata_from_coords, pair_stats,
                                 principal_power_sums, sigma, verify_design,
@@ -49,8 +49,14 @@ def pair_loop(data):
 
 def cross_sweep(orth):
     """The same counts from the packed cross engine, over the records
-    `orth` (`_orthogonal`): the full sweep of `pair_stats` at m >= 3."""
+    `orth` (`_orthogonal`): the full sweep of `pair_stats`."""
     return _cross_rows(orth, [(i, i + 1, 1) for i in range(len(orth))])
+
+
+def full_sweep(data):
+    """`cross_sweep` of pair-engine records, each made orthogonal first, as
+    `pair_stats` sweeps them."""
+    return cross_sweep([grassmann._orthogonal(rec) for rec in data])
 
 
 def sigma_sums(stats, tmax=3):
@@ -325,6 +331,38 @@ def test_verify_design_requires_small_m():
         verify_design(Configuration(3, [p]), tmax=1)
 
 
+def test_bad_design_ranges_are_refused_before_the_pair_engine(monkeypatch):
+    # A tmax outside 1..MAX_T or 2m > n ends in ValueError before any pair
+    # distribution (or `verify`'s frame) is computed.
+    from grassdex import clifford, lattice
+    from grassdex.binquad import enumerate_isotropic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair engine ran on a refused range")
+
+    for mod, name in ((grassmann, "pair_stats"), (grassmann, "_frame_data"),
+                      (lattice, "pair_stats"), (clifford, "pair_stats"),
+                      (clifford, "build_design")):
+        monkeypatch.setattr(mod, name, refuse)
+    d4 = lattice.catalog("D4")
+    # `minimal_sections` itself refuses 2m > rank.
+    lines = lattice.minimal_sections(d4, 1)
+    cases = [
+        lambda: verify_design(lines_config(4, d4_line_vectors()), tmax=0),
+        lambda: verify_design(lines_config(4, d4_line_vectors()), tmax=4),
+        lambda: verify_design(Configuration(
+            3, [Subspace(3, [[1, 0, 0], [0, 1, 0]])]), tmax=1),
+        lambda: lattice.section_design_report(d4, lines, tmax=0),
+        lambda: lattice.section_design_report(d4, lines, tmax=4),
+        lambda: clifford.verify_tt(enumerate_isotropic(2, 1), tmax=0),
+        lambda: clifford.verify_tt(enumerate_isotropic(2, 1), tmax=4),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="tmax must be|m <= n/2"):
+            case()
+    assert "stats" not in vars(lines)
+
+
 def test_configuration_json_round_trip():
     cfg = lines_config(4, d4_line_vectors())
     data = json.loads(json.dumps(cfg.to_json_dict()))
@@ -391,10 +429,9 @@ def test_pair_engine_matches_projector_reference(data):
         cfg = Configuration(n, [Subspace(n, rows) for rows in bases])
     except ValueError:
         assume(False)
-    if m <= 2:
-        # The packed engine against the per-pair loop.
-        points = [p.int_data() for p in cfg.points]
-        assert _packed_counts(points) == pair_loop(points)
+    # The full sweep against the per-pair loop.
+    points = [p.int_data() for p in cfg.points]
+    assert full_sweep(points) == pair_loop(points)
     sums, power2 = projector_reference(cfg.points, 5)
     stats = pair_stats(cfg.points)
     assert {t: stats.sigma_sum(t) for t in sums} == sums
@@ -435,7 +472,7 @@ def test_packed_engine_matches_pair_loop_on_metric_data(data):
     gram, coords = data
     points = [intdata_from_coords(c, gram) for c in coords]
     assume(all(d for _, _, _, d in points))
-    assert _packed_counts(points) == pair_loop(points)
+    assert full_sweep(points) == pair_loop(points)
 
 
 @st.composite
@@ -506,8 +543,8 @@ def test_packed_slots_pass_64_bits(monkeypatch):
     widths = []
 
     class Recording(grassmann._PackedColumns):
-        def __init__(self, fields, classes):
-            super().__init__(fields, classes)
+        def __init__(self, xs, ys, classes, group=1):
+            super().__init__(xs, ys, classes, group)
             widths.append(8 * self.nbytes)
 
     monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
@@ -544,59 +581,47 @@ def test_packed_engine_matches_pair_loop_on_rotations(data):
     except ValueError:
         assume(False)
     data = [p.int_data() for p in points]
-    assert _packed_counts(data) == pair_loop(data)
+    assert full_sweep(data) == pair_loop(data)
 
 
-def test_equal_angles_share_one_slot(monkeypatch):
+def test_rotated_planes_sweep_across_blocks(monkeypatch):
     from grassdex.binquad import enumerate_isotropic
     from grassdex.clifford import build_design
     # k = 3, w = 2 eigenspace planes (Gram determinants 1, 4 and 16: one
-    # square class), rotated so that the determinants differ; 200 columns
-    # span two packed blocks.
+    # square class), rotated so that the determinants differ; their 400
+    # columns span two packed blocks.
     points = build_design(enumerate_isotropic(3, 2)).config.points[:200]
     rot = RatMatrix(householder_rotation(random.Random(3), 8, factors=4))
     data = [p.transform(rot).int_data() for p in points]
     assert len({d for _, _, _, d in data}) > 20
-    decoded, blocks = [], set()
-    decode = grassmann._PackedColumns.decode
+    blocks = []
 
-    def counting(self, slot):
-        decoded.append(slot)
-        blocks.add(len(self.blocks))
-        return decode(self, slot)
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, xs, ys, classes, group=1):
+            super().__init__(xs, ys, classes, group)
+            blocks.append(len(self.blocks))
 
-    monkeypatch.setattr(grassmann._PackedColumns, "decode", counting)
-    counts = _packed_counts(data)
-    assert counts == pair_loop(data)
-    assert blocks == {2}
-    # Equal angles give one slot up to the sign of det C.
-    assert len(decoded) <= 2 * len(counts)
+    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+    assert full_sweep(data) == pair_loop(data)
+    assert blocks == [2]
 
 
-def scales_of(data):
-    """The scales `_shared_scales` gives the columns of line data."""
-    lines = [[left[0]] for left, *_ in data]
-    return grassmann._shared_scales([lines, lines], [d for *_, d in data])[1][1]
-
-
-def test_shared_scale_multiplies_one_square_class():
-    # Square norms 5^2, 7^2, 13^2, 17^2: one square class, whose shared
-    # scale multiplies the vectors by 1547, 1105, 595 and 455.
+def test_lines_of_one_square_class_match_the_pair_loop():
+    # Square norms 5^2, 7^2, 13^2, 17^2: one square class of Gram
+    # determinants, four weight classes.
     data = [Subspace.line(v).int_data()
             for v in ([3, 4, 0], [2, 3, 6], [5, 0, 12], [8, 9, 12])]
-    assert _packed_counts(data) == pair_loop(data)
-    assert len(set(scales_of(data))) == 1
+    assert len(grassmann._square_classes([d for *_, d in data])) == 1
+    assert full_sweep(data) == pair_loop(data)
 
 
-def test_two_square_classes_keep_two_scales():
-    # The four lines above and three lines of norm 2, a second square class
-    # that shares without a multiplier: one scale per class.
+def test_lines_of_two_square_classes_match_the_pair_loop():
+    # The four lines above and three lines of norm 2, a second square class.
     data = [Subspace.line(v).int_data()
             for v in ([3, 4, 0], [1, 1, 0], [2, 3, 6], [5, 0, 12], [1, 0, -1],
                       [8, 9, 12], [0, 1, 1])]
     assert len(grassmann._square_classes([d for *_, d in data])) == 2
-    assert _packed_counts(data) == pair_loop(data)
-    assert len(set(scales_of(data))) == 2
+    assert full_sweep(data) == pair_loop(data)
 
 
 def assert_cross_matches_loop(data, rows):
@@ -608,8 +633,8 @@ def assert_cross_matches_loop(data, rows):
     widths = []
 
     class Recording(grassmann._PackedColumns):
-        def __init__(self, fields, classes, group=1):
-            super().__init__(fields, classes, group)
+        def __init__(self, xs, ys, classes, group=1):
+            super().__init__(xs, ys, classes, group)
             widths.append(8 * self.nbytes)
             assert (self.fmt is None) == (widths[-1] > 64)
 
@@ -633,12 +658,12 @@ def row_specs(draw, size):
 
 
 @st.composite
-def solid_configurations(draw):
-    """Bases of m = 3..6 dimensional subspaces of R^n, n = 2m..12, some of
-    them repeated; packed blocks of 1 byte (one point each), 100 bytes or
-    the default, so rows start at and inside blocks."""
-    m = draw(st.integers(3, 6))
-    n = draw(st.integers(2 * m, 12))
+def sweep_configurations(draw):
+    """Bases of m = 1..6 dimensional subspaces of R^n, n = max(2, 2m)..12,
+    some of them repeated; packed blocks of 1 byte (one point each), 100
+    bytes or the default, so rows start at and inside blocks."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(max(2, 2 * m), 12))
     bases = [draw(matrices(m, n)) for _ in range(draw(st.integers(2, 5)))]
     bases += draw(st.lists(st.sampled_from(bases), max_size=2))
     rows = draw(row_specs(len(bases)))
@@ -652,7 +677,7 @@ def solid_configurations(draw):
               [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
               [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]],
           [(0, 0, 1), (2, 1, 2), (3, 3, 1)], 100))
-@given(solid_configurations())
+@given(sweep_configurations())
 def test_cross_engine_matches_pair_loop(case):
     n, bases, rows, block_bytes = case
     try:
@@ -1192,9 +1217,7 @@ def test_reduced_keys_match_triple_reference_on_rotations(points, rot, gens):
     assert pair_stats(points).distribution == dist
     # The count sites key each angle class once, in lowest terms, however
     # the rotated Gram determinants differ.
-    data = [p.int_data() for p in rotated]
-    counts = (_packed_counts(data) if rotated[0].m <= 2 else
-              cross_sweep([grassmann._orthogonal(r) for r in data]))
+    counts = full_sweep([p.int_data() for p in rotated])
     assert len(counts) <= len(dist)
     assert all(gcd(a, b) == gcd(c, d) == 1 and b > 0 and d > 0
                for a, b, c, d in counts)

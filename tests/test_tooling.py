@@ -232,8 +232,8 @@ def test_verify_on_wide_solid_rows_keeps_its_digest(capsys, monkeypatch,
     widths = []
 
     class Recording(grassmann._PackedColumns):
-        def __init__(self, fields, classes, group=1):
-            super().__init__(fields, classes, group)
+        def __init__(self, xs, ys, classes, group=1):
+            super().__init__(xs, ys, classes, group)
             widths.append(8 * self.nbytes)
 
     monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
