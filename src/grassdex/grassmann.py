@@ -10,20 +10,21 @@ For subspaces p, q with integer bases B_p, B_q and Gram matrices G_p, G_q:
 
 which the pair engine below evaluates in pure integer arithmetic.
 
-Each point's rows are first made orthogonal in the record's own metric by a
-fraction-free Gram-Schmidt (integer only, content divided out at each
-step; `_orthogonal`).  The new rows u_a, v_a have a diagonal Gram g_a, so
-adj(G) / det G becomes diag(w) / l with l = lcm(g) and weights
+The full sweep first makes each point's rows orthogonal in the record's own
+metric by a fraction-free Gram-Schmidt (integer only, content divided out
+at each step; `_orthogonal`).  The new rows u_a, v_a have a diagonal Gram
+g_a, so adj(G) / det G becomes diag(w) / l with l = lcm(g) and weights
 w_a = l / g_a.  With the cross entries C_ab = u_a(p) . v_b(q):
 
     H_ac = sum_b w'_b C_ab C_cb,  tr W = sum_a w_a H_aa,
     tr W^2 = sum_{a,c} w_a w_c H_ac^2,  den = l_p l_q
 
 for W = diag(w) C diag(w') C^T; a line has w = (1) and l = |u|^2, so
-tr W = c^2 and tr W^2 = c^4 for its one cross entry c.  With new bases T_p B_p and T_q B_q this W / den is
-T_p^-T (W / den of the old bases) T_p^T, a similar matrix, so
-tr W / den = sigma and tr W^2 / den^2 = sum y_i^2 are unchanged and so is
-every pair key, whichever basis a point starts from.
+tr W = c^2 and tr W^2 = c^4 for its one cross entry c.  With new bases
+T_p B_p and T_q B_q this W / den is T_p^-T (W / den of the old bases)
+T_p^T, a similar matrix, so tr W / den = sigma and tr W^2 / den^2 =
+sum y_i^2 are unchanged and so is every pair key, whichever basis a point
+starts from.
 
 The engine reads a Subspace in the rows it was given in, as primitive
 integer rows, when they are m independent rows, and in its canonical rows
@@ -46,7 +47,7 @@ denominators.  Pairs at one angle share one key however their Gram
 determinants differ, so the counters hold one entry per angle class and
 Fractions are built once per class, never per pair.
 
-The inner products are taken a block at a time by packing (Kronecker
+The full sweep takes inner products a block at a time by packing (Kronecker
 substitution): for a block of columns and each coordinate k, one Python
 integer holds y_j[k] in slot j of s bits, so one multiply-add per
 coordinate, sum_k x[k] * col_k + 2^(s-1) * ones, yields x . y_j + 2^(s-1)
@@ -67,7 +68,12 @@ is a sum over G-orbits O of |O| times one row, a representative of O
 against all of X (Goethals and Seidel 1981).  `pair_stats` takes only
 orbits its caller has certified: `certified_orbits` checks ambient
 generator matrices exactly (the Clifford trace path), and the lattice
-section search certifies integer automorphisms itself.
+section search certifies integer automorphisms itself.  Rows that pay
+(`orbit_rows_pay`) run one kernel for every m (`_orbit_rows`), on records
+(L, R, A, d) with A / d = (L R^T)^-1: Gram adjugate records (`intdata`),
+or diagonal ones (U, V, diag(w), l) of orthogonal rows.  It counts the
+distinct (C = L_p R_q^T, class (A_q, d_q)) of a row by plain dot products,
+keys each once from W = A_p C A_q C^T, and packs no column.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, compress, cycle, repeat
 from math import gcd, isqrt, lcm
 from operator import add, itemgetter, mul, neg
 from struct import Struct, calcsize
@@ -100,9 +106,8 @@ class Subspace:
     them, as primitive integer rows (`_given`), for the pair engine alone:
     sigma does not depend on the basis, and a given basis is often far
     smaller after Gram-Schmidt than the RREF one (an orthogonal one stays
-    as it is).  The pair engine (`pair_stats`, and `int_data` for the
-    orbit rows of lines and planes) and the orthogonal frame of
-    `verify_design` (`_frame_data`) read them.
+    as it is).  The pair engine (`pair_stats`), `int_data` and the
+    orthogonal frame of `verify_design` (`_frame_data`) read them.
 
     Nonzero integer rows with pairwise disjoint supports, such as the
     eigenspace bases of `clifford.eigenspaces`, skip elimination: their
@@ -157,11 +162,11 @@ class Subspace:
         return self._basis
 
     def int_data(self):
-        """(left rows, right rows, adjugate of Gram, det Gram), all integer.
-
-        The line and plane orbit-row kernel (`_count_rows`) forms cross
-        matrices as left_i @ right_j^T; for ambient subspaces both factors
-        are the given rows, else the canonical ones.
+        """(left rows, right rows, adjugate of Gram, det Gram), all integer,
+        built once: the `intdata` record of the given rows, else the
+        canonical ones, which `projector` and `principal_power_sums` read.
+        `pair_stats` reads the rows alone, made orthogonal, with no
+        adjugate formed.
         """
         if self._intdata is None:
             rows = self._given or self.rows
@@ -196,8 +201,9 @@ class Subspace:
 
 
 def intdata(left, right):
-    """(left, right, adj G, det G) for the integer Gram G = left @ right^T:
-    the record the line and plane orbit-row kernel reads (`_count_rows`)."""
+    """(left, right, adj G, det G) for the integer Gram G = left @ right^T,
+    so adj G / det G = G^-1: a record the orbit-row kernel reads
+    (`_orbit_rows`), as `lattice.SectionSet.records` hands it over."""
     m = len(left)
     g = [[sum(map(mul, left[i], right[j])) for j in range(m)] for i in range(m)]
     adj = adjugate(g)
@@ -221,21 +227,11 @@ def adj_product(left, adj, right) -> List[List[int]]:
     return out
 
 
-def intdata_from_coords(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
-    """Pair-engine data for subspaces given in lattice coordinates.
-
-    `coords` are integer coordinate rows, `gram_int` the (scaled) integer
-    Gram matrix of the ambient basis; sigma values are scale invariant, so
-    any positive integer multiple of the true Gram works.
-    """
-    return intdata(*metric_rows(coords, gram_int))
-
-
 def metric_rows(coords: Sequence[Tuple[int, ...]], gram_int) -> tuple:
     """(G Y^T rows, Y) for the coordinate rows Y and the integer Gram G: the
-    left and right rows of `intdata_from_coords`, all that the full sweep
-    and the m >= 3 orbit rows read, with no Gram adjugate formed.  G is
-    symmetric, so entry b of G y^T is row b of G dotted with y."""
+    left and right rows of `intdata(*metric_rows(Y, G))`, all that the full
+    sweep reads, with no Gram adjugate formed.  G is symmetric, so entry b
+    of G y^T is row b of G dotted with y."""
     coords = tuple(tuple(r) for r in coords)
     return tuple(tuple(sum(map(mul, r, g)) for g in gram_int)
                  for r in coords), coords
@@ -255,9 +251,6 @@ def _pair_w(data_i, data_j):
     """
     li, _, adji, di = data_i
     _, rj, adjj, dj = data_j
-    if len(li) == 1:
-        c = sum(map(mul, li[0], rj[0]))
-        return ((c * c,),), di * dj
     c = tuple(tuple(sum(map(mul, ra, rb)) for rb in rj) for ra in li)
     return _mul_int(_mul_int(_mul_int(adji, c), adjj), tuple(zip(*c))), di * dj
 
@@ -301,45 +294,36 @@ def _pair_key(trw: int, trw2: int, den: int) -> Tuple[int, int, int, int]:
     return trw // g, den // g, trw2 // h, den2 // h
 
 
-def _count_rows(data, rows) -> Counter:
-    """Counts of the `_pair_key`s of the pairs (i, j), j >= start, of each
-    row spec (i, start, weight), each counted weight times, for lines and
-    planes; only a row point's left rows are read.
+def _orbit_rows(records, orbits: Dict[int, int]) -> Counter:
+    """`_pair_key` counts of the pairs (i, j) for every j, counted |O|
+    times, for the orbit rows {i: |O|}, from records (L, R, A, d) with
+    A / d = (L R^T)^-1: Gram adjugate records (`intdata`) or diagonal ones
+    (`_diagonal`); only a row point's left rows are read.
 
-    For lines a pair takes c = L_p . R_q, so tr W = c^2 and tr W^2 = c^4:
-    each row counts its distinct (c, det G_q) first and keys each once.
-    For planes a pair takes the 4 dot products of C = L_p R_q^T and then
-    only 2 x 2 integer arithmetic: tr W = <adj(G_p) C adj(G_q), C>
-    (Frobenius) and tr W^2 = (tr W)^2 - 2 det W, det W = det G_p det G_q
-    (det C)^2 for the 2 x 2 W, the values `_pair_w` gives."""
+    A row takes the cross entries L_p R_q^T against all points at once and
+    counts the distinct records (C, class of q), a class being a distinct
+    (A, d); each is keyed once, from W = A_p C A_q C^T and den = d_p d_q,
+    the values `_pair_w` gives.  Pairs at one angle often share C, and the
+    points of a certified orbit share their class."""
+    m = len(records[0][0])
+    kinds: Dict = {}
+    classes = [kinds.setdefault((a, d), len(kinds)) for _, _, a, d in records]
+    grams = list(kinds)
+    rights = [r for _, rs, _, _ in records for r in rs]
     counts = Counter()
-    n = len(data)
-    if len(data[0][0]) == 1:
-        for i, start, weight in rows:
-            (x,), _, _, di = data[i]
-            pairs = Counter((sum(map(mul, x, r)), dj)
-                            for _, (r,), _, dj in islice(data, start, None))
-            for (c, dj), k in pairs.items():
-                c2 = c * c
-                key = _pair_key(c2, c2 * c2, di * dj)
-                counts[key] = counts.get(key, 0) + k * weight
-        return counts
-    for i, start, weight in rows:
-        (l0, l1), _, ((p00, p01), (p10, p11)), di = data[i]
-        for j in range(start, n):
-            _, (r0, r1), ((b00, b01), (b10, b11)), dj = data[j]
-            c00, c01 = sum(map(mul, l0, r0)), sum(map(mul, l0, r1))
-            c10, c11 = sum(map(mul, l1, r0)), sum(map(mul, l1, r1))
-            # adj(G_p) C
-            m00, m01 = p00 * c00 + p01 * c10, p00 * c01 + p01 * c11
-            m10, m11 = p10 * c00 + p11 * c10, p10 * c01 + p11 * c11
-            trw = ((m00 * b00 + m01 * b10) * c00
-                   + (m00 * b01 + m01 * b11) * c01
-                   + (m10 * b00 + m11 * b10) * c10
-                   + (m10 * b01 + m11 * b11) * c11)
-            den, detc = di * dj, c00 * c11 - c01 * c10
-            key = _pair_key(trw, trw * trw - 2 * den * detc * detc, den)
-            counts[key] = counts.get(key, 0) + weight
+    for i, size in orbits.items():
+        left, _, ap, dp = records[i]
+        # Row a of each point's C: the dot products of x = L_p[a] with the
+        # rights, cut into m per point.
+        cs = [zip(*[map(sum, map(map, repeat(mul), repeat(x), rights))] * m)
+              for x in left]
+        for (*c, cls), k in Counter(zip(*cs, classes)).items():
+            aq, dq = grams[cls]
+            w = _mul_int(_mul_int(_mul_int(ap, c), aq), tuple(zip(*c)))
+            key = _pair_key(sum(w[a][a] for a in range(m)),
+                            sum(w[a][b] * w[b][a] for a in range(m)
+                                for b in range(m)), dp * dq)
+            counts[key] += k * size
     return counts
 
 
@@ -440,7 +424,8 @@ def _orthogonal(rec) -> tuple:
     same = left is right
     us, vs, gs = [], [], []
     for u, v in zip(left, right):
-        u, v = _reduce(u, v, us, vs, gs, same)
+        if us:
+            u, v = _reduce(u, v, us, vs, gs, same)
         us.append(u)
         vs.append(v)
         gs.append(sum(map(mul, u, v)))
@@ -465,22 +450,42 @@ def _reduce(u, v, us, vs, gs, same: bool):
     return u, v
 
 
-def _cross_rows(orth, rows) -> Counter:
-    """`_count_rows` for the records `orth` (`_orthogonal`), from packed
-    cross entries C_ab = u_a(p) . v_b(q): one record counted per pair, each
-    distinct record keyed once.
+def _diagonal(recs) -> List[tuple]:
+    """Records of the orbit-row kernel: each (L, R, A, d) record as it is,
+    and each (L, R) one as (U, V, diag(w), l) for its orthogonal rows
+    `_orthogonal` = (U, V, w, l), since diag(w) / l = (U V^T)^-1; one
+    diag(w) is built per distinct (w, l)."""
+    diagonals: Dict = {}
+    out = []
+    for rec in recs:
+        if len(rec) == 2:
+            us, vs, w, l = _orthogonal(rec)
+            a = diagonals.get(kind := (*w, l))
+            if a is None:
+                a = diagonals[kind] = tuple(
+                    tuple(x if b == c else 0 for c in range(len(w)))
+                    for b, x in enumerate(w))
+            rec = us, vs, a, l
+        out.append(rec)
+    return out
+
+
+def _cross_rows(orth) -> Counter:
+    """`_pair_key` counts over the pairs i < j of the records `orth`
+    (`_orthogonal`), from packed cross entries C_ab = u_a(p) . v_b(q): one
+    record counted per pair, each distinct record keyed once.
 
     Column (q, b) holds v_b(q) and q's weight class, the index of (w_q,
     l_q), so one multiply-add per coordinate gives C_ab against a block of
     points for each row a of p.  Each of the m byte strings is cut into
     records of m slots, one per q; zipped over a they give one record per
     pair, all of C with q's class, which `Counter.update` counts in C, one
-    counter per row class (w_p, l_p) and a row of weight k counted k times.
-    For lines the record is the one slot, read in place as an integer (a
-    one-slot byte record cost up to twice as much).  Each distinct record
-    is then decoded exactly, takes H, tr W and tr W^2 by the identities of
-    the module docstring, and `_pair_key` gives the loop's keys.  Needs U_q V_p^T = (U_p V_q^T)^T, a symmetric metric, as
-    for all data from `Subspace.int_data` and `intdata_from_coords`.
+    counter per row class (w_p, l_p); a line's record is its one slot, read
+    in place.  Each distinct record is then decoded exactly, takes H,
+    tr W and tr W^2 by the identities of the module docstring, and
+    `_pair_key` gives the loop's keys.  Needs U_q V_p^T = (U_p V_q^T)^T, a
+    symmetric metric, as for all data from `Subspace` rows and
+    `metric_rows`.
     """
     n = len(orth)
     m = len(orth[0][2])
@@ -492,23 +497,16 @@ def _cross_rows(orth, rows) -> Counter:
                             [c for c in classes for _ in range(m)], m)
     records = Struct(f"{m * packed.nbytes}s").iter_unpack
     by_class = defaultdict(Counter)
-    for i, start, weight in rows:
-        if start >= n:
-            continue
+    for i in range(n - 1):
         if m == 1:
             # A record is one slot, read in place.
             pairs = chain.from_iterable(map(packed.slots,
-                                            packed.row(orth[i][0][0], start)))
+                                            packed.row(orth[i][0][0], i + 1)))
         else:
             pairs = zip(*(chain.from_iterable(map(records,
-                                                  packed.row(u, start * m)))
+                                                  packed.row(u, (i + 1) * m)))
                           for u in orth[i][0]))
-        counter = by_class[classes[i]]
-        if weight == 1:
-            counter.update(pairs)
-        else:
-            for record, k in Counter(pairs).items():
-                counter[record] += k * weight
+        by_class[classes[i]].update(pairs)
     counts = Counter()
     weights = list(kinds)
     # The value sits below the class.
@@ -714,15 +712,22 @@ def certified_orbits(points: Sequence, generators) -> tuple:
     return orbits, examined
 
 
-# Certified orbit rows of lines and planes up to this many run the serial
-# loop (`_count_rows`); with more, the full sweep (`_cross_rows`) can be
-# faster.  The serial rows cost more per pair, so the crossover grows with
-# the point count: with the line kernel, 6 rows on the D4 minimal lines
-# (12 points), 15 on the E8 lines (120) and 82 on the BW16 lines (2160).
-# Planes, with the 2 x 2 row kernel, cross over at 11 rows on the D4
-# minimal planes (16), 30 on the E7 planes (336), 78 on the E8 planes
-# (1120).
+# Certified orbit rows up to this many run `_orbit_rows`; with more, the
+# full sweep (`_cross_rows`) can be faster.  The crossover grows with the
+# point count: minimal lines 2 / 10 / 62 rows on D4 / E8 / BW16 (12, 120,
+# 2160 points), planes 3 / 17 / 65 on D4 / E7 / E8 (16, 336, 1120),
+# 3-sections 6 / 19 / 230 on E6 / E7 / E8 (270, 1260, 7560), m = 4: 5 on
+# the k = 3, w = 1 eigenspaces (70), 82 on the E8 4-sections (3150).
 _SERIAL_ROWS = 6
+
+
+def orbit_rows_pay(size: int, orbits: Optional[Dict[int, int]]) -> bool:
+    """Whether `pair_stats` counts the rows of `orbits` on `size` points
+    rather than the full sweep: certified orbits, at most `_SERIAL_ROWS`
+    rows, and fewer ordered pairs, size |O| against size (size - 1) / 2.
+    A caller that builds records for the orbit rows alone asks first."""
+    return (orbits is not None and len(orbits) <= _SERIAL_ROWS
+            and 2 * len(orbits) < size - 1)
 
 
 def pair_stats(points: Sequence,
@@ -732,15 +737,13 @@ def pair_stats(points: Sequence,
 
     `points` may be Subspace instances, read in the rows they were given
     in (`Subspace._given`, else their canonical rows), or raw records: the
-    left and right rows alone (`metric_rows`), or for lines and planes
-    with orbit rows the full `intdata` record, whose adjugate and
-    determinant the row kernel reads.  The full sweep first makes every
-    point's rows orthogonal in its own metric (`_orthogonal`); the packed
-    cross engine (`_cross_rows`) then counts one record per pair, its cross
-    matrix and the column point's weight class, and keys each distinct
-    record once.  The module docstring gives its identities, and why no key
-    depends on the basis a point starts from.  Every engine runs in this
-    process.
+    left and right rows alone (`metric_rows`), or the full `intdata`
+    record.  The full sweep first makes every point's rows orthogonal in
+    its own metric (`_orthogonal`); the packed cross engine (`_cross_rows`)
+    then counts one record per pair, its cross matrix and the column
+    point's weight class, and keys each distinct record once.  The module
+    docstring gives its identities, and why no key depends on the basis a
+    point starts from.  Every engine runs in this process.
 
     `orbits`, {list index of a point of the orbit: its size, multiplicity
     counted}, are the orbits of a group G that permutes the points and
@@ -749,39 +752,28 @@ def pair_stats(points: Sequence,
     closure of `lattice.minimal_sections` for integer automorphisms of a
     lattice.  Then the distribution is the sum over G-orbits O of |O|
     times the row of one point of O against all points, since G permutes
-    the columns of every row, and only the orbit rows are counted, if they
-    count fewer pairs than the full sweep and, for lines and planes, are
-    no more than `_SERIAL_ROWS`.  Lines and planes run the rows as the
-    pair loop (`_count_rows`); m >= 3 runs them through the cross engine.
-    With no orbits, or rows that would cost more, the full sweep runs, with
-    the same result.
+    the columns of every row, and only the orbit rows are counted when
+    they pay (`orbit_rows_pay`), by the orbit-row kernel (`_orbit_rows`)
+    for every m: on a record's own adjugate when it has one, else on the
+    diagonal record of its orthogonal rows (`_diagonal`).  With no orbits,
+    or rows that would cost more, the full sweep runs, with the same
+    result.
     """
     if not points:
         raise ValueError("pair_stats needs at least one point")
     n = len(points)
     m = points[0].m if isinstance(points[0], Subspace) else len(points[0][0])
-    # n |O| ordered pairs against the full sweep's n (n - 1) / 2.
-    if orbits is not None and (2 * len(orbits) >= n - 1 or
-                               (m <= 2 and len(orbits) > _SERIAL_ROWS)):
-        orbits = None
-    if orbits is None:
-        rows = ((i, i + 1, 1) for i in range(n))
-    else:
+    rows = [(r := p._given or p.rows, r) if isinstance(p, Subspace) else p
+            for p in points]
+    if orbit_rows_pay(n, orbits):
         # Ordered pairs (i, j) for every j, the diagonal included.
-        rows = [(i, 0, w) for i, w in orbits.items()]
-    if orbits is not None and m <= 2:
-        keys = _count_rows([p.int_data() if isinstance(p, Subspace) else p
-                            for p in points], rows)
+        keys = _orbit_rows(_diagonal(rows), orbits)
     else:
-        # Only the rows enter, so a Subspace forms no adjugate here.
-        keys = _cross_rows([_orthogonal(((r := p._given or p.rows), r)
-                                        if isinstance(p, Subspace) else p)
-                            for p in points], rows)
-    if orbits is None:
+        orbits = None
         # Pairs i < j stand for both orders; on the diagonal every
         # principal cosine is 1.
-        half, keys = keys, Counter({(m, 1, m, 1): n})
-        for key, count in half.items():
+        keys = Counter({(m, 1, m, 1): n})
+        for key, count in _cross_rows(list(map(_orthogonal, rows))).items():
             keys[key] += 2 * count
     # Distinct reduced keys are distinct rationals.
     dist = {(Fraction(a, b), Fraction(c, d)): count

@@ -32,7 +32,7 @@ from .exactalg import (RatMatrix, Rational, adjugate, bit_span, bit_subspaces,
 from .grassmann import (Configuration, DesignReport, IndexMap, IntAction,
                         PairStats, Subspace, UnionFind, adj_product,
                         check_design_range, design_report, intdata,
-                        line_key, pair_stats)
+                        line_key, orbit_rows_pay, pair_stats)
 
 # Most vectors one enumeration keeps; desk-scale enumerations keep a few
 # thousand at most (BW16's minimal lines are 2,160).
@@ -258,30 +258,35 @@ class SectionSet:
     @cached_property
     def stats(self) -> PairStats:
         """The pair distribution of the sections, computed on first read,
-        once, with one row per certified orbit: every automorphism permutes
-        the minimal m-sections (Goethals and Seidel 1981).  Lines and planes
-        are read as `records`, whose shared adjugates their orbit-row kernel
-        reads; m >= 3 as their rows alone (`metric_rows`), since the cross
-        engine forms no adjugate."""
-        points = ([self.metric_rows(c) for c in self.coords] if self.m >= 3
-                  else self.records)
-        return pair_stats(points, orbits=self.orbits)
+        once, with one row per certified orbit when the rows pay
+        (`grassmann.orbit_rows_pay`; every automorphism permutes the minimal
+        m-sections) on the `records` and their shared adjugates, else by the
+        full sweep on the rows (G Y^T, Y) alone, with no adjugate formed."""
+        if orbit_rows_pay(len(self), self.orbits):
+            return pair_stats(self.records, orbits=self.orbits)
+        return pair_stats(list(zip(self._rows, self.coords)))
+
+    @cached_property
+    def _rows(self) -> List["_MetricRows"]:
+        """The rows G Y^T of each section (`_MetricRows`), each formed on
+        first read, once, whichever of `stats` and `records` reads it."""
+        return [_MetricRows(self, y) for y in self.coords]
 
     @cached_property
     def records(self) -> List[tuple]:
         """One pair-engine record per section, equal to
-        `intdata_from_coords(coords, gram_int)`: (G Y^T rows, coordinate
-        rows Y, adj(Y G Y^T), det(Y G Y^T)) with G the integer Gram, so det
-        is delta * s^m.  Built once, on first read.  The sections of a
-        certified orbit share adj and det, taken by `intdata` on their seed:
-        an image Y A under an integer A with A G A^T = G has the Gram
-        Y G Y^T exactly.  With `orbits` None every section is its own seed.
-        The rows G Y^T (`_MetricRows`) are formed on first read, once, so an
-        orbit row forms them for its row points alone."""
-        coords = self.coords
+        `intdata(*grassmann.metric_rows(coords, gram_int))`: (G Y^T rows,
+        coordinate rows Y, adj(Y G Y^T), det(Y G Y^T)) with G the integer
+        Gram, so det is delta * s^m.  Built once, on first read, at every
+        m.  The sections of a certified orbit share adj and det,
+        taken by `intdata` on their seed: an image Y A under an integer A
+        with A G A^T = G has the Gram Y G Y^T exactly.  With `orbits` None
+        every section is its own seed.  The rows G Y^T (`_rows`) are formed
+        on first read, once, so an orbit row forms them for its row points
+        alone."""
+        coords, rows = self.coords, self._rows
         seeds = (self.seeds if self.orbits is not None and self.seeds
                  else range(len(coords)))
-        rows = [_MetricRows(self, y) for y in coords]
         shared = {s: intdata(rows[s], coords[s])[2:] for s in dict.fromkeys(seeds)}
         return [(r, y, *shared[s]) for r, y, s in zip(rows, coords, seeds)]
 

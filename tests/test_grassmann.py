@@ -18,10 +18,10 @@ from grassdex.exactalg import (RatMatrix, det, int_rref, inverse, primitive_int_
                                rref, trace_pow)
 from grassdex import grassmann
 from grassdex.grassmann import (Configuration, Subspace,
-                                _count_rows, _cross_rows, _frame_data,
-                                average_sigma_power,
+                                _cross_rows, _diagonal, _frame_data,
+                                _orbit_rows, average_sigma_power,
                                 certified_orbits, design_report,
-                                eval_zonal, intdata_from_coords, pair_stats,
+                                eval_zonal, intdata, metric_rows, pair_stats,
                                 principal_power_sums, sigma, verify_design,
                                 zonal_positivity)
 from grassdex.zonal import P0, P1, Partition
@@ -47,16 +47,16 @@ def pair_loop(data):
     return w_loop(data, [(i, i + 1, 1) for i in range(len(data))])
 
 
-def cross_sweep(orth):
-    """The same counts from the packed cross engine, over the records
-    `orth` (`_orthogonal`): the full sweep of `pair_stats`."""
-    return _cross_rows(orth, [(i, i + 1, 1) for i in range(len(orth))])
+def orbit_loop(data, orbits):
+    """`_pair_key` counts of the orbit rows {i: weight} from the per-pair W
+    loop: the pairs (i, j) for every j, each counted weight times."""
+    return w_loop(data, [(i, 0, w) for i, w in orbits.items()])
 
 
 def full_sweep(data):
-    """`cross_sweep` of pair-engine records, each made orthogonal first, as
-    `pair_stats` sweeps them."""
-    return cross_sweep([grassmann._orthogonal(rec) for rec in data])
+    """The packed cross engine over pair-engine records, each made
+    orthogonal first, as `pair_stats` sweeps them."""
+    return _cross_rows([grassmann._orthogonal(rec) for rec in data])
 
 
 def sigma_sums(stats, tmax=3):
@@ -470,18 +470,19 @@ def metric_configurations(draw):
 @given(metric_configurations())
 def test_packed_engine_matches_pair_loop_on_metric_data(data):
     gram, coords = data
-    points = [intdata_from_coords(c, gram) for c in coords]
+    points = [intdata(*metric_rows(c, gram)) for c in coords]
     assume(all(d for _, _, _, d in points))
     assert full_sweep(points) == pair_loop(points)
 
 
 @st.composite
 def wide_plane_rows(draw):
-    """(records, row specs): planes in lattice coordinates under the Gram
-    A A^T + I, with coordinates s 2^200 + t (0 < |s| <= 3, |t| < 2^60), so
-    entries of 200 bits and more of both signs, and rows (i, start, weight)
-    at random starts and weights."""
-    n = draw(st.integers(2, 5))
+    """(coords, gram, orbits): m-sections, m = 1..4, in lattice coordinates
+    under the Gram A A^T + I, with coordinates s 2^200 + t (0 < |s| <= 3,
+    |t| < 2^60), so entries of 200 bits and more of both signs, and orbit
+    rows {i: weight} at random points with random weights."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(max(m, 2), 5))
     a = draw(matrices(n, n))
     gram = [[sum(x * y for x, y in zip(r, c)) + (i == j) for j, c in enumerate(a)]
             for i, r in enumerate(a)]
@@ -489,38 +490,53 @@ def wide_plane_rows(draw):
                      st.sampled_from([-3, -2, -1, 1, 2, 3]),
                      st.integers(-(1 << 60), 1 << 60))
     coords = draw(st.lists(st.lists(st.lists(wide, min_size=n, max_size=n),
-                                    min_size=2, max_size=2),
+                                    min_size=m, max_size=m),
                            min_size=1, max_size=6))
-    size = len(coords)
-    rows = draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                   st.integers(0, size),
-                                   st.integers(1, 10 ** 6)), min_size=1,
-                         max_size=4))
-    return [intdata_from_coords(c, gram) for c in coords], rows
+    orbits = draw(st.dictionaries(st.integers(0, len(coords) - 1),
+                                  st.integers(1, 10 ** 6), min_size=1,
+                                  max_size=4))
+    return coords, gram, orbits
 
 
 @settings(max_examples=60, deadline=None)
 @given(wide_plane_rows())
-def test_plane_row_kernel_matches_the_w_loop(case):
-    data, rows = case
+def test_orbit_row_kernel_matches_the_w_loop(case):
+    # Both record kinds: Gram adjugate records of lattice coordinates, and
+    # the diagonal records of the same rows as Subspaces of R^n.
+    coords, gram, orbits = case
+    data = [intdata(*metric_rows(c, gram)) for c in coords]
     assume(all(d > 0 for _, _, _, d in data))
-    assume(any(adj[0][1] for _, _, adj, _ in data))
-    assert _count_rows(data, rows) == w_loop(data, rows)
+    assume(len(data[0][2]) == 1 or any(adj[0][1] for _, _, adj, _ in data))
+    assert _orbit_rows(data, orbits) == orbit_loop(data, orbits)
+    try:
+        points = [Subspace(len(gram), c) for c in coords]
+    except ValueError:
+        return
+    rows = [(p._given or p.rows,) * 2 for p in points]
+    ints = [p.int_data() for p in points]
+    assert _orbit_rows(_diagonal(rows), orbits) == orbit_loop(ints, orbits)
 
 
-def test_plane_row_kernel_on_sections_and_eigenspaces():
+def test_orbit_row_kernel_on_sections_and_eigenspaces():
     from grassdex.binquad import enumerate_isotropic
     from grassdex.clifford import build_design
     from grassdex.lattice import catalog, minimal_sections
-    # The E8 minimal 2-sections, as the section report hands them over,
-    # and the Subspace planes of `clifford --k 3 --w 2`.
-    e8 = minimal_sections(catalog("E8"), 2).records
-    planes = [p.int_data()
-              for p in build_design(enumerate_isotropic(3, 2)).config.points]
-    for data in (e8, planes):
+    # The E8 minimal 2- and 3-sections, as the section report hands them
+    # over, and the Subspaces of `clifford --k 3 --w 2` (planes) and
+    # `--k 3 --w 1` (m = 4), as their adjugate and their diagonal records.
+    cases = []
+    for m in (2, 3):
+        records = minimal_sections(catalog("E8"), m).records
+        cases.append((records, records))
+    for w in (2, 1):
+        points = build_design(enumerate_isotropic(3, w)).config.points
+        ints = [p.int_data() for p in points]
+        rows = [(p._given or p.rows,) * 2 for p in points]
+        cases += [(ints, ints), (ints, _diagonal(rows))]
+    for data, records in cases:
         n = len(data)
-        rows = [(0, 0, n), (5, 0, 1), (n // 2, n // 3, 7), (n - 1, n - 1, 2)]
-        assert _count_rows(data, rows) == w_loop(data, rows)
+        orbits = {0: n, 5: 1, n // 2: 7, n - 1: 2}
+        assert _orbit_rows(records, orbits) == orbit_loop(data, orbits)
 
 
 def test_line_row_kernel_matches_the_w_loop():
@@ -534,8 +550,8 @@ def test_line_row_kernel_matches_the_w_loop():
     bw16 = minimal_sections(catalog("BW16"), 1).records
     for data in (mixed, bw16):
         n = len(data)
-        rows = [(0, 0, n), (5, 0, 1), (n // 2, n // 3, 7), (n - 1, n - 1, 2)]
-        assert _count_rows(data, rows) == w_loop(data, rows)
+        orbits = {0: n, 5: 1, n // 2: 7, n - 1: 2}
+        assert _orbit_rows(data, orbits) == orbit_loop(data, orbits)
 
 
 def test_packed_slots_pass_64_bits(monkeypatch):
@@ -624,10 +640,11 @@ def test_lines_of_two_square_classes_match_the_pair_loop():
     assert full_sweep(data) == pair_loop(data)
 
 
-def assert_cross_matches_loop(data, rows):
-    """The packed cross engine against the per-pair W loop, key for key:
-    the full sweep and `rows`.  Returns the weight classes (w, l) of the
-    points and the slot widths in bits of the engine's packed columns:
+def assert_cross_matches_loop(data, orbits):
+    """The packed cross engine (the full sweep) and the orbit-row kernel on
+    the diagonal records of the same rows (the `orbits` rows) against the
+    per-pair W loop, key for key.  Returns the weight classes (w, l) of
+    the points and the slot widths in bits of the engine's packed columns:
     a native width (8, 16, 32 or 64) is decoded in place, a wider one
     slot by slot."""
     widths = []
@@ -641,20 +658,17 @@ def assert_cross_matches_loop(data, rows):
     orth = [grassmann._orthogonal(rec) for rec in data]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grassmann, "_PackedColumns", Recording)
-        assert cross_sweep(orth) == pair_loop(data)
-        assert _cross_rows(orth, rows) == w_loop(data, rows)
+        assert _cross_rows(orth) == pair_loop(data)
+        assert (_orbit_rows(_diagonal([rec[:2] for rec in data]), orbits)
+                == orbit_loop(data, orbits))
     return {(tuple(w), l) for _, _, w, l in orth}, widths
 
 
-@st.composite
-def row_specs(draw, size):
-    """Row specs (i, start, weight) of the engine, starts anywhere, weights
-    1 to 3, some specs drawn twice: a row point counted more than once."""
-    specs = draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                    st.integers(0, size),
-                                    st.integers(1, 3)), max_size=4))
-    return specs + draw(st.lists(st.sampled_from(specs), max_size=2)
-                        if specs else st.just([]))
+def orbit_weights(size):
+    """Orbit rows {i: weight} of the orbit-row kernel: up to four row
+    points, weights 1 to 10^6."""
+    return st.dictionaries(st.integers(0, size - 1), st.integers(1, 10 ** 6),
+                           max_size=4)
 
 
 @st.composite
@@ -666,8 +680,8 @@ def sweep_configurations(draw):
     n = draw(st.integers(max(2, 2 * m), 12))
     bases = [draw(matrices(m, n)) for _ in range(draw(st.integers(2, 5)))]
     bases += draw(st.lists(st.sampled_from(bases), max_size=2))
-    rows = draw(row_specs(len(bases)))
-    return n, bases, rows, draw(st.sampled_from((1, 100, 2048)))
+    orbits = draw(orbit_weights(len(bases)))
+    return n, bases, orbits, draw(st.sampled_from((1, 100, 2048)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -676,17 +690,17 @@ def sweep_configurations(draw):
               [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
               [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
               [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]],
-          [(0, 0, 1), (2, 1, 2), (3, 3, 1)], 100))
+          {0: 1, 2: 2, 3: 1}, 100))
 @given(sweep_configurations())
 def test_cross_engine_matches_pair_loop(case):
-    n, bases, rows, block_bytes = case
+    n, bases, orbits, block_bytes = case
     try:
         data = [Subspace(n, b).int_data() for b in bases]
     except ValueError:
         assume(False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grassmann, "_BLOCK_BYTES", block_bytes)
-        assert_cross_matches_loop(data, rows)
+        assert_cross_matches_loop(data, orbits)
 
 
 @st.composite
@@ -703,19 +717,19 @@ def rotated_solids(draw):
     picks = draw(st.lists(st.tuples(st.sampled_from(range(len(bases))),
                                     st.sampled_from((0, 1))),
                           min_size=2, max_size=6))
-    return bases, rots, picks, draw(row_specs(len(picks)))
+    return bases, rots, picks, draw(orbit_weights(len(picks)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(rotated_solids())
 def test_cross_engine_matches_pair_loop_on_rotations(case):
-    bases, rots, picks, rows = case
+    bases, rots, picks, orbits = case
     try:
         data = [Subspace(8, bases[b]).transform(rots[r]).int_data()
                 for b, r in picks]
     except ValueError:
         assume(False)
-    assert_cross_matches_loop(data, rows)
+    assert_cross_matches_loop(data, orbits)
 
 
 @st.composite
@@ -730,7 +744,7 @@ def metric_solids(draw):
              for j, c in enumerate(a)] for i, r in enumerate(a)]
     coords = [draw(matrices(m, n)) for _ in range(draw(st.integers(2, 4)))]
     coords += draw(st.lists(st.sampled_from(coords), max_size=2))
-    return gram, coords, draw(row_specs(len(coords)))
+    return gram, coords, draw(orbit_weights(len(coords)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -740,14 +754,14 @@ def metric_solids(draw):
            [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
            [[2 ** 40, -1, 3, 0, 0, 1], [0, 1, -2 ** 39, 5, 0, 0],
             [0, 0, 1, 0, 7, 0]]],
-          [(0, 0, 1), (1, 2, 3)]))
+          {0: 1, 1: 3}))
 @given(metric_solids())
 def test_cross_engine_matches_pair_loop_on_metric_data(case):
-    gram, coords, rows = case
+    gram, coords, orbits = case
     assume(any(gram[i][j] for i in range(len(gram)) for j in range(i)))
-    data = [intdata_from_coords(c, gram) for c in coords]
+    data = [intdata(*metric_rows(c, gram)) for c in coords]
     assume(all(d for _, _, _, d in data))
-    assert_cross_matches_loop(data, rows)
+    assert_cross_matches_loop(data, orbits)
 
 
 @st.composite
@@ -764,7 +778,7 @@ def sparse_solids(draw):
                       min_size=m, max_size=m)
     bases = [draw(sparse) for _ in range(draw(st.integers(2, 5)))]
     bases += draw(st.lists(st.sampled_from(bases), max_size=3))
-    return n, bases, draw(row_specs(len(bases)))
+    return n, bases, draw(orbit_weights(len(bases)))
 
 
 # Slots wider than 64 bits, with no native format: rows found by Hypothesis
@@ -775,35 +789,35 @@ WIDE_ROWS = [[0, 0, 1, 1], [0, 568, 0, 3], [3311, 0, 0, 477]]
 @settings(max_examples=40, deadline=None)
 @example((4, [WIDE_ROWS, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
               [[0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]], WIDE_ROWS],
-          [(0, 0, 2), (1, 1, 1), (3, 0, 3), (0, 0, 2)]))
+          {0: 2, 1: 1, 3: 3}))
 @given(sparse_solids())
 def test_cross_engine_matches_pair_loop_on_sparse_rows(case):
-    n, bases, rows = case
+    n, bases, orbits = case
     try:
         data = [Subspace(n, b).int_data() for b in bases]
     except ValueError:
         assume(False)
-    assert_cross_matches_loop(data, rows)
+    assert_cross_matches_loop(data, orbits)
 
 
 def test_cross_engine_slots_pass_64_bits():
     # Wide slots are decoded slot by slot, narrow ones in place; both sides
     # of each pair span several weight classes, a point is repeated and the
-    # row specs repeat a point with weights 1 to 3.
+    # orbit rows weigh their points 1 to 3.
     big = [[2 ** 40 + 1, 3, 0, 7, 0, 1], [5, -2 ** 41, 1, 0, 2, 0],
            [0, 1, 2 ** 39, 0, 0, -3]]
     small = [[1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]]
     skew = [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]
     narrow = [[1, 2, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0]]
-    rows = [(0, 0, 1), (1, 0, 3), (0, 1, 2), (3, 2, 1)]
+    orbits = {0: 1, 1: 3, 3: 2}
     for first, wide in ((big, True), (narrow, False)):
         data = [Subspace(6, b).int_data() for b in (first, small, skew, first)]
-        classes, widths = assert_cross_matches_loop(data, rows)
+        classes, widths = assert_cross_matches_loop(data, orbits)
         assert len(classes) == 3
         assert {w > 64 for w in widths} == {wide}
     data = [Subspace(4, b).int_data()
             for b in (WIDE_ROWS, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])]
-    classes, widths = assert_cross_matches_loop(data, [(0, 0, 2), (1, 0, 1)])
+    classes, widths = assert_cross_matches_loop(data, {0: 2, 1: 1})
     assert len(classes) == 2 and min(widths) > 64
 
 
@@ -819,7 +833,7 @@ def test_cross_engine_keys_each_distinct_record_once(monkeypatch):
     monkeypatch.setattr(grassmann, "_pair_key",
                         lambda *args: calls.append(args) or key(*args))
     orth = [grassmann._orthogonal((p._given or p.rows,) * 2) for p in config]
-    counts = cross_sweep(orth)
+    counts = _cross_rows(orth)
     monkeypatch.undo()
     assert sum(counts.values()) == 16110
     assert len(calls) < 16110 // 10
@@ -908,7 +922,7 @@ def test_given_rows_leave_every_pair_key(case):
     assert stats.distribution == rebuilt.distribution == dist
     assert sigma_sums(stats, 4) == sigma_sums(rebuilt, 4) == sums
     orth = [grassmann._orthogonal((p._given or p.rows,) * 2) for p in points]
-    assert cross_sweep(orth) == pair_loop([p.int_data() for p in points])
+    assert _cross_rows(orth) == pair_loop([p.int_data() for p in points])
 
 
 def test_given_rows_serve_the_orbit_rows():

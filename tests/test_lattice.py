@@ -18,7 +18,7 @@ from grassdex import lattice as lattice_mod
 from grassdex.exactalg import (RatMatrix, det, hnf, inverse, saturate_rows,
                                verify_combination)
 from grassdex.grassmann import (Configuration, Subspace, adj_product, intdata,
-                                intdata_from_coords, verify_design)
+                                metric_rows, verify_design)
 from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
                               minimal_line_keys, minimal_sections, rankin, section_design_report,
@@ -400,7 +400,7 @@ def test_section_records_and_spans(monkeypatch, name, m):
     # Perfection stops at full rank, and uniform eutaxy reads an orbit row.
     assert len(set(formed)) == len(formed)
     for coords, rec in zip(secs.coords, secs.records):
-        assert rec == intdata_from_coords(coords, lat._gram_int)
+        assert rec == intdata(*metric_rows(coords, lat._gram_int))
         assert rec[3] == secs.delta * lat._gram_scale ** m
     assert sorted(formed) == sorted(secs.coords)
     assert _in_line_key_order(secs, line_key)
@@ -423,8 +423,23 @@ def test_records_share_their_seed_gram(monkeypatch, name, m):
     alone = replace(secs, orbits=None)
     for s in (secs, alone):
         for coords, rec in zip(s.coords, s.records):
-            assert rec == intdata_from_coords(coords, lat._gram_int)
+            assert rec == intdata(*metric_rows(coords, lat._gram_int))
     assert len(seeds) == len(secs.orbits) + len(secs)
+
+
+def test_rejected_orbit_rows_form_no_adjugate(monkeypatch):
+    # Z16's 120 minimal planes are 120 singleton orbits, too many rows, so
+    # the full sweep runs on the rows G Y^T alone: no `intdata` call, and
+    # no records, until perfection reads them.
+    lat = catalog("Z16")
+    secs = minimal_sections(lat, 2)
+    assert len(secs) == len(secs.orbits) == 120
+    seeds, formed = _counting_records(monkeypatch)
+    report = section_design_report(lat, secs, tmax=2)
+    assert report.orbits is None and not seeds and "records" not in vars(secs)
+    assert sorted(formed) == sorted(secs.coords)
+    check_perfection(lat, 2, secs)
+    assert len(seeds) == 120 and len(formed) == 120
 
 
 def test_delta_invariant_under_unimodular_change(d4):

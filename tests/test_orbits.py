@@ -350,6 +350,34 @@ def test_orbit_rows_of_lines_stop_past_the_serial_limit():
         assert sigma_sums(stats) == sigma_sums(full)
 
 
+def test_only_the_full_sweep_packs_columns(monkeypatch):
+    # Orbit rows run the orbit-row kernel and pack no columns: the E8
+    # minimal 2- and 3-sections (one orbit each) and the k = 3, w = 1
+    # eigenspaces (m = 4).  A full sweep packs them once: the 120 singleton
+    # orbits of the Z16 minimal planes, and `verify_design`.
+    from grassdex.clifford import verify_tt
+    built = []
+
+    class Recording(grassmann._PackedColumns):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(len(self.blocks))
+
+    monkeypatch.setattr(grassmann, "_PackedColumns", Recording)
+    e8 = catalog("E8")
+    for m in (2, 3):
+        report = section_design_report(e8, minimal_sections(e8, m), tmax=2)
+        assert report.orbits == 1 and built == []
+    assert verify_tt(enumerate_isotropic(3, 1), tmax=2).orbits == 1
+    assert built == []
+    z16 = catalog("Z16")
+    report = section_design_report(z16, minimal_sections(z16, 2), tmax=2)
+    assert report.orbits is None and len(built) == 1
+    assert grassmann.verify_design(grassmann.Configuration(
+        8, _all_points(3, 2))).orbits is None
+    assert len(built) == 2
+
+
 def test_generator_free_lattice_keeps_the_records():
     # Gram [[3, 1], [1, 3]]: 2 * 1 / 3 is no integer, so neither minimal
     # vector is a root, and the report runs the full engine.
