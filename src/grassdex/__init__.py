@@ -16,8 +16,7 @@ import importlib
 _EXPORTS = {
     "exactalg": ("RatMatrix", "Rational", "det", "rat", "rat_str", "rref",
                  "solve_nonneg_combination", "trace_pow"),
-    "zonal": ("Partition", "ZonalPolynomial", "constant_c", "jacobi_p",
-              "moment_oracle"),
+    "zonal": ("Partition", "ZonalPolynomial", "constant_c", "jacobi_p"),
     "grassmann": ("Configuration", "DesignReport", "Subspace", "eval_zonal",
                   "principal_power_sums", "sigma", "verify_design",
                   "zonal_positivity"),

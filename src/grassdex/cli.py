@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from . import grassmann
 from .exactalg import RatMatrix, rat, rat_str
 from .grassmann import Configuration
-from .zonal import MAX_T, constant_c
+from .zonal import MAX_T, _check_mn, constant_c
 
 if TYPE_CHECKING:
     from . import clifford, lattice
@@ -231,6 +231,9 @@ def _family_split_report(build: clifford.BuildResult) -> dict:
 
 def cmd_constants(args, res: dict, caveats: list) -> int:
     if args.m is not None and args.n is not None:
+        _check_mn(args.m, args.n)
+        if args.t not in T_CHOICES:
+            raise InputError(f"t must be between 1 and {MAX_T}")
         res["c"] = rat_str(constant_c(args.m, args.n, args.t))
     elif args.k is not None and args.w is not None:
         if args.t < 0:

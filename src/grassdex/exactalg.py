@@ -236,20 +236,6 @@ def solve_linear(a: RatMatrix, b) -> list:
     return [sum(map(mul, inv.row(i), b)) for i in range(a.rows)]
 
 
-def null_space(m: RatMatrix) -> RatMatrix:
-    """Basis (rows) of {x : M x^T = 0}."""
-    r, piv, rk = rref(m)
-    free = [c for c in range(m.cols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv):
-            v[pc] = -r[i, fc]
-        basis.append(v)
-    return RatMatrix(basis) if basis else RatMatrix.zeros(0, m.cols)
-
-
 def adjugate(mat) -> tuple:
     """Adjugate of a square integer matrix, adj(M) M = det(M) I, as row tuples.
 

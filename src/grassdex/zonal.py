@@ -1,20 +1,21 @@
 """Zonal polynomials of degree <= 2 on real Grassmannians and the averaged
 power-sum constants used by the design criteria.
 
-All certificate values are exact Fractions.  The only floating point lives in
-the Monte-Carlo moment oracle, which is a validation channel and never enters
-a verdict.
+All values are exact Fractions; the module uses no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Dict, Tuple
 
 from .exactalg import Rational
 
-MAX_T = 3    # the largest t with a closed form in `constant_c`, so in any verdict
+# The largest t a design verdict certifies: the CLI `--t` choices and
+# `grassmann.check_design_range`.  `constant_c` itself takes any t >= 0.
+MAX_T = 3
 
 
 class Partition:
@@ -151,82 +152,53 @@ def supported_partitions(m: int, tmax: int = 2):
     return tuple(p for p in out if p.degree <= tmax)
 
 
+def _partitions(t: int, length: int, top: int):
+    """The partitions of t into at most `length` parts, each at most `top`."""
+    if t == 0:
+        yield ()
+    elif length:
+        for first in range(min(t, top), 0, -1):
+            for rest in _partitions(t - first, length - 1, first):
+                yield (first,) + rest
+
+
+def _pochhammer(a: Fraction, kappa) -> Fraction:
+    """The generalized Pochhammer symbol (a)_kappa at alpha = 2."""
+    out = Fraction(1)
+    for i, part in enumerate(kappa):
+        for j in range(part):
+            out *= a - Fraction(i, 2) + j
+    return out
+
+
+def _zonal_at_identity(kappa, m: int) -> Fraction:
+    """James's value C_kappa(I_m) of the zonal polynomial normalized so that
+    the C_kappa of the partitions of t sum to (trace)^t, kappa of length l:
+    4^t t! (m/2)_kappa prod_{i<j} (2k_i - 2k_j - i + j)
+    / prod_i (2k_i + l - i)!."""
+    t, ell = sum(kappa), len(kappa)
+    num = 4 ** t * factorial(t) * prod(
+        2 * (kappa[i] - kappa[j]) + j - i
+        for i in range(ell) for j in range(i + 1, ell))
+    den = prod(factorial(2 * part + ell - 1 - i)
+               for i, part in enumerate(kappa))
+    return _pochhammer(Fraction(m, 2), kappa) * num / den
+
+
 def constant_c(m: int, n: int, t: int) -> Rational:
-    """The invariant-measure average of sigma^t on pairs in G(m, n), t <= MAX_T.
+    """The invariant-measure average of sigma^t on pairs in G(m, n), t >= 0.
 
     sigma is the sum of squared principal cosines; a finite configuration is
     a 2t-design exactly when its pair average of sigma^t equals this value.
+    It is James's zonal expansion (Ann. Math. Statist. 35, 1964; Muirhead
+    1982, ch. 7): the sum over kappa |- t with at most m parts of
+    (m/2)_kappa / (n/2)_kappa * C_kappa(I_m).  No factor of (n/2)_kappa
+    vanishes, since every part index is at most m <= n/2.
     """
     _check_mn(m, n)
-    F = Fraction
-    if t == 1:
-        return F(m * m, n)
-    if t == 2:
-        return F(m * m, 3 * n) * (F(2 * (m - 1) ** 2, n - 1) + F((m + 2) ** 2, n + 2))
-    if t == 3:
-        inner = F((m + 2) ** 2 * (2 * m + 3), (n + 2) * (n + 4))
-        if m >= 2:  # the (m-1)^2 terms vanish at m = 1 before n-2 can divide
-            inner += (F((m - 1) ** 2 * (m + 2) ** 2, (n - 1) * (n + 2))
-                      * (F(2 * n, n - 2) + F(n + 3, n + 4))
-                      - 8 * F(m * (m - 1) ** 2, (n - 1) * (n - 2)))
-        return F(m * m, 3 * n) * inner
-    raise ValueError(f"t must be between 1 and {MAX_T}")
-
-
-def exact_line_moment(n: int, t: int) -> Rational:
-    """E[cos^(2t)] between random lines in R^n: prod (1+2i)/(n+2i), i<t."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
-    val = Fraction(1)
-    for i in range(t):
-        val *= Fraction(1 + 2 * i, n + 2 * i)
-    return val
-
-
-@dataclass(frozen=True)
-class MonteCarloMoment:
-    """Sampled estimate of the sigma^t pair average; never a verdict input."""
-
-    estimate: float
-    stderr: float
-    samples: int
-    seed: int
-    m: int
-    n: int
-    t: int
-
-
-def moment_oracle(m: int, n: int, t: int, samples: int = 200_000, seed: int = 0):
-    """Independent moment oracle.
-
-    For m == 1 the moment has a closed product form and is returned as an
-    exact Fraction for any t.  For m >= 2 a Monte-Carlo estimate over
-    uniformly random subspace pairs is returned with its standard error;
-    that branch needs numpy, which only the `test` extra installs.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return exact_line_moment(n, t)
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    batch = 20_000
-    total = 0
-    acc = 0.0
-    acc2 = 0.0
-    while total < samples:
-        b = min(batch, samples - total)
-        g = rng.standard_normal((b, n, m))
-        q, _ = np.linalg.qr(g)
-        # One subspace can be fixed by invariance; sigma is the squared
-        # Frobenius norm of the first m rows of the random orthonormal frame.
-        sig = (q[:, :m, :] ** 2).sum(axis=(1, 2))
-        vals = sig ** t
-        acc += float(vals.sum())
-        acc2 += float((vals ** 2).sum())
-        total += b
-    mean = acc / total
-    var = max(acc2 / total - mean * mean, 0.0)
-    stderr = (var / total) ** 0.5
-    return MonteCarloMoment(mean, stderr, total, seed, m, n, t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    half_m, half_n = Fraction(m, 2), Fraction(n, 2)
+    return sum((_pochhammer(half_m, kappa) / _pochhammer(half_n, kappa)
+                * _zonal_at_identity(kappa, m)
+                for kappa in _partitions(t, m, t)), Fraction(0))

@@ -27,7 +27,9 @@ from grassdex.lattice import (barnes_wall, catalog, check_eutaxy,
                               check_perfection, minimal_line_configuration,
                               minimal_sections, section_design_report,
                               similar_to, theta_shells)
-from grassdex.zonal import constant_c, exact_line_moment, moment_oracle
+from grassdex.zonal import constant_c
+
+from _moments import exact_line_moment, moment_oracle
 
 
 def _line(num, ok, detail, t0):

@@ -40,6 +40,17 @@ def test_constants_requires_arguments(capsys):
     assert code == 2 and "error" in rep
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--m", "1", "--n", "4", "--t", "4"], "t must be between 1 and 3"),
+    (["--m", "1", "--n", "4", "--t", "0"], "t must be between 1 and 3"),
+    (["--m", "3", "--n", "4", "--t", "4"], "need 1 <= m <= n/2, got m=3, n=4"),
+], ids=["t4", "t0", "mn-before-t"])
+def test_constants_refuses_t_past_the_verdict_range(capsys, argv, error):
+    code, rep = run_cli(capsys, "constants", *argv)
+    assert code == 2
+    assert rep == {"v": 1, "command": "constants", "error": error}
+
+
 def test_clifford_emit_and_verify_round_trip(tmp_path, capsys):
     cfg = tmp_path / "planes.json"
     code, rep = run_cli(capsys, "clifford", "--k", "2", "--w", "1",

@@ -24,6 +24,7 @@ from grassdex.lattice import (Lattice, barnes_wall, catalog, check_eutaxy,
                               minimal_line_keys, minimal_sections, rankin, section_design_report,
                               section_subspaces, short_vectors,
                               short_vectors_with_norms, similar_to, theta_shells)
+from grassdex.zonal import constant_c
 
 from test_section_search import _in_line_key_order, _searched
 
@@ -706,6 +707,30 @@ def test_e7_sections_intrinsic_design():
     rep = section_design_report(e7, secs, tmax=2)
     assert rep.n == 7
     assert rep.is_design(2)
+
+
+@pytest.mark.parametrize("name, m, strength, gap", [
+    ("D4", 1, 2, F(1, 64)), ("D4", 2, 2, F(4, 81)),
+    ("E6", 1, 2, F(1, 192)), ("E6", 2, 2, F(16, 675)),
+    ("E7", 1, 2, F(1, 462)), ("E7", 2, 2, F(200, 18711)),
+    ("E8", 1, 3, F(3, 1280)), ("E8", 2, 3, F(64, 6615)),
+    ("E8", 3, 3, F(15, 1024)), ("BW16", 1, 3, F(5, 33792)),
+    ("BW16", 2, 3, F(66256, 71569575)),
+])
+def test_minimal_sections_stop_at_their_strength(name, m, strength, gap):
+    # The sigma^t pair average minus E[sigma^t] in G(m, rank), t <= 6: zero
+    # up to the certified strength, then the exact gap, and never negative
+    # (a positive combination of zonal sums).  E8 is BW8: the Barnes-Wall
+    # lines stop at 6-designs.
+    lat = catalog(name)
+    secs = minimal_sections(lat, m)
+    size2 = F(len(secs)) ** 2
+    gaps = [secs.stats.sigma_sum(t) / size2 - constant_c(m, lat.rank, t)
+            for t in range(1, 7)]
+    assert section_design_report(lat, secs, tmax=3).strength() == strength
+    assert gaps[:strength] == [0] * strength
+    assert gaps[strength] == gap
+    assert all(g > 0 for g in gaps[strength:])
 
 
 # A rank-4 basis whose shortest vectors up to 4 * min all lie on one line.

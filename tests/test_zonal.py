@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grassdex.zonal import (P1, P2, P11, MonteCarloMoment, Partition,
-                            constant_c, exact_line_moment, jacobi_p,
-                            moment_oracle, supported_partitions)
+from grassdex.zonal import (P1, P2, P11, Partition, _partitions,
+                            _zonal_at_identity, constant_c, jacobi_p,
+                            supported_partitions)
+
+from _moments import (MonteCarloMoment, closed_form_c, exact_line_moment,
+                      moment_oracle)
 
 
 def test_partition_validation():
@@ -53,10 +56,31 @@ def test_constant_c_known_values():
     assert constant_c(2, 4, 2) == F(10, 9)
     assert constant_c(1, 8, 3) == F(1, 64)
     assert constant_c(4, 16, 2) == F(16, 15)
+    assert constant_c(1, 4, 4) == F(7, 128)  # (1*3*5*7)/(4*6*8*10)
+    assert constant_c(2, 4, 0) == 1
     with pytest.raises(ValueError):
-        constant_c(1, 4, 4)
+        constant_c(1, 4, -1)
     with pytest.raises(ValueError):
         constant_c(3, 4, 1)
+
+
+def test_constant_c_matches_closed_forms():
+    for m in range(1, 9):
+        for n in range(2 * m, 40):
+            for t in (1, 2, 3):
+                assert constant_c(m, n, t) == closed_form_c(m, n, t), (m, n, t)
+
+
+def test_zonal_values_at_identity_sum_to_trace_power():
+    # sum over kappa |- t of C_kappa(X) is tr(X)^t; C_kappa(I_m) vanishes
+    # for kappa with more than m parts.
+    for m in range(1, 7):
+        for t in range(8):
+            parts = list(_partitions(t, m, t))
+            assert len(set(parts)) == len(parts)
+            assert all(sum(k) == t and len(k) <= m and list(k) == sorted(k)[::-1]
+                       for k in parts)
+            assert sum((_zonal_at_identity(k, m) for k in parts), F(0)) == m ** t
 
 
 @given(st.integers(min_value=1, max_value=16), st.integers(min_value=2, max_value=64))
@@ -68,7 +92,7 @@ def test_constant_c_degree_one_closed_form(m, n):
 
 def test_constant_c_matches_line_oracle_everywhere():
     for n in range(2, 65):
-        for t in (1, 2, 3):
+        for t in range(9):
             assert constant_c(1, n, t) == exact_line_moment(n, t)
 
 
@@ -111,3 +135,11 @@ def test_degree_six_constant_against_monte_carlo(m, n):
     est = moment_oracle(m, n, 3, samples=120_000, seed=29 * m + n)
     target = float(constant_c(m, n, 3))
     assert abs(est.estimate - target) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize("t", [4, 5, 6])
+@pytest.mark.parametrize("m,n", [(2, 6), (3, 8)])
+def test_constant_c_past_the_closed_forms_against_monte_carlo(m, n, t):
+    est = moment_oracle(m, n, t, samples=60_000, seed=31 * m + n + t)
+    target = float(constant_c(m, n, t))
+    assert abs(est.estimate - target) <= 5 * est.stderr
