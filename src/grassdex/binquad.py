@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,8 +46,14 @@ class QuadSpace:
         return [v for v in range(1, 1 << (2 * self.k)) if self.q(v) == 0]
 
 
-def num_isotropic_points(k: int) -> int:
-    return (2 ** k - 1) * (2 ** (k - 1) + 1)
+def _gauss_binomial(n: int, r: int) -> int:
+    return (prod(2 ** (n - i) - 1 for i in range(r))
+            // prod(2 ** (i + 1) - 1 for i in range(r)))
+
+
+def num_isotropic(k: int, w: int) -> int:
+    """|X_w(k)| = prod_{i<w} (2^(k-i) - 1)(2^(k-i-1) + 1) / (2^(i+1) - 1)."""
+    return _gauss_binomial(k, w) * prod(2 ** (k - i - 1) + 1 for i in range(w))
 
 
 class IsoSubspace:
@@ -215,12 +222,22 @@ def intersection_moment(sigma: SigmaSet, t: int) -> Rational:
 def d_constant(k: int, w: int, t: int) -> Rational:
     """Average of |S meet S'|^t over all ordered pairs of the full X_w.
 
-    Computed by direct double sum over the enumeration (which equals the
-    orbital-weighted sum).
+    X_w is one O+(2k, 2) orbit (Witt), so one member S's row gives it:
+    N_i = [w choose i]_2 D(k - i, w - i) members meet S in dimension i, D
+    counting those that meet S only in 0, the Moebius inversion of
+    sum_i N_i = |X_w(k)| (Brouwer, Cohen and Neumaier 1989, 9.4; Taylor 1992).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    return intersection_moment(enumerate_isotropic(k, w), t)
+    if not 1 <= w <= k:
+        raise ValueError("need 1 <= w <= k")
+    QuadSpace(k)  # refuses k outside 1..8 before any power of 2^k
+    meet0 = []  # meet0[j] = D(k - w + j, j): the diagonal holds every D used
+    for j in range(w + 1):
+        meet0.append(num_isotropic(k - w + j, j) - sum(
+            _gauss_binomial(j, i) * meet0[j - i] for i in range(1, j + 1)))
+    row = [_gauss_binomial(w, i) * meet0[w - i] for i in range(w + 1)]
+    return Fraction(sum(n << i * t for i, n in enumerate(row)), sum(row))
 
 
 @dataclass(frozen=True)
@@ -256,7 +273,7 @@ class SpreadNotFound(Exception):
 
 
 def spread_size(k: int, w: int) -> Fraction:
-    return Fraction(num_isotropic_points(k), 2 ** w - 1)
+    return Fraction(num_isotropic(k, 1), 2 ** w - 1)
 
 
 # GF(2^w) modulus polynomials for the field-based splitting of generators.

@@ -236,14 +236,12 @@ def cmd_constants(args, res: dict, caveats: list) -> int:
             raise InputError(f"t must be between 1 and {MAX_T}")
         res["c"] = rat_str(constant_c(args.m, args.n, args.t))
     elif args.k is not None and args.w is not None:
-        if args.t < 0:
-            raise InputError("t must be >= 0")
         from . import binquad
         d = binquad.d_constant(args.k, args.w, args.t)
         res["d"] = rat_str(d)
         s = args.k - args.w
         tt = args.t + 1
-        if tt <= MAX_T and 2 ** s <= 2 ** args.k // 2:
+        if tt <= MAX_T:  # 2^(s+1) <= 2^k holds: d_constant took w >= 1
             c = constant_c(2 ** s, 2 ** args.k, tt)
             lhs = Fraction(2) ** (-(2 * s - args.k) * tt) * c
             res["bridge"] = {"c": rat_str(c), "scaled_c": rat_str(lhs),

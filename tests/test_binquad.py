@@ -11,8 +11,8 @@ import pytest
 from grassdex import binquad, clifford
 from grassdex.binquad import (IsoSubspace, QuadSpace, SigmaSet, SpreadNotFound,
                               check_iso_design, d_constant, enumerate_isotropic,
-                              generator_families, num_isotropic_points, orbital,
-                              spread, spread_size)
+                              generator_families, intersection_moment,
+                              num_isotropic, orbital, spread, spread_size)
 from grassdex.clifford import PauliOp, _enumerate_codes
 from grassdex.exactalg import bit_rref, bit_span, bit_subspaces
 from grassdex.zonal import P1, ZonalPolynomial, constant_c, jacobi_p
@@ -47,8 +47,8 @@ def test_quadspace_form():
 
 def test_isotropic_point_counts():
     for k in range(1, 6):
-        assert len(QuadSpace(k).isotropic_points()) == num_isotropic_points(k)
-        assert len(enumerate_isotropic(k, 1)) == num_isotropic_points(k)
+        assert len(QuadSpace(k).isotropic_points()) == num_isotropic(k, 1)
+        assert len(enumerate_isotropic(k, 1)) == num_isotropic(k, 1)
 
 
 def test_enumeration_against_brute_force():
@@ -176,6 +176,45 @@ def test_d_constant_examples():
     assert d_constant(3, 3, 1) == F(12, 5)
 
 
+@pytest.mark.parametrize("k, w", [(k, w) for k in range(1, 5)
+                                  for w in range(1, k + 1)] + [(5, 1)])
+def test_counted_d_constant_equals_the_enumeration(k, w):
+    x = enumerate_isotropic(k, w)
+    assert num_isotropic(k, w) == len(x)
+    for t in range(7):
+        assert d_constant(k, w, t) == intersection_moment(x, t), t
+
+
+def test_counts_beyond_the_enumeration():
+    assert [num_isotropic(5, w) for w in range(1, 6)] == [
+        527, 23715, 118575, 71145, 4590]
+    # The maximal isotropics of O+(2k, 2): prod_{i<k} (2^i + 1).
+    assert [num_isotropic(k, k) for k in range(1, 9)] == [
+        2, 6, 30, 270, 4590, 151470, 9845550, 1270075950]
+
+
+def test_d_constant_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("d_constant enumerated")
+    monkeypatch.setattr(binquad, "enumerate_isotropic", refuse)
+    monkeypatch.setattr(binquad, "_intersection_histogram", refuse)
+    assert d_constant(5, 3, 2) == F(10208, 7905)
+
+
+@pytest.mark.parametrize("k, w, t, message", [
+    (2, 1, -1, "t must be >= 0"),
+    (10 ** 9, 10 ** 9 + 1, -1, "t must be >= 0"),
+    (2, 3, 1, "need 1 <= w <= k"),
+    (0, 1, 1, "need 1 <= w <= k"),
+    (10 ** 9, 0, 1, "need 1 <= w <= k"),
+    (9, 1, 1, "k out of supported range"),
+    (10 ** 9, 10 ** 9, 1, "k out of supported range"),
+])
+def test_d_constant_checks_t_then_w_then_k(k, w, t, message):
+    with pytest.raises(ValueError, match=message):
+        d_constant(k, w, t)
+
+
 def test_d_constant_direct_recount():
     # Independent recount with explicit span sets.
     x = enumerate_isotropic(2, 2)
@@ -223,7 +262,7 @@ def test_spread_sizes_and_validity():
     union = 1
     for m in masks:
         union |= m
-    assert union.bit_count() == num_isotropic_points(4) + 1
+    assert union.bit_count() == num_isotropic(4, 1) + 1
 
 
 def test_spread_44():

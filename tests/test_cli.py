@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -33,6 +35,38 @@ def test_constants_d_with_bridge(capsys):
     code, rep = run_cli(capsys, "constants", "--k", "2", "--w", "1", "--t", "1")
     assert rep["results"]["d"] == "10/9"
     assert rep["results"]["bridge"]["scaled_c"] == "10/9"
+
+
+def test_constants_k_w_answers_every_k_of_the_quadratic_space(capsys):
+    t0 = time.perf_counter()
+    code, rep = run_cli(capsys, "constants", "--k", "5", "--w", "3", "--t", "2")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and rep["results"]["d"] == "10208/7905"
+    assert rep["results"]["bridge"]["equals_d"] is True
+    code, rep = run_cli(capsys, "constants", "--k", "8", "--w", "8", "--t", "3")
+    assert code == 0 and rep["results"] == {"d": "786432/6149"}
+    # Past QuadSpace's k <= 8 the error comes before any power of 2^k.
+    t0 = time.perf_counter()
+    code, rep = run_cli(capsys, "constants", "--k", "1000000000",
+                        "--w", "1000000000", "--t", "1")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and rep["error"] == "k out of supported range"
+
+
+def test_constants_k_w_grid_keeps_its_output(capsys):
+    # Exit codes and stdout (timing masked) of valid and invalid calls,
+    # recorded when d_constant still enumerated X_w and summed every pair.
+    cases = [(k, w, t) for k in range(-1, 5) for w in range(-1, 6)
+             for t in (-1, 0, 1, 2, 3, 6)]
+    cases += [(5, 1, t) for t in range(-1, 7)]
+    digest = hashlib.sha256()
+    for k, w, t in cases:
+        code = main(["constants", "--k", str(k), "--w", str(w), "--t", str(t)])
+        out = re.sub(r'"timing_s": [0-9.e-]+', '"timing_s": null',
+                     capsys.readouterr().out)
+        digest.update(f"{k} {w} {t} {code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "c38ffe80a7f663438d2844fa37a6ae66fd2edd69f6dd8b7aa902b3e79fa016d8")
 
 
 def test_constants_requires_arguments(capsys):
@@ -407,10 +441,14 @@ def test_lattice_incomplete_search_carries_the_caveat(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["clifford", "--k", "5", "--w", "1"], "desk scale is k <= 4"),
     (["constants", "--k", "2", "--w", "1", "--t", "-1"], "t must be >= 0"),
+    (["constants", "--k", "9", "--w", "1", "--t", "1"], "k out of supported range"),
+    (["constants", "--k", "1000000000", "--w", "1", "--t", "1"],
+     "k out of supported range"),
     (["clifford", "--k", "0", "--w", "1", "--sigma", "spread"], "need 1 <= w <= k"),
     (["clifford", "--k", "-1", "--w", "1", "--sigma", "spread"], "need 1 <= w <= k"),
     (["clifford", "--k", "2", "--w", "0", "--sigma", "spread"], "need 1 <= w <= k"),
-], ids=["clifford-k5", "constants-t-negative", "spread-k0", "spread-k-negative",
+], ids=["clifford-k5", "constants-t-negative", "constants-k9",
+        "constants-k-huge", "spread-k0", "spread-k-negative",
         "spread-w0"])
 def test_out_of_range_arguments_are_input_errors(capsys, argv, message):
     code, rep = run_cli(capsys, *argv)
