@@ -335,9 +335,9 @@ def orbit(gens: GeneratorSet, seed: Subspace, cap: int = 10_000) -> Configuratio
     frontier = [seed.rows]
     while frontier:
         nxt = []
-        for rows in frontier:
-            for act in actions:
-                img = act.key(rows)
+        # One `keys` call per action maps the whole frontier.
+        for imgs in zip(*(act.keys(frontier) for act in actions)):
+            for img in imgs:
                 if img not in seen:
                     seen.add(img)
                     if len(seen) > cap:

@@ -343,13 +343,13 @@ def primitive_int_row(row):
 
 
 def _rational_entry(x):
-    """x as an int or Fraction: ints pass through unconverted and a
-    decimal-integer string becomes an int, with no Fraction built; every
+    """x as an int or Fraction: a decimal-integer string, tested first,
+    costs one `int()` and no ABC check; ints pass through unconverted; every
     other entry goes through `rat` (bools raise TypeError)."""
+    if type(x) is str and x.removeprefix("-").isdecimal():
+        return int(x)
     if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
         return x
-    if isinstance(x, str) and x.removeprefix("-").isdecimal():
-        return int(x)
     return rat(x)
 
 

@@ -82,9 +82,9 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, repeat
+from itertools import chain, compress, cycle, islice, repeat
 from math import gcd, isqrt, lcm
-from operator import add, itemgetter, mul, neg
+from operator import add, mul, neg
 from struct import Struct, calcsize
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -582,26 +582,32 @@ def disjoint_keys(rows, n: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
 
 class IndexMap:
     """An integer matrix g acting on integer rows as row -> g row, compiled
-    to index maps: term k of output coordinate i is coefs_k[i] *
-    row[index_k[i]].  A signed permutation is one layer (a signed index
-    map), S (x) I two and the two-factor rotation four (butterflies)."""
+    to the nonzero terms (j, g_ij) of each row i.  `images` maps a list of
+    rows column by column: output column i sums input columns j times g_ij
+    by `map` over whole columns, one Python step per term, however many
+    rows.  A signed permutation has one term a row, S (x) I two."""
 
-    __slots__ = ("layers",)
+    __slots__ = ("terms",)
 
     def __init__(self, g):
-        terms = [[(j, x) for j, x in enumerate(r) if x] for r in g]
-        width = max(map(len, terms))
-        # Rows with fewer terms are padded with 0 * row[0].
-        padded = [t + [(0, 0)] * (width - len(t)) for t in terms]
-        self.layers = [(itemgetter(*(t[k][0] for t in padded)),
-                        tuple(t[k][1] for t in padded)) for k in range(width)]
+        self.terms = [[(j, x) for j, x in enumerate(r) if x] for r in g]
+
+    def images(self, rows) -> List[Tuple[int, ...]]:
+        """g row for each row of the list `rows`, as tuples."""
+        if not rows:
+            return []
+        cols, zero, out = list(zip(*rows)), (0,) * len(rows), []
+        for terms in self.terms:
+            acc = None
+            for j, x in terms:
+                col = (cols[j] if x == 1 else map(neg, cols[j]) if x == -1
+                       else map(mul, cols[j], repeat(x)))
+                acc = col if acc is None else map(add, acc, col)
+            out.append(zero if acc is None else acc)
+        return list(zip(*out))
 
     def image(self, row) -> Tuple[int, ...]:
-        get, coefs = self.layers[0]
-        out = map(mul, get(row), coefs)
-        for get, coefs in self.layers[1:]:
-            out = map(add, out, map(mul, get(row), coefs))
-        return tuple(out)
+        return self.images([row])[0]
 
 
 class IntAction(IndexMap):
@@ -609,7 +615,8 @@ class IntAction(IndexMap):
 
     The matrix is scaled to a primitive integer matrix, which acts on
     subspaces as g does, and the equality g g^T = c I is checked exactly;
-    ValueError otherwise.  Rows map as `Subspace.transform` maps them.
+    ValueError otherwise.  Rows map as `Subspace.transform` maps them, all
+    rows of a list of points in one `images` call (`keys`).
     """
 
     __slots__ = ("n", "scale")
@@ -629,15 +636,18 @@ class IntAction(IndexMap):
         self.scale = c
         super().__init__(g)
 
-    def key(self, rows) -> Tuple[Tuple[int, ...], ...]:
-        """Canonical rows (`Subspace.rows`) of the image of the subspace
-        with canonical rows `rows`.  Images whose supports are disjoint,
-        as a signed permutation leaves disjoint rows, take their sorted
-        line keys (`disjoint_keys`); any other image is eliminated."""
-        if len(rows) == 1:
-            return (line_key(self.image(rows[0])),)
-        images = [self.image(r) for r in rows]
-        return disjoint_keys(images, self.n) or int_rref(images, self.n)
+    def keys(self, points) -> List[Tuple[Tuple[int, ...], ...]]:
+        """Canonical rows (`Subspace.rows`) of the images of the subspaces
+        with canonical rows `points`, all mapped by one `images` call.
+        Images with disjoint supports (a line's, or a signed permutation's
+        of disjoint rows) take their sorted line keys (`disjoint_keys`);
+        any other image is eliminated."""
+        images = self.images([r for rows in points for r in rows])
+        if len(images) == len(points):      # lines only
+            return [(line_key(v),) for v in images]
+        n, images = self.n, iter(images)
+        return [disjoint_keys(imgs, n) or int_rref(imgs, n)
+                for imgs in (list(islice(images, len(r))) for r in points)]
 
 
 class UnionFind:
@@ -699,7 +709,7 @@ def certified_orbits(points: Sequence, generators) -> tuple:
         mult[d] += 1
     found, examined = UnionFind(len(first)), 0
     while found.left > 1 and examined < len(actions):
-        image = [ids.get(actions[examined].key(rows)) for rows in ids]
+        image = list(map(ids.get, actions[examined].keys(list(ids))))
         if (None in image or len(set(image)) < len(image)
                 or [mult[e] for e in image] != mult):
             return None, 0

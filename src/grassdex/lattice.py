@@ -318,11 +318,11 @@ class _MetricRows:
         return self._formed() == other
 
 
-def _ambient_rows(lattice: Lattice, coords) -> List[List[int]]:
-    """The integer rows c . _basis_int of coordinate rows c: the ambient
-    vectors times _basis_den, so they span the same subspace."""
-    basis_cols = list(zip(*lattice._basis_int))
-    return [[sum(map(mul, c, col)) for col in basis_cols] for c in coords]
+def _ambient_rows(lattice: Lattice, coords) -> List[Tuple[int, ...]]:
+    """The integer rows c . _basis_int of the list of coordinate rows c, by
+    one `IndexMap` call on the basis columns: the ambient vectors times
+    _basis_den, so they span the same subspace."""
+    return IndexMap(list(zip(*lattice._basis_int))).images(coords)
 
 
 def section_subspaces(lattice: Lattice, sections: SectionSet) -> List[Subspace]:
@@ -550,7 +550,7 @@ def _line_orbits(lattice: Lattice, cvecs, distinct: int, tables: bool):
         if a is None:
             return count, UnionFind(nv), 0, None
         # c A, one term per nonzero of a column of A.
-        imgs = list(map(IndexMap(list(zip(*a))).image, cvecs))
+        imgs = IndexMap(list(zip(*a))).images(cvecs)
         image = [index.get(_half_key(v)) for v in imgs]
         if None in image:
             return count, UnionFind(nv), 0, None
@@ -866,7 +866,7 @@ def _coordinate_map(g, basis_int, pcols, pden) -> Optional[List[List[int]]]:
         return None
     den = pden * side
     # Row i is (g b_i) times the right inverse, zero entries skipped.
-    rows = _rows_times([act.image(b) for b in basis_int], list(zip(*pcols)))
+    rows = _rows_times(act.images(basis_int), list(zip(*pcols)))
     if any(x % den for row in rows for x in row):
         return None
     return [[x // den for x in row] for row in rows]

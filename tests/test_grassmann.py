@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -1118,13 +1119,13 @@ def test_int_action_key_takes_line_keys_of_disjoint_images(case, perm, signs):
         else:
             assert keys in (None, expect)
         with mock.patch.object(grassmann, "int_rref", wraps=int_rref) as spy:
-            assert act.key(rows) == expect
+            assert act.keys([rows])[0] == expect
         assert spy.called == (keys is None and len(rows) > 1)
         # An image that is zero falls back too.
         if len(rows) > 1:
             with mock.patch.object(grassmann, "int_rref",
                                    wraps=int_rref) as spy:
-                assert act.key(rows + ((0,) * n,)) == expect
+                assert act.keys([rows + ((0,) * n,)])[0] == expect
             assert spy.called
 
 
@@ -1133,7 +1134,57 @@ def test_int_action_key_overlapping_butterfly_image():
     act = grassmann.IntAction(_h_first(3))
     rows = ((1,) + (0,) * 7, (0,) * 4 + (1,) + (0,) * 3)
     assert grassmann.disjoint_keys([act.image(r) for r in rows], 8) is None
-    assert act.key(rows) == rows
+    assert act.keys([rows])[0] == rows
+
+
+# Kernel entries: mostly zero, often +-1, sometimes small or big.
+KERNEL_ENTRY = st.one_of(st.just(0), st.sampled_from((1, -1)),
+                         st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(g, rows): an integer matrix, one of its rows and one of its columns
+    often zeroed, and 0 to 40 integer rows of its width."""
+    n_out, n_in = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    g = draw(st.lists(st.lists(KERNEL_ENTRY, min_size=n_in, max_size=n_in),
+                      min_size=n_out, max_size=n_out))
+    zero_row = draw(st.none() | st.integers(0, n_out - 1))
+    zero_col = draw(st.none() | st.integers(0, n_in - 1))
+    g = [[0 if zero_row == i or zero_col == j else x
+          for j, x in enumerate(r)] for i, r in enumerate(g)]
+    rows = draw(st.lists(st.tuples(*[KERNEL_ENTRY] * n_in), max_size=40))
+    return g, rows
+
+
+def _dense_images(g, rows):
+    """g row for each row by plain dot products: the kernel's reference."""
+    return [tuple(sum(map(mul, gi, row)) for gi in g) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+@example(([[0, 0], [0, 0]], [(1, 2)]))
+@example(([[1, 0], [0, -1]], []))
+@example(([[2 ** 90, -1], [0, 1]], [(3, -2 ** 70)] * 3))
+def test_index_map_images_equal_dense_products(case):
+    g, rows = case
+    im = grassmann.IndexMap(g)
+    got = im.images(rows)
+    assert got == _dense_images(g, rows)
+    assert all(type(v) is tuple for v in got)
+    # A one-row call is the kernel on a list of one row.
+    assert [im.image(r) for r in rows] == got
+
+
+def test_index_map_images_many_rows():
+    rng = random.Random(11)
+    g = [[rng.choice((0, 0, 1, -1, 3, -2 ** 75)) for _ in range(16)]
+         for _ in range(16)]
+    g[5] = [0] * 16
+    rows = [tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(16))
+            for _ in range(3000)]
+    assert grassmann.IndexMap(g).images(rows) == _dense_images(g, rows)
 
 
 def triple_reference(points, tmax):

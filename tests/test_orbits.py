@@ -4,12 +4,14 @@ configuration, and the pair distribution summed over its orbits."""
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from grassdex.binquad import enumerate_isotropic, spread
+from grassdex.binquad import SigmaSet, enumerate_isotropic, spread
 from grassdex.clifford import build_design, clifford_generators
 from grassdex.exactalg import RatMatrix
 from grassdex.grassmann import (IntAction, Subspace, certified_orbits,
@@ -214,7 +216,7 @@ def test_index_swap_is_orthogonal_but_moves_the_lines():
     swap = IntAction(_index_swap(8, 0, 1))
     assert swap.scale == 1
     keys = {p.rows for p in points}
-    assert any(swap.key(p.rows) not in keys for p in points)
+    assert any(key not in keys for key in swap.keys(list(keys)))
 
 
 def test_int_action_rejects_non_orthogonal_matrices():
@@ -239,7 +241,7 @@ def test_int_action_matches_transform():
         except ValueError:
             continue
         g = rng.choice(gens.elements)
-        assert IntAction(g.matrix).key(sub.rows) == sub.transform(g.matrix).rows
+        assert IntAction(g.matrix).keys([sub.rows])[0] == sub.transform(g.matrix).rows
 
 
 def test_int_action_scales():
@@ -252,6 +254,111 @@ def test_int_action_scales():
 def test_line_key_is_subspace_line_rows():
     for vec in ([0, -2, 4, 6], [3, 0, -3], [0, 0, 5], [-1, 2]):
         assert (line_key(vec),) == Subspace.line(vec).rows
+
+
+def _orbits_point_by_point(points, generators):
+    """`certified_orbits` one point and one generator at a time, each image
+    keyed by the canonical rows of `Subspace.transform`: the reference of
+    the batched kernel."""
+    n = points[0].n
+    mats = [g.entries if isinstance(g, RatMatrix) else g for g in generators]
+    for g in mats:
+        c = sum(x * x for x in g[0])
+        if c == 0 or len(g) != n or any(
+                sum(map(mul, a, b)) != (c if i == j else 0)
+                for i, a in enumerate(g) for j, b in enumerate(g)):
+            return None, 0
+    mult = Counter(p.rows for p in points)
+    label = {d: d for d in mult}
+    examined = 0
+    for g in mats:
+        if len(set(label.values())) == 1:
+            break
+        image = {d: Subspace(n, d).transform(RatMatrix(g)).rows for d in mult}
+        if (set(image.values()) != set(mult)
+                or any(mult[image[d]] != mult[d] for d in mult)):
+            return None, 0
+        examined += 1
+        for d, e in image.items():
+            a, b = label[d], label[e]
+            if a != b:
+                label = {x: a if y == b else y for x, y in label.items()}
+    first = {}
+    for i, p in enumerate(points):
+        first.setdefault(label[p.rows], i)
+    orbits = Counter()
+    for p in points:
+        orbits[first[label[p.rows]]] += 1
+    return dict(orbits), examined
+
+
+def _partial_spread(k, w):
+    """A maximal set of pairwise disjoint members of X_w(k), taken greedily
+    in enumeration order: no spread of lines or planes exists at k = 3."""
+    chosen, union = [], 1
+    for s in enumerate_isotropic(k, w).members:
+        if s.span_mask() & union == 1:
+            chosen.append(s)
+            union |= s.span_mask()
+    return SigmaSet(k, w, tuple(chosen))
+
+
+def _forged_sign(gens, which):
+    """`gens` with one nonzero entry of generator `which` negated."""
+    g = [list(r) for r in gens[which].entries]
+    j = next(j for j, x in enumerate(g[0]) if x)
+    g[0][j] = -g[0][j]
+    return gens[:which] + [RatMatrix(g)] + gens[which + 1:]
+
+
+@pytest.mark.parametrize("w", [3, 2])
+def test_batched_certificate_equals_point_by_point_keys(w):
+    # Lines (w = 3) and planes (w = 2) at k = 3: the "all" set (the lines
+    # also in the order that examines all 14 generators), a partial spread,
+    # and three refusals.
+    points = _all_points(3, w)
+    cases = [(points, _tt_order(3)),
+             (build_design(_partial_spread(3, w)).config.points,
+              _tt_order(3))]
+    if w == 3:
+        cases.append((points, _generators(3)))
+    refused = [(points, _forged_sign(_tt_order(3), 1)),
+               (points[1:], _tt_order(3)),
+               (points + points[:1], _tt_order(3))]
+    for pts, gens in cases + refused:
+        assert certified_orbits(pts, gens) == _orbits_point_by_point(pts, gens)
+    assert certified_orbits(points, _tt_order(3)) == ({0: len(points)}, 3)
+    assert all(certified_orbits(*case) == (None, 0) for case in refused)
+
+
+def test_certificate_maps_every_point_in_one_kernel_call(monkeypatch):
+    # One `IndexMap.images` call per examined generator, holding the rows
+    # of every distinct point: no per-point call on the hot path.
+    calls = []
+    images = grassmann.IndexMap.images
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return images(self, rows)
+
+    monkeypatch.setattr(grassmann.IndexMap, "images", counted)
+    for w in (3, 2):
+        points = _all_points(3, w)
+        calls.clear()
+        assert certified_orbits(points, _tt_order(3)) == ({0: len(points)}, 3)
+        assert calls == [sum(p.m for p in points)] * 3
+
+
+@pytest.mark.parametrize("name", ["D4", "E8", "BW16"])
+def test_ambient_rows_equal_dense_products(name):
+    # c B for every minimal vector c, against plain dot products.
+    lat = catalog(name)
+    coords = [c for c, _ in lattice_mod.short_vectors_with_norms(
+        lat, lat.minimum(), half=True)]
+    basis_cols = list(zip(*lat._basis_int))
+    dense = [tuple(sum(map(mul, c, col)) for col in basis_cols)
+             for c in coords]
+    assert _ambient_rows(lat, coords) == dense
 
 
 # -- lattice sections --------------------------------------------------------
